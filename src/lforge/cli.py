@@ -55,8 +55,6 @@ def _load_config(path: str, experiment: str) -> dict:
         out["seed"] = int(merged["seed"])
     if "field" in merged:
         out["field"] = merged["field"]
-    if "threads" in merged:
-        out["threads"] = int(merged["threads"])
     if "allow_long" in merged:
         out["allow_long"] = merged["allow_long"].lower() in ("1", "true",
                                                              "yes", "on")
@@ -73,8 +71,6 @@ def _cmd_run(args) -> int:
         kwargs["seed"] = args.seed
     if args.field is not None:
         kwargs["field"] = args.field
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
     if args.allow_long:
         kwargs["allow_long"] = True
     if args.out is not None:
@@ -144,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--field", choices=("gf17", "qq"), default=None)
-    run.add_argument("--threads", type=int, default=None)
     run.add_argument("--allow-long", action="store_true")
     run.add_argument("--out", default=None,
                      help="directory for text+json reports")

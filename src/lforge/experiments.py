@@ -18,13 +18,11 @@ from . import fixtures
 from .fields import GF, QQ
 from .ideals import (
     Ideal,
-    intersect,
-    saturate,
     saturate_irrelevant,
     singular_locus,
     zero_dim_reduced_check,
 )
-from .linkage import bilink_degree18, bilink_t8, link
+from .linkage import bilink_degree18, bilink_t8
 from .mpoly import PolynomialRing
 from .pfaffian import (
     SkewMatrix,
@@ -147,11 +145,10 @@ def emit_report(report: Report, fmt: str, out_dir: str) -> str:
 
 
 class Context:
-    def __init__(self, seed: int, field, allow_long: bool, threads: int):
+    def __init__(self, seed: int, field, allow_long: bool):
         self.seed = seed
         self.field = field
         self.allow_long = allow_long
-        self.threads = threads
 
     def rng(self, label: str = "") -> Rng:
         r = Rng(self.seed)
@@ -173,8 +170,7 @@ def experiment(name: str, long: bool = False, doc: str = "", seed: int = 0):
 
 
 def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
-                   allow_long: bool = False, threads: int = 1,
-                   out: str | None = None) -> Report:
+                   allow_long: bool = False, out: str | None = None) -> Report:
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ExperimentError(f"unknown experiment {name!r}; known: {known}")
@@ -195,7 +191,7 @@ def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
         F = QQ
     else:
         raise ExperimentError(f"unknown field {field!r} (gf17 or qq)")
-    ctx = Context(seed, F, allow_long, threads)
+    ctx = Context(seed, F, allow_long)
     report = Report(name, seed, field)
     t0 = time.time()
     entry["fn"](report, ctx)

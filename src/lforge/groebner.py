@@ -8,8 +8,6 @@ structurally identical bases.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import time
 
 from .fields import PrimeField
@@ -35,13 +33,12 @@ class BudgetExceeded(RuntimeError):
 
 
 class GroebnerBasis:
-    __slots__ = ("basis", "ring", "reduced", "provenance", "truncation_degree")
+    __slots__ = ("basis", "ring", "reduced", "truncation_degree")
 
-    def __init__(self, basis, ring, reduced=True, provenance="", truncation_degree=None):
+    def __init__(self, basis, ring, reduced=True, truncation_degree=None):
         self.basis = tuple(basis)
         self.ring = ring
         self.reduced = reduced
-        self.provenance = provenance
         self.truncation_degree = truncation_degree
         if reduced:
             lms = [g.lm for g in self.basis]
@@ -152,7 +149,6 @@ def buchberger(gens, order=None, *, max_degree=None, max_pairs=None,
 
     code = ring.code
     deg = code.deg
-    provenance = ideal_hash(gens)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
 
     G: list[MPoly] = []
@@ -241,7 +237,7 @@ def buchberger(gens, order=None, *, max_degree=None, max_pairs=None,
         add_element(h.monic(), max(sugar, h.degree()))
 
     basis = _interreduce([G[i] for i in range(len(G)) if i not in redundant], ring)
-    return GroebnerBasis(basis, ring, reduced=True, provenance=provenance,
+    return GroebnerBasis(basis, ring, reduced=True,
                          truncation_degree=max_degree)
 
 
@@ -294,82 +290,7 @@ def spair_audit(G: GroebnerBasis) -> bool:
     return True
 
 
-# -- content hashing and the on-disk cache ----------------------------
-
-
-def ideal_hash(gens) -> str:
-    """Content hash of a generator list: ring header plus the sorted monic
-    generator strings, so it is independent of generator order and scaling."""
-    from .textio import poly_to_string, ring_header
-
-    ring = gens[0].ring
-    lines = sorted(poly_to_string(g.monic()) for g in gens if not g.is_zero())
-    blob = ring_header(ring) + "\n" + "\n".join(lines)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def cache_dir():
-    return os.environ.get("LFORGE_CACHE") or None
-
-
-def _cache_path(directory, key):
-    return os.path.join(directory, f"gb-{key}.txt")
-
-
-def cache_load(gens, order=None):
-    directory = cache_dir()
-    if directory is None:
-        return None
-    ring = gens[0].ring
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [ring.convert(g) for g in gens]
-    key = ideal_hash(gens)
-    path = _cache_path(directory, key)
-    if not os.path.exists(path):
-        return None
-    from .textio import parse_poly, parse_ring_header
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[-1] != "# verified":
-            return None
-        cached_ring = parse_ring_header(lines[0])
-        if cached_ring is not ring:
-            return None
-        basis = [parse_poly(ln, ring) for ln in lines[1:-1] if ln.strip()]
-        return GroebnerBasis(basis, ring, reduced=True, provenance=key)
-    except (ValueError, OSError):
-        return None
-
-
-def cache_store(G: GroebnerBasis):
-    directory = cache_dir()
-    if directory is None or G.truncation_degree is not None:
-        return
-    from .textio import poly_to_string, ring_header
-
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, G.provenance)
-    if os.path.exists(path):
-        return  # idempotent: first write wins
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(ring_header(G.ring) + "\n")
-        for g in G.basis:
-            fh.write(poly_to_string(g) + "\n")
-        fh.write("# verified\n")
-    os.replace(tmp, path)
-
-
-def groebner_basis(gens, order=None, *, cache=True, **budget) -> GroebnerBasis:
-    """buchberger with the disk cache in front (LFORGE_CACHE directory)."""
-    if cache and not budget:
-        hit = cache_load(gens, order)
-        if hit is not None:
-            return hit
-    G = buchberger(gens, order, **budget)
-    if cache and not budget:
-        cache_store(G)
-    return G
+def groebner_basis(gens, order=None, **budget) -> GroebnerBasis:
+    """Reduced Groebner basis of gens: the one entry point the ideal layer
+    uses.  Budgets are passed through to buchberger."""
+    return buchberger(gens, order, **budget)

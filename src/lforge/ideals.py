@@ -112,16 +112,7 @@ class Ideal:
         if not self.is_homogeneous():
             raise ValueError("graded piece of an inhomogeneous ideal")
         n = self.ring.nvars
-        total = comb(e + n - 1, n - 1)
-        if not self.gens:
-            return 0
-        G = self.groebner()
-        if G.truncation_degree is not None and e > G.truncation_degree:
-            raise ValueError("slice degree above the basis truncation cap")
-        code = G.ring.code
-        exps = [code.unpack(m) for m in lt_ideal(G)]
-        H = HilbertData.from_exponents(exps, n)
-        return total - H.hf(e)
+        return comb(e + n - 1, n - 1) - self.hilbert().hf(e)
 
     def standard_monomials(self, e: int):
         """Packed degree-e monomials outside the leading-term ideal."""
@@ -253,8 +244,9 @@ def colon_variable_power(I: Ideal, i: int) -> Ideal:
 
     I must be homogeneous: Bayer's trick (dividing each basis element by
     its largest power of the last variable) is only valid for a homogeneous
-    grevlex basis.  On an inhomogeneous ideal the result is silently wrong,
-    not an error."""
+    grevlex basis, so an inhomogeneous I raises ValueError."""
+    if not I.is_homogeneous():
+        raise ValueError("colon by a variable power needs a homogeneous ideal")
     ring = I.ring
     n = ring.nvars
     if I.is_zero_ideal():

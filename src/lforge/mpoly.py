@@ -449,15 +449,6 @@ class MPoly:
             total = F.add(total, v)
         return total
 
-    def map_coefficients(self, fn, new_field=None):
-        ring = self.ring
-        if new_field is not None and new_field != ring.field:
-            ring = PolynomialRing(new_field, self.ring.names, self.ring.order)
-        d = {}
-        for m, c in self.terms:
-            d[m] = fn(c)
-        return ring.from_dict(d)
-
     # -- comparisons / hash -------------------------------------------
 
     def __eq__(self, other):

@@ -41,11 +41,6 @@ class Rng:
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 
-    def shuffle(self, lst):
-        for i in range(len(lst) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            lst[i], lst[j] = lst[j], lst[i]
-
     def fork(self, label: int) -> "Rng":
         """Independent child stream; deterministic in (seed, label)."""
         child = Rng((self.seed * 0x9E3779B97F4A7C15 + label + 1) & MASK64)

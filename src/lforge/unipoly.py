@@ -23,11 +23,9 @@ class UniPoly:
         self.var = var
         cs = None
         if isinstance(field, PrimeField):
-            try:
-                arr = np.asarray(coeffs, dtype=np.int64)
-                cs = (arr % field.p).tolist() if arr.size else []
-            except (TypeError, OverflowError):
-                cs = None
+            arr = np.asarray(coeffs)
+            if arr.dtype.kind in "iu":  # machine integers: one vectorized %
+                cs = (arr % field.p).tolist()
         if cs is None:
             cs = [field.of(c) for c in coeffs]
         while cs and field.is_zero(cs[-1]):
@@ -61,12 +59,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     @property
     def lc(self):

@@ -148,10 +148,6 @@ class ProjectionSpec:
         M = catalecticant(self.kind, self.field)
         return minors_ideal(M, 3, ring=self.ambient_ring)
 
-    def veronese_ideal(self) -> Ideal:
-        return minors_ideal(catalecticant(self.kind, self.field), 2,
-                            ring=self.ambient_ring)
-
 
 def project(spec: ProjectionSpec, bound: int = 5) -> ImageComputation:
     """Image ideal of the projected Veronese with its per-degree h0 table."""
@@ -199,10 +195,6 @@ class LNMatrix:
             raise ValueError("target ring does not match the column count")
         ker = nullspace_over(self.field, self.entries)
         return [from_coefficient_vector(target_ring, basis, v) for v in ker]
-
-
-def _row_basis(spec: ProjectionSpec):
-    return spec.source_ring.monomials_of_degree(9)
 
 
 def build_LN(N, field=None) -> LNMatrix:

@@ -329,7 +329,7 @@ def test_unprojection_elimination(unprojection_report):
 def _d6_unprojection_matrix():
     """The 10x10 unprojection matrix A, built as d6-unprojection-15 builds
     it at its default seed."""
-    ctx = Context(2024, F17, False, 1)
+    ctx = Context(2024, F17, False)
     R6 = PolynomialRing(F17, tuple(f"x{i}" for i in range(6)))
     v = list(R6.gens()) + [R6.zero, R6.zero]
     rng = ctx.rng("phi")

@@ -87,6 +87,12 @@ def test_run_with_config(tmp_path, capsys):
                  "--seed", "0"]) == EXIT_FAIL
 
 
+def test_run_rejects_unknown_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "gamma-tangent", "--threads", "2"])
+    assert exc.value.code == EXIT_ERROR
+
+
 def test_list_names_every_experiment(capsys):
     assert main(["list"]) == EXIT_PASS
     out = capsys.readouterr().out

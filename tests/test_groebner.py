@@ -7,10 +7,6 @@ from lforge.groebner import (
     BudgetExceeded,
     GroebnerBasis,
     buchberger,
-    cache_load,
-    cache_store,
-    groebner_basis,
-    ideal_hash,
     lt_ideal,
     minimalize_monomials,
     normal_form,
@@ -197,38 +193,6 @@ def test_minimalize_monomials_random():
 def test_reduced_basis_invariant_checked():
     with pytest.raises(ValueError):
         GroebnerBasis([x, x**2], R3, reduced=True)
-
-
-def test_ideal_hash_invariances():
-    gens = [x**2 - y * z, y**2 + x * z]
-    h1 = ideal_hash(gens)
-    assert ideal_hash([gens[1], gens[0]]) == h1
-    assert ideal_hash([gens[0].scale(5), gens[1].scale(3)]) == h1
-    assert ideal_hash([gens[0], gens[1] + gens[0]]) != h1
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("LFORGE_CACHE", str(tmp_path))
-    gens = [x**2 - y * z, x * y - z**2]
-    assert cache_load(gens) is None
-    G = groebner_basis(gens)
-    hit = cache_load(gens)
-    assert hit is not None
-    assert [g.terms for g in hit] == [g.terms for g in G]
-    # second store is a no-op
-    cache_store(G)
-    G2 = groebner_basis(gens)
-    assert [g.terms for g in G2] == [g.terms for g in G]
-
-
-def test_cache_rejects_unverified(tmp_path, monkeypatch):
-    monkeypatch.setenv("LFORGE_CACHE", str(tmp_path))
-    gens = [x**2 - y * z]
-    G = groebner_basis(gens)
-    path = tmp_path / f"gb-{G.provenance}.txt"
-    text = path.read_text()
-    path.write_text(text.replace("# verified", "# partial"))
-    assert cache_load(gens) is None
 
 
 def test_qq_buchberger():

@@ -3,6 +3,7 @@ import pytest
 from lforge.fields import GF
 from lforge.ideals import (
     Ideal,
+    colon_variable_power,
     eliminate,
     image_ideal,
     intersect,
@@ -162,6 +163,14 @@ def test_graded_piece_dim():
     assert I.graded_piece_dim(3) == 2  # x^2*x, x^2*y
     assert I.graded_piece_dim(1) == 0
     assert Ideal(R2, []).graded_piece_dim(5) == 0
+
+
+def test_colon_variable_power_refuses_inhomogeneous():
+    # Bayer's last-variable division is invalid without homogeneity
+    with pytest.raises(ValueError):
+        colon_variable_power(Ideal(R3, [x - y * y]), 2)
+    I = Ideal(R3, [x * z, y * z * z])
+    assert colon_variable_power(I, 2) == Ideal(R3, [x, y])
 
 
 def test_matrix_det_and_minors():

@@ -134,6 +134,12 @@ def test_qq_coefficients():
     assert f(Fraction(3)) == Fraction(3, 2)
 
 
+def test_prime_field_maps_fractions_through_the_field():
+    # a rational coefficient is its residue, not its truncation to an integer
+    assert UniPoly(F17, [Fraction(1, 2), 3]).coeffs == [F17.of(Fraction(1, 2)), 3]
+    assert UniPoly(F17, [Fraction(-7, 3)]) * P(3) == P(-7)
+
+
 def test_to_string_roundtrip_shapes():
     assert UniPoly.zero(F17).to_string() == "0"
     f = P(5, 0, 16)
