@@ -50,6 +50,9 @@ def _load_config(path: str, experiment: str) -> dict:
     for section in ("defaults", experiment):
         if cp.has_section(section):
             merged.update(cp[section])
+    unknown = sorted(set(merged) - {"seed", "field", "allow_long", "out"})
+    if unknown:
+        raise ExperimentError(f"unknown config key {unknown[0]!r} in {path!r}")
     out = {}
     if "seed" in merged:
         out["seed"] = int(merged["seed"])

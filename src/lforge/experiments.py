@@ -161,9 +161,11 @@ class Context:
 REGISTRY = {}
 
 
-def experiment(name: str, long: bool = False, doc: str = "", seed: int = 0):
+def experiment(name: str, long: bool = False, doc: str = "", seed: int = 0,
+               fields=("gf17", "qq")):
     def wrap(fn):
         REGISTRY[name] = {"fn": fn, "long": long, "seed": seed,
+                          "fields": fields,
                           "doc": doc or (fn.__doc__ or "").strip()}
         return fn
     return wrap
@@ -191,11 +193,14 @@ def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
         F = QQ
     else:
         raise ExperimentError(f"unknown field {field!r} (gf17 or qq)")
+    if field not in entry["fields"]:
+        raise ExperimentError(f"{name} needs a prime field; "
+                              f"run it with --field gf17")
     ctx = Context(seed, F, allow_long)
     report = Report(name, seed, field)
-    t0 = time.time()
+    t0 = time.perf_counter()
     entry["fn"](report, ctx)
-    report.time("total", time.time() - t0)
+    report.time("total", time.perf_counter() - t0)
     if out:
         emit_report(report, "text", out)
         emit_report(report, "json", out)
@@ -260,9 +265,9 @@ def _d9_special(report: Report, ctx: Context):
     report.result("Y_dim_degree", [dimY, degY])
     report.check("Y is a (3, 9) complete intersection",
                  (dimY, degY) == (3, 9))
-    t0 = time.time()
+    t0 = time.perf_counter()
     S = singular_locus(Y, 2)
-    report.time("singular_locus", time.time() - t0)
+    report.time("singular_locus", time.perf_counter() - t0)
     dimS, degS = S.dim_degree()
     report.result("singY_dim_degree", [dimS, degS])
     report.check("Sing(Y) is zero-dimensional", dimS == 0)
@@ -389,16 +394,16 @@ def _rao_betti(report: Report, ctx: Context):
                  tab.beta(0, -1) == 4)
 
 
-@experiment("ln-snf",
+@experiment("ln-snf", fields=("gf17",),
             doc="Smith normal form of the parametric interpolation matrix "
                 "over F_p[lambda]")
 def _ln_snf(report: Report, ctx: Context):
     F = ctx.field
     LN = build_LN(fixtures.nlambda_matrix(F), F)
     M = PolyMatrix(LN.entries, F)
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = smith_normal_form(M, verify=True)
-    report.time("snf", time.time() - t0)
+    report.time("snf", time.perf_counter() - t0)
     diag = res.diagonal()
     degs = [d.degree for d in diag]
     report.result("diagonal_degrees", degs)
@@ -412,7 +417,7 @@ def _ln_snf(report: Report, ctx: Context):
     report.check("transforms verified (S1 M S2 = D)", res.verified)
 
 
-@experiment("gamma-tangent",
+@experiment("gamma-tangent", fields=("gf17",),
             doc="tangent space of the corank-2 stratum at the special "
                 "center")
 def _gamma_tangent(report: Report, ctx: Context):

@@ -84,7 +84,7 @@ class PrimeField:
         return a * b % self.p
 
     def inv(self, a):
-        a %= self.p
+        a = int(a) % self.p
         if a == 0:
             raise FieldError("division by zero in F_p")
         return pow(a, self.p - 2, self.p)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import GF, PrimeField, is_prime
 from .rng import as_rng
 from .unipoly import UniPoly, gcd, squarefree_decomposition
@@ -34,13 +36,6 @@ class PolyMatrix:
                 if e.field != self.field or e.var != self.var:
                     raise SnfError("mixed fields or variables")
 
-    @classmethod
-    def identity(cls, n, field, var="lambda"):
-        one = UniPoly.one(field, var)
-        zero = UniPoly.zero(field, var)
-        return cls([[one if i == j else zero for j in range(n)]
-                    for i in range(n)], field, var)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -52,21 +47,26 @@ class PolyMatrix:
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise SnfError("shape mismatch")
-        zero = UniPoly.zero(self.field, self.var)
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, self.field, self.var)
+        F, var = self.field, self.var
+        if not isinstance(F, PrimeField):
+            return PolyMatrix([[sum((a * b for a, b in zip(row, col)),
+                                    UniPoly.zero(F, var))
+                                for col in zip(*other.entries)]
+                               for row in self.entries], F, var)
+        # Kronecker substitution: an entry f becomes the integer f(2**bits),
+        # and a slot of `bits` bits holds every coefficient of a
+        # row-by-column sum of products, so that sum is integer arithmetic
+        lens = [max([len(e.coeffs) for row in m.entries for e in row],
+                    default=0) for m in (self, other)]
+        bound = min(lens) * self.ncols * (F.p - 1) ** 2
+        bits = max(bound.bit_length(), 1)
+        assert bound < 1 << bits
+        rows = [[_pack(e, bits) for e in row] for row in self.entries]
+        cols = [[_pack(e, bits) for e in col] for col in zip(*other.entries)]
+        weights = np.array([pow(2, t, F.p) for t in range(bits)], np.int64)
+        return PolyMatrix([[_unpack(sum(a * b for a, b in zip(row, col)),
+                                    bits, weights, F, var) for col in cols]
+                           for row in rows], F, var)
 
     def determinant(self) -> UniPoly:
         """Expansion by minors with memoization; fine through 8x8."""
@@ -117,6 +117,24 @@ class PolyMatrix:
         return cls(entries, field, var)
 
 
+def _pack(f: UniPoly, bits: int) -> int:
+    """f(2**bits) for f over F_p, p < 2**31."""
+    le = np.unpackbits(np.asarray(f.coeffs, "<u4").view(np.uint8),
+                       bitorder="little").reshape(-1, 32)
+    raw = np.zeros((len(le), bits), np.uint8)
+    raw[:, :min(bits, 32)] = le[:, :bits]
+    return int.from_bytes(np.packbits(raw, bitorder="little"), "little")
+
+
+def _unpack(x: int, bits: int, weights, field, var) -> UniPoly:
+    """The `bits`-bit slots of x mod p, weights[t] = 2**t mod p."""
+    n = -(-x.bit_length() // bits)
+    raw = np.unpackbits(np.frombuffer(x.to_bytes(-(-n * bits // 8), "little"),
+                                      np.uint8), count=n * bits,
+                        bitorder="little")
+    return UniPoly(field, raw.reshape(n, bits) @ weights, var)
+
+
 def _parse_unipoly(text: str, field, var: str) -> UniPoly:
     from .mpoly import PolynomialRing
     from .textio import parse_poly
@@ -158,13 +176,87 @@ class SNFResult:
         n = min(self.D.nrows, self.D.ncols)
         return [self.D[i, i] for i in range(n)]
 
+    def check(self, M: PolyMatrix) -> bool:
+        """S1 M S2 = D, multiplied exactly in the cheaper order S1 (M S2),
+        and the diagonal is a divisibility chain."""
+        diag = self.diagonal()
+        return self.S1.mul(M.mul(self.S2)) == self.D and all(
+            b.is_zero() or (not a.is_zero() and b.divmod(a)[1].is_zero())
+            for a, b in zip(diag, diag[1:]))
 
-def _coeff_height(f: UniPoly) -> int:
+
+def _coeff_height(coeffs) -> int:
     h = 0
-    for c in f.coeffs:
+    for c in coeffs:
         frac = Fraction(c)
         h = max(h, abs(frac.numerator), frac.denominator)
     return h
+
+
+# -- polynomial arrays: the last axis holds coefficients, low degree first;
+# over F_p, ints reduced mod p between steps; over QQ, Fractions.
+
+
+def _red(X, field):
+    """X reduced mod p in place (nothing to do over QQ)."""
+    return np.remainder(X, field.p, out=X) if field.char else X
+
+
+def _degrees(X):
+    """Degree of every entry of X, -1 for the zero entries."""
+    nz = X != 0
+    top = X.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
+    return np.where(nz.any(axis=-1), top, -1)
+
+
+def _width(X) -> int:
+    """1 + the largest degree among the entries of X (0 if all vanish)."""
+    return int(_degrees(X).max(initial=-1)) + 1
+
+
+def _pad(X, width: int):
+    """X with its coefficient axis zero-padded to at least `width`."""
+    if X.shape[-1] >= width:
+        return X
+    out = np.zeros(X.shape[:-1] + (width,), X.dtype)
+    out[..., :X.shape[-1]] = X
+    return out
+
+
+def _divmod(X, d, field):
+    """Quotients of the entries of X (n, w) by the trimmed polynomial d and
+    whether each remainder is nonzero: UniPoly.divmod on all at once."""
+    nd = len(d)
+    w = max(_width(X), nd)
+    rem = X[:, :w].copy()
+    q = np.zeros((len(X), w - nd + 1), X.dtype)
+    for t in range(w - nd, -1, -1):
+        q[:, t] = _red(rem[:, t + nd - 1] * field.inv(d[-1]), field)
+        rem[:, t:t + nd] = _red(rem[:, t:t + nd] - q[:, t, None] * d, field)
+    return q, (rem[:, :nd - 1] != 0).any(axis=-1)
+
+
+def _sub_mul(Y, Q, B, field):
+    """Y - Q*B over the last axis, leading axes broadcast: in place when Y
+    is wide enough, else a widened copy.  Over F_p, `room` products (each
+    below p**2) are subtracted between reductions."""
+    shifts = np.flatnonzero((Q != 0).reshape(-1, Q.shape[-1]).any(axis=0))
+    wb = _width(B)
+    if not (shifts.size and wb):
+        return Y
+    Y = _pad(Y, int(shifts[-1]) + wb)
+    room = 1 if Y.dtype == object else (
+        (int(np.iinfo(Y.dtype).max) - field.p) // (field.p - 1) ** 2)
+    for n, s in enumerate(shifts, 1):
+        Y[..., s:s + wb] -= Q[..., s:s + 1] * B[..., :wb]
+        if n % room == 0:
+            _red(Y, field)
+    return _red(Y, field)
+
+
+def _to_matrix(rows, field, var) -> PolyMatrix:
+    return PolyMatrix([[UniPoly(field, e, var) for e in row] for row in rows],
+                      field, var)
 
 
 def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
@@ -174,113 +266,77 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
     coefficient height, then position.  Returns D with monic diagonal in a
     divisibility chain and the transforms with S1 M S2 = D, re-verified by
     explicit multiplication unless verify=False.
+
+    A is one coefficient array; S1 is a list of rows and S2 of columns,
+    each as wide as its own largest degree.  Row k does not change while
+    it clears column k, so a sweep is one batched division and a few
+    shifted multiply-subtracts, and gives the entry-by-entry result.
     """
     field, var = M.field, M.var
-    A = [list(row) for row in M.entries]
     r, c = M.nrows, M.ncols
-    S1 = PolyMatrix.identity(r, field, var).entries
-    S2 = PolyMatrix.identity(c, field, var).entries
-    rational = not isinstance(field, PrimeField)
+    dtype = next(t for t in (np.int16, np.int32, np.int64)  # holds p**2
+                 if field.p ** 2 <= np.iinfo(t).max) if field.char else object
+    A = np.zeros((r, c, max([1] + [len(e.coeffs) for row in M.entries
+                                   for e in row])), dtype)
+    for i, j in np.ndindex(r, c):
+        A[i, j, :len(M[i, j].coeffs)] = M[i, j].coeffs
+    S1 = list(np.eye(r, dtype=dtype)[..., None])
+    S2 = list(np.eye(c, dtype=dtype)[..., None])
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        S1[i], S1[j] = S1[j], S1[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in S2:
-            row[i], row[j] = row[j], row[i]
-
-    def row_op(i, j, q):
-        # row i -= q * row j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        S1[i] = [a - q * b for a, b in zip(S1[i], S1[j])]
-
-    def col_op(i, j, q):
-        # col i -= q * col j
-        for row in A:
-            row[i] = row[i] - q * row[j]
-        for row in S2:
-            row[i] = row[i] - q * row[j]
-
-    def pick_pivot(k):
-        best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                e = A[i][j]
-                if e.is_zero():
-                    continue
-                key = (e.degree, _coeff_height(e) if rational else 0, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return best
-
-    k = 0
-    n = min(r, c)
+    k, n = 0, min(r, c)
     while k < n:
-        best = pick_pivot(k)
-        if best is None:
+        deg = _degrees(A[k:, k:])
+        if deg.max() < 0:
             break
-        _, pi, pj = best
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        cands = np.argwhere(deg == deg[deg >= 0].min())  # row-major order
+        if dtype is object:  # over QQ
+            cands = [min(cands, key=lambda ij: _coeff_height(
+                A[k + ij[0], k + ij[1]]))]
+        pi, pj = k + cands[0]
+        A[[k, pi]] = A[[pi, k]]
+        S1[k], S1[pi] = S1[pi], S1[k]
+        A[:, [k, pj]] = A[:, [pj, k]]
+        S2[k], S2[pj] = S2[pj], S2[k]
+        piv = A[k, k, :_width(A[k, k])].copy()
         dirty = False
-        for i in range(k + 1, r):
-            if A[i][k].is_zero():
-                continue
-            q, rem = A[i][k].divmod(A[k][k])
-            row_op(i, k, q)
-            if not rem.is_zero():
-                dirty = True
-        for j in range(k + 1, c):
-            if A[k][j].is_zero():
-                continue
-            q, rem = A[k][j].divmod(A[k][k])
-            col_op(j, k, q)
-            if not rem.is_zero():
-                dirty = True
+        for S in (S1, S2):
+            # rows i > k: row i -= q_i * row k; then the same on the
+            # transpose, which clears row k by column operations
+            q, left = _divmod(A[k + 1:, k], piv, field)
+            dirty = dirty or left.any()
+            A = _pad(A, _width(q) + _width(A[k]) - 1)
+            _sub_mul(A[k + 1:, k:], q[:, None], A[k, k:], field)
+            for i, qi in enumerate(q, k + 1):
+                S[i] = _sub_mul(S[i], qi[None], S[k], field)
+            A = A.transpose(1, 0, 2)
         if dirty:
             continue
         # pivot must divide the remaining block for the chain to work
-        offender = None
-        for i in range(k + 1, r):
-            for j in range(k + 1, c):
-                if not A[i][j].divmod(A[k][k])[1].is_zero():
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            # fold the offending row into row k and re-run the step
-            A[k] = [a + b for a, b in zip(A[k], A[offender])]
-            S1[k] = [a + b for a, b in zip(S1[k], S1[offender])]
+        block = A[k + 1:, k + 1:]
+        bad = len(piv) > 1 and _divmod(block.reshape(-1, A.shape[-1]), piv,
+                                       field)[1].reshape(block.shape[:2])
+        if np.any(bad):
+            # row k += the offending row (-= -1 times it), then re-run
+            off = k + 1 + int(np.argmax(bad.any(axis=1)))
+            A[k] = _red(A[k] + A[off], field)
+            S1[k] = _sub_mul(S1[k], np.array([[-1]]), S1[off], field)
             continue
         k += 1
 
     # monic diagonal
-    for i in range(min(r, c)):
-        d = A[i][i]
-        if not d.is_zero() and d.lc != field.one:
-            u = field.inv(d.lc)
-            A[i] = [e.scale(u) for e in A[i]]
-            S1[i] = [e.scale(u) for e in S1[i]]
+    for i in range(n):
+        w = _width(A[i, i])
+        if w and A[i, i, w - 1] != 1:
+            u = field.inv(A[i, i, w - 1])
+            A[i] = _red(A[i] * u, field)
+            S1[i] = _red(S1[i] * u, field)
 
-    D = PolyMatrix(A, field, var)
-    S1m = PolyMatrix(S1, field, var)
-    S2m = PolyMatrix(S2, field, var)
-    verified = True
-    if verify:
-        verified = S1m.mul(M).mul(S2m) == D
-        for i in range(min(r, c) - 1):
-            a, b = D[i, i], D[i + 1, i + 1]
-            if b.is_zero():
-                continue
-            if a.is_zero() or not b.divmod(a)[1].is_zero():
-                verified = False
-        if not verified:
-            raise SnfError("transform or divisibility verification failed")
-    return SNFResult(D, S1m, S2m, verified)
+    res = SNFResult(_to_matrix(A, field, var), _to_matrix(S1, field, var),
+                    _to_matrix(zip(*S2), field, var), verify)
+    del A, S1, S2
+    if verify and not res.check(M):
+        raise SnfError("transform or divisibility verification failed")
+    return res
 
 
 # -- factorization over prime fields -----------------------------------

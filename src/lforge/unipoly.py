@@ -21,13 +21,15 @@ class UniPoly:
     def __init__(self, field, coeffs, var: str = "lambda"):
         self.field = field
         self.var = var
-        cs = None
         if isinstance(field, PrimeField):
             arr = np.asarray(coeffs)
-            if arr.dtype.kind in "iu":  # machine integers: one vectorized %
-                cs = (arr % field.p).tolist()
-        if cs is None:
-            cs = [field.of(c) for c in coeffs]
+            if arr.dtype.kind in "iu":  # machine integers: vectorized % p
+                arr = arr % field.p
+                if arr.size and not arr[-1]:  # trim trailing zeros at once
+                    arr = arr[:np.flatnonzero(arr).max(initial=-1) + 1]
+                self.coeffs = arr.tolist()
+                return
+        cs = [field.of(c) for c in coeffs]
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = cs
@@ -130,12 +132,6 @@ class UniPoly:
     def scale(self, c):
         F = self.field
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs], self.var)
-
-    def shift(self, k: int):
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, [self.field.zero] * k + self.coeffs, self.var)
 
     def divmod(self, other):
         self._check(other)

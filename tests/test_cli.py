@@ -87,6 +87,19 @@ def test_run_with_config(tmp_path, capsys):
                  "--seed", "0"]) == EXIT_FAIL
 
 
+def test_run_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "lforge.cfg"
+    cfg.write_text("[defaults]\nsed = 3\n")
+    assert main(["run", "gamma-tangent", "--config", str(cfg)]) == EXIT_ERROR
+    assert "'sed'" in capsys.readouterr().err
+
+
+def test_run_qq_refused_for_prime_field_experiment(capsys):
+    assert main(["run", "gamma-tangent", "--field", "qq",
+                 "--allow-long"]) == EXIT_ERROR
+    assert "prime field" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_option():
     with pytest.raises(SystemExit) as exc:
         main(["run", "gamma-tangent", "--threads", "2"])

@@ -49,6 +49,14 @@ def test_rational_field_requires_allow_long():
         run_experiment("gamma-tangent", field="qq")
 
 
+def test_prime_field_experiments_refuse_qq():
+    for name in ("gamma-tangent", "ln-snf"):
+        assert REGISTRY[name]["fields"] == ("gf17",)
+        with pytest.raises(ExperimentError, match="prime field") as exc:
+            run_experiment(name, field="qq", allow_long=True)
+        assert not isinstance(exc.value, BudgetRefused)
+
+
 def test_unknown_field():
     with pytest.raises(ExperimentError, match="unknown field"):
         run_experiment("gamma-tangent", field="gf5")
