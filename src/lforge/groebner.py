@@ -9,6 +9,7 @@ structurally identical bases.
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 
 from .fields import PrimeField
 from .mpoly import MPoly, RingMismatch
@@ -61,7 +62,11 @@ class GroebnerBasis:
 
 
 def normal_form(f: MPoly, G) -> MPoly:
-    """Fully reduce f modulo the polynomial list G (top and tail reduction)."""
+    """Fully reduce f modulo the polynomial list G (top and tail reduction).
+
+    Terms are taken largest first, each reduced by the first reducer in
+    ascending lm order that divides it: G need not be a Groebner basis
+    (Buchberger reduces by partial bases), so that choice fixes the result."""
     ring = f.ring
     gens = [g for g in G if g and not g.is_zero()]
     for g in gens:
@@ -71,49 +76,61 @@ def normal_form(f: MPoly, G) -> MPoly:
         return f
     code = ring.code
     F = ring.field
-    divides = code.divides
-    red = sorted(
-        ((g.lm, F.inv(g.lc), g.terms[1:]) for g in gens), key=lambda t: t[0]
-    )
+    K0, GUARD = code.K0, code.GUARD
+    # lm divides m iff q = m - (lm - K0) is >= 0 with no guard bit set; then
+    # q - K0 = m - lm shifts the tail
+    red = sorted(((g.lm - K0, F.inv(g.lc), g.terms[1:]) for g in gens),
+                 key=lambda t: t[0])
     work = dict(f.terms)
-    out = {}
+    # a max-heap of work's keys: reductions only add monomials below the
+    # current one, so each is pushed once, when it first enters work
+    heap = [-m for m in work]
+    heapify(heap)
+    out = []
     if isinstance(F, PrimeField):
         p = F.p
-        K0 = code.K0
-        while work:
-            m = max(work)
-            c = work.pop(m)
+        while heap:
+            m = -heappop(heap)
+            c = work[m]
             if c == 0:
                 continue
-            for lm, ilc, tail in red:
-                q = divides(lm, m)
-                if q is not None:
+            for key, ilc, tail in red:
+                q = m - key
+                if q >= 0 and not q & GUARD:
                     coef = c * ilc % p
                     off = q - K0
                     for mt, ct in tail:
                         mm = mt + off
-                        work[mm] = (work.get(mm, 0) - coef * ct) % p
+                        v = work.get(mm)
+                        if v is None:
+                            heappush(heap, -mm)
+                            v = 0
+                        work[mm] = (v - coef * ct) % p
                     break
             else:
-                out[m] = c
+                out.append((m, c))
     else:
-        mul = code.mul
-        while work:
-            m = max(work)
-            c = work.pop(m)
+        while heap:
+            m = -heappop(heap)
+            c = work[m]
             if F.is_zero(c):
                 continue
-            for lm, ilc, tail in red:
-                q = divides(lm, m)
-                if q is not None:
+            for key, ilc, tail in red:
+                q = m - key
+                if q >= 0 and not q & GUARD:
                     coef = F.mul(c, ilc)
+                    off = q - K0
                     for mt, ct in tail:
-                        mm = mul(q, mt)
-                        work[mm] = F.sub(work.get(mm, F.zero), F.mul(coef, ct))
+                        mm = mt + off
+                        v = work.get(mm)
+                        if v is None:
+                            heappush(heap, -mm)
+                            v = F.zero
+                        work[mm] = F.sub(v, F.mul(coef, ct))
                     break
             else:
-                out[m] = c
-    return ring.from_dict(out)
+                out.append((m, c))
+    return MPoly(ring, tuple(out))  # popped in descending order
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:

@@ -260,10 +260,12 @@ def colon_variable_power(I: Ideal, i: int) -> Ideal:
     return Ideal(ring, [_permute_poly(g, ring, inv) for g in out])
 
 
-def _hp_signature(I: Ideal):
-    H = I.hilbert()
-    n = I.ring.nvars
-    return tuple(H.hilbert_polynomial_value(e) for e in range(n + 1))
+def _hp_signature(basis, ring):
+    """Hilbert data of the ideal a homogeneous Groebner basis generates, read
+    from its leading monomials, and the Hilbert polynomial at 0..n."""
+    exps = [ring.code.unpack(g.lm) for g in basis]
+    H = HilbertData.from_exponents(exps, ring.nvars)
+    return H, tuple(H.hilbert_polynomial_value(e) for e in range(H.n + 1))
 
 
 def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
@@ -273,42 +275,42 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
     irrelevant one, so I : l^∞ (one coordinate change plus Bayer's
     last-variable trick) equals I : m^∞; the draw is certified by Hilbert
     polynomial agreement, which characterizes the saturation among ideals
-    containing it.  Persistent bad draws fall back to intersecting the
-    per-variable saturations.
+    containing it.  A change of coordinates keeps Hilbert data, so both
+    are read from the one basis per draw: HP(I) from its leading monomials,
+    HP(I : l^∞) from those of the divided-out basis, which the result keeps.
+    Persistent bad draws fall back to intersecting the per-variable
+    saturations.
 
     I must be homogeneous, as for colon_variable_power: the Bayer step is
-    only valid for a homogeneous basis, and the Hilbert-polynomial
-    certificate refuses an inhomogeneous I with ValueError."""
+    only valid for a homogeneous basis, so an inhomogeneous I raises
+    ValueError."""
     ring = I.ring
     if I.is_zero_ideal():
         return I
+    if not I.is_homogeneous():
+        raise ValueError("saturation needs a homogeneous ideal")
     field = ring.field
     n = ring.nvars
-    target_sig = _hp_signature(I)
     rng = as_rng(seed)
-    last = ring.var(n - 1)
+    var = ring.code.var
     for attempt in range(5):
         coeffs = [field.random(rng.fork(attempt * 17 + k)) for k in range(n - 1)]
         an = field.random_nonzero(rng.fork(attempt * 17 + n))
         # automorphism sending l = sum a_i x_i + a_n x_n to the last variable
         inv_an = field.inv(an)
-        fwd_last = last.scale(inv_an)
-        for k, c in enumerate(coeffs):
-            if not field.is_zero(c):
-                fwd_last = fwd_last - ring.var(k).scale(field.mul(c, inv_an))
-        fwd = {name: ring.var(k) for k, name in enumerate(ring.names[:-1])}
-        fwd[ring.names[-1]] = fwd_last
-        bwd_last = last.scale(an)
-        for k, c in enumerate(coeffs):
-            if not field.is_zero(c):
-                bwd_last = bwd_last + ring.var(k).scale(c)
-        bwd = {name: ring.var(k) for k, name in enumerate(ring.names[:-1])}
-        bwd[ring.names[-1]] = bwd_last
+        fwd = {name: ring.var(k) for k, name in enumerate(ring.names)}
+        bwd = dict(fwd)
+        fwd[ring.names[-1]] = ring.from_dict({var(n - 1): inv_an, **{
+            var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})
+        bwd[ring.names[-1]] = ring.from_dict(
+            {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})
         gens = [g.substitute(fwd) for g in I.gens]
         G = groebner_basis(gens)
         out = _divide_out_last_variable(list(G), ring)
-        J = Ideal(ring, [g.substitute(bwd) for g in out])
-        if _hp_signature(J) == target_sig:
+        H, sig = _hp_signature(out, ring)
+        if sig == _hp_signature(G, ring)[1]:
+            J = Ideal(ring, [g.substitute(bwd) for g in out])
+            J._hilbert = H
             return J
     result = None
     for i in range(n):

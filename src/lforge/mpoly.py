@@ -427,14 +427,16 @@ class MPoly:
             return cache[e]
 
         unpack = self.ring.code.unpack
-        acc = target.zero
+        F = target.field
+        acc: dict[int, object] = {}
         for m, c in self.terms:
             t = target.const(c)
             for i, e in enumerate(unpack(m)):
                 if e:
                     t = t * img_pow(i, e)
-            acc = acc + t
-        return acc
+            for mm, cc in t.terms:
+                acc[mm] = F.add(acc[mm], cc) if mm in acc else cc
+        return target.from_dict(acc)
 
     def evaluate(self, point):
         """Evaluate at a point given as a list of field elements."""

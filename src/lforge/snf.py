@@ -25,10 +25,12 @@ class PolyMatrix:
         self.entries = [list(row) for row in entries]
         self.nrows = len(self.entries)
         self.ncols = len(self.entries[0]) if self.entries else 0
+        if not self.ncols:
+            raise SnfError("matrix needs at least one row and one column")
         for row in self.entries:
             if len(row) != self.ncols:
                 raise SnfError("ragged matrix")
-        first = self.entries[0][0] if self.entries else None
+        first = self.entries[0][0]
         self.field = field if field is not None else first.field
         self.var = var if var is not None else first.var
         for row in self.entries:
@@ -107,8 +109,12 @@ class PolyMatrix:
     def from_text(cls, text: str, field) -> "PolyMatrix":
         lines = [ln for ln in (l.split("#", 1)[0].strip()
                                for l in text.splitlines()) if ln]
-        r, c, var = lines[0].split()
-        r, c = int(r), int(c)
+        header = lines[0].split() if lines else []
+        if len(header) != 3 or not all(h.isdigit() for h in header[:2]):
+            raise SnfError("header must read: rows columns variable")
+        r, c, var = int(header[0]), int(header[1]), header[2]
+        if len(lines) - 1 < r * c:
+            raise SnfError(f"{r}x{c} matrix needs {r * c} entries")
         entries = []
         it = iter(lines[1:])
         for i in range(r):

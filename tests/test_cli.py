@@ -154,6 +154,18 @@ def test_snf_subcommand(tmp_path, capsys):
     assert diag[1].startswith("lambda^3")
 
 
+@pytest.mark.parametrize("text", [
+    "2 0 lambda\n",
+    "2 2 lambda\n1\nlambda\n",
+    "# no header\n",
+], ids=["zero-columns", "fewer-entries-than-declared", "no-header"])
+def test_snf_subcommand_malformed_file(tmp_path, capsys, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert main(["snf", str(f)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_no_command_errors():
     with pytest.raises(SystemExit):
         main([])

@@ -43,6 +43,26 @@ def test_normal_form_is_reduced():
     assert normal_form(x**4, G) == z
 
 
+@pytest.mark.parametrize("field, expected", [
+    (F17, "5*y^2*z^2 + 2*x*z^3 + 5*y*z^3 - 4*z^4"),
+    (QQ, "5*y^2*z^2 + 2*x*z^3 - 12*y*z^3 + 13*z^4"),
+])
+def test_normal_form_first_divisor_rule(field, expected):
+    # G is not a Groebner basis, so the remainder depends on the reducer
+    # used: each term goes to the first divisor in ascending lm order (x*y
+    # before x^2 for x^3*y).  The expected remainders are pinned.
+    R = PolynomialRing(field, ("x", "y", "z"))
+    X, Y, Z = R.gens()
+    G = [X**2 - Y * Z + 3 * Z**2, X * Y - 2 * Z**2 + Y * Z, Y**3 - X * Z**2]
+    assert [g.lm for g in buchberger(G)] != sorted(g.lm for g in G)
+    f = X**3 * Y + 5 * X**2 * Y**2 - 7 * X * Y * Z**2 + 4 * Y**3 * Z + 11 * Z**4
+    r = normal_form(f, G)
+    assert repr(r) == expected
+    assert normal_form(f, G[::-1]) == r
+    # reducing x^3*y by x^2 first lands elsewhere
+    assert normal_form(f - X * Y * G[0], G) != r
+
+
 def test_buchberger_trivial():
     G = buchberger([x, y])
     assert sorted(repr(g) for g in G) == ["x", "y"]

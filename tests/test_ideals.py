@@ -1,6 +1,7 @@
 import pytest
 
 from lforge.fields import GF
+from lforge.groebner import groebner_basis
 from lforge.ideals import (
     Ideal,
     colon_variable_power,
@@ -130,6 +131,63 @@ def test_saturate_irrelevant_matches_quotient_route():
         fast = saturate_irrelevant(I)
         slow = saturate(I, irrelevant_ideal(R3))
         assert fast == slow == Ideal(R3, [f])
+
+
+def _saturation_cases():
+    """(ideal, its saturation's (dim, degree)): the unsaturated ideals above,
+    an ideal with an embedded irrelevant component and one whose
+    saturation is the unit ideal."""
+    R2 = PolynomialRing(F17, ("x", "y"))
+    X, Y = R2.gens()
+    cases = [(Ideal(R2, [X * X, X * Y]), (0, 1))]
+    rng = Rng(7)
+    for trial in range(3):
+        f = R3.random_form(2, rng.fork(trial))
+        cases.append((Ideal(R3, [f * v for v in (x, y, z)]), (1, 2)))
+    R4 = PolynomialRing(F17, ("x", "y", "z", "w"))
+    X, Y, Z, W = R4.gens()
+    cubic = [X * Z - Y * Y, X * W - Y * Z, Y * W - Z * Z]
+    # twisted cubic with an embedded component at the irrelevant ideal
+    cases.append((Ideal(R4, [q * v for q in cubic for v in (X, Y, Z, W)]),
+                  (1, 3)))
+    cases.append((Ideal(R3, [x * x, y * y, z * z, x * y * z]), (-1, 0)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_saturate_irrelevant_hands_over_hilbert_data(case):
+    # the Hilbert data read in the new coordinates equal those recomputed
+    # from scratch in the original ones: the coordinate change round-trips
+    I, dim_degree = _saturation_cases()[case]
+    J = saturate_irrelevant(I)
+    assert J._hilbert is not None
+    seeded = J.hilbert()
+    fresh = Ideal(I.ring, J.gens).hilbert()
+    assert seeded.numerator == fresh.numerator
+    assert (seeded.dim, seeded.degree) == (fresh.dim, fresh.degree) == dim_degree
+    assert [seeded.hf(e) for e in range(9)] == [fresh.hf(e) for e in range(9)]
+
+
+def test_saturate_irrelevant_refuses_inhomogeneous():
+    with pytest.raises(ValueError):
+        saturate_irrelevant(Ideal(R3, [x * y + z, x * z]))
+
+
+def test_saturate_irrelevant_computes_one_basis(monkeypatch):
+    import lforge.ideals as ideals
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    I, _ = _saturation_cases()[4]
+    J = saturate_irrelevant(I)
+    assert len(calls) == 1
+    assert J.dim_degree() == (1, 3)
+    assert len(calls) == 1
 
 
 def test_hilbert_twisted_cubic():

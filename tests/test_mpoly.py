@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,44 @@ def test_substitute_into_same_ring():
     f = x * y - z**2
     g = f.substitute({"x": y, "y": x, "z": z})
     assert g == f
+
+
+def rand_coeff_poly(rng, ring, nterms=4, maxdeg=3):
+    """Like rand_poly, with proper fractions as coefficients over QQ."""
+    f = ring.zero
+    for _ in range(nterms):
+        exps = tuple(rng.randrange(maxdeg + 1) for _ in range(ring.nvars))
+        c = Fraction(rng.randrange(-16, 17), rng.randrange(1, 6))
+        f = f + ring.monomial(exps, c)
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([F17, QQ]), st.integers(0, 2**32),
+       st.integers(0, 2**32), st.integers(0, 2**32))
+def test_substitute_is_a_ring_homomorphism(field, s1, s2, s3):
+    src = PolynomialRing(field, ("x", "y", "z"))
+    dst = PolynomialRing(field, ("a", "b"))
+    f = rand_coeff_poly(Rng(s1), src)
+    g = rand_coeff_poly(Rng(s2), src)
+    rng = Rng(s3)
+    phi = {n: rand_coeff_poly(rng.fork(i), dst, nterms=3, maxdeg=2)
+           for i, n in enumerate(src.names)}
+    assert (f * g).substitute(phi) == f.substitute(phi) * g.substitute(phi)
+    assert (f + g).substitute(phi) == f.substitute(phi) + g.substitute(phi)
+
+
+@pytest.mark.parametrize("field", [F17, QQ])
+def test_substitute_cancels_to_zero(field):
+    src = PolynomialRing(field, ("x", "y", "z"))
+    dst = PolynomialRing(field, ("a", "b"))
+    X, Y, Z = src.gens()
+    a, b = dst.gens()
+    # x y - z^2 vanishes on the conic (a^2 : b^2 : a b); every image term
+    # cancels against another
+    f = (X * Y - Z**2) * (X + 3 * Y - Z)
+    zero = f.substitute({"x": a * a, "y": b * b, "z": a * b})
+    assert zero.is_zero() and zero.ring is dst
 
 
 def test_evaluate():
