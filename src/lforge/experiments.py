@@ -569,15 +569,3 @@ def _lemma23(report: Report, ctx: Context):
     report.result("extended_dim_degree", list(dy))
     report.check("degree ascends by the complete intersection (5 + 9)",
                  dy == (1, 14), detail=dy)
-
-
-@experiment("d9-unprojection-18",
-            doc="stub: the degree-18 unprojection needs the rank-2 bundle "
-                "presentation of the degree-9 surface, which has no pinned "
-                "input here")
-def _d9_unprojection(report: Report, ctx: Context):
-    raise ExperimentError(
-        "d9-unprojection-18 is a registered stub: building the 10x10 "
-        "unprojection matrix for the degree-9 surface requires the skew "
-        "presentation of its ideal (the rank-2 bundle data), and no such "
-        "fixture is pinned; see d6-unprojection-15 for the worked case")

@@ -4,6 +4,23 @@ fallback for the rationals.
 Mod-p matrices are int64 numpy arrays with entries in [0, p).  All the heavy
 graded-piece computations reduce to these routines, so they are the
 performance floor of the whole package.
+
+``rref_mod`` is the one elimination loop behind ``rank_mod``,
+``nullspace_mod`` and ``solve_mod``.  It is a blocked Gauss-Jordan
+elimination over column panels of width w (Dumas, Giorgi & Pernet, "Dense
+linear algebra over word-size prime fields: the FFLAS and FFPACK packages",
+ACM TOMS 35, 2008).  For each panel an unblocked pass over the rows that
+hold no pivot yet finds the panel's k pivot columns J and pivot rows I.  With
+A = M[I, J], the new pivot rows become X = A^-1 M[I, c0:], and every other
+row o that is nonzero on J is updated as M[o, c0:] -= M[o, J] X in one
+matrix product, then reduced mod p.  The products are taken in float64,
+whose integers are exact below 2^53: a sum of at most w products of entries
+in [0, p) stays below w (p-1)^2, so w = 64 is used when 64 (p-1)^2 < 2^53
+(every p below about 1.18e7, p = 17 among them).  For larger p the panel is
+one column and the products are taken in int64, where a single product
+(p-1)^2 stays below 2^62 for p < 2^31: that is the plain unblocked
+elimination.  A matrix of at most w columns is a single panel and goes
+straight to the unblocked pass.
 """
 
 from __future__ import annotations
@@ -14,6 +31,11 @@ import numpy as np
 
 from .fields import PrimeField, RationalField
 
+_PANEL = 64
+# entries of M updated per matrix product: bounds the gathered rows and the
+# product temporary to 2 MB each, whatever the size of M
+_UPDATE_CELLS = 1 << 18
+
 
 def as_mod_array(A, p: int) -> np.ndarray:
     M = np.asarray(A, dtype=np.int64) % p
@@ -22,67 +44,110 @@ def as_mod_array(A, p: int) -> np.ndarray:
     return M
 
 
-def rref_mod(A, p: int):
-    """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
-    M = as_mod_array(A, p).copy()
+def _eliminate(M: np.ndarray, p: int):
+    """Unblocked Gauss-Jordan elimination of M in place.  Returns the pivot
+    columns and, for each pivot row of the result, the row of the input it
+    came from.
+
+    Entries are reduced mod p only where a step reads them (the pivot column
+    and the pivot row) and once at the end, so each step moves an entry by
+    less than (p-1)^2.  Callers keep the number of steps at most the panel
+    width w, which keeps every entry below p + w (p-1)^2 in absolute value."""
     rows, cols = M.shape
+    order = np.arange(rows)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        col = M[:, c]
+        col %= p
+        nz = np.nonzero(col[r:])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
-        M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        other = np.nonzero(M[:, c])[0]
+            order[[r, i]] = order[[i, r]]
+        # the pivot row is zero mod p left of c, so the update starts at c
+        row = M[r, c:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        other = np.nonzero(col)[0]
         other = other[other != r]
         if other.size:
-            M[other] = (M[other] - np.outer(M[other, c], M[r])) % p
+            M[other, c:] -= np.outer(col[other], row)
         pivots.append(c)
         r += 1
-    return M, pivots
+    M %= p
+    return pivots, order[:r]
+
+
+def _mul(A: np.ndarray, B: np.ndarray, dtype) -> np.ndarray:
+    """A @ B, exact in ``dtype`` for the panel width that goes with it."""
+    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+
+
+def rref_mod(A, p: int):
+    """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
+    # a fresh array, row-major even for a transposed input
+    M = np.ascontiguousarray(as_mod_array(A, p))
+    rows, cols = M.shape
+    w = _PANEL if _PANEL * (p - 1) ** 2 < 2 ** 53 else 1
+    if cols <= w:
+        return M, _eliminate(M, p)[0]
+    dtype = np.float64 if w > 1 else np.int64
+    pivots = []
+    pivot_rows = []
+    free = np.ones(rows, dtype=bool)  # rows holding no pivot yet
+    for c0 in range(0, cols, w):
+        if len(pivot_rows) == rows:
+            break
+        # rows without a pivot are zero left of c0
+        cand = np.flatnonzero(free & M[:, c0:c0 + w].any(axis=1))
+        if cand.size == 0:
+            continue
+        J, I = _eliminate(M[cand, c0:c0 + w], p)
+        J = np.asarray(J) + c0
+        I = cand[I]
+        k = J.size
+        # [A | 1] reduces to [1 | A^-1]
+        aug = np.hstack([M[np.ix_(I, J)], np.eye(k, dtype=np.int64)])
+        _eliminate(aug, p)
+        X = _mul(aug[:, k:], M[I, c0:], dtype).astype(np.int64)
+        X %= p
+        hit = M[:, J].any(axis=1)
+        hit[I] = False
+        o = np.flatnonzero(hit)
+        step = max(1, _UPDATE_CELLS // (cols - c0))
+        for s in range(0, o.size, step):
+            rs = o[s:s + step]
+            B = M[rs, c0:]
+            np.subtract(B, _mul(M[np.ix_(rs, J)], X, dtype), out=B,
+                        casting="unsafe")
+            B %= p
+            M[rs, c0:] = B
+        M[I, c0:] = X
+        free[I] = False
+        pivots.extend(J.tolist())
+        pivot_rows.extend(I.tolist())
+    # rows without a pivot are zero by now
+    return M[pivot_rows + np.flatnonzero(free).tolist()], pivots
 
 
 def rank_mod(A, p: int) -> int:
-    M = as_mod_array(A, p).copy()
-    rows, cols = M.shape
-    if rows < cols:
-        M = M.T.copy()
-        rows, cols = cols, rows
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        # right-looking update: the columns left of c are already zero below
-        # the pivots, so only the trailing block needs work
-        below = np.nonzero(M[r + 1 :, c])[0]
-        if below.size:
-            factor = M[r + 1 :, c] * pow(int(M[r, c]), p - 2, p) % p
-            M[r + 1 :, c:] = (M[r + 1 :, c:] - np.outer(factor, M[r, c:])) % p
-        r += 1
-    return r
+    return len(rref_mod(A, p)[1])
 
 
 def nullspace_mod(A, p: int) -> np.ndarray:
     """Basis of the right kernel, one vector per column of the result."""
     M, pivots = rref_mod(A, p)
     cols = M.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = (-M[r, fc]) % p
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[np.asarray(pivots, dtype=np.intp)] = -M[:len(pivots), free] % p
     return basis
 
 
@@ -99,8 +164,7 @@ def solve_mod(A, b, p: int):
     if any(c >= ncols for c in pivots):
         return None
     X = np.zeros((ncols, B.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        X[c] = R[r, ncols:]
+    X[np.asarray(pivots, dtype=np.intp)] = R[:len(pivots), ncols:]
     return X[:, 0] if vec else X
 
 
@@ -132,7 +196,7 @@ def inv_mod(A, p: int) -> np.ndarray:
     if A.shape[1] != n:
         raise ValueError("inverse of a non-square matrix")
     X = solve_mod(A, np.eye(n, dtype=np.int64), p)
-    if X is None or rank_mod(A, p) != n:
+    if X is None:
         raise ValueError("matrix is singular mod p")
     return X
 

@@ -207,6 +207,7 @@ class _Free:
         self.gen_degrees = list(gen_degrees)
         self._basis = {}
         self._pos = {}
+        self._var_maps = {}
 
     def basis(self, t: int):
         if t not in self._basis:
@@ -225,11 +226,14 @@ class _Free:
     def var_map(self, t: int, j: int) -> np.ndarray:
         """Index array: position of x_j * (basis element of degree t)
         inside the degree-(t+1) basis."""
-        code = self.ring.code
-        v = code.var(j)
-        self.basis(t + 1)
-        pos = self._pos[t + 1]
-        return _np([pos[(i, code.mul(m, v))] for i, m in self.basis(t)])
+        if (t, j) not in self._var_maps:
+            code = self.ring.code
+            v = code.var(j)
+            self.basis(t + 1)
+            pos = self._pos[t + 1]
+            self._var_maps[t, j] = _np([pos[(i, code.mul(m, v))]
+                                        for i, m in self.basis(t)])
+        return self._var_maps[t, j]
 
     def mul_vectors(self, t: int, j: int, V: np.ndarray) -> np.ndarray:
         """Multiply the columns of V (vectors in degree t) by x_j."""

@@ -22,7 +22,6 @@ EXPECTED_NAMES = {
     "d9-generic", "d9-special", "d9-secant-cases", "d9-bilinkage-18",
     "rao-betti", "ln-snf", "gamma-tangent", "unique-cubic",
     "t8-bilinkage-17", "d6-unprojection-15", "lemma23-elliptic-quintic",
-    "d9-unprojection-18",
 }
 
 
@@ -60,11 +59,6 @@ def test_prime_field_experiments_refuse_qq():
 def test_unknown_field():
     with pytest.raises(ExperimentError, match="unknown field"):
         run_experiment("gamma-tangent", field="gf5")
-
-
-def test_stub_raises():
-    with pytest.raises(ExperimentError, match="stub"):
-        run_experiment("d9-unprojection-18")
 
 
 def test_gamma_tangent_passes():

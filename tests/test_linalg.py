@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF as SympyGF
+from sympy.polys.matrices import DomainMatrix
 
 from lforge import linalg
 from lforge.fields import GF, QQ
@@ -116,6 +119,76 @@ def test_rank_rectangular_bounds():
     A = rand_matrix(rng, 3, 10)
     assert linalg.rank_mod(A, P) <= 3
     assert linalg.rank_mod(A.T, P) == linalg.rank_mod(A, P)
+
+
+# -- oracle: sympy's DomainMatrix over GF(p) --------------------------
+
+W = linalg._PANEL
+
+
+def sympy_rref(A: np.ndarray, p: int):
+    """(R, pivots) from sympy, with entries in [0, p)."""
+    rows, cols = A.shape
+    K = SympyGF(p)
+    dM = DomainMatrix([[K(int(x)) for x in row] for row in A], (rows, cols), K)
+    R, pivots = dM.to_sparse().rref()
+    dense = np.zeros((rows, cols), dtype=np.int64)
+    for i, row in enumerate(R.to_list()):
+        dense[i] = [int(x) % p for x in row]
+    return dense, list(pivots)
+
+
+def draw_matrix(rng, rows, cols, p, kind):
+    A = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    if kind == "sparse":
+        A *= rng.random((rows, cols)) < 0.05
+    elif kind == "low-rank":
+        k = int(rng.integers(0, 6))
+        B = rng.integers(0, p, size=(rows, k), dtype=np.int64)
+        C = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+        # Python-int products: p can exceed the int64 range of a product
+        A = np.array((B.astype(object) @ C.astype(object)) % p, dtype=np.int64)
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 17, 32003, 2**31 - 1]),
+       rows=st.sampled_from([0, 1, 5, 20, W + 3]),
+       cols=st.sampled_from([0, 1, W - 1, W, W + 1, 3 * W + 5]),
+       kind=st.sampled_from(["dense", "sparse", "low-rank"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=17, rows=0, cols=3 * W + 5, kind="dense", seed=0)
+@example(p=17, rows=7, cols=0, kind="dense", seed=0)
+@example(p=2**31 - 1, rows=20, cols=3 * W + 5, kind="dense", seed=1)
+@example(p=17, rows=W + 3, cols=3 * W + 5, kind="sparse", seed=2)
+def test_rref_rank_nullspace_match_sympy(p, rows, cols, kind, seed):
+    A = draw_matrix(np.random.default_rng(seed), rows, cols, p, kind)
+    R_ref, piv_ref = sympy_rref(A, p)
+    R, pivots = linalg.rref_mod(A, p)
+    assert R.dtype == np.int64 and R.shape == (rows, cols)
+    assert pivots == piv_ref
+    assert (R == R_ref).all()
+    assert linalg.rank_mod(A, p) == len(piv_ref)
+    N = linalg.nullspace_mod(A, p)
+    free = [c for c in range(cols) if c not in piv_ref]
+    N_ref = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        N_ref[f, j] = 1
+        for i, c in enumerate(piv_ref):
+            N_ref[c, j] = -R_ref[i, f] % p
+    assert N.shape == N_ref.shape and (N == N_ref).all()
+
+
+def test_rref_pinned_sparse_matrix():
+    # digest recorded with the unblocked elimination this one replaced
+    rng = np.random.default_rng(400600)
+    A = rng.integers(0, 17, size=(400, 600)) * (rng.random((400, 600)) < 0.05)
+    R, pivots = linalg.rref_mod(A, 17)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(R, dtype="<i8").tobytes())
+    h.update(np.asarray(pivots, dtype="<i8").tobytes())
+    assert h.hexdigest() == (
+        "c57ea08c4eb3d94c814d716e6969a39a2efc4b40b18c7b47f7ce65f3be5cd80d")
 
 
 # -- rationals --------------------------------------------------------
