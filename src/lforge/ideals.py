@@ -18,7 +18,7 @@ from .groebner import (
     normal_form,
 )
 from .hilbert import HilbertData
-from .linalg import rank_over, solve_over, nullspace_over
+from .linalg import nullspace_over, pivots_over, rank_over, solve_over
 from .mpoly import MPoly, PolynomialRing, coefficient_vector, from_coefficient_vector
 from .orders import TermOrder
 from .rng import as_rng
@@ -454,19 +454,23 @@ def _image_by_degrees(forms, source, target, d, bound):
             dg = g.is_homogeneous()
             for m in target.monomials_of_degree(e - dg):
                 old_rows.append(coefficient_vector(g.mul_term(m, 1), tmons))
-        rank_old = rank_over(field, old_rows) if old_rows else 0
-        for v in ker:
-            r = rank_over(field, old_rows + [list(v)])
-            if r > rank_old:
-                gens.append(from_coefficient_vector(target, tmons, v))
-                old_rows.append(list(v))
-                rank_old = r
+        for v in _beyond_span(field, old_rows, [list(v) for v in ker]):
+            gens.append(from_coefficient_vector(target, tmons, v))
     ideal = Ideal(target, gens)
     stable = None
     if bound >= 2 and h0.get(bound) is not None:
         # stability: generators found at the last degree are a red flag
         stable = all(g.is_homogeneous() < bound for g in gens) or not gens
     return ImageComputation(ideal, h0, "graded", stable)
+
+
+def _beyond_span(field, old_rows, vectors):
+    """The vectors, in order, outside the span of old_rows and the vectors
+    before them: the pivot columns of the stack [old_rows; vectors] taken
+    as columns."""
+    stack = old_rows + vectors
+    pivots = pivots_over(field, list(zip(*stack)))
+    return [stack[j] for j in pivots if j >= len(old_rows)]
 
 
 def _image_by_elimination(forms, source, target, d):

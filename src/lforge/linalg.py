@@ -294,6 +294,15 @@ def rank_over(field, A) -> int:
     raise TypeError(f"unsupported field {field!r}")
 
 
+def pivots_over(field, A) -> list[int]:
+    """Pivot columns of the reduced row echelon form of A."""
+    if isinstance(field, PrimeField):
+        return rref_mod(A, field.p)[1]
+    if isinstance(field, RationalField):
+        return rref_frac(A)[1]
+    raise TypeError(f"unsupported field {field!r}")
+
+
 def nullspace_over(field, A):
     """Right-kernel basis as a list of coefficient vectors."""
     if isinstance(field, PrimeField):

@@ -395,7 +395,11 @@ class MPoly:
 
     def substitute(self, images: dict) -> "MPoly":
         """Ring map sending variable name -> MPoly (all in one target ring).
-        Every variable occurring in self must be covered."""
+        Every variable occurring in self must be covered.
+
+        A single-term image c m contributes c^e and a monomial shift by
+        e (m - K0) to each term; only multi-term images are multiplied out,
+        from cached powers."""
         if not self.terms:
             target = None
             for v in images.values():
@@ -428,15 +432,30 @@ class MPoly:
 
         unpack = self.ring.code.unpack
         F = target.field
+        K0, GUARD = target.code.K0, target.code.GUARD
+        one = target.one.terms
+        # unreduced sums of products, mapped into F once at the end
         acc: dict[int, object] = {}
         for m, c in self.terms:
-            t = target.const(c)
+            off, coef = 0, F.of(c)
+            t = None  # product of the multi-term images' powers
             for i, e in enumerate(unpack(m)):
-                if e:
-                    t = t * img_pow(i, e)
-            for mm, cc in t.terms:
-                acc[mm] = F.add(acc[mm], cc) if mm in acc else cc
-        return target.from_dict(acc)
+                if not e:
+                    continue
+                g = imgs[i]
+                if g is not None and len(g.terms) == 1:
+                    (mi, ci), = g.terms
+                    off += e * (mi - K0)
+                    if ci != F.one:
+                        coef = F.mul(coef, pow_field(F, ci, e))
+                else:
+                    t = img_pow(i, e) if t is None else t * img_pow(i, e)
+            if K0 + off < 0 or (K0 + off) & GUARD:
+                raise OverflowError("monomial exponent overflow")
+            for mt, ct in one if t is None else t.terms:
+                mm = mt + off
+                acc[mm] = acc.get(mm, 0) + coef * ct
+        return target.from_dict({m: F.of(c) for m, c in acc.items()})
 
     def evaluate(self, point):
         """Evaluate at a point given as a list of field elements."""

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lforge import linalg
+from lforge import groebner, linalg
 from lforge.fields import GF, QQ
 from lforge.groebner import (
     BudgetExceeded,
     GroebnerBasis,
     buchberger,
+    groebner_basis,
     lt_ideal,
+    macaulay_basis,
     minimalize_monomials,
     normal_form,
     s_polynomial,
     spair_audit,
 )
-from lforge.mpoly import PolynomialRing, coefficient_vector
+from lforge.ideals import Ideal
+from lforge.mpoly import PolynomialRing, coefficient_vector, exponent_vectors
 from lforge.orders import TermOrder
 from lforge.rng import Rng
 
@@ -221,3 +226,103 @@ def test_qq_buchberger():
     G = buchberger([a**2 - b, a * b - S.one])
     assert spair_audit(G)
     assert normal_form(a**3 - S.one, list(G)).is_zero()
+
+
+# -- the degree-by-degree path against buchberger ----------------------
+
+ORDERS = {
+    "grevlex": lambda n: TermOrder.grevlex(),
+    "lex": lambda n: TermOrder.lex(),
+    "block": lambda n: TermOrder.block(1),
+    "weighted": lambda n: TermOrder.weighted(range(n, 0, -1)),
+}
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A ring over F_p for p in {2, 17, 32003, 2^31 - 1} (the last one takes
+    rref_mod's int64 path) in 2-4 variables with one of four orders, and
+    1-4 homogeneous generators of mixed degrees 1-3 with 2-10 terms; now and
+    then a nonzero constant joins them (the unit ideal)."""
+    p = draw(st.sampled_from([2, 17, 32003, 2**31 - 1]))
+    n = draw(st.integers(2, 4))
+    order = draw(st.sampled_from(sorted(ORDERS)))
+    ring = PolynomialRing(GF(p), tuple(f"x{i}" for i in range(n)),
+                          ORDERS[order](n))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        mons = list(exponent_vectors(n, draw(st.integers(1, 3))))
+        support = draw(st.lists(st.sampled_from(mons), min_size=2,
+                                max_size=10, unique=True))
+        gens.append(ring.from_dict({ring.code.pack(e): draw(
+            st.integers(1, p - 1)) for e in support}))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(ring.const(draw(st.integers(1, p - 1))))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_ideals())
+def test_macaulay_basis_matches_buchberger(gens):
+    want = buchberger(gens)
+    got = macaulay_basis(gens)
+    assert got.ring is want.ring
+    assert [g.terms for g in got] == [g.terms for g in want]
+    # a basis fed back in comes out unchanged
+    again = macaulay_basis(list(got))
+    assert [g.terms for g in again] == [g.terms for g in want]
+
+
+def test_macaulay_basis_unit_ideal_and_order_conversion():
+    G = macaulay_basis([x**2 - y * z, R3.const(5), x * y])
+    assert [g.terms for g in G] == [R3.one.terms]
+    gens = [x**2 - y * z, x * y - z**2, y**3 + z**3]
+    lex = macaulay_basis(gens, TermOrder.lex())
+    assert lex.ring.order == TermOrder.lex()
+    assert [g.terms for g in lex] == \
+        [g.terms for g in buchberger(gens, TermOrder.lex())]
+
+
+def test_macaulay_basis_refuses_what_it_cannot_do():
+    with pytest.raises(ValueError):
+        macaulay_basis([x**2 + y])
+    S = PolynomialRing(QQ, ("a", "b"))
+    a, b = S.gens()
+    with pytest.raises(ValueError):
+        macaulay_basis([a * b - b**2])
+    with pytest.raises(ValueError):
+        macaulay_basis([R3.zero])
+
+
+def test_groebner_basis_routing(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(groebner, "buchberger",
+                        spy("buchberger", groebner.buchberger))
+    monkeypatch.setattr(groebner, "macaulay_basis",
+                        spy("macaulay", groebner.macaulay_basis))
+    S = PolynomialRing(QQ, ("a", "b"))
+    a, b = S.gens()
+    hom = [x**3 - y * z**2, x * y**2 + 5 * z**3, y**4 - x * z**3]
+    cases = [
+        ("macaulay", lambda: groebner_basis(hom)),
+        ("macaulay", lambda: groebner_basis(hom, TermOrder.lex())),
+        ("buchberger", lambda: groebner_basis([a * b - b**2])),  # Q
+        ("buchberger", lambda: groebner_basis([x**2 - y, y**2 - z])),
+        ("buchberger", lambda: groebner_basis(hom, max_degree=4)),
+        ("buchberger", lambda: groebner_basis(hom, max_seconds=60.0)),
+    ]
+    for want, call in cases:
+        calls.clear()
+        call()
+        assert calls == [want]
+    calls.clear()
+    with pytest.raises(BudgetExceeded):
+        Ideal(R3, hom).groebner(max_pairs=1)
+    assert calls == ["buchberger"]

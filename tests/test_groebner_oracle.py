@@ -1,13 +1,15 @@
 """Differential test of the Groebner layer against sympy, on small
 homogeneous ideals over GF(17): reduced bases are unique, so they compare
-exactly; so do normal forms modulo a basis and Hilbert functions."""
+exactly; so do normal forms modulo a basis and Hilbert functions.  Bases
+come both from buchberger and from groebner_basis, which sends these
+ideals to the degree-by-degree macaulay_basis."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lforge.fields import GF
-from lforge.groebner import buchberger, normal_form
+from lforge.groebner import buchberger, groebner_basis, normal_form
 from lforge.ideals import Ideal
 from lforge.mpoly import PolynomialRing, exponent_vectors
 
@@ -76,29 +78,49 @@ def sympy_basis(n, gens):
     return ring, syms, list(sG.exprs)
 
 
-@settings(max_examples=25, deadline=None)
-@given(ideals())
-def test_reduced_basis_matches_sympy(case):
+def check_reduced_basis(basis, case):
     n, gens = case
     ring, syms, sG = sympy_basis(n, gens)
-    mine = buchberger([to_lforge(ring, g) for g in gens])
+    mine = basis([to_lforge(ring, g) for g in gens])
     key = lambda d: sorted(d.items())
     assert sorted(map(key, map(from_lforge, mine))) == sorted(
         key(from_sympy(syms, g, monic=True)) for g in sG)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_normal_form_matches_sympy(data):
+def check_normal_forms(basis, data):
     n, gens = data.draw(ideals())
     ring, syms, sG = sympy_basis(n, gens)
-    G = list(buchberger([to_lforge(ring, g) for g in gens]))
+    G = list(basis([to_lforge(ring, g) for g in gens]))
     for _ in range(3):
         f = data.draw(polys(n))
         _, r = sympy.reduced(to_sympy(syms, f), sG, *syms, modulus=P,
                              order="grevlex")
         assert from_lforge(normal_form(to_lforge(ring, f), G)) == \
             from_sympy(syms, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ideals())
+def test_reduced_basis_matches_sympy(case):
+    check_reduced_basis(buchberger, case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ideals())
+def test_groebner_basis_matches_sympy(case):
+    check_reduced_basis(groebner_basis, case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_normal_form_matches_sympy(data):
+    check_normal_forms(buchberger, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_normal_form_modulo_groebner_basis_matches_sympy(data):
+    check_normal_forms(groebner_basis, data)
 
 
 @settings(max_examples=25, deadline=None)

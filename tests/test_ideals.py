@@ -1,9 +1,10 @@
 import pytest
 
-from lforge.fields import GF
+from lforge.fields import GF, QQ
 from lforge.groebner import groebner_basis
 from lforge.ideals import (
     Ideal,
+    _beyond_span,
     colon_variable_power,
     eliminate,
     image_ideal,
@@ -19,6 +20,7 @@ from lforge.ideals import (
     singular_locus,
     zero_dim_reduced_check,
 )
+from lforge.linalg import rank_over
 from lforge.mpoly import PolynomialRing
 from lforge.rng import Rng
 
@@ -299,6 +301,43 @@ def test_image_ideal_conic_both_methods():
     assert res.stable
     res2 = image_ideal(forms, T, method="elimination")
     assert res2.ideal == res.ideal
+
+
+def greedy_beyond_span(field, old_rows, vectors):
+    """Reference for _beyond_span: keep a vector when it raises the rank of
+    everything kept so far, one rank computation per vector."""
+    rows = list(old_rows)
+    rank = rank_over(field, rows) if rows else 0
+    kept = []
+    for v in vectors:
+        r = rank_over(field, rows + [v])
+        if r > rank:
+            kept.append(v)
+            rows.append(v)
+            rank = r
+    return kept
+
+
+@pytest.mark.parametrize("field", [GF(2), F17, QQ])
+def test_beyond_span_matches_greedy_rank_loop(field):
+    rng = Rng(77)
+    draw = lambda: field.of(rng.randrange(-3, 4))
+    for trial in range(40):
+        n = rng.randrange(1, 8)
+        old = [[draw() for _ in range(n)] for _ in range(rng.randrange(0, 5))]
+        vectors = []
+        for _ in range(rng.randrange(1, 7)):
+            if rng.randrange(3) == 0 and old + vectors:
+                # a combination of earlier rows, which must be dropped
+                pool = old + vectors
+                a, b = (pool[rng.randrange(len(pool))] for _ in range(2))
+                s, t = draw(), draw()
+                vectors.append([field.add(field.mul(s, u), field.mul(t, w))
+                                for u, w in zip(a, b)])
+            else:
+                vectors.append([draw() for _ in range(n)])
+        assert _beyond_span(field, old, vectors) == \
+            greedy_beyond_span(field, old, vectors)
 
 
 def test_image_ideal_validation():

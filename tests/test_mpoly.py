@@ -160,6 +160,67 @@ def test_substitute_cancels_to_zero(field):
     assert zero.is_zero() and zero.ring is dst
 
 
+def naive_substitute(f, images, dst):
+    """Reference ring map: every term c x^e of f expanded as c times the
+    product of the images, one factor at a time, on exponent tuples."""
+    F = dst.field
+    unpack = dst.code.unpack
+    out = {}
+    for m, c in f.terms:
+        prod = {(0,) * dst.nvars: F.of(c)}
+        for img, e in zip(images, f.ring.code.unpack(m)):
+            for _ in range(e):
+                nxt = {}
+                for a, ca in prod.items():
+                    for mb, cb in img.terms:
+                        k = tuple(u + v for u, v in zip(a, unpack(mb)))
+                        nxt[k] = F.add(nxt.get(k, F.zero), F.mul(ca, cb))
+                prod = nxt
+        for k, v in prod.items():
+            out[k] = F.add(out.get(k, F.zero), v)
+    return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+
+@st.composite
+def substitutions(draw):
+    """(f, images) from F[x, y, z] to F[a, b, c]: each image is a single
+    term (a plain variable, or a monomial with a coefficient), a sum of
+    two or three terms, or zero."""
+    field = draw(st.sampled_from([F17, QQ]))
+    src = PolynomialRing(field, ("x", "y", "z"))
+    dst = PolynomialRing(field, ("a", "b", "c"))
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeffs = st.integers(-16, 16).filter(lambda c: c % 17)
+
+    def poly(ring, nterms):
+        return sum((ring.monomial(draw(exps), draw(coeffs))
+                    for _ in range(nterms)), ring.zero)
+
+    images = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(["var", "term", "poly", "zero"]))
+        if kind == "var":
+            images.append(dst.var(draw(st.integers(0, 2))))
+        elif kind == "term":
+            images.append(poly(dst, 1))
+        elif kind == "poly":
+            images.append(poly(dst, draw(st.integers(2, 3))))
+        else:
+            images.append(dst.zero)
+    return poly(src, draw(st.integers(1, 5))), images
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions())
+def test_substitute_matches_naive_expansion(case):
+    f, images = case
+    dst = images[0].ring
+    g = f.substitute(dict(zip(f.ring.names, images)))
+    assert g.ring is dst
+    assert {dst.code.unpack(m): c for m, c in g.terms} == \
+        naive_substitute(f, images, dst)
+
+
 def test_evaluate():
     f = x**2 + 2 * y - z
     assert f.evaluate([3, 1, 4]) == (9 + 2 - 4) % 17
