@@ -3,11 +3,11 @@ elimination and sugar selection, a degree-by-degree Macaulay-matrix
 algorithm for homogeneous ideals over F_p, and normal forms.
 
 Routing.  ``groebner_basis`` is the one entry point.  It sends a call to
-``macaulay_basis`` when the field is a prime field, every generator is
-homogeneous and no budget is passed; every other call (the rationals,
-inhomogeneous input such as the t-trick of ``intersect`` and ``eliminate``,
-budgeted calls) goes to ``buchberger``, which is also the test oracle.  A
-reduced basis is unique, so both give the same basis.
+``macaulay_basis`` when the field is a prime field and every generator is
+homogeneous; every other call (the rationals, inhomogeneous input such as
+the t-trick of ``intersect`` and ``eliminate``) goes to ``buchberger``, which
+is also the test oracle.  The input alone picks the engine.  A reduced basis
+is unique, so both give the same basis.
 
 Degree by degree (Lazard, EUROCAL '83; Faugere's F4, JPAA 139, 1999, with
 its normal strategy).  For homogeneous input every S-polynomial and every
@@ -32,7 +32,6 @@ structurally identical bases.
 
 from __future__ import annotations
 
-import time
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -42,41 +41,20 @@ from .linalg import rref_mod
 from .mpoly import MPoly, RingMismatch
 
 
-class BudgetExceeded(RuntimeError):
-    """Raised when a basis computation hits a resource limit.  Carries the
-    partial state so callers can report where it stopped."""
-
-    def __init__(self, reason: str, *, pairs_done: int, pairs_left: int,
-                 basis_size: int, current_degree: int, partial_basis=None):
-        self.reason = reason
-        self.pairs_done = pairs_done
-        self.pairs_left = pairs_left
-        self.basis_size = basis_size
-        self.current_degree = current_degree
-        self.partial_basis = partial_basis or []
-        super().__init__(
-            f"{reason} (pairs done {pairs_done}, pairs left {pairs_left}, "
-            f"basis size {basis_size}, working degree {current_degree})"
-        )
-
-
 class GroebnerBasis:
-    __slots__ = ("basis", "ring", "reduced", "truncation_degree")
+    __slots__ = ("basis", "ring")
 
-    def __init__(self, basis, ring, reduced=True, truncation_degree=None):
+    def __init__(self, basis, ring):
         self.basis = tuple(basis)
         self.ring = ring
-        self.reduced = reduced
-        self.truncation_degree = truncation_degree
-        if reduced:
-            lms = [g.lm for g in self.basis]
-            code = ring.code
-            for i, a in enumerate(lms):
-                for j, b in enumerate(lms):
-                    if i != j and code.divides(a, b) is not None:
-                        raise ValueError(
-                            "reduced basis has a leading monomial dividing another"
-                        )
+        lms = [g.lm for g in self.basis]
+        code = ring.code
+        for i, a in enumerate(lms):
+            for j, b in enumerate(lms):
+                if i != j and code.divides(a, b) is not None:
+                    raise ValueError(
+                        "reduced basis has a leading monomial dividing another"
+                    )
 
     def __iter__(self):
         return iter(self.basis)
@@ -231,21 +209,10 @@ def _add_pairs(code, lms, sugars, redundant, pairs, lmh, sugar):
     sugars.append(sugar)
 
 
-def buchberger(gens, order=None, *, max_degree=None, max_pairs=None,
-               max_basis=None, max_seconds=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    With max_degree set (homogeneous inputs only) pairs above that degree are
-    dropped: the result generates the ideal correctly in all degrees up to the
-    cap.  Other budgets raise BudgetExceeded with partial-state diagnostics.
-    """
+def buchberger(gens, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens."""
     gens, ring = _common_ring(gens, order)
-    if max_degree is not None and any(g.is_homogeneous() is False for g in gens):
-        raise ValueError("degree cap needs homogeneous generators")
-
     code = ring.code
-    deg = code.deg
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
 
     G: list[MPoly] = []
     lms: list[int] = []
@@ -262,38 +229,18 @@ def buchberger(gens, order=None, *, max_degree=None, max_pairs=None,
         if not h.is_zero():
             add_element(h.monic(), h.degree())
 
-    pairs_done = 0
     while pairs:
         key = min(pairs, key=lambda k: (pairs[k][0], pairs[k][1], k))
-        sugar, l = pairs.pop(key)
-        if max_degree is not None and deg(l) > max_degree:
-            continue
-        if max_pairs is not None and pairs_done >= max_pairs:
-            raise BudgetExceeded(
-                "pair budget exhausted", pairs_done=pairs_done,
-                pairs_left=len(pairs) + 1, basis_size=len(G),
-                current_degree=deg(l), partial_basis=list(G))
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                "time budget exhausted", pairs_done=pairs_done,
-                pairs_left=len(pairs) + 1, basis_size=len(G),
-                current_degree=deg(l), partial_basis=list(G))
+        sugar, _ = pairs.pop(key)
         i, j = key
         sp = s_polynomial(G[i], G[j])
-        pairs_done += 1
         h = normal_form(sp, [x for k, x in enumerate(G) if k not in redundant])
         if h.is_zero():
             continue
-        if max_basis is not None and len(G) >= max_basis:
-            raise BudgetExceeded(
-                "basis size budget exhausted", pairs_done=pairs_done,
-                pairs_left=len(pairs), basis_size=len(G),
-                current_degree=deg(l), partial_basis=list(G))
         add_element(h.monic(), max(sugar, h.degree()))
 
     basis = _interreduce([G[i] for i in range(len(G)) if i not in redundant], ring)
-    return GroebnerBasis(basis, ring, reduced=True,
-                         truncation_degree=max_degree)
+    return GroebnerBasis(basis, ring)
 
 
 def _interreduce(polys, ring):
@@ -377,7 +324,7 @@ def macaulay_basis(gens, order=None) -> GroebnerBasis:
                 _add_pairs(code, lms, sugars, redundant, pairs, m, d)
                 G.append(h)
         del R
-    return GroebnerBasis(sorted(G, key=lambda f: f.lm), ring, reduced=True)
+    return GroebnerBasis(sorted(G, key=lambda f: f.lm), ring)
 
 
 def minimalize_monomials(mons, code):
@@ -409,16 +356,14 @@ def spair_audit(G: GroebnerBasis) -> bool:
     return True
 
 
-def groebner_basis(gens, order=None, **budget) -> GroebnerBasis:
+def groebner_basis(gens, order=None) -> GroebnerBasis:
     """Reduced Groebner basis of gens: the one entry point the ideal layer
     uses.
 
-    Homogeneous generators over a prime field with no budget go to
-    ``macaulay_basis``, degree by degree; everything else, budgets included,
-    goes to ``buchberger``."""
+    Homogeneous generators over a prime field go to ``macaulay_basis``,
+    degree by degree; everything else goes to ``buchberger``."""
     gens = [g for g in gens if g and not g.is_zero()]
     if (gens and isinstance(gens[0].ring.field, PrimeField)
-            and all(v is None for v in budget.values())
             and all(g.is_homogeneous() is not False for g in gens)):
         return macaulay_basis(gens, order)
-    return buchberger(gens, order, **budget)
+    return buchberger(gens, order)

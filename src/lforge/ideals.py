@@ -43,14 +43,12 @@ class Ideal:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() is not False for g in self.gens)
 
-    def groebner(self, order: TermOrder | None = None, **budget) -> GroebnerBasis:
+    def groebner(self, order: TermOrder | None = None) -> GroebnerBasis:
         key = order or self.ring.order
-        if budget:
-            return groebner_basis(list(self.gens), order, **budget)
         if key not in self._gb:
             if not self.gens:
                 ring = self.ring if order is None else self.ring.with_order(order)
-                self._gb[key] = GroebnerBasis([], ring, reduced=True)
+                self._gb[key] = GroebnerBasis([], ring)
             else:
                 self._gb[key] = groebner_basis(list(self.gens), order)
         return self._gb[key]
@@ -90,8 +88,6 @@ class Ideal:
             if not self.is_homogeneous():
                 raise ValueError("Hilbert data needs a homogeneous ideal")
             G = self.groebner()
-            if G.truncation_degree is not None:
-                raise ValueError("Hilbert data needs an uncapped basis")
             code = G.ring.code
             exps = [code.unpack(m) for m in lt_ideal(G)] if len(G) else []
             self._hilbert = HilbertData.from_exponents(exps, self.ring.nvars)

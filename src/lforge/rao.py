@@ -313,18 +313,21 @@ class BettiTable:
         })
 
 
+# the largest matrix (in cells) one resolution step may build; past it the
+# resolution stops and reports itself incomplete
+CELL_BUDGET = 250_000_000
+
+
 class _Resolver:
     """Minimal free resolution of a finite-length RaoModule by graded
     linear algebra: at every homological step, find the minimal generators
     of the current syzygy module (new vectors modulo R_1 times the lower
     degree), then take per-degree kernels of the induced cover."""
 
-    def __init__(self, mod: RaoModule, deg_bound: int,
-                 cell_budget: int = 250_000_000):
+    def __init__(self, mod: RaoModule, deg_bound: int):
         self.mod = mod
         self.p = mod.p
         self.deg_bound = deg_bound
-        self.cell_budget = cell_budget
         names = tuple(f"t{j}" for j in range(mod.nvars))
         self.ring = PolynomialRing(mod.field, names)
 
@@ -361,7 +364,7 @@ class _Resolver:
         newgens = {}
         for t in range(t0, scan_hi + 1):
             A = image_of(t)
-            if A.size > self.cell_budget:
+            if A.size > CELL_BUDGET:
                 return newgens, kernels, False
             K = nullspace_mod(A, self.p)
             kernels[t] = K

@@ -322,7 +322,7 @@ def det_gradient_rank1(field, M):
     return u, w, alpha
 
 
-def gamma_tangent_space(N, field=None, want_gradients: bool = False):
+def gamma_tangent_space(N, field=None):
     """Codimension, inside the 60-dimensional space of projection matrices,
     of the joint kernel of the gradients of all maximal minors of L at N.
 
@@ -385,10 +385,9 @@ def gamma_tangent_space(N, field=None, want_gradients: bool = False):
         g = g * alpha % p
         gradients.append(g.reshape(-1))
     if not gradients:
-        return (0, []) if want_gradients else 0
+        return 0
     G = np.stack(gradients) % p
-    codim = rank_mod(G, p)
-    return (codim, gradients) if want_gradients else codim
+    return rank_mod(G, p)
 
 
 # -- the generic unique cubic -----------------------------------------

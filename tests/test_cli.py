@@ -137,6 +137,21 @@ def test_link_subcommand(tmp_path, capsys):
     assert "dim 1 degree 1" in captured.err
 
 
+@pytest.mark.parametrize("header, want", [
+    ("vars x y z w field GF(17) order lex", EXIT_PASS),
+    ("vars x y z w field QQ order grevlex", EXIT_ERROR),
+    ("vars w z y x field GF(17) order grevlex", EXIT_ERROR),
+])
+def test_link_reads_ci_in_its_declared_ring(tmp_path, capsys, header, want):
+    a = tmp_path / "ideal.txt"
+    b = tmp_path / "ci.txt"
+    a.write_text(TWISTED_CUBIC)
+    b.write_text(f"ring R {header}\n" + CI_22.split("\n", 1)[1])
+    assert main(["link", str(a), str(b)]) == want
+    if want == EXIT_PASS:
+        assert "dim 1 degree 1" in capsys.readouterr().err
+
+
 def test_pfaffian_subcommand(tmp_path, capsys):
     f = tmp_path / "skew.txt"
     f.write_text(SKEW4)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -11,12 +10,6 @@ from lforge.experiments import (
     emit_report,
     run_experiment,
 )
-
-ALLOW_LONG = bool(os.environ.get("LFORGE_ALLOW_LONG"))
-def long_run(fn):
-    fn = pytest.mark.slow(fn)
-    return pytest.mark.skipif(
-        not ALLOW_LONG, reason="set LFORGE_ALLOW_LONG=1 to run")(fn)
 
 EXPECTED_NAMES = {
     "d9-generic", "d9-special", "d9-secant-cases", "d9-bilinkage-18",
@@ -139,7 +132,7 @@ def test_emit_report_bad_format(tmp_path):
         emit_report(rep, "yaml", str(tmp_path))
 
 
-@long_run
+@pytest.mark.slow
 def test_d9_special_honest_results():
     rep = run_experiment("d9-special")
     by_label = {a["label"]: a for a in rep.assertions}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from lforge import groebner, linalg
 from lforge.fields import GF, QQ
 from lforge.groebner import (
-    BudgetExceeded,
     GroebnerBasis,
     buchberger,
     groebner_basis,
@@ -17,7 +16,6 @@ from lforge.groebner import (
     s_polynomial,
     spair_audit,
 )
-from lforge.ideals import Ideal
 from lforge.mpoly import PolynomialRing, coefficient_vector, exponent_vectors
 from lforge.orders import TermOrder
 from lforge.rng import Rng
@@ -154,31 +152,6 @@ def test_membership_vs_linear_algebra_oracle():
         assert normal_form(f, list(G)).is_zero() == in_span
 
 
-def test_degree_cap():
-    gens = [x**2 - y * z, y**3 - z**3 + x * y * z]
-    full = buchberger(gens)
-    capped = buchberger(gens, max_degree=3)
-    assert capped.truncation_degree == 3
-    # capped basis agrees with the full one in low degrees
-    for g in capped:
-        assert normal_form(g, list(full)).is_zero()
-    for g in full:
-        if g.degree() <= 3:
-            assert normal_form(g, list(capped)).is_zero()
-    with pytest.raises(ValueError):
-        buchberger([x**2 + y], max_degree=3)
-
-
-def test_budget_exceeded():
-    gens = [x**3 - y * z**2, x * y**2 + 5 * z**3, y**4 - x * z**3]
-    with pytest.raises(BudgetExceeded) as e:
-        buchberger(gens, max_pairs=1)
-    err = e.value
-    assert err.pairs_done == 1
-    assert err.basis_size >= 3
-    assert err.partial_basis
-
-
 def test_s_polynomial_cancels_leads():
     f = (x**2 + y * z).monic()
     g = (x * y + z**2).monic()
@@ -217,7 +190,7 @@ def test_minimalize_monomials_random():
 
 def test_reduced_basis_invariant_checked():
     with pytest.raises(ValueError):
-        GroebnerBasis([x, x**2], R3, reduced=True)
+        GroebnerBasis([x, x**2], R3)
 
 
 def test_qq_buchberger():
@@ -315,14 +288,8 @@ def test_groebner_basis_routing(monkeypatch):
         ("macaulay", lambda: groebner_basis(hom, TermOrder.lex())),
         ("buchberger", lambda: groebner_basis([a * b - b**2])),  # Q
         ("buchberger", lambda: groebner_basis([x**2 - y, y**2 - z])),
-        ("buchberger", lambda: groebner_basis(hom, max_degree=4)),
-        ("buchberger", lambda: groebner_basis(hom, max_seconds=60.0)),
     ]
     for want, call in cases:
         calls.clear()
         call()
         assert calls == [want]
-    calls.clear()
-    with pytest.raises(BudgetExceeded):
-        Ideal(R3, hom).groebner(max_pairs=1)
-    assert calls == ["buchberger"]

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from lforge import fixtures
@@ -19,12 +17,6 @@ from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec, project
 
 F17 = GF(17)
-
-ALLOW_LONG = bool(os.environ.get("LFORGE_ALLOW_LONG"))
-def long_run(fn):
-    fn = pytest.mark.slow(fn)
-    return pytest.mark.skipif(
-        not ALLOW_LONG, reason="set LFORGE_ALLOW_LONG=1 to run")(fn)
 
 
 def _p3_ring():
@@ -145,7 +137,7 @@ def d9():
     return res.ideal, cubics
 
 
-@long_run
+@pytest.mark.slow
 def test_bilink_degree18_k4(d9):
     I_D9, cubics = d9
     rep = bilink_degree18(I_D9, cubics[0], cubics[1], 4, 11)
@@ -157,7 +149,7 @@ def test_bilink_degree18_k4(d9):
     assert rep.counts["h0_union"] + 1 == rep.counts["h0_F"]
 
 
-@long_run
+@pytest.mark.slow
 def test_bilink_degree18_k5_chain_independence(d9):
     I_D9, cubics = d9
     rep = bilink_degree18(I_D9, cubics[0], cubics[1], 5, 11)
@@ -165,7 +157,7 @@ def test_bilink_degree18_k5_chain_independence(d9):
     assert rep.final.dim_degree() == (2, 18)
 
 
-@long_run
+@pytest.mark.slow
 def test_bilink_degree18_seed_independence(d9):
     I_D9, cubics = d9
     tables = []

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -24,12 +23,6 @@ from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec
 
 F17 = GF(17)
-
-ALLOW_LONG = bool(os.environ.get("LFORGE_ALLOW_LONG"))
-def long_run(fn):
-    fn = pytest.mark.slow(fn)
-    return pytest.mark.skipif(
-        not ALLOW_LONG, reason="set LFORGE_ALLOW_LONG=1 to run")(fn)
 
 # the displayed resolution of the general module under the natural
 # two-row reading (known to be ambiguous; comparison is reported)
@@ -187,7 +180,7 @@ def test_graded_betti_general_center(general_module):
     assert (1, 2) in report["mismatches"]
 
 
-@long_run
+@pytest.mark.slow
 def test_graded_betti_n0_differs_from_generic(n0_module):
     tab = graded_betti(n0_module, hom_bound=2, deg_bound=8)
     assert tab.column(0) == {-1: 4}
@@ -195,7 +188,7 @@ def test_graded_betti_n0_differs_from_generic(n0_module):
     assert tab.column(2) != {1: 18, 2: 29}
 
 
-@long_run
+@pytest.mark.slow
 def test_graded_betti_general_full_resolution(general_module):
     tab = graded_betti(general_module, hom_bound=6, deg_bound=12)
     assert tab.complete
