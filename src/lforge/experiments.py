@@ -244,7 +244,7 @@ def _d9_generic(report: Report, ctx: Context):
                  all(c == 1 for c in coranks), detail=sorted(set(coranks)))
 
 
-@experiment("d9-special",
+@experiment("d9-special", fields=("gf17",),
             doc="the pinned special center: corank 2, secant avoidance, "
                 "and the singular locus of the cubic pencil")
 def _d9_special(report: Report, ctx: Context):
@@ -304,7 +304,7 @@ def _d9_secant(report: Report, ctx: Context):
     report.check("special plane avoids Sec(V8)", cert8["empty"])
 
 
-@experiment("d9-bilinkage-18", long=True, seed=11,
+@experiment("d9-bilinkage-18", long=True, seed=11, fields=("gf17",),
             doc="double link of the degree-9 surface through its cubic "
                 "pencil down to a degree-18 surface; its intersection "
                 "with the original is the pencil's singular locus")
@@ -346,7 +346,7 @@ def _d9_bilinkage(report: Report, ctx: Context):
                          "sing_on_surface": on_surface.dim_degree()})
 
 
-@experiment("rao-betti", seed=1,
+@experiment("rao-betti", seed=1, fields=("gf17",),
             doc="deficiency-module Hilbert values, minimal presentation, "
                 "and graded Betti numbers, with the expected-table report; "
                 "the default seed is pinned to a corank-1 general center")
@@ -477,7 +477,7 @@ def _t8(report: Report, ctx: Context):
     report.check("liaison audits pass", all(rep.flags.values()))
 
 
-@experiment("d6-unprojection-15", seed=2024,
+@experiment("d6-unprojection-15", seed=2024, fields=("gf17",),
             doc="unprojection of a degree-6 Pfaffian surface to a degree-15 "
                 "threefold, its projection back to the cubic pencil, and "
                 "the one-parameter deformation family")
@@ -534,7 +534,7 @@ def _d6_unprojection(report: Report, ctx: Context):
                         "special fiber on two")
 
 
-@experiment("lemma23-elliptic-quintic", seed=7,
+@experiment("lemma23-elliptic-quintic", seed=7, fields=("gf17",),
             doc="ascending biliaison on an elliptic quintic: two cubic "
                 "sections extend the Pfaffian presentation by two rows")
 def _lemma23(report: Report, ctx: Context):

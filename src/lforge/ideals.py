@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .fields import PrimeField
 from .groebner import (
     GroebnerBasis,
@@ -421,26 +423,41 @@ def image_ideal(forms, target: PolynomialRing, method="graded",
         raise ValueError(f"unknown method {method!r}")
     if bound is None:
         raise ValueError("graded method needs a degree bound")
-    return _image_by_degrees(forms, source, target, d, bound)
+    return _image_by_degrees(forms, source, target, bound)
 
 
-def _image_by_degrees(forms, source, target, d, bound):
+def evaluation_rows(forms, target: PolynomialRing, top: int):
+    """The ring map target -> source sending the i-th variable to forms[i]
+    (homogeneous of one degree d), degree by degree.  Entry e, for
+    e = 0..top, lists the coefficient vectors, on the source monomials of
+    degree d*e, of the images of the degree-e target monomials in the
+    order of target.monomials_of_degree(e).  The image of m is the image
+    of m / x_i times forms[i], x_i the first variable of m, so each
+    product of the forms is built once."""
+    source = forms[0].ring
+    d = forms[0].degree()
+    code = target.code
+    images = {code.one: source.one}
+    out = [[[source.field.one]]]
+    for e in range(1, top + 1):
+        prev, images = images, {}
+        for m in target.monomials_of_degree(e):
+            i = next(j for j, a in enumerate(code.unpack(m)) if a)
+            images[m] = prev[code.divides(code.var(i), m)] * forms[i]
+        smons = source.monomials_of_degree(d * e)
+        out.append([coefficient_vector(f, smons) for f in images.values()])
+    return out
+
+
+def _image_by_degrees(forms, source, target, bound):
     field = source.field
     gens: list[MPoly] = []
     h0 = {}
+    rows = evaluation_rows(forms, target, bound)
     for e in range(1, bound + 1):
         tmons = target.monomials_of_degree(e)
-        smons = source.monomials_of_degree(d * e)
-        images = []
-        tm_polys = []
-        sub = {name: forms[i] for i, name in enumerate(target.names)}
-        for m in tmons:
-            tm = MPoly(target, ((m, field.one),))
-            tm_polys.append(tm)
-            images.append(coefficient_vector(tm.substitute(sub), smons))
         # kernel of the evaluation map = degree-e piece of the image ideal
-        A = [[row[i] for row in images] for i in range(len(smons))]
-        ker = nullspace_over(field, A)
+        ker = nullspace_over(field, list(zip(*rows[e])))
         h0[e] = len(ker)
         if not ker:
             continue
@@ -530,7 +547,7 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
         if rank_over(field, A0) != deg:
             continue
         A1 = mult_matrix(l1)
-        T = _solve_matrix(field, A0, A1)
+        T = solve_over(field, A0, A1)
         mp = _matrix_minpoly(field, T, rng.fork(1000 + attempt))
         squarefree = (
             mp.degree >= 1
@@ -546,46 +563,25 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     return {"reduced": False, "degree": deg, "status": "inconclusive"}
 
 
-def _solve_matrix(field, A, B):
-    """X with A X = B, entries over the field."""
-    n = len(A)
-    cols = []
-    for j in range(len(B[0])):
-        b = [B[i][j] for i in range(n)]
-        x = solve_over(field, A, b)
-        if x is None:
-            raise ValueError("singular system")
-        cols.append(x)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-
-
-def _mat_vec(field, T, v):
-    return [
-        _dot(field, row, v)
-        for row in T
-    ]
-
-
-def _dot(field, row, v):
-    acc = field.zero
-    for a, b in zip(row, v):
-        if not field.is_zero(a) and not field.is_zero(b):
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 def _matrix_minpoly(field, T, rng) -> UniPoly:
-    """Minimal polynomial as the lcm of Krylov minimal polynomials of random
-    vectors; stops when two fresh vectors in a row add nothing."""
+    """Minimal polynomial as the lcm of the minimal polynomials of random
+    vectors; stops when two fresh vectors in a row add nothing.
+
+    The minimal polynomial of v is the first kernel vector of the Krylov
+    matrix [v, Tv, ..., T^n v]: that vector belongs to the first column
+    that depends on the columns before it."""
     n = len(T)
+    T = np.array(T, dtype=object)
     mp = UniPoly.one(field)
     stable = 0
     for _ in range(n + 4):
         if mp.degree >= n:
             break
-        v = [field.random(rng) for _ in range(n)]
-        pv = _krylov_minpoly(field, T, v)
-        new = _poly_lcm(mp, pv)
+        krylov = [[field.random(rng) for _ in range(n)]]
+        for _ in range(n):
+            krylov.append([field.of(x) for x in T.dot(krylov[-1])])
+        ker = nullspace_over(field, list(zip(*krylov)))
+        new = _poly_lcm(mp, UniPoly(field, ker[0]))
         if new == mp:
             stable += 1
             if stable >= 2:
@@ -594,21 +590,6 @@ def _matrix_minpoly(field, T, rng) -> UniPoly:
             stable = 0
             mp = new
     return mp
-
-
-def _krylov_minpoly(field, T, v) -> UniPoly:
-    n = len(T)
-    K = [list(v)]
-    w = list(v)
-    for k in range(1, n + 2):
-        w = _mat_vec(field, T, w)
-        A = [[K[j][i] for j in range(len(K))] for i in range(n)]
-        c = solve_over(field, A, w)
-        if c is not None:
-            coeffs = [field.neg(ci) for ci in c] + [field.one]
-            return UniPoly(field, coeffs)
-        K.append(list(w))
-    raise RuntimeError("Krylov sequence failed to close")
 
 
 def _poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:

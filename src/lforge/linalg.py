@@ -251,16 +251,20 @@ def nullspace_frac(A):
 
 
 def solve_frac(A, b):
-    rows = len(A)
-    aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(A)]
+    """One solution of A x = b over Q, or None if inconsistent.  b may be a
+    vector or a matrix of right-hand sides."""
+    vec = np.ndim(b) == 1
+    B = [[x] for x in b] if vec else b
+    aug = [list(map(Fraction, row)) + list(map(Fraction, B[i]))
+           for i, row in enumerate(A)]
     R, pivots = rref_frac(aug)
-    ncols = len(A[0]) if rows else 0
+    ncols = len(A[0]) if A else 0
     if any(c >= ncols for c in pivots):
         return None
-    x = [Fraction(0)] * ncols
+    X = [[Fraction(0)] * len(B[0]) for _ in range(ncols)]
     for r, c in enumerate(pivots):
-        x[c] = R[r][ncols]
-    return x
+        X[c] = R[r][ncols:]
+    return [row[0] for row in X] if vec else X
 
 
 def det_frac(A) -> Fraction:

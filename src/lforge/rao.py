@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .fields import PrimeField
-from .ideals import Ideal
+from .ideals import Ideal, evaluation_rows
 from .linalg import nullspace_mod, rank_mod, rref_mod
 from .mpoly import PolynomialRing, coefficient_vector
 from .veronese import ProjectionSpec, secant_avoidance
@@ -135,27 +135,12 @@ class RaoModule:
         d = composed[0].degree()
         nvars = spec.ncols
 
-        # degree-k products of the composed forms, indexed by exponent
-        # vectors; built incrementally to reuse lower products
-        products = {(0,) * nvars: ring.one}
-        layers = [list(products)]
-        for k in range(1, kmax + 1):
-            layer = []
-            for exps in layers[-1]:
-                for j in range(nvars):
-                    new = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                    if new not in products:
-                        products[new] = products[exps] * composed[j]
-                        layer.append(new)
-            layers.append(layer)
-
+        images = evaluation_rows(composed, spec.target_ring, kmax)
         bases, rrefs, frees = {}, {}, {}
         dims = {}
         for k in range(kmax + 1):
             basis = ring.monomials_of_degree(k * d)
-            rows = [coefficient_vector(products[e], basis)
-                    for e in layers[k]]
-            R, pivots = rref_mod(_np(rows), p)
+            R, pivots = rref_mod(_np(images[k]), p)
             free = [c for c in range(len(basis)) if c not in set(pivots)]
             bases[k] = basis
             rrefs[k] = (R[:len(pivots)], pivots)

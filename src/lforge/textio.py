@@ -12,9 +12,10 @@ followed by one polynomial per line.  Printing and parsing round-trip.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .fields import field_from_name
+from .fields import FieldError, field_from_name
 from .orders import TermOrder
 
 
@@ -28,10 +29,12 @@ class ParseError(ValueError):
 # -- tokenizer --------------------------------------------------------
 
 _OPS = set("+-*^()")
+_NUMBER = re.compile(r"([0-9]+)(/([0-9]*))?")
 
 
 def _tokenize(text: str):
-    """Yields (kind, value, pos) with kind in {int, name, op}."""
+    """Yields (kind, value, pos) with kind in {int, frac, name, op}.  A
+    coefficient a/b, the slash glued to both integers, is one frac token."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -41,12 +44,16 @@ def _tokenize(text: str):
         if ch in _OPS:
             yield ("op", ch, i)
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("int", int(text[i:j]), i)
-            i = j
+        elif m := _NUMBER.match(text, i):
+            if m[2] is None:
+                yield ("int", int(m[1]), i)
+            elif not m[3]:
+                raise ParseError("expected denominator after /", m.start(2), text)
+            elif int(m[3]) == 0:
+                raise ParseError("zero denominator", m.start(3), text)
+            else:
+                yield ("frac", Fraction(int(m[1]), int(m[3])), i)
+            i = m.end()
         elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -60,8 +67,8 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive descent over: expr = term (("+"|"-") term)*;
-    term = factor ("*" factor)* with "/" only inside coefficients;
-    factor = ("-")* atom ("^" int)?; atom = int ("/" int)? | name | "(" expr ")".
+    term = factor ("*" factor)*; factor = ("-")* atom ("^" int)?;
+    atom = int | frac | name | "(" expr ")".
     """
 
     def __init__(self, text: str, ring):
@@ -134,12 +141,12 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.next()
-        if kind == "int":
-            k2, v2, _ = self.peek()
-            # a/b coefficient; "/" is not an operator elsewhere
-            if k2 == "op" and v2 == "/":  # pragma: no cover - "/" never tokenized as op
-                raise ParseError("unexpected /", pos, self.text)
-            return self.ring.const(val)
+        if kind in ("int", "frac"):
+            try:
+                return self.ring.const(val)
+            except FieldError:
+                raise ParseError(f"coefficient {val} is not defined over "
+                                 f"{self.ring.field!r}", pos, self.text) from None
         if kind == "name":
             try:
                 idx = self.ring.var_index(val)
@@ -156,57 +163,7 @@ class _Parser:
 def parse_poly(text: str, ring):
     """Parse one polynomial in the given ring.  Coefficients a/b are written
     with the fraction slash glued to the integers, e.g. -3/4*x0."""
-    # rewrite "a/b" coefficients into "(a * b^-1)" is overkill; handle by a
-    # pre-pass splitting on "/" between digit runs
-    if "/" in text:
-        return _parse_with_fractions(text, ring)
     return _Parser(text, ring).parse()
-
-
-def _parse_with_fractions(text: str, ring):
-    # replace each "a/b" with a placeholder token name, parse, then it would
-    # get complicated; instead scan and fold fractions into constants first
-    out = []
-    i, n = 0, len(text)
-    consts = {}
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or not text[k].isdigit():
-                    raise ParseError("expected denominator after /", j, text)
-                m = k
-                while m < n and text[m].isdigit():
-                    m += 1
-                name = f"_frac{len(consts)}"
-                consts[name] = Fraction(int(text[i:j]), int(text[k:m]))
-                out.append(name)
-                i = m
-                continue
-            out.append(text[i:j])
-            i = j
-        elif ch == "/":
-            raise ParseError("stray /", i, text)
-        else:
-            out.append(ch)
-            i += 1
-    rewritten = "".join(out)
-    parser = _Parser(rewritten, ring)
-    orig_atom = parser.atom
-
-    def atom():
-        kind, val, pos = parser.peek()
-        if kind == "name" and val in consts:
-            parser.next()
-            return ring.const(consts[val])
-        return orig_atom()
-
-    parser.atom = atom
-    return parser.parse()
 
 
 # -- printing ---------------------------------------------------------

@@ -14,6 +14,7 @@ from . import fixtures
 from .ideals import (
     Ideal,
     ImageComputation,
+    evaluation_rows,
     image_ideal,
     linear_section_reduce,
     minors_ideal,
@@ -206,22 +207,9 @@ def build_LN(N, field=None) -> LNMatrix:
     parametric = any(isinstance(e, UniPoly) for row in N for e in row)
     if not parametric:
         spec = ProjectionSpec(N, "p2cubics", field)
-        cols, rows_basis = _ln_columns(spec.composed_forms(), spec.target_ring,
-                                       spec.source_ring)
-        entries = [[cols[j][i] for j in range(len(cols))]
-                   for i in range(len(rows_basis))]
-        return LNMatrix(entries, field, False)
+        rows = evaluation_rows(spec.composed_forms(), spec.target_ring, 3)[3]
+        return LNMatrix([list(col) for col in zip(*rows)], field, False)
     return _build_LN_parametric(N, field)
-
-
-def _ln_columns(composed, target_ring, source_ring):
-    rows_basis = source_ring.monomials_of_degree(9)
-    cols = []
-    sub = {name: composed[j] for j, name in enumerate(target_ring.names)}
-    for mon in target_ring.monomials_of_degree(3):
-        tm = MPoly(target_ring, ((mon, target_ring.field.one),))
-        cols.append(coefficient_vector(tm.substitute(sub), rows_basis))
-    return cols, rows_basis
 
 
 def _build_LN_parametric(N, field) -> LNMatrix:

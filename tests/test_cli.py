@@ -122,6 +122,26 @@ def test_gb_subcommand(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_gb_reads_fraction_next_to_a_variable_named_like_one(tmp_path,
+                                                             capsys):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring R vars x _frac0 field QQ order grevlex\n"
+                 "1/2*x + _frac0\n")
+    assert main(["gb", str(f)]) == EXIT_PASS
+    assert capsys.readouterr().out.strip() == "x + 2*_frac0"
+
+
+@pytest.mark.parametrize("field, line", [
+    ("QQ", "1/0*x + y"),
+    ("GF(17)", "1/17*x + y"),
+], ids=["zero-denominator", "denominator-not-invertible"])
+def test_gb_bad_fraction_is_a_parse_error(tmp_path, capsys, field, line):
+    f = tmp_path / "ideal.txt"
+    f.write_text(f"ring R vars x y field {field} order grevlex\n{line}\n")
+    assert main(["gb", str(f)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gb_missing_file(capsys):
     assert main(["gb", "/no/such/file.txt"]) == EXIT_ERROR
 

@@ -7,6 +7,7 @@ from lforge.ideals import (
     _beyond_span,
     colon_variable_power,
     eliminate,
+    evaluation_rows,
     image_ideal,
     intersect,
     irrelevant_ideal,
@@ -21,7 +22,7 @@ from lforge.ideals import (
     zero_dim_reduced_check,
 )
 from lforge.linalg import rank_over
-from lforge.mpoly import PolynomialRing
+from lforge.mpoly import MPoly, PolynomialRing, coefficient_vector
 from lforge.rng import Rng
 
 F17 = GF(17)
@@ -377,6 +378,68 @@ def test_zero_dim_reduced_many_points():
         I = intersect(I, P)
     out = zero_dim_reduced_check(I, seed=9)
     assert out == {**out, "reduced": True, "degree": 4}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_dim_minpoly_degree_at_most_degree(seed):
+    # the minimal polynomial of a 2 x 2 operator has degree at most 2; a
+    # zero Krylov start vector once added a spurious factor (degree 3 at
+    # seed 1)
+    out = zero_dim_reduced_check(Ideal(R3, [x**2, y]), seed=seed)
+    assert out["minpoly_degree"] == 2
+    assert out["reduced"] is False
+
+
+def test_zero_dim_reduced_check_over_qq():
+    Q3 = PolynomialRing(QQ, ("x", "y", "z"))
+    u, v, w = Q3.gens()
+    two = zero_dim_reduced_check(Ideal(Q3, [w, u * v]), seed=5)
+    assert two == {"reduced": True, "degree": 2, "minpoly_degree": 2,
+                   "squarefree": True, "status": "ok"}
+    double = zero_dim_reduced_check(Ideal(Q3, [u**2, v]), seed=5)
+    assert double["status"] == "ok"
+    assert double["degree"] == 2
+    assert double["squarefree"] is False
+    assert double["reduced"] is False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a drawn form that fails to separate the points gives a "
+    "squarefree minimal polynomial of degree below the scheme degree, and "
+    "the check reads it as 'not reduced' instead of redrawing")
+def test_zero_dim_reduced_check_redraws_non_separating_form():
+    out = zero_dim_reduced_check(Ideal(R3, [z, x * y]), seed=25)
+    assert out["status"] != "ok" or out["reduced"] is True
+
+
+def substitute_rows(forms, target, e):
+    """Reference for evaluation_rows: one substitute call per monomial."""
+    source = forms[0].ring
+    sub = {name: forms[i] for i, name in enumerate(target.names)}
+    smons = source.monomials_of_degree(forms[0].degree() * e)
+    return [coefficient_vector(
+                MPoly(target, ((m, target.field.one),)).substitute(sub), smons)
+            for m in target.monomials_of_degree(e)]
+
+
+@pytest.mark.parametrize("field", [F17, QQ])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluation_rows_match_substitute(field, d):
+    rng = Rng(100 + d)
+    source = PolynomialRing(field, ("s", "t", "u"))
+    for nforms in (1, 2, 4):
+        target = PolynomialRing(field, tuple(f"y{j}" for j in range(nforms)))
+        forms = []
+        for _ in range(nforms):
+            f = source.random_form(d, rng)
+            forms.append(f if not f.is_zero() else source.var(0) ** d)
+        top = 4 - d
+        rows = evaluation_rows(forms, target, top)
+        assert len(rows) == top + 1
+        assert rows[0] == [[field.one]]
+        for e in range(1, top + 1):
+            assert rows[e] == substitute_rows(forms, target, e)
 
 
 def test_zero_dim_check_rejects_positive_dim():

@@ -214,6 +214,21 @@ def test_frac_nullspace_and_solve():
     assert linalg.solve_frac([[1, 1], [1, 1]], [0, 1]) is None
 
 
+def test_solve_over_qq_matrix_right_hand_side():
+    A = [[2, 1], [1, 3]]
+    B = [[1, 0, 4], [0, 1, Fraction(1, 2)]]
+    X = linalg.solve_over(QQ, A, B)
+    assert len(X) == 2 and all(len(row) == 3 for row in X)
+    for i in range(2):
+        for j in range(3):
+            assert sum(Fraction(A[i][k]) * X[k][j] for k in range(2)) == B[i][j]
+    # each column agrees with the vector solve
+    for j in range(3):
+        col = linalg.solve_over(QQ, A, [B[0][j], B[1][j]])
+        assert col == [X[0][j], X[1][j]]
+    assert linalg.solve_over(QQ, [[1, 1], [1, 1]], [[0, 1], [1, 1]]) is None
+
+
 def test_frac_det():
     assert linalg.det_frac([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]) == Fraction(1, 3)
     assert linalg.det_frac([[1, 2], [2, 4]]) == 0

@@ -68,6 +68,29 @@ def test_parse_errors_carry_position():
         parse_poly("3/x0", R)
 
 
+def test_fraction_is_one_coefficient_token():
+    S = PolynomialRing(QQ, ("x", "_frac0"))
+    x, f0 = S.gens()
+    assert parse_poly("1/2*x + _frac0", S) == x.scale(Fraction(1, 2)) + f0
+    with pytest.raises(ParseError, match="exponent"):
+        parse_poly("x^1/2", S)
+    with pytest.raises(ParseError, match="denominator") as e:
+        parse_poly("x + 3/", S)
+    assert e.value.pos == 5
+
+
+def test_bad_fractions_are_parse_errors():
+    S = PolynomialRing(QQ, ("u",))
+    with pytest.raises(ParseError, match="zero denominator") as e:
+        parse_poly("u + 1/0", S)
+    assert e.value.pos == 6
+    with pytest.raises(ParseError, match="not defined over GF") as e:
+        parse_poly("x0 - 1/17", R)
+    assert e.value.pos == 5
+    # 1/18 is 1 over GF(17)
+    assert parse_poly("1/18*x0", R) == x0
+
+
 def test_print_parse_roundtrip_random():
     rng = Rng(42)
     for trial in range(30):
