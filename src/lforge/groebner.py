@@ -33,6 +33,7 @@ structurally identical bases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 import numpy as np
 
@@ -162,66 +163,85 @@ def _common_ring(gens, order):
     return gens, ring
 
 
-def _add_pairs(code, lms, sugars, redundant, pairs, lmh, sugar):
-    """Gebauer-Moller update of the pair set for a new element with leading
-    monomial lmh and the given sugar, which gets index len(lms).
+class _Pairs:
+    """The Gebauer-Moller pair set of a growing basis.
 
-    pairs maps (i, j) to (sugar, lcm); lms and sugars are appended to, and
-    the indices of earlier elements whose leading monomial lmh divides are
-    added to redundant."""
-    deg = code.deg
-    t = len(lms)
-    cand = [(i, code.lcm(lms[i], lmh)) for i in range(t) if i not in redundant]
-    kept = []
-    for i, l in cand:
-        if code.coprime(lms[i], lmh):
-            continue  # Buchberger product criterion
-        dominated = False
-        for j, lj in cand:
-            if j == i:
-                continue
-            if lj != l and code.divides(lj, l) is not None:
-                dominated = True
-                break
-            if lj == l and j < i:
-                dominated = True  # keep only the least index per lcm
-                break
-        if not dominated:
-            kept.append((i, l))
-    # prune old pairs strictly dominated by the newcomer
-    for (i, j), (s, l) in list(pairs.items()):
-        if (
-            code.divides(lmh, l) is not None
-            and code.lcm(lms[i], lmh) != l
-            and code.lcm(lms[j], lmh) != l
-        ):
-            del pairs[(i, j)]
-    for i, l in kept:
-        s = max(
-            sugars[i] + deg(l) - deg(lms[i]),
-            sugar + deg(l) - deg(lmh),
-        )
-        pairs[(i, t)] = (s, l)
-    for i in range(t):
-        if i not in redundant and code.divides(lmh, lms[i]) is not None:
-            redundant.add(i)
-    lms.append(lmh)
-    sugars.append(sugar)
+    lms[i] and sugars[i] are the leading monomial and sugar of element i,
+    pairs maps (i, j) to (sugar, lcm), and redundant holds the indices of
+    elements whose leading monomial a later one divides.  Each leading
+    monomial is unpacked once, when it is added: a packed monomial is
+    K0 + sum_k e_k (var(k) - K0), affine in its exponents e, so an lcm is
+    that sum over the larger exponents, and a support bitmask decides the
+    product criterion."""
+
+    def __init__(self, code):
+        self.code = code
+        self.lms: list[int] = []
+        self.sugars: list[int] = []
+        self.redundant: set[int] = set()
+        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self._exps: list[tuple] = []
+        self._supports: list[int] = []
+        self._steps = [code.var(k) - code.K0 for k in range(code.nvars)]
+
+    def add(self, lmh: int, sugar: int):
+        """Update the pairs for a new element with leading monomial lmh and
+        the given sugar, which gets index len(lms)."""
+        code, lms, redundant, pairs = (self.code, self.lms, self.redundant,
+                                       self.pairs)
+        deg = code.deg
+        t = len(lms)
+        eh = code.unpack(lmh)
+        support = sum(1 << k for k, a in enumerate(eh) if a)
+        K0, GUARD, steps = code.K0, code.GUARD, self._steps
+        lcms = [K0 + sum(map(mul, map(max, ea, eh), steps))
+                for ea in self._exps]
+        cand = [(i, lcms[i]) for i in range(t) if i not in redundant]
+        kept = []
+        for i, l in cand:
+            if not self._supports[i] & support:
+                continue  # Buchberger product criterion
+            dominated = False
+            for j, lj in cand:
+                if j == i:
+                    continue
+                if lj != l and (q := l - lj + K0) >= 0 and not q & GUARD:
+                    dominated = True  # lj divides l
+                    break
+                if lj == l and j < i:
+                    dominated = True  # keep only the least index per lcm
+                    break
+            if not dominated:
+                kept.append((i, l))
+        # prune old pairs strictly dominated by the newcomer
+        for (i, j), (s, l) in list(pairs.items()):
+            if ((q := l - lmh + K0) >= 0 and not q & GUARD
+                    and lcms[i] != l and lcms[j] != l):
+                del pairs[(i, j)]
+        for i, l in kept:
+            s = max(
+                self.sugars[i] + deg(l) - deg(lms[i]),
+                sugar + deg(l) - deg(lmh),
+            )
+            pairs[(i, t)] = (s, l)
+        for i in range(t):
+            if i not in redundant and code.divides(lmh, lms[i]) is not None:
+                redundant.add(i)
+        lms.append(lmh)
+        self.sugars.append(sugar)
+        self._exps.append(eh)
+        self._supports.append(support)
 
 
 def buchberger(gens, order=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens."""
     gens, ring = _common_ring(gens, order)
-    code = ring.code
-
     G: list[MPoly] = []
-    lms: list[int] = []
-    sugars: list[int] = []
-    redundant: set[int] = set()
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # (i,j) -> (sugar, lcm)
+    P = _Pairs(ring.code)
+    redundant, pairs = P.redundant, P.pairs
 
     def add_element(h: MPoly, sugar: int):
-        _add_pairs(code, lms, sugars, redundant, pairs, h.lm, sugar)
+        P.add(h.lm, sugar)
         G.append(h)
 
     for g in sorted(gens, key=lambda f: f.lm):
@@ -270,10 +290,10 @@ def macaulay_basis(gens, order=None) -> GroebnerBasis:
     code = ring.code
     K0, GUARD = code.K0, code.GUARD
     G: list[MPoly] = []
-    lms: list[int] = []
-    sugars: list[int] = []
-    redundant: set[int] = set()  # stays empty: see the module docstring
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # (i,j) -> (deg, lcm)
+    # pairs maps (i, j) to (degree, lcm); P.redundant stays empty (see the
+    # module docstring)
+    P = _Pairs(code)
+    lms, pairs = P.lms, P.pairs
     while pairs or by_degree:
         d = min([s for s, _ in pairs.values()] + list(by_degree))
         # rows are ((element index, monomial offset), polynomial); a half
@@ -321,7 +341,7 @@ def macaulay_basis(gens, order=None) -> GroebnerBasis:
                 nz = np.flatnonzero(R[r])
                 h = MPoly(ring, tuple(zip([colmons[c] for c in nz.tolist()],
                                           R[r, nz].tolist())))
-                _add_pairs(code, lms, sugars, redundant, pairs, m, d)
+                P.add(m, d)
                 G.append(h)
         del R
     return GroebnerBasis(sorted(G, key=lambda f: f.lm), ring)

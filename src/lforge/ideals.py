@@ -20,7 +20,14 @@ from .groebner import (
     normal_form,
 )
 from .hilbert import HilbertData
-from .linalg import nullspace_over, pivots_over, rank_over, solve_over
+from .linalg import (
+    matmul_over,
+    nullspace_over,
+    pivots_over,
+    rank_over,
+    solve_over,
+    zeros_over,
+)
 from .mpoly import MPoly, PolynomialRing, coefficient_vector, from_coefficient_vector
 from .orders import TermOrder
 from .rng import as_rng
@@ -296,18 +303,15 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
         an = field.random_nonzero(rng.fork(attempt * 17 + n))
         # automorphism sending l = sum a_i x_i + a_n x_n to the last variable
         inv_an = field.inv(an)
-        fwd = {name: ring.var(k) for k, name in enumerate(ring.names)}
-        bwd = dict(fwd)
-        fwd[ring.names[-1]] = ring.from_dict({var(n - 1): inv_an, **{
-            var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})
-        bwd[ring.names[-1]] = ring.from_dict(
-            {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})
-        gens = [g.substitute(fwd) for g in I.gens]
-        G = groebner_basis(gens)
+        fwd = ring.gens()[:-1] + [ring.from_dict({var(n - 1): inv_an, **{
+            var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})]
+        bwd = ring.gens()[:-1] + [ring.from_dict(
+            {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})]
+        G = groebner_basis(change_coordinates(I.gens, fwd))
         out = _divide_out_last_variable(list(G), ring)
         H, sig = _hp_signature(out, ring)
         if sig == _hp_signature(G, ring)[1]:
-            J = Ideal(ring, [g.substitute(bwd) for g in out])
+            J = Ideal(ring, change_coordinates(out, bwd))
             J._hilbert = H
             return J
     result = None
@@ -429,24 +433,90 @@ def image_ideal(forms, target: PolynomialRing, method="graded",
 def evaluation_rows(forms, target: PolynomialRing, top: int):
     """The ring map target -> source sending the i-th variable to forms[i]
     (homogeneous of one degree d), degree by degree.  Entry e, for
-    e = 0..top, lists the coefficient vectors, on the source monomials of
-    degree d*e, of the images of the degree-e target monomials in the
-    order of target.monomials_of_degree(e).  The image of m is the image
-    of m / x_i times forms[i], x_i the first variable of m, so each
-    product of the forms is built once."""
+    e = 0..top, is the matrix whose rows, in the order of
+    target.monomials_of_degree(e), are the coefficient vectors of the images
+    of those monomials on source.monomials_of_degree(d*e): int64 in [0, p)
+    over F_p, an object array of Fractions over Q.
+
+    The image of m is the image of m / x_i times forms[i], x_i the first
+    variable of m.  So for each term c*t of forms[i], the nonzero entries
+    of the degree-(e-1) rows of the quotients are added, times c, to the
+    rows of degree e whose first variable is x_i, in the columns of their
+    monomials shifted by t; each column index array is computed once per
+    degree.  Over F_p the sums are reduced mod p after each term, so they
+    stay below p + (p-1)^2 < 2^63 for every p < 2^31."""
     source = forms[0].ring
+    field = source.field
+    p = field.p if isinstance(field, PrimeField) else None
     d = forms[0].degree()
-    code = target.code
-    images = {code.one: source.one}
-    out = [[[source.field.one]]]
+    code, K0 = target.code, source.code.K0
+    out = [zeros_over(field, (1, 1)) + field.one]
     for e in range(1, top + 1):
-        prev, images = images, {}
-        for m in target.monomials_of_degree(e):
-            i = next(j for j, a in enumerate(code.unpack(m)) if a)
-            images[m] = prev[code.divides(code.var(i), m)] * forms[i]
+        tmons = target.monomials_of_degree(e)
         smons = source.monomials_of_degree(d * e)
-        out.append([coefficient_vector(f, smons) for f in images.values()])
+        prev_s = source.monomials_of_degree(d * (e - 1))
+        tpos = {m: r for r, m in enumerate(target.monomials_of_degree(e - 1))}
+        spos = {m: c for c, m in enumerate(smons)}
+        groups: dict[int, tuple[list, list]] = {}
+        for r, m in enumerate(tmons):
+            i = next(j for j, a in enumerate(code.unpack(m)) if a)
+            rows, parents = groups.setdefault(i, ([], []))
+            rows.append(r)
+            parents.append(tpos[code.divides(code.var(i), m)])
+        shifted: dict[int, np.ndarray] = {}
+        M = zeros_over(field, (len(tmons), len(smons)))
+        for i, (rows, parents) in groups.items():
+            block = out[-1][parents]
+            r, k = np.nonzero(block)
+            vals, dest = block[r, k], np.asarray(rows)[r]
+            for t, c in forms[i].terms:
+                if t not in shifted:
+                    shifted[t] = np.array([spos[m + t - K0] for m in prev_s])
+                cols = shifted[t][k]
+                acc = M[dest, cols] + c * vals
+                M[dest, cols] = acc if p is None else acc % p
+        out.append(M)
     return out
+
+
+def change_coordinates(polys, forms):
+    """The homogeneous polynomials polys with the i-th variable of their ring
+    replaced by forms[i]: one form per variable, all of one degree d
+    (linear forms for a change of coordinates).  The polynomials of each
+    degree e are the rows of one coefficient matrix on the monomials of
+    degree e; one product with evaluation_rows(forms, ...)[e] gives the
+    coefficients of all their images on the monomials of degree d*e, so
+    their terms come out sorted."""
+    polys = list(polys)
+    if not polys:
+        return []
+    ring, source = polys[0].ring, forms[0].ring
+    field = ring.field
+    d = forms[0].degree()
+    by_degree: dict[int, list[int]] = {}
+    for k, f in enumerate(polys):
+        if f:  # zero polynomials stay zero
+            by_degree.setdefault(ring.code.deg(f.lm), []).append(k)
+    images = [source.zero] * len(polys)
+    if not by_degree:
+        return images
+    rows = evaluation_rows(forms, ring, max(by_degree))
+    for e, ks in by_degree.items():
+        pos = {m: c for c, m in enumerate(ring.monomials_of_degree(e))}
+        C = zeros_over(field, (len(ks), len(pos)))
+        for r, k in enumerate(ks):
+            try:
+                C[r, [pos[m] for m, _ in polys[k].terms]] = [
+                    c for _, c in polys[k].terms]
+            except KeyError:
+                raise ValueError("change of coordinates of an "
+                                 "inhomogeneous polynomial") from None
+        smons = source.monomials_of_degree(d * e)
+        for k, row in zip(ks, matmul_over(field, C, rows[e])):
+            nz = np.flatnonzero(row)
+            images[k] = MPoly(source, tuple(zip(
+                [smons[c] for c in nz.tolist()], row[nz].tolist())))
+    return images
 
 
 def _image_by_degrees(forms, source, target, bound):
@@ -457,7 +527,7 @@ def _image_by_degrees(forms, source, target, bound):
     for e in range(1, bound + 1):
         tmons = target.monomials_of_degree(e)
         # kernel of the evaluation map = degree-e piece of the image ideal
-        ker = nullspace_over(field, list(zip(*rows[e])))
+        ker = nullspace_over(field, rows[e].T)
         h0[e] = len(ker)
         if not ker:
             continue

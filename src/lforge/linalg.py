@@ -89,6 +89,25 @@ def _mul(A: np.ndarray, B: np.ndarray, dtype) -> np.ndarray:
     return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
 
 
+def matmul_mod(A, B, p: int) -> np.ndarray:
+    """A @ B mod p, exact for every p < 2^31.
+
+    The inner dimension is taken in slices of width w, each slice's product
+    reduced mod p before the next is added: float64 slices with
+    w (p-1)^2 < 2^53, the rule rref_mod uses, while p < 9.4e7, and int64
+    slices with w (p-1)^2 < 2^63 above that.  For p = 17 the whole product
+    is one float64 slice."""
+    A, B = as_mod_array(A, p), as_mod_array(B, p)
+    w, dtype = (2 ** 53 - 1) // (p - 1) ** 2, np.float64
+    if w == 0:
+        w, dtype = (2 ** 63 - 1) // (p - 1) ** 2, np.int64
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for s in range(0, A.shape[1], w):
+        out += _mul(A[:, s:s + w], B[s:s + w], dtype).astype(np.int64) % p
+        out %= p
+    return out
+
+
 def rref_mod(A, p: int):
     """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
     # a fresh array, row-major even for a transposed input
@@ -295,6 +314,25 @@ def rank_over(field, A) -> int:
         return rank_mod(A, field.p)
     if isinstance(field, RationalField):
         return rank_frac(A)
+    raise TypeError(f"unsupported field {field!r}")
+
+
+def zeros_over(field, shape) -> np.ndarray:
+    """The zero matrix over the field, of the dtype matmul_over returns."""
+    if isinstance(field, PrimeField):
+        return np.zeros(shape, dtype=np.int64)
+    if isinstance(field, RationalField):
+        return np.full(shape, Fraction(0), dtype=object)
+    raise TypeError(f"unsupported field {field!r}")
+
+
+def matmul_over(field, A, B) -> np.ndarray:
+    """A @ B over the field: int64 in [0, p) over F_p, an object array of
+    Fractions over Q."""
+    if isinstance(field, PrimeField):
+        return matmul_mod(A, B, field.p)
+    if isinstance(field, RationalField):
+        return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
     raise TypeError(f"unsupported field {field!r}")
 
 

@@ -140,7 +140,7 @@ class RaoModule:
         dims = {}
         for k in range(kmax + 1):
             basis = ring.monomials_of_degree(k * d)
-            R, pivots = rref_mod(_np(images[k]), p)
+            R, pivots = rref_mod(images[k], p)
             free = [c for c in range(len(basis)) if c not in set(pivots)]
             bases[k] = basis
             rrefs[k] = (R[:len(pivots)], pivots)
@@ -391,31 +391,36 @@ class _Resolver:
         """Matrix of the cover F_i -> F_{i-1} in a given degree, where
         ``vec_list[i] = (degree, vector in F_{i-1})`` is the image of the
         i-th generator of F_i."""
-        code = self.ring.code
         cache = {}
-
-        def column(i, m):
-            key = (i, m)
-            if key not in cache:
-                a, v = vec_list[i]
-                exps = code.unpack(m)
-                if sum(exps) == 0:
-                    cache[key] = (a, v)
-                else:
-                    j = next(j for j, e in enumerate(exps) if e)
-                    d, w = column(i, code.divides(code.var(j), m))
-                    cache[key] = (d + 1, prev_free.mul_vectors(
-                        d, j, w.reshape(-1, 1))[:, 0])
-            return cache[key]
 
         def image(t):
             out = np.zeros((prev_free.dim(t), next_free.dim(t)),
                            dtype=np.int64)
             for idx, (i, m) in enumerate(next_free.basis(t)):
-                out[:, idx] = column(i, m)[1]
+                out[:, idx] = self._column(cache, prev_free, vec_list, i, m)[1]
             return out
 
         return image
+
+    def _column(self, cache, prev_free: _Free, vec_list, i, m):
+        """(degree, image in F_{i-1}) of m times the i-th generator of F_i,
+        memoized in cache.  A method rather than a recursive closure: a
+        closure that calls itself is a reference cycle, which would keep
+        the cache's vectors alive until the cyclic garbage collector runs."""
+        key = (i, m)
+        if key not in cache:
+            code = self.ring.code
+            a, v = vec_list[i]
+            exps = code.unpack(m)
+            if sum(exps) == 0:
+                cache[key] = (a, v)
+            else:
+                j = next(j for j, e in enumerate(exps) if e)
+                d, w = self._column(cache, prev_free, vec_list, i,
+                                    code.divides(code.var(j), m))
+                cache[key] = (d + 1, prev_free.mul_vectors(
+                    d, j, w.reshape(-1, 1))[:, 0])
+        return cache[key]
 
     def resolve(self, hom_bound: int):
         """Betti numbers through homological degree ``hom_bound``.

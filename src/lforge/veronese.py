@@ -208,7 +208,7 @@ def build_LN(N, field=None) -> LNMatrix:
     if not parametric:
         spec = ProjectionSpec(N, "p2cubics", field)
         rows = evaluation_rows(spec.composed_forms(), spec.target_ring, 3)[3]
-        return LNMatrix([list(col) for col in zip(*rows)], field, False)
+        return LNMatrix(rows.T.tolist(), field, False)
     return _build_LN_parametric(N, field)
 
 

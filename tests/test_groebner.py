@@ -293,3 +293,23 @@ def test_groebner_basis_routing(monkeypatch):
         calls.clear()
         call()
         assert calls == [want]
+
+
+@pytest.mark.parametrize("order", [
+    TermOrder.grevlex(), TermOrder.lex(), TermOrder.block(2),
+    TermOrder.weighted((1, 2, 3, 1))], ids=str)
+def test_pair_lcms_are_packed_lcms(order):
+    """The pair set computes lcms from exponent vectors kept beside the
+    leading monomials; they must be the packed lcms in every layout, and no
+    kept pair may be coprime."""
+    code = PolynomialRing(F17, ("a", "b", "c", "d"), order).code
+    rng = Rng(7)
+    pairs = groebner._Pairs(code)
+    for _ in range(14):
+        m = code.pack(tuple(rng.randrange(4) for _ in range(4)))
+        pairs.add(m, code.deg(m))
+    assert pairs.pairs
+    for (i, j), (_, l) in pairs.pairs.items():
+        a, b = pairs.lms[i], pairs.lms[j]
+        assert l == code.lcm(a, b)
+        assert not code.coprime(a, b)

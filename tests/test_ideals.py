@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lforge.fields import GF, QQ
 from lforge.groebner import groebner_basis
 from lforge.ideals import (
     Ideal,
     _beyond_span,
+    change_coordinates,
     colon_variable_power,
     eliminate,
     evaluation_rows,
@@ -437,9 +440,75 @@ def test_evaluation_rows_match_substitute(field, d):
         top = 4 - d
         rows = evaluation_rows(forms, target, top)
         assert len(rows) == top + 1
-        assert rows[0] == [[field.one]]
+        assert rows[0].tolist() == [[field.one]]
         for e in range(1, top + 1):
-            assert rows[e] == substitute_rows(forms, target, e)
+            assert rows[e].tolist() == substitute_rows(forms, target, e)
+
+
+P31 = GF(2**31 - 1)
+FIELDS = pytest.mark.parametrize("field", [F17, QQ, P31],
+                                 ids=["gf17", "qq", "gf2147483647"])
+
+
+def top_coefficient_form(ring, e, shift=0):
+    """The degree-e form with coefficients -1, ..., -6 in turn: p-1, ...,
+    p-6 over F_p, the largest residues.  At p = 2^31 - 1 a product of two
+    residues is close to 2^62, so an int64 sum of three overflows."""
+    field = ring.field
+    return ring.from_dict({m: field.of(-1 - (k + shift) % 6)
+                           for k, m in enumerate(ring.monomials_of_degree(e))})
+
+
+@FIELDS
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluation_rows_exact_at_largest_residues(field, d):
+    source = PolynomialRing(field, ("s", "t", "u"))
+    target = PolynomialRing(field, ("a", "b", "c"))
+    forms = [top_coefficient_form(source, d, j) for j in range(3)]
+    rows = evaluation_rows(forms, target, 3)
+    for e in range(4):
+        assert rows[e].tolist() == substitute_rows(forms, target, e)
+
+
+@FIELDS
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_change_coordinates_exact_at_largest_residues(field, d):
+    source = PolynomialRing(field, ("s", "t", "u"))
+    target = PolynomialRing(field, ("a", "b", "c"))
+    forms = [top_coefficient_form(source, d, j) for j in range(3)]
+    polys = [top_coefficient_form(target, e, 1) for e in range(4)]
+    polys += [target.zero, top_coefficient_form(target, 2, 4)]
+    sub = dict(zip(target.names, forms))
+    assert change_coordinates(polys, forms) == [f.substitute(sub)
+                                                for f in polys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_change_coordinates_matches_substitute(data):
+    field = data.draw(st.sampled_from([F17, QQ, P31]))
+    n = data.draw(st.integers(1, 4))
+    ring = PolynomialRing(field, tuple(f"v{i}" for i in range(n)))
+    coefficient = st.integers(-16, 16).filter(bool).map(field.of)
+
+    def form(e, min_size):
+        support = data.draw(st.lists(
+            st.sampled_from(ring.monomials_of_degree(e)), min_size=min_size,
+            max_size=6, unique=True))
+        return ring.from_dict({m: data.draw(coefficient) for m in support})
+
+    d = data.draw(st.integers(1, 2))
+    forms = [form(d, 1) for _ in range(n)]
+    polys = [form(data.draw(st.integers(0, 4)), 0)
+             for _ in range(data.draw(st.integers(1, 5)))]
+    sub = dict(zip(ring.names, forms))
+    assert change_coordinates(polys, forms) == [f.substitute(sub)
+                                                for f in polys]
+
+
+def test_change_coordinates_rejects_inhomogeneous_input():
+    with pytest.raises(ValueError):
+        change_coordinates([x**2 + y], R3.gens())
 
 
 def test_zero_dim_check_rejects_positive_dim():

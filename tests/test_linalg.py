@@ -234,6 +234,19 @@ def test_frac_det():
     assert linalg.det_frac([[1, 2], [2, 4]]) == 0
 
 
+@pytest.mark.parametrize("p", [2, 17, 32003, 2**31 - 1])
+def test_matmul_mod_exact_at_largest_residues(p):
+    # entries in [p-8, p): at p = 2^31 - 1 an int64 sum of three products
+    # overflows
+    rng = np.random.default_rng(p % 1000)
+    A = rng.integers(max(0, p - 8), p, size=(5, 37), dtype=np.int64)
+    B = rng.integers(max(0, p - 8), p, size=(37, 6), dtype=np.int64)
+    want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p
+             for col in B.T] for row in A]
+    assert linalg.matmul_mod(A, B, p).tolist() == want
+    assert linalg.matmul_over(GF(p), A, B).tolist() == want
+
+
 # -- dispatch ---------------------------------------------------------
 
 
@@ -244,6 +257,11 @@ def test_dispatch():
     ns = linalg.nullspace_over(GF(17), A)
     assert len(ns) == 1
     assert linalg.solve_over(QQ, [[2]], [3]) == [Fraction(3, 2)]
+    half = Fraction(1, 2)
+    product = linalg.matmul_over(QQ, [[half, 1]], [[2], [half]])
+    assert product.tolist() == [[Fraction(3, 2)]]
+    assert linalg.zeros_over(QQ, (1, 2)).tolist() == [[0, 0]]
+    assert linalg.zeros_over(GF(17), (2, 1)).dtype == np.int64
     with pytest.raises(TypeError):
         linalg.rank_over(object(), A)
 
