@@ -211,6 +211,13 @@ def _n0_spec(field) -> ProjectionSpec:
     return ProjectionSpec(fixtures.n0_matrix(field), "p2cubics", field)
 
 
+def _l_plane_spec(field) -> ProjectionSpec:
+    """The degree-8 projection of the quadric Veronese from the special
+    plane: the columns of its 10x7 matrix are fixtures.L_PLANE_ROWS."""
+    N8 = [list(col) for col in zip(*fixtures.L_PLANE_ROWS)]
+    return ProjectionSpec(N8, "p3quadrics", field)
+
+
 def _random_center(rng, field, kind="p2cubics", rows=10, cols=6):
     while True:
         N = [[rng.randrange(17) for _ in range(cols)] for _ in range(rows)]
@@ -297,8 +304,7 @@ def _d9_secant(report: Report, ctx: Context):
     report.result("p2cubics_case", cert9)
     report.check("special center avoids Sec(V9)", cert9["empty"])
 
-    N8 = [[fixtures.L_PLANE_ROWS[j][i] for j in range(7)] for i in range(10)]
-    spec8 = ProjectionSpec(N8, "p3quadrics", F)
+    spec8 = _l_plane_spec(F)
     cert8 = secant_avoidance(spec8.center_forms(), spec8.secant_ideal())
     report.result("p3quadrics_case", cert8)
     report.check("special plane avoids Sec(V8)", cert8["empty"])
@@ -451,8 +457,7 @@ def _unique_cubic(report: Report, ctx: Context):
                 "cubics, then two links reach degree 17")
 def _t8(report: Report, ctx: Context):
     F = ctx.field
-    N8 = [[fixtures.L_PLANE_ROWS[j][i] for j in range(7)] for i in range(10)]
-    spec = ProjectionSpec(N8, "p3quadrics", F)
+    spec = _l_plane_spec(F)
     res = project(spec, bound=4)
     I_T = res.ideal
     report.result("h0", res.h0)

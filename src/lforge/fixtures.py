@@ -129,19 +129,3 @@ L_PLANE_ROWS = (
     (0, 0, -2, -2, 1, -1, -1, 2, 0, 1),
     (0, 0, -1, 2, -1, 0, 0, -2, -1, 2),
 )
-
-
-def l_plane_forms(field=None):
-    """The seven linear forms whose common zero locus is the special plane of
-    the degree-8 projection, in the catalecticant_p3_quadrics ring."""
-    field = field or GF(17)
-    R = PolynomialRing(field, P3Q_NAMES)
-    gens = R.gens()
-    forms = []
-    for row in L_PLANE_ROWS:
-        f = R.zero
-        for coeff, g in zip(row, gens):
-            if coeff:
-                f = f + g.scale(field.of(coeff))
-        forms.append(f)
-    return forms

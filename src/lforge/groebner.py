@@ -366,7 +366,8 @@ def lt_ideal(G: GroebnerBasis):
 
 
 def spair_audit(G: GroebnerBasis) -> bool:
-    """Post-hoc check: every S-polynomial of the basis reduces to zero."""
+    """Post-hoc check: every S-polynomial of the basis reduces to zero.
+    Test oracle for the Groebner bases of test_groebner.py."""
     basis = list(G.basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):

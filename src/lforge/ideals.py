@@ -23,7 +23,7 @@ from .hilbert import HilbertData
 from .linalg import (
     matmul_over,
     nullspace_over,
-    pivots_over,
+    rref_over,
     rank_over,
     solve_over,
     zeros_over,
@@ -196,7 +196,8 @@ def quotient(I: Ideal, J: Ideal) -> Ideal:
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """I : J^∞ by iterating the quotient to a fixed point."""
+    """I : J^∞ by iterating the quotient to a fixed point.  Test oracle for
+    saturate_irrelevant (test_ideals.py)."""
     if J.is_zero_ideal():
         raise ValueError("saturation by the zero ideal")
     cur = I
@@ -205,10 +206,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def irrelevant_ideal(ring: PolynomialRing) -> Ideal:
-    return Ideal(ring, ring.gens())
 
 
 def _permuted_ring(ring: PolynomialRing, perm):
@@ -325,8 +322,9 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
 
 
 def matrix_det(M, rows=None, cols=None, memo=None) -> MPoly:
-    """Determinant of a square submatrix of MPoly entries, by cofactor
-    expansion with shared memoized subdeterminants."""
+    """Determinant of a square submatrix of MPoly or UniPoly entries, by
+    cofactor expansion with shared memoized subdeterminants.  Test oracle:
+    the Pfaffian and Smith-form tests compare against it."""
     if rows is None:
         rows = tuple(range(len(M)))
     if cols is None:
@@ -354,8 +352,8 @@ def _det(M, rows, cols, memo):
         if j % 2:
             term = -term
         total = term if total is None else total + term
-    if total is None:
-        total = M[rows[0]][cols[0]].ring.zero
+    if total is None:  # the whole row is zero
+        total = M[r0][cols[0]]
     memo[key] = total
     return total
 
@@ -398,36 +396,44 @@ def singular_locus(I: Ideal, codim: int) -> Ideal:
 class ImageComputation:
     """Result of image_ideal: the ideal plus the per-degree h0 table."""
 
-    __slots__ = ("ideal", "h0", "method", "stable")
+    __slots__ = ("ideal", "h0")
 
-    def __init__(self, ideal, h0, method, stable):
+    def __init__(self, ideal, h0):
         self.ideal = ideal
         self.h0 = h0
-        self.method = method
-        self.stable = stable
 
     def __repr__(self):
-        return f"ImageComputation({self.method}, h0={self.h0})"
+        return f"ImageComputation(h0={self.h0})"
 
 
-def image_ideal(forms, target: PolynomialRing, method="graded",
-                bound: int | None = None) -> ImageComputation:
+def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     """Kernel of the ring map target -> source sending the i-th variable to
-    forms[i]."""
+    forms[i], generated in degrees up to bound."""
     if len(forms) != target.nvars:
         raise ValueError("need one form per target variable")
-    source = forms[0].ring
     degs = {f.is_homogeneous() for f in forms}
     if False in degs or len(degs) != 1:
         raise ValueError("forms must be homogeneous of one common degree")
-    (d,) = degs
-    if method == "elimination":
-        return _image_by_elimination(forms, source, target, d)
-    if method != "graded":
-        raise ValueError(f"unknown method {method!r}")
-    if bound is None:
-        raise ValueError("graded method needs a degree bound")
-    return _image_by_degrees(forms, source, target, bound)
+    field = target.field
+    gens: list[MPoly] = []
+    h0 = {}
+    rows = evaluation_rows(forms, target, bound)
+    for e in range(1, bound + 1):
+        tmons = target.monomials_of_degree(e)
+        # kernel of the evaluation map = degree-e piece of the image ideal
+        ker = nullspace_over(field, rows[e].T)
+        h0[e] = len(ker)
+        if not ker:
+            continue
+        # keep only kernel vectors beyond the span of lower-degree generators
+        old_rows = []
+        for g in gens:
+            dg = g.is_homogeneous()
+            for m in target.monomials_of_degree(e - dg):
+                old_rows.append(coefficient_vector(g.mul_term(m, 1), tmons))
+        for v in _beyond_span(field, old_rows, [list(v) for v in ker]):
+            gens.append(from_coefficient_vector(target, tmons, v))
+    return ImageComputation(Ideal(target, gens), h0)
 
 
 def evaluation_rows(forms, target: PolynomialRing, top: int):
@@ -519,44 +525,19 @@ def change_coordinates(polys, forms):
     return images
 
 
-def _image_by_degrees(forms, source, target, bound):
-    field = source.field
-    gens: list[MPoly] = []
-    h0 = {}
-    rows = evaluation_rows(forms, target, bound)
-    for e in range(1, bound + 1):
-        tmons = target.monomials_of_degree(e)
-        # kernel of the evaluation map = degree-e piece of the image ideal
-        ker = nullspace_over(field, rows[e].T)
-        h0[e] = len(ker)
-        if not ker:
-            continue
-        # keep only kernel vectors beyond the span of lower-degree generators
-        old_rows = []
-        for g in gens:
-            dg = g.is_homogeneous()
-            for m in target.monomials_of_degree(e - dg):
-                old_rows.append(coefficient_vector(g.mul_term(m, 1), tmons))
-        for v in _beyond_span(field, old_rows, [list(v) for v in ker]):
-            gens.append(from_coefficient_vector(target, tmons, v))
-    ideal = Ideal(target, gens)
-    stable = None
-    if bound >= 2 and h0.get(bound) is not None:
-        # stability: generators found at the last degree are a red flag
-        stable = all(g.is_homogeneous() < bound for g in gens) or not gens
-    return ImageComputation(ideal, h0, "graded", stable)
-
-
 def _beyond_span(field, old_rows, vectors):
     """The vectors, in order, outside the span of old_rows and the vectors
     before them: the pivot columns of the stack [old_rows; vectors] taken
     as columns."""
     stack = old_rows + vectors
-    pivots = pivots_over(field, list(zip(*stack)))
+    pivots = rref_over(field, list(zip(*stack)))[1]
     return [stack[j] for j in pivots if j >= len(old_rows)]
 
 
-def _image_by_elimination(forms, source, target, d):
+def _image_by_elimination(forms, target: PolynomialRing) -> Ideal:
+    """Test oracle for image_ideal: the same kernel by eliminating the
+    source variables from the graph ideal (y_i - forms[i])."""
+    source = forms[0].ring
     field = source.field
     if set(source.names) & set(target.names):
         raise ValueError("source and target variable names must not clash")
@@ -568,8 +549,7 @@ def _image_by_elimination(forms, source, target, d):
         gens.append(big.var(k + i) - f.substitute(up_src))
     E = eliminate(Ideal(big, gens), k)
     down = {name: target.var(i) for i, name in enumerate(target.names)}
-    ideal = Ideal(target, [g.substitute(down) for g in E.gens])
-    return ImageComputation(ideal, {}, "elimination", None)
+    return Ideal(target, [g.substitute(down) for g in E.gens])
 
 
 # -- zero-dimensional schemes -----------------------------------------
@@ -683,13 +663,7 @@ def linear_section_reduce(I: Ideal, forms) -> Ideal:
         if f.is_homogeneous() != 1:
             raise ValueError("section forms must be linear and homogeneous")
         rows.append(coefficient_vector(f, [ring.code.var(i) for i in range(n)]))
-    from .linalg import rref_mod, rref_frac
-
-    if isinstance(field, PrimeField):
-        R, pivots = rref_mod(rows, field.p)
-        R = [[int(x) for x in row] for row in R]
-    else:
-        R, pivots = rref_frac(rows)
+    R, pivots = rref_over(field, rows)
     if len(pivots) != len(forms):
         raise ValueError("section forms are linearly dependent")
     free = [j for j in range(n) if j not in set(pivots)]

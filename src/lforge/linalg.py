@@ -209,17 +209,6 @@ def det_mod(A, p: int) -> int:
     return det % p
 
 
-def inv_mod(A, p: int) -> np.ndarray:
-    A = as_mod_array(A, p)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("inverse of a non-square matrix")
-    X = solve_mod(A, np.eye(n, dtype=np.int64), p)
-    if X is None:
-        raise ValueError("matrix is singular mod p")
-    return X
-
-
 # -- Fraction (exact rational) versions -------------------------------
 
 
@@ -286,26 +275,6 @@ def solve_frac(A, b):
     return [row[0] for row in X] if vec else X
 
 
-def det_frac(A) -> Fraction:
-    M = _frac_matrix(A)
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
-
-
 # -- field dispatch ---------------------------------------------------
 
 
@@ -336,12 +305,13 @@ def matmul_over(field, A, B) -> np.ndarray:
     raise TypeError(f"unsupported field {field!r}")
 
 
-def pivots_over(field, A) -> list[int]:
-    """Pivot columns of the reduced row echelon form of A."""
+def rref_over(field, A):
+    """(R, pivot_columns): the reduced row echelon form of A as lists."""
     if isinstance(field, PrimeField):
-        return rref_mod(A, field.p)[1]
+        R, pivots = rref_mod(A, field.p)
+        return R.tolist(), pivots
     if isinstance(field, RationalField):
-        return rref_frac(A)[1]
+        return rref_frac(A)
     raise TypeError(f"unsupported field {field!r}")
 
 

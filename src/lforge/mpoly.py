@@ -116,9 +116,6 @@ class PolynomialRing:
     def with_order(self, order: TermOrder) -> "PolynomialRing":
         return PolynomialRing(self.field, self.names, order)
 
-    def extend_front(self, new_names, order: TermOrder | None = None):
-        return PolynomialRing(self.field, tuple(new_names) + self.names, order)
-
     def extend_back(self, new_names, order: TermOrder | None = None):
         return PolynomialRing(self.field, self.names + tuple(new_names), order)
 
@@ -195,18 +192,8 @@ class MPoly:
                 return False
         return d
 
-    def exponents(self) -> list[tuple]:
-        unpack = self.ring.code.unpack
-        return [unpack(m) for m, _ in self.terms]
-
-    def coefficient(self, exps):
-        m = self.ring.code.pack(tuple(exps))
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return self.ring.field.zero
-
     def constant_coefficient(self):
+        """Test oracle: the Pfaffian tests read constant Pfaffians with it."""
         one = self.ring.code.one
         if self.terms and self.terms[-1][0] == one:
             return self.terms[-1][1]
@@ -365,13 +352,6 @@ class MPoly:
                     rem[mm] = v
         return ring.from_dict(quo)
 
-    def divisible_by(self, other: "MPoly") -> bool:
-        try:
-            self.exact_div(other)
-            return True
-        except FieldError:
-            return False
-
     # -- calculus and substitution ------------------------------------
 
     def partial(self, i: int) -> "MPoly":
@@ -458,7 +438,8 @@ class MPoly:
         return target.from_dict({m: F.of(c) for m, c in acc.items()})
 
     def evaluate(self, point):
-        """Evaluate at a point given as a list of field elements."""
+        """Evaluate at a point given as a list of field elements.  Test
+        oracle: the acceptance and Pfaffian tests check points with it."""
         F = self.ring.field
         unpack = self.ring.code.unpack
         total = F.zero

@@ -181,11 +181,9 @@ class MonomialCode:
         ea, eb = self.unpack(a), self.unpack(b)
         return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
 
-    def gcd(self, a: int, b: int) -> int:
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(min(x, y) for x, y in zip(ea, eb)))
-
     def coprime(self, a: int, b: int) -> bool:
+        """Test oracle for the product criterion of groebner._Pairs
+        (test_pair_lcms_are_packed_lcms)."""
         ea, eb = self.unpack(a), self.unpack(b)
         return all(x == 0 or y == 0 for x, y in zip(ea, eb))
 

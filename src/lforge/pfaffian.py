@@ -65,15 +65,6 @@ class SkewMatrix:
         return (isinstance(other, SkewMatrix)
                 and self.ring is other.ring and self.entries == other.entries)
 
-    def degree_pattern(self):
-        degs = set()
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                e = self.entries[i][j]
-                if not e.is_zero():
-                    degs.add(e.degree())
-        return degs
-
     def map_entries(self, fn, ring=None) -> "SkewMatrix":
         ring = ring or self.ring
         return SkewMatrix(ring, [[fn(e) for e in row] for row in self.entries])
@@ -149,8 +140,8 @@ def pfaffian(A: SkewMatrix) -> MPoly:
 
 
 def pfaffian_matching_sum(A: SkewMatrix) -> MPoly:
-    """Independent oracle: the signed perfect-matching sum. Exponential,
-    intended for n <= 8."""
+    """Test oracle for pfaffian (test_pfaffian.py): the signed
+    perfect-matching sum.  Exponential, intended for n <= 8."""
     n = A.n
     if n % 2:
         raise PfaffianError("odd size")
@@ -271,9 +262,6 @@ class SkewPresentation:
                     acc = acc + self.euler_row[j] * skew[j, k]
                 if not acc.is_zero():
                     raise PfaffianError("Euler row does not annihilate matrix")
-
-    def variety(self) -> Ideal:
-        return sub_pfaffians(self.skew, 2 * self.r)
 
 
 def divided_power_section(P: SkewPresentation):
@@ -425,7 +413,8 @@ def hypersurface_to_section(P: SkewPresentation, h: MPoly):
 
 
 def section_to_hypersurface(P: SkewPresentation, s):
-    """Inverse direction of hypersurface_to_section."""
+    """Inverse direction of hypersurface_to_section.  Test oracle: the
+    unprojection tests of test_pfaffian.py map sections back with it."""
     A = P.skew
     ring = A.ring
     if A.n % 2:

@@ -172,14 +172,6 @@ class RaoModule:
         return mod
 
 
-def rao_hilbert(spec: ProjectionSpec, grades, certify: bool = True):
-    """Per-grade cokernel dimensions of the multiplication maps (the
-    Hilbert function of the deficiency module, reported from grade 0)."""
-    ks = list(grades)
-    mod = RaoModule.from_projection(spec, kmax=max(ks), certify=certify)
-    return mod.hilbert_values(ks)
-
-
 # -- free modules and degree-by-degree resolution ----------------------
 
 
@@ -251,11 +243,14 @@ class BettiTable:
         return sorted({i for i, _ in self.entries})
 
     def alternating_rank_sum(self) -> int:
+        """Test oracle: zero for a complete table of a finite-length module
+        (test_rao.py, test_acceptance.py)."""
         return sum((-1) ** i * b for (i, _), b in self.entries.items())
 
     def hilbert_value(self, t: int, nvars: int) -> int:
         """Alternating binomial count at degree t (equals the module's
-        Hilbert function when the table is complete)."""
+        Hilbert function when the table is complete).  Test oracle: the
+        Betti tests of test_rao.py compare it with the module's dimensions."""
         return sum((-1) ** i * b * _binom(t - j + nvars - 1, nvars - 1)
                    for (i, j), b in self.entries.items())
 

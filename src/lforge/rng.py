@@ -38,9 +38,6 @@ class Rng:
             raise ValueError("empty range")
         return lo + self.next64() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def fork(self, label: int) -> "Rng":
         """Independent child stream; deterministic in (seed, label)."""
         child = Rng((self.seed * 0x9E3779B97F4A7C15 + label + 1) & MASK64)

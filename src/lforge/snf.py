@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import GF, PrimeField, is_prime
+from .fields import PrimeField, is_prime
 from .rng import as_rng
 from .unipoly import UniPoly, gcd, squarefree_decomposition
 
@@ -70,34 +70,6 @@ class PolyMatrix:
                                     bits, weights, F, var) for col in cols]
                            for row in rows], F, var)
 
-    def determinant(self) -> UniPoly:
-        """Expansion by minors with memoization; fine through 8x8."""
-        if self.nrows != self.ncols:
-            raise SnfError("determinant of a non-square matrix")
-        zero = UniPoly.zero(self.field, self.var)
-        memo = {}
-
-        def rec(rows, cols):
-            if not rows:
-                return UniPoly.one(self.field, self.var)
-            key = (rows, cols)
-            if key in memo:
-                return memo[key]
-            i = rows[0]
-            rest = rows[1:]
-            acc = zero
-            for t, j in enumerate(cols):
-                e = self.entries[i][j]
-                if e.is_zero():
-                    continue
-                sub = rec(rest, tuple(c for c in cols if c != j))
-                term = e * sub
-                acc = acc + term if t % 2 == 0 else acc - term
-            memo[key] = acc
-            return acc
-
-        return rec(tuple(range(self.nrows)), tuple(range(self.ncols)))
-
     def to_text(self) -> str:
         lines = [f"{self.nrows} {self.ncols} {self.var}"]
         for row in self.entries:
@@ -152,22 +124,6 @@ def _parse_unipoly(text: str, field, var: str) -> UniPoly:
     for m, c in f.terms:
         coeffs[ring.code.unpack(m)[0]] = c
     return UniPoly(field, coeffs, var)
-
-
-def mod_reduce(x, p: int):
-    """Reduce a rational UniPoly or PolyMatrix mod p."""
-    if isinstance(x, PolyMatrix):
-        return PolyMatrix([[mod_reduce(e, p) for e in row]
-                           for row in x.entries], GF(p), x.var)
-    field = GF(p)
-    out = []
-    for c in x.coeffs:
-        frac = Fraction(c)
-        if frac.denominator % p == 0:
-            raise SnfError(f"denominator of {c} vanishes mod {p}")
-        out.append(field.mul(field.of(frac.numerator % p),
-                             field.inv(field.of(frac.denominator % p))))
-    return UniPoly(field, out, x.var)
 
 
 class SNFResult:
@@ -425,7 +381,8 @@ def unipoly_factor_ff(f: UniPoly, seed_or_rng=0):
 
 
 def is_irreducible_ff(f: UniPoly) -> bool:
-    """gcd(x^(p^k) - x, f) pattern test for monic f over a prime field."""
+    """gcd(x^(p^k) - x, f) pattern test for monic f over a prime field.
+    Test oracle for the factors of unipoly_factor_ff in test_snf.py."""
     if f.degree < 1:
         return False
     f = f.monic()

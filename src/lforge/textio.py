@@ -253,15 +253,6 @@ def _parse_order(s: str, line: str) -> TermOrder:
     raise ParseError(f"unknown order {s!r}", 0, line)
 
 
-def write_ideal(path, polys, ring=None):
-    if ring is None:
-        ring = polys[0].ring
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ring_header(ring) + "\n")
-        for f in polys:
-            fh.write(poly_to_string(f) + "\n")
-
-
 def read_ideal(path):
     """Returns (ring, list of polynomials)."""
     ring = None

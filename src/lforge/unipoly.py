@@ -255,23 +255,6 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.monic()
 
 
-def xgcd(f: UniPoly, g: UniPoly):
-    """Extended gcd: returns (d, u, v) with u*f + v*g = d, d monic."""
-    F = f.field
-    r0, r1 = f, g
-    s0, s1 = UniPoly.one(F, f.var), UniPoly.zero(F, f.var)
-    t0, t1 = UniPoly.zero(F, f.var), UniPoly.one(F, f.var)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lc)
-    return r0.monic(), s0.scale(c), t0.scale(c)
-
-
 def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun/char-p squarefree factorization: [(g_i, m_i)] with
     prod g_i^{m_i} = monic(f), the g_i monic, squarefree, pairwise coprime.

@@ -26,8 +26,9 @@ from .linalg import (
     rank_mod,
     rank_over,
     det_mod,
+    zeros_over,
 )
-from .mpoly import MPoly, PolynomialRing, coefficient_vector, from_coefficient_vector
+from .mpoly import PolynomialRing, from_coefficient_vector
 from .unipoly import UniPoly
 
 
@@ -152,8 +153,7 @@ class ProjectionSpec:
 
 def project(spec: ProjectionSpec, bound: int = 5) -> ImageComputation:
     """Image ideal of the projected Veronese with its per-degree h0 table."""
-    return image_ideal(spec.composed_forms(), spec.target_ring,
-                       method="graded", bound=bound)
+    return image_ideal(spec.composed_forms(), spec.target_ring, bound)
 
 
 # -- the interpolation matrix L ---------------------------------------
@@ -181,7 +181,8 @@ class LNMatrix:
         return self.ncols - self.rank()
 
     def at(self, value) -> "LNMatrix":
-        """Evaluate a parametric matrix at one parameter value."""
+        """Evaluate a parametric matrix at one parameter value.  Test oracle:
+        test_veronese.py compares L_N(lambda) with its specializations."""
         if not self.parametric:
             raise ValueError("matrix is not parametric")
         rows = [[e(value) for e in row] for row in self.entries]
@@ -213,45 +214,43 @@ def build_LN(N, field=None) -> LNMatrix:
 
 
 def _build_LN_parametric(N, field) -> LNMatrix:
+    """L_N(lambda) for a pencil N whose entries have lambda-degree at most D.
+    Homogenized with a second parameter mu, the composed forms are
+    homogeneous of degree 3 + D on (x, y, z, lambda, mu), so
+    evaluation_rows expands every target cubic monomial at once.  The
+    lambda^k coefficient of entry (m, j) is the coefficient of
+    m * lambda^k * mu^(3D - k) in the image of the j-th monomial."""
     var = next(e.var for row in N for e in row if isinstance(e, UniPoly))
-    big = PolynomialRing(field, ("x", "y", "z", var))
-    forms = veronese_map(2, 3, scaled=True,
-                         ring=PolynomialRing(field, ("x", "y", "z")))
-    up = {n: big.var(i) for i, n in enumerate(("x", "y", "z"))}
-    L = big.var(3)
-    vf = [f.substitute(up) for f in forms]
+    coeffs = [[e.coeffs if isinstance(e, UniPoly) else [field.of(e)]
+               for e in row] for row in N]
+    D = max(len(c) for row in coeffs for c in row) - 1
+    plane = PolynomialRing(field, ("x", "y", "z"))
+    big = PolynomialRing(field, ("x", "y", "z", "l", "m"))
+    forms = veronese_map(2, 3, scaled=True, ring=plane)
     composed = []
     for j in range(6):
-        f = big.zero
-        for i in range(10):
-            e = N[i][j]
-            if isinstance(e, UniPoly):
-                coeffs = e.coeffs
-            else:
-                coeffs = [field.of(e)]
-            for k, c in enumerate(coeffs):
-                if not field.is_zero(c):
-                    f = f + (vf[i] * L**k).scale(c)
-        composed.append(f)
+        terms = {}
+        for v, row in zip(forms, coeffs):
+            for k, c in enumerate(row[j]):
+                for t, a in v.terms:
+                    key = big.code.pack(plane.code.unpack(t) + (k, D - k))
+                    terms[key] = field.add(terms.get(key, field.zero),
+                                           field.mul(a, c))
+        composed.append(big.from_dict(terms))
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
-    sub = {name: composed[j] for j, name in enumerate(target.names)}
-    plane = PolynomialRing(field, ("x", "y", "z"))
-    rows_basis = plane.monomials_of_degree(9)
-    row_pos = {m: i for i, m in enumerate(rows_basis)}
-    entries = [[UniPoly.zero(field, var) for _ in range(56)] for _ in range(55)]
-    for j, mon in enumerate(target.monomials_of_degree(3)):
-        tm = MPoly(target, ((mon, field.one),))
-        poly = tm.substitute(sub)
-        per_row: dict[int, list] = {}
-        for m, c in poly.terms:
-            ex, ey, ez, el = big.code.unpack(m)
-            key = plane.code.pack((ex, ey, ez))
-            bucket = per_row.setdefault(key, [])
-            while len(bucket) <= el:
-                bucket.append(field.zero)
-            bucket[el] = c
-        for key, coeffs in per_row.items():
-            entries[row_pos[key]][j] = UniPoly(field, coeffs, var)
+    rows = evaluation_rows(composed, target, 3)[3]
+    pos9 = {m: r for r, m in enumerate(plane.monomials_of_degree(9))}
+    cols, at = [], []
+    for c, m in enumerate(big.monomials_of_degree(3 * (3 + D))):
+        ex, ey, ez, el, _ = big.code.unpack(m)
+        if ex + ey + ez == 9:
+            cols.append(c)
+            at.append((pos9[plane.code.pack((ex, ey, ez))], el))
+    r, k = np.array(at).T
+    cube = zeros_over(field, (55, 3 * D + 1, 56))
+    cube[r, k] = rows[:, cols].T
+    entries = [[UniPoly(field, cube[i, :, j], var) for j in range(56)]
+               for i in range(55)]
     return LNMatrix(entries, field, True)
 
 
@@ -344,18 +343,18 @@ def gamma_tangent_space(N, field=None):
                 Ma[pos9[m], c6] = c
         mult.append(Ma)
 
-    # partial of each target cubic monomial by each target variable, then
-    # evaluated on the composed forms: a degree-6 coefficient vector
-    sub = {name: composed[j] for j, name in enumerate(target.names)}
+    # partial of each target cubic monomial by each target variable,
+    # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose
+    # image is a row of the degree-2 evaluation matrix (on mons6)
+    rows2 = evaluation_rows(composed, target, 2)[2]
+    pos2 = {m: r for r, m in enumerate(target.monomials_of_degree(2))}
+    code = target.code
     partial6 = np.zeros((6, 56, 28), dtype=np.int64)
     for col, mon in enumerate(mons3_target):
-        tm = MPoly(target, ((mon, field.one),))
-        for b in range(6):
-            dm = tm.partial(b)
-            if dm.is_zero():
-                continue
-            vec = coefficient_vector(dm.substitute(sub), mons6)
-            partial6[b, col] = vec
+        for b, a in enumerate(code.unpack(mon)):
+            if a:
+                quo = code.divides(code.var(b), mon)
+                partial6[b, col] = a * rows2[pos2[quo]] % p
 
     Lfull = np.asarray(LN.entries, dtype=np.int64) % p
     gradients = []

@@ -1,8 +1,10 @@
 import pytest
 
 from lforge import fixtures
+from lforge.experiments import _l_plane_spec
 from lforge.fields import GF
 from lforge.linalg import rank_over
+from lforge.mpoly import coefficient_vector
 from lforge.unipoly import UniPoly
 
 F17 = GF(17)
@@ -56,9 +58,14 @@ def test_catalecticant_p3():
 
 
 def test_l_plane_forms():
-    forms = fixtures.l_plane_forms(F17)
-    assert len(forms) == 7
-    assert all(f.degree() == 1 for f in forms)
+    spec = _l_plane_spec(F17)
+    R = spec.ambient_ring
+    assert R.names == fixtures.P3Q_NAMES
+    forms = spec.center_forms()
+    assert all(f.is_homogeneous() == 1 for f in forms)
+    variables = [R.code.var(i) for i in range(R.nvars)]
+    assert [coefficient_vector(f, variables) for f in forms] == \
+        [[F17.of(c) for c in row] for row in fixtures.L_PLANE_ROWS]
     assert rank_over(F17, [list(r) for r in fixtures.L_PLANE_ROWS]) == 7
 
 

@@ -7,13 +7,13 @@ from lforge.groebner import groebner_basis
 from lforge.ideals import (
     Ideal,
     _beyond_span,
+    _image_by_elimination,
     change_coordinates,
     colon_variable_power,
     eliminate,
     evaluation_rows,
     image_ideal,
     intersect,
-    irrelevant_ideal,
     jacobian,
     linear_section_reduce,
     matrix_det,
@@ -117,7 +117,7 @@ def test_quotient_properties():
 def test_saturate_fixed_point():
     R2 = PolynomialRing(F17, ("x", "y"))
     X, Y = R2.gens()
-    m = irrelevant_ideal(R2)
+    m = Ideal(R2, R2.gens())
     I = Ideal(R2, [X * X, X * Y])  # (x) * m
     S = saturate(I, m)
     assert S == Ideal(R2, [X])
@@ -135,7 +135,7 @@ def test_saturate_irrelevant_matches_quotient_route():
         g = R3.random_form(1, rng.fork(trial + 10))
         I = Ideal(R3, [f * g_ for g_ in (x, y, z)])  # f * m is unsaturated
         fast = saturate_irrelevant(I)
-        slow = saturate(I, irrelevant_ideal(R3))
+        slow = saturate(I, Ideal(R3, R3.gens()))
         assert fast == slow == Ideal(R3, [f])
 
 
@@ -213,8 +213,8 @@ def test_hilbert_complete_intersection():
 
 
 def test_hilbert_irrelevant_and_errors():
-    assert irrelevant_ideal(R3).dim_degree()[0] == -1
-    assert irrelevant_ideal(R3).is_empty()
+    assert Ideal(R3, R3.gens()).dim_degree()[0] == -1
+    assert Ideal(R3, R3.gens()).is_empty()
     with pytest.raises(ValueError):
         Ideal(R3, [x + x * y]).hilbert()
 
@@ -298,13 +298,11 @@ def test_image_ideal_conic_both_methods():
     s, t = S.gens()
     T = PolynomialRing(F17, ("x", "y", "z"))
     forms = [s**2, s * t, t**2]
-    res = image_ideal(forms, T, method="graded", bound=3)
+    res = image_ideal(forms, T, bound=3)
     X, Y, Z = T.gens()
     assert res.ideal == Ideal(T, [X * Z - Y * Y])
     assert res.h0 == {1: 0, 2: 1, 3: 3}
-    assert res.stable
-    res2 = image_ideal(forms, T, method="elimination")
-    assert res2.ideal == res.ideal
+    assert _image_by_elimination(forms, T) == res.ideal
 
 
 def greedy_beyond_span(field, old_rows, vectors):
@@ -349,11 +347,9 @@ def test_image_ideal_validation():
     s, t = S.gens()
     T = PolynomialRing(F17, ("x", "y", "z"))
     with pytest.raises(ValueError):
-        image_ideal([s, t], T, method="graded", bound=2)
+        image_ideal([s, t], T, bound=2)
     with pytest.raises(ValueError):
-        image_ideal([s**2, s * t, t], T, method="graded", bound=2)
-    with pytest.raises(ValueError):
-        image_ideal([s**2, s * t, t**2], T, method="graded")
+        image_ideal([s**2, s * t, t], T, bound=2)
 
 
 def test_zero_dim_reduced_two_points():

@@ -103,17 +103,6 @@ def test_det_vs_cofactor_expansion():
         assert linalg.det_mod(A, P) == cof_det(A.tolist())
 
 
-def test_inverse():
-    rng = np.random.default_rng(5)
-    A = rand_matrix(rng, 6, 6)
-    while linalg.rank_mod(A, P) < 6:
-        A = rand_matrix(rng, 6, 6)
-    X = linalg.inv_mod(A, P)
-    assert ((A @ X) % P == np.eye(6, dtype=np.int64)).all()
-    with pytest.raises(ValueError):
-        linalg.inv_mod([[1, 1], [1, 1]], P)
-
-
 def test_rank_rectangular_bounds():
     rng = np.random.default_rng(6)
     A = rand_matrix(rng, 3, 10)
@@ -227,11 +216,6 @@ def test_solve_over_qq_matrix_right_hand_side():
         col = linalg.solve_over(QQ, A, [B[0][j], B[1][j]])
         assert col == [X[0][j], X[1][j]]
     assert linalg.solve_over(QQ, [[1, 1], [1, 1]], [[0, 1], [1, 1]]) is None
-
-
-def test_frac_det():
-    assert linalg.det_frac([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]) == Fraction(1, 3)
-    assert linalg.det_frac([[1, 2], [2, 4]]) == 0
 
 
 @pytest.mark.parametrize("p", [2, 17, 32003, 2**31 - 1])

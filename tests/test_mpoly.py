@@ -42,8 +42,7 @@ def test_constructors():
     assert R.const(17).is_zero()
     assert R.const(-1).lc == 16
     f = R.monomial((1, 2, 0), 3)
-    assert f.coefficient((1, 2, 0)) == 3
-    assert f.coefficient((0, 0, 1)) == 0
+    assert f.terms == ((R.code.pack((1, 2, 0)), 3),)
 
 
 def test_add_sub_cancellation():
@@ -58,8 +57,9 @@ def test_mul_known():
     f = (x + y) * (x - y)
     assert f == x**2 - y**2
     g = (x + y + z) ** 2
-    assert g.coefficient((1, 1, 0)) == 2
-    assert g.coefficient((2, 0, 0)) == 1
+    coeffs = dict(g.terms)
+    assert coeffs[R.code.pack((1, 1, 0))] == 2
+    assert coeffs[R.code.pack((2, 0, 0))] == 1
     assert len(g) == 6
 
 
@@ -93,8 +93,6 @@ def test_exact_div():
     assert (f * z).exact_div(z) == f
     with pytest.raises(FieldError):
         (f + 1).exact_div(x + y)
-    assert f.divisible_by(x + y)
-    assert not (x**2 + y).divisible_by(x + y)
 
 
 def test_partials():
@@ -277,8 +275,8 @@ def test_with_order_convert():
 
 
 def test_extend_and_drop():
-    E = R.extend_front(("t",))
-    assert E.names == ("t", "x", "y", "z")
+    E = R.extend_back(("t",))
+    assert E.names == ("x", "y", "z", "t")
     D = E.drop_vars(("t",))
     assert D.names == ("x", "y", "z")
     assert D is R

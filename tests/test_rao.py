@@ -16,7 +16,6 @@ from lforge.rao import (
     ci_hilbert_value,
     graded_betti,
     linked_hilbert_check,
-    rao_hilbert,
     rao_presentation,
 )
 from lforge.rng import Rng
@@ -64,8 +63,8 @@ def general_module():
 
 
 def test_rao_hilbert_general_center():
-    assert rao_hilbert(_random_center(3), range(5), certify=False) == \
-        [0, 4, 7, 0, 0]
+    mod = RaoModule.from_projection(_random_center(3), kmax=4, certify=False)
+    assert mod.hilbert_values(range(5)) == [0, 4, 7, 0, 0]
 
 
 def test_rao_hilbert_n0(n0_module):
@@ -79,13 +78,15 @@ def test_rao_hilbert_n0(n0_module):
 @pytest.mark.xfail(strict=True, reason="holds for a general center; the "
                    "special one lies on a pencil of cubics")
 def test_rao_hilbert_n0_generic_values(n0_spec):
-    assert rao_hilbert(n0_spec, range(4), certify=False) == [0, 4, 7, 0]
+    mod = RaoModule.from_projection(n0_spec, kmax=3, certify=False)
+    assert mod.hilbert_values(range(4)) == [0, 4, 7, 0]
 
 
 def test_rao_hilbert_full_veronese_vanishes():
     eye = [[1 if i == j else 0 for j in range(10)] for i in range(10)]
     spec = ProjectionSpec(eye, "p2cubics", F17)
-    assert rao_hilbert(spec, range(4), certify=False) == [0, 0, 0, 0]
+    mod = RaoModule.from_projection(spec, kmax=3, certify=False)
+    assert mod.hilbert_values(range(4)) == [0, 0, 0, 0]
 
 
 def test_dimension_audit_multiplication_ranks(n0_spec):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lforge.fields import GF, QQ, FieldError
-from lforge.unipoly import UniPoly, gcd, squarefree_decomposition, xgcd
+from lforge.unipoly import UniPoly, gcd, squarefree_decomposition
 
 F17 = GF(17)
 
@@ -55,14 +55,6 @@ def test_gcd_known():
     g = P(1, 2, 1)  # (x+1)^2
     assert gcd(f, g).coeffs == [1, 1]
     assert gcd(f, UniPoly.zero(F17)) == f.monic()
-
-
-def test_xgcd_identity():
-    f = P(3, 1, 4, 1)
-    g = P(2, 7, 1)
-    d, u, v = xgcd(f, g)
-    assert u * f + v * g == d
-    assert d.lc == 1
 
 
 @settings(max_examples=60, deadline=None)

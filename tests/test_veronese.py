@@ -6,6 +6,7 @@ from lforge.fields import GF, QQ
 from lforge.ideals import minors_ideal
 from lforge.linalg import det_mod
 from lforge.rng import Rng
+from lforge.unipoly import UniPoly
 from lforge.veronese import (
     LNMatrix,
     ProjectionSpec,
@@ -109,12 +110,21 @@ def test_kernel_cubics_vanish_on_image():
 
 
 def test_build_LN_parametric_matches_specializations():
-    P = fixtures.nlambda_matrix(F17)
-    LNp = build_LN(P, F17)
-    assert LNp.parametric
-    for lam in (0, 1, 3):
-        direct = build_LN([[e(lam) for e in row] for row in P], F17)
-        assert LNp.at(lam).entries == direct.entries
+    # entries of L_N(lambda) have degree at most 3 * 2 = 6 < 17, so agreeing
+    # at every point of F17 makes the parametric matrix equal, entry by
+    # entry, to the one its specializations determine
+    rng = Rng(2)
+    quadratic = [[UniPoly(F17, [rng.randrange(17) for _ in range(3)])
+                  for _ in range(6)] for _ in range(10)]
+    for P in (fixtures.nlambda_matrix(F17), quadratic):
+        LNp = build_LN(P, F17)
+        assert LNp.parametric
+        assert max(e.degree for row in LNp.entries for e in row) == \
+            3 * max(e.degree for row in P for e in row)
+        for lam in range(17):
+            direct = build_LN([[e(lam) for e in row] for row in P], F17)
+            assert LNp.at(lam).entries == direct.entries
+    LNp = build_LN(fixtures.nlambda_matrix(F17), F17)
     assert LNp.at(0).corank() == 2
     assert LNp.at(1).corank() == 1
 
