@@ -119,17 +119,6 @@ class Ideal:
         n = self.ring.nvars
         return comb(e + n - 1, n - 1) - self.hilbert().hf(e)
 
-    def standard_monomials(self, e: int):
-        """Packed degree-e monomials outside the leading-term ideal."""
-        G = self.groebner()
-        code = self.ring.code
-        lts = lt_ideal(G) if len(G) else []
-        out = []
-        for m in self.ring.monomials_of_degree(e):
-            if all(code.divides(l, m) is None for l in lts):
-                out.append(m)
-        return out
-
 
 # -- elimination and the boolean-algebra operations -------------------
 
@@ -426,11 +415,7 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
         if not ker:
             continue
         # keep only kernel vectors beyond the span of lower-degree generators
-        old_rows = []
-        for g in gens:
-            dg = g.is_homogeneous()
-            for m in target.monomials_of_degree(e - dg):
-                old_rows.append(coefficient_vector(g.mul_term(m, 1), tmons))
+        old_rows = graded_piece(gens, e).T.tolist() if gens else []
         for v in _beyond_span(field, old_rows, [list(v) for v in ker]):
             gens.append(from_coefficient_vector(target, tmons, v))
     return ImageComputation(Ideal(target, gens), h0)
@@ -455,34 +440,101 @@ def evaluation_rows(forms, target: PolynomialRing, top: int):
     field = source.field
     p = field.p if isinstance(field, PrimeField) else None
     d = forms[0].degree()
-    code, K0 = target.code, source.code.K0
+    code = target.code
+    ts = sorted({t for f in forms for t, _ in f.terms})
     out = [zeros_over(field, (1, 1)) + field.one]
     for e in range(1, top + 1):
         tmons = target.monomials_of_degree(e)
-        smons = source.monomials_of_degree(d * e)
-        prev_s = source.monomials_of_degree(d * (e - 1))
-        tpos = {m: r for r, m in enumerate(target.monomials_of_degree(e - 1))}
-        spos = {m: c for c, m in enumerate(smons)}
+        tpos = target.monomial_positions(e - 1)
         groups: dict[int, tuple[list, list]] = {}
         for r, m in enumerate(tmons):
             i = next(j for j, a in enumerate(code.unpack(m)) if a)
             rows, parents = groups.setdefault(i, ([], []))
             rows.append(r)
             parents.append(tpos[code.divides(code.var(i), m)])
-        shifted: dict[int, np.ndarray] = {}
-        M = zeros_over(field, (len(tmons), len(smons)))
+        shifted = dict(zip(ts, _product_positions(source, ts, d * (e - 1),
+                                                  d * e)))
+        M = zeros_over(field, (len(tmons),
+                               len(source.monomials_of_degree(d * e))))
         for i, (rows, parents) in groups.items():
             block = out[-1][parents]
             r, k = np.nonzero(block)
             vals, dest = block[r, k], np.asarray(rows)[r]
             for t, c in forms[i].terms:
-                if t not in shifted:
-                    shifted[t] = np.array([spos[m + t - K0] for m in prev_s])
                 cols = shifted[t][k]
                 acc = M[dest, cols] + c * vals
                 M[dest, cols] = acc if p is None else acc % p
         out.append(M)
     return out
+
+
+def _product_positions(ring: PolynomialRing, ts, a: int, b: int):
+    """Index of m*t in ring.monomials_of_degree(b), one row per monomial t
+    in ts and one column per m in ring.monomials_of_degree(a); ValueError
+    unless every t has degree b - a."""
+    pos = ring.monomial_positions(b)
+    mons = ring.monomials_of_degree(a)
+    try:
+        flat = [pos[m + off] for off in [t - ring.code.K0 for t in ts]
+                for m in mons]
+    except KeyError:
+        raise ValueError(f"a term of degree other than {b - a}") from None
+    return np.array(flat, dtype=np.intp).reshape(len(ts), len(mons))
+
+
+def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
+    """The matrix of v -> f*v from forms of degree a to forms of degree b:
+    rows follow monomials_of_degree(b), columns monomials_of_degree(a), in
+    zeros_over's dtype.  A zero f gives zeros; a term of f of any degree
+    other than b - a raises ValueError."""
+    ring = f.ring
+    n = len(ring.monomials_of_degree(a))
+    M = zeros_over(ring.field, (len(ring.monomials_of_degree(b)), n))
+    if f:
+        ts, cs = zip(*f.terms)
+        M[_product_positions(ring, ts, a, b), np.arange(n)] = \
+            np.array(cs)[:, None]
+    return M
+
+
+def graded_piece(gens, k: int) -> np.ndarray:
+    """Columns g*m on monomials_of_degree(k), for every homogeneous
+    generator g of degree at most k and every monomial m of degree
+    k - deg(g), in generator order and then monomial order: together they
+    span the degree-k piece of the ideal the generators generate."""
+    ring = gens[0].ring
+    blocks = [zeros_over(ring.field, (len(ring.monomials_of_degree(k)), 0))]
+    for g in gens:
+        dg = ring.code.deg(g.lm)
+        if dg <= k:
+            blocks.append(multiplication_matrix(g, k - dg, k))
+    return np.hstack(blocks)
+
+
+class GradedQuotient:
+    """Forms of degree k modulo the span of the columns of a matrix on
+    monomials_of_degree(k), from one reduced row echelon form R of the span.
+
+    Its free columns are the standard monomials, and the class of a vector
+    x has coordinates (x - R^T x[pivots])[free] on them.  With the columns
+    in descending monomial order the pivots of the span of I_k are the
+    leading monomials LT(I)_k and the rows of R are reduced basis elements,
+    so these coordinates are normal forms modulo a reduced Groebner basis."""
+
+    def __init__(self, field, span):
+        self.field = field
+        R, self.pivots = rref_over(field, span.T)
+        self._R = R[:len(self.pivots)]
+        pivots = set(self.pivots)
+        self.free = [c for c in range(span.shape[0]) if c not in pivots]
+
+    def coordinates(self, X) -> np.ndarray:
+        """Coordinates of the classes of the columns of X, one column each."""
+        if self.pivots:
+            X = X - matmul_over(self.field, self._R.T, X[self.pivots])
+            if isinstance(self.field, PrimeField):
+                X %= self.field.p
+        return X[self.free]
 
 
 def change_coordinates(polys, forms):
@@ -508,7 +560,7 @@ def change_coordinates(polys, forms):
         return images
     rows = evaluation_rows(forms, ring, max(by_degree))
     for e, ks in by_degree.items():
-        pos = {m: c for c, m in enumerate(ring.monomials_of_degree(e))}
+        pos = ring.monomial_positions(e)
         C = zeros_over(field, (len(ks), len(pos)))
         for r, k in enumerate(ks):
             try:
@@ -563,6 +615,11 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     degree = scheme degree exactly when the scheme is reduced (for a general
     form).  Degenerate draws are retried; persistent failure reports
     status "inconclusive" and never claims reducedness.
+
+    The slices are quotients of the spans of the generators' monomial
+    multiples (graded_piece), and the matrices of the operator are quotient
+    coordinates, which are normal forms: beyond the Hilbert data of I the
+    check needs no Groebner basis.
     """
     H = I.hilbert()
     if H.dim != 0:
@@ -576,24 +633,19 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     ring = I.ring
     field = ring.field
     rng = as_rng(seed)
-    Se = I.standard_monomials(e)
-    Se1 = I.standard_monomials(e + 1)
-    G = list(I.groebner())
+    Qe = GradedQuotient(field, graded_piece(I.gens, e))
+    Qe1 = GradedQuotient(field, graded_piece(I.gens, e + 1))
+    if len(Qe.free) != deg or len(Qe1.free) != deg:
+        # the generators disagree with the Hilbert data
+        return {"reduced": False, "degree": deg, "status": "inconclusive"}
 
     def mult_matrix(ell):
-        cols = []
-        for m in Se:
-            prod = ell.mul_term(m, field.one)
-            nf = normal_form(prod, G)
-            cols.append(coefficient_vector(nf, Se1))
-        return [[cols[j][i] for j in range(len(Se))] for i in range(len(Se1))]
+        return Qe1.coordinates(multiplication_matrix(ell, e, e + 1)[:, Qe.free])
 
     for attempt in range(5):
         l0 = ring.random_form(1, rng.fork(2 * attempt))
         l1 = ring.random_form(1, rng.fork(2 * attempt + 1))
         A0 = mult_matrix(l0)
-        if len(Se) != deg or len(Se1) != deg:
-            break  # slices cannot both match the degree: unsaturated input
         if rank_over(field, A0) != deg:
             continue
         A1 = mult_matrix(l1)
@@ -673,12 +725,8 @@ def linear_section_reduce(I: Ideal, forms) -> Ideal:
     images = {}
     for idx, j in enumerate(free):
         images[ring.names[j]] = small.var(idx)
+    xs = [small.code.var(idx) for idx in range(len(free))]
     for r, pc in enumerate(pivots):
-        img = small.zero
-        for idx, j in enumerate(free):
-            c = R[r][j]
-            if not field.is_zero(c):
-                img = img - small.var(idx).scale(c)
-        images[ring.names[pc]] = img
+        images[ring.names[pc]] = from_coefficient_vector(small, xs, -R[r, free])
     gens = [g.substitute(images) for g in I.gens]
     return Ideal(small, [g for g in gens if not g.is_zero()])

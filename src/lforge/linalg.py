@@ -266,7 +266,7 @@ def solve_frac(A, b):
     aug = [list(map(Fraction, row)) + list(map(Fraction, B[i]))
            for i, row in enumerate(A)]
     R, pivots = rref_frac(aug)
-    ncols = len(A[0]) if A else 0
+    ncols = len(A[0]) if len(A) else 0
     if any(c >= ncols for c in pivots):
         return None
     X = [[Fraction(0)] * len(B[0]) for _ in range(ncols)]
@@ -306,12 +306,13 @@ def matmul_over(field, A, B) -> np.ndarray:
 
 
 def rref_over(field, A):
-    """(R, pivot_columns): the reduced row echelon form of A as lists."""
+    """(R, pivot_columns): the reduced row echelon form of A as an array,
+    int64 in [0, p) over F_p, an object array of Fractions over Q."""
     if isinstance(field, PrimeField):
-        R, pivots = rref_mod(A, field.p)
-        return R.tolist(), pivots
+        return rref_mod(A, field.p)
     if isinstance(field, RationalField):
-        return rref_frac(A)
+        R, pivots = rref_frac(A)
+        return np.array(R, dtype=object), pivots
     raise TypeError(f"unsupported field {field!r}")
 
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 
-from .ideals import Ideal, intersect, quotient
-from .mpoly import MPoly
+from .ideals import Ideal, graded_piece, intersect, quotient
+from .linalg import matmul_mod
+from .mpoly import MPoly, from_coefficient_vector
 from .rng import as_rng
 
 
@@ -128,25 +129,19 @@ def liaison_invariants(step: LinkStep) -> dict:
 
 def random_slice_element(I: Ideal, d: int, seed_or_rng) -> MPoly:
     """Seeded random element of the degree-d slice of I: a random coefficient
-    combination of monomial multiples of the generators (a spanning set of
-    the slice, so the sample is a random element of the whole slice)."""
+    combination, one draw per column, of the columns of
+    graded_piece(I.gens, d) (a spanning set of the slice, so the sample is a
+    random element of the whole slice)."""
     rng = as_rng(seed_or_rng)
     ring = I.ring
-    field = ring.field
-    out = ring.zero
-    found = False
-    for g in I.gens:
-        dg = g.degree()
-        if dg > d:
-            continue
-        found = True
-        for m in ring.monomials_of_degree(d - dg):
-            c = rng.randrange(field.p)
-            if c:
-                out = out + g.mul_term(m, field.of(c))
-    if not found:
+    p = ring.field.p
+    if all(ring.code.deg(g.lm) > d for g in I.gens):
         raise LinkageError(f"no generators of degree <= {d}")
-    if out.is_zero() or out.degree() != d:
+    P = graded_piece(I.gens, d)
+    coeffs = [[rng.randrange(p)] for _ in range(P.shape[1])]
+    out = from_coefficient_vector(ring, ring.monomials_of_degree(d),
+                                  matmul_mod(P, coeffs, p)[:, 0])
+    if out.is_zero():
         raise LinkageError("degenerate slice sample")
     return out
 

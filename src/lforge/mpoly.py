@@ -38,6 +38,7 @@ class PolynomialRing:
         if len(self._index) != len(names):
             raise ValueError("duplicate variable names")
         self._mon_cache: dict[int, list[int]] = {}
+        self._pos_cache: dict[int, dict[int, int]] = {}
         cls._cache[key] = self
         return self
 
@@ -98,6 +99,13 @@ class PolynomialRing:
             mons.sort(reverse=True)
             self._mon_cache[d] = mons
         return self._mon_cache[d]
+
+    def monomial_positions(self, d: int) -> dict[int, int]:
+        """Index of each degree-d monomial in monomials_of_degree(d)."""
+        if d not in self._pos_cache:
+            self._pos_cache[d] = {
+                m: i for i, m in enumerate(self.monomials_of_degree(d))}
+        return self._pos_cache[d]
 
     def random_form(self, degree: int, seed_or_rng) -> "MPoly":
         """Homogeneous form of the given degree; every monomial gets an
@@ -178,8 +186,10 @@ class MPoly:
         """Total degree; -1 for zero."""
         if not self.terms:
             return -1
-        deg = self.ring.code.deg
-        return max(deg(m) for m, _ in self.terms)
+        code = self.ring.code
+        if code.degree_leads:
+            return code.deg(self.terms[0][0])
+        return max(code.deg(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
         """The common degree, or False.  Zero counts as homogeneous (-1)."""

@@ -105,6 +105,11 @@ class MonomialCode:
         self._deg_slots = [
             (sh, sl) for sl, sh in zip(slots, self.shifts) if sl[0] in ("deg",)
         ]
+        # with one degree slot the total degree is read from it alone
+        self._deg_shift = (self._deg_slots[0][0]
+                           if len(self._deg_slots) == 1 else None)
+        # grevlex: the leading monomial has the largest total degree
+        self.degree_leads = slots[0][0] == "deg" and len(self._deg_slots) == 1
         self.one = self.pack((0,) * nvars)
 
     @staticmethod
@@ -175,7 +180,9 @@ class MonomialCode:
         return q
 
     def deg(self, m: int) -> int:
-        return sum((m >> sh) & ((1 << VALUE_BITS) - 1) for sh, _ in self._deg_slots)
+        if self._deg_shift is not None:
+            return (m >> self._deg_shift) & SLOT_MAX
+        return sum((m >> sh) & SLOT_MAX for sh, _ in self._deg_slots)
 
     def lcm(self, a: int, b: int) -> int:
         ea, eb = self.unpack(a), self.unpack(b)

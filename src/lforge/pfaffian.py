@@ -10,9 +10,19 @@ import itertools
 
 import numpy as np
 
-from .ideals import Ideal, eliminate, saturate_irrelevant
+from .ideals import (
+    Ideal,
+    eliminate,
+    multiplication_matrix,
+    saturate_irrelevant,
+)
 from .linalg import nullspace_mod
-from .mpoly import MPoly, PolynomialRing, coefficient_vector
+from .mpoly import (
+    MPoly,
+    PolynomialRing,
+    coefficient_vector,
+    from_coefficient_vector,
+)
 from .rng import as_rng
 from .textio import parse_poly, parse_ring_header, poly_to_string, ring_header
 
@@ -197,25 +207,19 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
     p = field.p
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     mon_e = ring.monomials_of_degree(degree)
-    mon_c = ring.monomials_of_degree(degree + 1)
-    pos_c = {m: i for i, m in enumerate(mon_c)}
+    nc = len(ring.monomials_of_degree(degree + 1))
     nm = len(mon_e)
     nunk = len(pairs) * nm
-    eqs = np.zeros((n * len(mon_c), nunk), dtype=np.int64)
+    eqs = np.zeros((n * nc, nunk), dtype=np.int64)
     pair_index = {pq: i for i, pq in enumerate(pairs)}
-    vterms = [list(f.terms) for f in v]
-    for k in range(n):
-        for j in range(n):
-            if j == k or not vterms[j]:
-                continue
-            if j < k:
-                pi, sgn = pair_index[(j, k)], 1
-            else:
-                pi, sgn = pair_index[(k, j)], -1
-            for vm, vc in vterms[j]:
-                for t, em in enumerate(mon_e):
-                    m = ring.code.mul(vm, em)
-                    eqs[k * len(mon_c) + pos_c[m], pi * nm + t] += sgn * vc
+    # (v . A)_k = sum_j v_j A_jk, with A_jk = -A_kj the unknown of pair {j, k}
+    for j in range(n):
+        vj = multiplication_matrix(v[j], degree, degree + 1)
+        for k in range(n):
+            if j != k:
+                pi = pair_index[min(j, k), max(j, k)]
+                eqs[k * nc:(k + 1) * nc, pi * nm:(pi + 1) * nm] = \
+                    vj if j < k else -vj
     ker = nullspace_mod(eqs % p, p)
     dim = ker.shape[1]
     coeffs = np.zeros(nunk, dtype=np.int64)
@@ -223,12 +227,7 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
         coeffs = (coeffs + rng.randrange(p) * ker[:, col]) % p
     M = [[ring.zero] * n for _ in range(n)]
     for pi, (j, k) in enumerate(pairs):
-        d = {}
-        for t, em in enumerate(mon_e):
-            c = int(coeffs[pi * nm + t])
-            if c:
-                d[em] = field.of(c)
-        e = ring.from_dict(d)
+        e = from_coefficient_vector(ring, mon_e, coeffs[pi * nm:(pi + 1) * nm])
         M[j][k] = e
         M[k][j] = -e
     out = SkewMatrix(ring, M)
@@ -300,26 +299,17 @@ def _solve_form_vector(ring, columns, rhs, degs):
         return None
     Amat = np.zeros((len(basis), nunk), dtype=np.int64)
     for i, col in enumerate(columns):
-        if col.is_zero():
-            continue
-        for t, m in enumerate(unknown_mons[i]):
-            vec = coefficient_vector(col.mul_term(m, field.one), basis)
-            Amat[:, offsets[i] + t] = vec
+        if unknown_mons[i]:
+            Amat[:, offsets[i]:offsets[i + 1]] = multiplication_matrix(
+                col, degs[i], tdeg)
     b = np.array(coefficient_vector(rhs, basis), dtype=np.int64)
     from .linalg import solve_mod
 
     x = solve_mod(Amat % p, b % p, p)
     if x is None:
         return None
-    out = []
-    for i, mons in enumerate(unknown_mons):
-        d = {}
-        for t, m in enumerate(mons):
-            c = int(x[offsets[i] + t])
-            if c:
-                d[m] = field.of(c)
-        out.append(ring.from_dict(d))
-    return out
+    return [from_coefficient_vector(ring, mons, x[offsets[i]:offsets[i + 1]])
+            for i, mons in enumerate(unknown_mons)]
 
 
 def hypersurface_to_section(P: SkewPresentation, h: MPoly):
@@ -372,28 +362,14 @@ def hypersurface_to_section(P: SkewPresentation, h: MPoly):
     rhs = []
     for i in range(n):
         target = h * v[i]
-        block = np.zeros((len(basis), n * nm), dtype=np.int64)
-        for j in range(n):
-            col = Psi[j][i]
-            if col.is_zero():
-                continue
-            for t, m in enumerate(mons):
-                block[:, j * nm + t] = coefficient_vector(
-                    col.mul_term(m, field.one), basis)
-        rows.append(block)
+        rows.append(np.hstack([multiplication_matrix(Psi[j][i], sdeg, tdeg)
+                               for j in range(n)]))
         rhs.append(np.array(coefficient_vector(target, basis),
                             dtype=np.int64))
     # v . s = 0
-    cbasis = ring.monomials_of_degree(sdeg + vdeg)
-    block = np.zeros((len(cbasis), n * nm), dtype=np.int64)
-    for j in range(n):
-        if v[j].is_zero():
-            continue
-        for t, m in enumerate(mons):
-            block[:, j * nm + t] = coefficient_vector(
-                v[j].mul_term(m, field.one), cbasis)
-    rows.append(block)
-    rhs.append(np.zeros(len(cbasis), dtype=np.int64))
+    rows.append(np.hstack([multiplication_matrix(v[j], sdeg, sdeg + vdeg)
+                           for j in range(n)]))
+    rhs.append(np.zeros(rows[-1].shape[0], dtype=np.int64))
     Amat = np.vstack(rows) % p
     b = np.concatenate(rhs) % p
     from .linalg import solve_mod
@@ -401,15 +377,8 @@ def hypersurface_to_section(P: SkewPresentation, h: MPoly):
     x = solve_mod(Amat, b, p)
     if x is None:
         return None
-    out = []
-    for j in range(n):
-        d = {}
-        for t, m in enumerate(mons):
-            c = int(x[j * nm + t])
-            if c:
-                d[m] = field.of(c)
-        out.append(ring.from_dict(d))
-    return out
+    return [from_coefficient_vector(ring, mons, x[j * nm:(j + 1) * nm])
+            for j in range(n)]
 
 
 def section_to_hypersurface(P: SkewPresentation, s):

@@ -18,9 +18,14 @@ import math
 import numpy as np
 
 from .fields import PrimeField
-from .ideals import Ideal, evaluation_rows
-from .linalg import nullspace_mod, rank_mod, rref_mod
-from .mpoly import PolynomialRing, coefficient_vector
+from .ideals import (
+    GradedQuotient,
+    Ideal,
+    evaluation_rows,
+    multiplication_matrix,
+)
+from .linalg import matmul_mod, nullspace_mod, rank_mod, rref_mod
+from .mpoly import PolynomialRing
 from .veronese import ProjectionSpec, secant_avoidance
 
 
@@ -97,17 +102,6 @@ class RaoModule:
                         return False
         return True
 
-    def act_matrix(self, k: int, exps) -> np.ndarray:
-        """Matrix of multiplication by the monomial with exponents ``exps``
-        from grade k to grade k + sum(exps)."""
-        M = np.eye(self.dim(k), dtype=np.int64)
-        grade = k
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                M = self._action(grade, j) @ M % self.p
-                grade += 1
-        return M
-
     # -- construction from a Veronese projection -----------------------
 
     @classmethod
@@ -129,45 +123,17 @@ class RaoModule:
                 raise RaoError(
                     "projection center meets the secant variety; the "
                     "pushforward description does not apply")
-        p = field.p
-        ring = spec.source_ring
         composed = spec.composed_forms()
         d = composed[0].degree()
-        nvars = spec.ncols
-
         images = evaluation_rows(composed, spec.target_ring, kmax)
-        bases, rrefs, frees = {}, {}, {}
-        dims = {}
-        for k in range(kmax + 1):
-            basis = ring.monomials_of_degree(k * d)
-            R, pivots = rref_mod(images[k], p)
-            free = [c for c in range(len(basis)) if c not in set(pivots)]
-            bases[k] = basis
-            rrefs[k] = (R[:len(pivots)], pivots)
-            frees[k] = free
-            dims[k] = len(free)
-
-        def coker_coords(k, vec):
-            R, pivots = rrefs[k]
-            vec = vec % p
-            if pivots:
-                vec = (vec - vec[pivots] @ R) % p
-            return vec[frees[k]]
-
-        actions = {}
-        for k in range(kmax):
-            mats = []
-            for j in range(nvars):
-                cols = []
-                for f in frees[k]:
-                    g = composed[j].mul_term(bases[k][f], field.one)
-                    cols.append(coker_coords(
-                        k + 1, _np(coefficient_vector(g, bases[k + 1]))))
-                A = (np.column_stack(cols) if cols
-                     else np.zeros((dims[k + 1], 0), dtype=np.int64))
-                mats.append(A)
-            actions[k] = mats
-        mod = cls(field, nvars, dims, actions, shift=shift)
+        quotients = [GradedQuotient(field, A.T) for A in images]
+        dims = {k: len(Q.free) for k, Q in enumerate(quotients)}
+        actions = {
+            k: [quotients[k + 1].coordinates(multiplication_matrix(
+                    f, k * d, (k + 1) * d)[:, quotients[k].free])
+                for f in composed]
+            for k in range(kmax)}
+        mod = cls(field, spec.ncols, dims, actions, shift=shift)
         mod._tail_certified = (dims.get(kmax, 0) == 0)
         return mod
 
@@ -318,20 +284,11 @@ class _Resolver:
         out = {}
         lifts = {}
         for k in mod.grades:
-            prev = [mod._action(k - 1, j) for j in range(mod.nvars)
-                    if mod.dim(k - 1)]
-            if prev:
-                span = np.hstack(prev)
-                R, pivots = rref_mod(span.T, self.p)
-            else:
-                pivots = []
-            free = [c for c in range(mod.dim(k)) if c not in set(pivots)]
+            span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
+            free = GradedQuotient(mod.field, span).free
             if free:
                 out[k] = len(free)
-                E = np.zeros((mod.dim(k), len(free)), dtype=np.int64)
-                for idx, f in enumerate(free):
-                    E[f, idx] = 1
-                lifts[k] = E
+                lifts[k] = np.eye(mod.dim(k), dtype=np.int64)[:, free]
         return out, lifts
 
     def _cover_kernels(self, free: _Free, image_of, scan_hi: int):
@@ -382,40 +339,37 @@ class _Resolver:
             gens[t] = K[:, chosen]
         return gens
 
-    def _free_map(self, next_free: _Free, prev_free: _Free, vec_list):
-        """Matrix of the cover F_i -> F_{i-1} in a given degree, where
-        ``vec_list[i] = (degree, vector in F_{i-1})`` is the image of the
-        i-th generator of F_i."""
-        cache = {}
+    def _cover_map(self, free: _Free, gen_vecs, target_dim, mul):
+        """The matrix, degree by degree, of the map from free sending its
+        i-th generator to gen_vecs[i], where ``mul(t, j, V)`` multiplies the
+        columns of V (target vectors of degree t) by x_j.  The image of m
+        times a generator is x_j times that of m / x_j, x_j the first
+        variable of m, so each degree takes one mul per first variable on
+        the matrix of the degree below: degrees are asked for in increasing
+        order from the lowest generator degree."""
+        code = self.ring.code
+        xs = [code.var(j) for j in range(self.ring.nvars)]
+        below = {}
 
         def image(t):
-            out = np.zeros((prev_free.dim(t), next_free.dim(t)),
-                           dtype=np.int64)
-            for idx, (i, m) in enumerate(next_free.basis(t)):
-                out[:, idx] = self._column(cache, prev_free, vec_list, i, m)[1]
+            out = np.zeros((target_dim(t), free.dim(t)), dtype=np.int64)
+            groups: dict[int, tuple[list, list]] = {}
+            for idx, (i, m) in enumerate(free.basis(t)):
+                if m == code.one:
+                    out[:, idx] = gen_vecs[i]
+                    continue
+                j = next(j for j, e in enumerate(code.unpack(m)) if e)
+                cols, parents = groups.setdefault(j, ([], []))
+                cols.append(idx)
+                parents.append(
+                    free._pos[t - 1][(i, code.divides(xs[j], m))])
+            for j, (cols, parents) in groups.items():
+                out[:, cols] = mul(t - 1, j, below[t - 1][:, parents])
+            below.clear()
+            below[t] = out
             return out
 
         return image
-
-    def _column(self, cache, prev_free: _Free, vec_list, i, m):
-        """(degree, image in F_{i-1}) of m times the i-th generator of F_i,
-        memoized in cache.  A method rather than a recursive closure: a
-        closure that calls itself is a reference cycle, which would keep
-        the cache's vectors alive until the cyclic garbage collector runs."""
-        key = (i, m)
-        if key not in cache:
-            code = self.ring.code
-            a, v = vec_list[i]
-            exps = code.unpack(m)
-            if sum(exps) == 0:
-                cache[key] = (a, v)
-            else:
-                j = next(j for j, e in enumerate(exps) if e)
-                d, w = self._column(cache, prev_free, vec_list, i,
-                                    code.divides(code.var(j), m))
-                cache[key] = (d + 1, prev_free.mul_vectors(
-                    d, j, w.reshape(-1, 1))[:, 0])
-        return cache[key]
 
     def resolve(self, hom_bound: int):
         """Betti numbers through homological degree ``hom_bound``.
@@ -432,22 +386,11 @@ class _Resolver:
         gen_counts, lifts = self.generator_grades()
         for k, c in gen_counts.items():
             entries[(0, k)] = c
-        free = _Free(self.ring, [k for k, c in sorted(gen_counts.items())
-                                 for _ in range(c)])
-        gen_vecs0 = _gen_columns(gen_counts, lifts)
-
-        # map F0 -> M in degree t: generator (at grade a) times monomial m
-        def image0(t):
-            out = np.zeros((mod.dim(t), free.dim(t)), dtype=np.int64)
-            code = self.ring.code
-            for idx, (i, m) in enumerate(free.basis(t)):
-                a = free.gen_degrees[i]
-                act = mod.act_matrix(a, code.unpack(m))
-                out[:, idx] = act @ gen_vecs0[i] % self.p
-            return out
-
-        step_free = free
-        step_image = image0
+        step_free = _Free(self.ring, [k for k, c in sorted(gen_counts.items())
+                                      for _ in range(c)])
+        step_image = self._cover_map(
+            step_free, _gen_columns(gen_counts, lifts), mod.dim,
+            lambda t, j, V: matmul_mod(mod._action(t, j), V, self.p))
         for hom in range(1, hom_bound + 1):
             scan_hi = min(reg + hom + 1, self.deg_bound)
             newgens, kernels, within = self._cover_kernels(
@@ -466,12 +409,10 @@ class _Resolver:
                 break
             gen_mats = self._minimal_generators(step_free, kernels, newgens)
             degs = [t for t, c in sorted(newgens.items()) for _ in range(c)]
-            vec_list = []
-            for t in sorted(newgens):
-                G = gen_mats[t]
-                vec_list.extend((t, G[:, c]) for c in range(G.shape[1]))
             next_free = _Free(self.ring, degs)
-            step_image = self._free_map(next_free, step_free, vec_list)
+            step_image = self._cover_map(
+                next_free, _gen_columns(newgens, gen_mats), step_free.dim,
+                step_free.mul_vectors)
             step_free = next_free
         return BettiTable(entries, complete=complete)
 

@@ -18,6 +18,7 @@ from .ideals import (
     image_ideal,
     linear_section_reduce,
     minors_ideal,
+    multiplication_matrix,
     singular_locus,
 )
 from .linalg import (
@@ -325,23 +326,12 @@ def gamma_tangent_space(N, field=None):
     if LN.corank() < 2:
         raise ValueError("projection matrix is not on the degeneracy locus")
     spec = ProjectionSpec(N, "p2cubics", field)
-    plane = spec.source_ring
     target = spec.target_ring
     composed = spec.composed_forms()
-    rows9 = plane.monomials_of_degree(9)
-    mons6 = plane.monomials_of_degree(6)
     mons3_target = target.monomials_of_degree(3)
-    pos9 = {m: i for i, m in enumerate(rows9)}
 
     # mult-by-v_a matrices: degree-6 coefficients -> degree-9 coefficients
-    mult = []
-    for v in spec.forms:
-        Ma = np.zeros((55, 28), dtype=np.int64)
-        for c6, m6 in enumerate(mons6):
-            prod = v.mul_term(m6, field.one)
-            for m, c in prod.terms:
-                Ma[pos9[m], c6] = c
-        mult.append(Ma)
+    mult = [multiplication_matrix(v, 6, 9) for v in spec.forms]
 
     # partial of each target cubic monomial by each target variable,
     # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lforge import ideals
 from lforge.fields import GF, QQ
-from lforge.groebner import groebner_basis
+from lforge.groebner import groebner_basis, normal_form
 from lforge.ideals import (
+    GradedQuotient,
     Ideal,
     _beyond_span,
     _image_by_elimination,
@@ -12,19 +14,21 @@ from lforge.ideals import (
     colon_variable_power,
     eliminate,
     evaluation_rows,
+    graded_piece,
     image_ideal,
     intersect,
     jacobian,
     linear_section_reduce,
     matrix_det,
     minors_ideal,
+    multiplication_matrix,
     quotient,
     saturate,
     saturate_irrelevant,
     singular_locus,
     zero_dim_reduced_check,
 )
-from lforge.linalg import rank_over
+from lforge.linalg import rank_over, zeros_over
 from lforge.mpoly import MPoly, PolynomialRing, coefficient_vector
 from lforge.rng import Rng
 
@@ -368,13 +372,30 @@ def test_zero_dim_not_reduced_double_point():
     assert out["status"] == "ok"
 
 
-def test_zero_dim_reduced_many_points():
+def four_points():
     # 4 coordinate-ish points in P^2: V(xy, xz... ) build via intersection
     pts = [Ideal(R3, [x, y]), Ideal(R3, [y, z]), Ideal(R3, [x, z]),
            Ideal(R3, [x - y, y - z])]
     I = pts[0]
     for P in pts[1:]:
         I = intersect(I, P)
+    return I
+
+
+def test_zero_dim_reduced_many_points():
+    out = zero_dim_reduced_check(four_points(), seed=9)
+    assert out == {**out, "reduced": True, "degree": 4}
+
+
+def test_zero_dim_reduced_check_needs_no_groebner_basis(monkeypatch):
+    I = four_points()
+    I.hilbert()  # the Hilbert data a saturation hands over
+
+    def refuse(*args):
+        raise AssertionError("the check computed with a Groebner basis")
+
+    monkeypatch.setattr(Ideal, "groebner", refuse)
+    monkeypatch.setattr(ideals, "normal_form", refuse)
     out = zero_dim_reduced_check(I, seed=9)
     assert out == {**out, "reduced": True, "degree": 4}
 
@@ -505,6 +526,75 @@ def test_change_coordinates_matches_substitute(data):
 def test_change_coordinates_rejects_inhomogeneous_input():
     with pytest.raises(ValueError):
         change_coordinates([x**2 + y], R3.gens())
+
+
+# -- graded multiplication maps and quotients ----------------------------
+
+
+@pytest.mark.parametrize("field", [GF(2), F17, QQ], ids=["gf2", "gf17", "qq"])
+def test_multiplication_matrix_matches_mul_term(field):
+    ring = PolynomialRing(field, ("s", "t", "u"))
+    s, t, u = ring.gens()
+    rng = Rng(31)
+    for d in range(4):
+        f = ring.random_form(d, rng)
+        for a in range(3):
+            M = multiplication_matrix(f, a, a + d)
+            assert M.dtype == zeros_over(field, (0, 0)).dtype
+            basis = ring.monomials_of_degree(a + d)
+            assert M.T.tolist() == [
+                coefficient_vector(f.mul_term(m, field.one), basis)
+                for m in ring.monomials_of_degree(a)]
+    assert multiplication_matrix(ring.zero, 1, 3).tolist() == \
+        zeros_over(field, (10, 3)).tolist()
+    for f, a, b in ((s**2 + t, 1, 3), (s * t, 1, 2), (s, 2, 2)):
+        with pytest.raises(ValueError):
+            multiplication_matrix(f, a, b)
+
+
+def cusp():
+    return singular_locus(Ideal(R3, [z * y**2 - x**3]), 1)
+
+
+def two_points_over_qq():
+    Q3 = PolynomialRing(QQ, ("x", "y", "z"))
+    u, v, w = Q3.gens()
+    # (2:0:1) and (6:2:1)
+    return Ideal(Q3, [2 * w - u, u * v - 3 * v**2])
+
+
+GRADED_CASES = {
+    "cusp": cusp,
+    "two-points": lambda: Ideal(R3, [z, x * y]),
+    "four-points": four_points,
+    "two-points-qq": two_points_over_qq,
+    "mixed-degrees": lambda: Ideal(R3, [x * y, z**3 - x**2 * y]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADED_CASES))
+def test_graded_piece_rank_is_the_graded_piece_dim(case):
+    I = GRADED_CASES[case]()
+    for k in range(6):
+        P = graded_piece(I.gens, k)
+        assert P.shape[0] == len(I.ring.monomials_of_degree(k))
+        assert rank_over(I.ring.field, P) == I.graded_piece_dim(k)
+
+
+@pytest.mark.parametrize("case", sorted(GRADED_CASES))
+def test_quotient_coordinates_are_normal_forms(case):
+    I = GRADED_CASES[case]()
+    ring, field = I.ring, I.ring.field
+    G = list(I.groebner())
+    ell = ring.random_form(1, Rng(4))
+    for e in range(5):
+        Q = GradedQuotient(field, graded_piece(I.gens, e + 1))
+        standard = [ring.monomials_of_degree(e + 1)[c] for c in Q.free]
+        coords = Q.coordinates(multiplication_matrix(ell, e, e + 1))
+        for m, col in zip(ring.monomials_of_degree(e), coords.T.tolist()):
+            nf = normal_form(ell.mul_term(m, field.one), G)
+            # raises unless the normal form lives on the free columns
+            assert col == coefficient_vector(nf, standard)
 
 
 def test_zero_dim_check_rejects_positive_dim():

@@ -120,6 +120,32 @@ def test_random_slice_element_membership():
         random_slice_element(I, 1, Rng(2))
 
 
+def slice_by_sums(I, d, rng):
+    """Reference for random_slice_element: a sum of the monomial multiples
+    of the generators of degree at most d, one draw per multiple."""
+    ring, field = I.ring, I.ring.field
+    out = ring.zero
+    for g in I.gens:
+        if g.degree() > d:
+            continue
+        for m in ring.monomials_of_degree(d - g.degree()):
+            c = rng.randrange(field.p)
+            if c:
+                out = out + g.mul_term(m, field.of(c))
+    return out
+
+
+def test_random_slice_element_matches_sum_of_multiples():
+    R = _p3_ring()
+    x, y, z, w = R.gens()
+    I = Ideal(R, list(_twisted_cubic(R).gens) + [x**3 - y * z * w])
+    for d in (2, 3, 4):
+        for seed in range(3):
+            a, b = Rng(seed), Rng(seed)
+            assert random_slice_element(I, d, a) == slice_by_sums(I, d, b)
+            assert a.state == b.state
+
+
 def test_residual_quotient_matches_plain_quotient():
     from lforge.ideals import quotient
 

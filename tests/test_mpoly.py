@@ -70,6 +70,20 @@ def test_mul_zero_and_scalar():
     assert (f * 17).is_zero()
 
 
+@pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(),
+                                   TermOrder.block(1),
+                                   TermOrder.weighted((2, 5, 1))],
+                         ids=str)
+def test_degree_is_the_largest_total_degree(order):
+    ring = PolynomialRing(F17, ("x", "y", "z"), order)
+    rng = Rng(8)
+    for _ in range(30):
+        f = rand_poly(rng, ring)
+        if f:
+            assert f.degree() == max(sum(ring.code.unpack(m))
+                                     for m, _ in f.terms)
+
+
 def test_degree_homogeneous():
     assert R.zero.degree() == -1
     assert (x * y + z).degree() == 2
