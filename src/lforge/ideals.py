@@ -671,18 +671,21 @@ def _matrix_minpoly(field, T, rng) -> UniPoly:
 
     The minimal polynomial of v is the first kernel vector of the Krylov
     matrix [v, Tv, ..., T^n v]: that vector belongs to the first column
-    that depends on the columns before it."""
+    that depends on the columns before it.  Each column is one product by
+    T over the field (matmul_over)."""
     n = len(T)
-    T = np.array(T, dtype=object)
+    Tm = zeros_over(field, (n, n))
+    Tm[...] = T
     mp = UniPoly.one(field)
     stable = 0
     for _ in range(n + 4):
         if mp.degree >= n:
             break
-        krylov = [[field.random(rng) for _ in range(n)]]
-        for _ in range(n):
-            krylov.append([field.of(x) for x in T.dot(krylov[-1])])
-        ker = nullspace_over(field, list(zip(*krylov)))
+        krylov = zeros_over(field, (n, n + 1))
+        krylov[:, 0] = [field.random(rng) for _ in range(n)]
+        for i in range(n):
+            krylov[:, [i + 1]] = matmul_over(field, Tm, krylov[:, [i]])
+        ker = nullspace_over(field, krylov)
         new = _poly_lcm(mp, UniPoly(field, ker[0]))
         if new == mp:
             stable += 1

@@ -159,15 +159,26 @@ def rank_mod(A, p: int) -> int:
     return len(rref_mod(A, p)[1])
 
 
-def nullspace_mod(A, p: int) -> np.ndarray:
-    """Basis of the right kernel, one vector per column of the result."""
+def _kernel_mod(A, p: int):
+    """(K, free): a basis K of the right kernel, one vector per column, and
+    the free (non-pivot) columns of A in increasing order, with
+    K[free] = I.  A kernel vector x satisfies x[pivots] = -R x[free], so
+    it is determined by its free coordinates: x = K x[free].  The one
+    kernel builder, behind nullspace_mod and rao's syzygy resolver."""
     M, pivots = rref_mod(A, p)
     cols = M.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     basis[np.asarray(pivots, dtype=np.intp)] = -M[:len(pivots), free] % p
-    return basis
+    return basis, free
+
+
+def nullspace_mod(A, p: int) -> np.ndarray:
+    """Basis of the right kernel, one vector per column of the result."""
+    return _kernel_mod(A, p)[0]
 
 
 def solve_mod(A, b, p: int):

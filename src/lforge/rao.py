@@ -24,7 +24,8 @@ from .ideals import (
     evaluation_rows,
     multiplication_matrix,
 )
-from .linalg import matmul_mod, nullspace_mod, rank_mod, rref_mod
+# rank_mod is unused here but stays bound: perfbench/tests asserts rao.rank_mod
+from .linalg import _kernel_mod, matmul_mod, rank_mod, rref_mod  # noqa: F401
 from .mpoly import PolynomialRing
 from .veronese import ProjectionSpec, secant_avoidance
 
@@ -292,61 +293,66 @@ class _Resolver:
         return out, lifts
 
     def _cover_kernels(self, free: _Free, image_of, scan_hi: int):
-        """Per-degree kernels of the map free -> target, where
-        ``image_of(t)`` returns the matrix of the map in degree t, scanned
-        through degree ``scan_hi``.  Returns (new generator counts per
-        degree, kernel bases per degree, within-budget flag)."""
+        """Minimal generators of the kernel of the map free -> target, where
+        ``image_of(t)`` is its matrix A_t in degree t, scanned through
+        degree ``scan_hi``.  Returns ({t: the generators of degree t as
+        columns}, within-budget flag).
+
+        The generators of degree t are the columns of K_t = ker A_t that
+        greedy elimination of [span | K_t] keeps beyond the span block,
+        span = [x_j K_{t-1}]_j.  One elimination finds them, in kernel
+        coordinates (``_kernel_mod``: K_t[coords] = I):
+
+        - span lies in ker A_t, as A is a module map, and v -> v[coords] is
+          injective there (v = K_t v[coords]).  So span = K_t S with
+          S = span[coords], and [span | K_t] = K_t [S | I] has the column
+          dependencies, hence the pivot columns, of [S | I].
+        - Greedy [S | I] keeps e_i exactly when e_i is not in
+          span(S) + span(e_0, ..., e_{i-1}), that is, when no vector of
+          span(S) has its last nonzero coordinate at i (such a vector,
+          scaled, is e_i plus earlier unit vectors, and conversely).  Those
+          last nonzero coordinates are the first nonzero columns of the
+          row space of S^T[:, ::-1]: the pivots of its RREF.
+        """
         t0 = min(free.gen_degrees)
-        kernels = {}
-        newgens = {}
+        nvars = self.mod.nvars
+        gens = {}
+        prev = None
         for t in range(t0, scan_hi + 1):
             A = image_of(t)
             if A.size > CELL_BUDGET:
-                return newgens, kernels, False
-            K = nullspace_mod(A, self.p)
-            kernels[t] = K
-            prev = kernels.get(t - 1)
-            if prev is not None and prev.shape[1]:
-                span = np.hstack([free.mul_vectors(t - 1, j, prev)
-                                  for j in range(self.mod.nvars)])
-                r = rank_mod(span.T, self.p)
-            else:
-                r = 0
-            fresh = K.shape[1] - r
-            if fresh:
-                newgens[t] = fresh
-        return newgens, kernels, True
+                return gens, False
+            K, coords = _kernel_mod(A, self.p)
+            n = coords.size
+            fresh = np.ones(n, dtype=bool)
+            if prev is not None and prev.shape[1] and n:
+                if nvars * prev.shape[1] * n > CELL_BUDGET:
+                    return gens, False
+                rows = coords[::-1]
+                ST = np.vstack([free.mul_vectors(t - 1, j, prev)[rows].T
+                                for j in range(nvars)])
+                _, pivots = rref_mod(ST, self.p)
+                fresh[n - 1 - np.asarray(pivots, dtype=np.intp)] = False
+            if fresh.any():
+                gens[t] = K[:, fresh]
+            prev = K
+        return gens, True
 
-    def _minimal_generators(self, free: _Free, kernels: dict, newgens: dict):
-        """Explicit generator vectors: a complement of R_1 times the lower
-        degree inside each kernel, one matrix of column vectors per degree."""
-        gens = {}
-        for t, count in sorted(newgens.items()):
-            K = kernels[t]
-            prev = kernels.get(t - 1)
-            if prev is not None and prev.shape[1]:
-                span = np.hstack([free.mul_vectors(t - 1, j, prev)
-                                  for j in range(self.mod.nvars)])
-            else:
-                span = np.zeros((free.dim(t), 0), dtype=np.int64)
-            # pivot columns of [span | K] beyond the span block mark kernel
-            # columns independent of the lower-degree multiples
-            stacked = np.hstack([span, K])
-            _, pivots = rref_mod(stacked, self.p)
-            chosen = [c - span.shape[1] for c in pivots if c >= span.shape[1]]
-            if len(chosen) != count:
-                raise RaoError("generator count mismatch in minimal cover")
-            gens[t] = K[:, chosen]
-        return gens
-
-    def _cover_map(self, free: _Free, gen_vecs, target_dim, mul):
-        """The matrix, degree by degree, of the map from free sending its
-        i-th generator to gen_vecs[i], where ``mul(t, j, V)`` multiplies the
-        columns of V (target vectors of degree t) by x_j.  The image of m
-        times a generator is x_j times that of m / x_j, x_j the first
-        variable of m, so each degree takes one mul per first variable on
-        the matrix of the degree below: degrees are asked for in increasing
-        order from the lowest generator degree."""
+    def _cover_map(self, gens: dict, target_dim, mul):
+        """(free, image): the free module with one generator of degree t
+        per column of gens[t], and the matrix image(t), degree by degree, of
+        the map sending each generator to its column, where
+        ``mul(t, j, V)`` multiplies the columns of V (target vectors of
+        degree t) by x_j.  The image of m times a generator is x_j times
+        that of m / x_j, x_j the first variable of m, so each degree takes
+        one mul per first variable on the matrix of the degree below:
+        degrees are asked for in increasing order from the lowest generator
+        degree."""
+        degrees = sorted(gens)
+        free = _Free(self.ring, [t for t in degrees
+                                 for _ in range(gens[t].shape[1])])
+        gen_vecs = [gens[t][:, c] for t in degrees
+                    for c in range(gens[t].shape[1])]
         code = self.ring.code
         xs = [code.var(j) for j in range(self.ring.nvars)]
         below = {}
@@ -369,7 +375,7 @@ class _Resolver:
             below[t] = out
             return out
 
-        return image
+        return free, image
 
     def resolve(self, hom_bound: int):
         """Betti numbers through homological degree ``hom_bound``.
@@ -386,45 +392,25 @@ class _Resolver:
         gen_counts, lifts = self.generator_grades()
         for k, c in gen_counts.items():
             entries[(0, k)] = c
-        step_free = _Free(self.ring, [k for k, c in sorted(gen_counts.items())
-                                      for _ in range(c)])
-        step_image = self._cover_map(
-            step_free, _gen_columns(gen_counts, lifts), mod.dim,
+        step_free, step_image = self._cover_map(
+            lifts, mod.dim,
             lambda t, j, V: matmul_mod(mod._action(t, j), V, self.p))
         for hom in range(1, hom_bound + 1):
             scan_hi = min(reg + hom + 1, self.deg_bound)
-            newgens, kernels, within = self._cover_kernels(
-                step_free, step_image, scan_hi)
+            gens, within = self._cover_kernels(step_free, step_image, scan_hi)
             if not within or self.deg_bound < reg + hom:
                 complete = False
-            if any(t > reg + hom for t in newgens):
+            if any(t > reg + hom for t in gens):
                 raise RaoError(
                     "syzygy generators past the regularity bound: the "
                     "module is not finite length as presented")
-            for t, c in newgens.items():
-                entries[(hom, t)] = c
-            if not newgens:
+            for t, G in gens.items():
+                entries[(hom, t)] = G.shape[1]
+            if not gens or hom == hom_bound:
                 break
-            if hom == hom_bound:
-                break
-            gen_mats = self._minimal_generators(step_free, kernels, newgens)
-            degs = [t for t, c in sorted(newgens.items()) for _ in range(c)]
-            next_free = _Free(self.ring, degs)
-            step_image = self._cover_map(
-                next_free, _gen_columns(newgens, gen_mats), step_free.dim,
-                step_free.mul_vectors)
-            step_free = next_free
+            step_free, step_image = self._cover_map(
+                gens, step_free.dim, step_free.mul_vectors)
         return BettiTable(entries, complete=complete)
-
-
-def _gen_columns(gen_counts, lifts):
-    """Flatten per-grade lift matrices into one vector per generator, in
-    the same order _Free enumerates them."""
-    out = []
-    for k in sorted(gen_counts):
-        E = lifts[k]
-        out.extend(E[:, c] for c in range(E.shape[1]))
-    return out
 
 
 class RaoPresentation:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,10 @@ from lforge.ideals import (
     singular_locus,
     zero_dim_reduced_check,
 )
-from lforge.linalg import rank_over, zeros_over
+from lforge.linalg import nullspace_over, rank_over, zeros_over
 from lforge.mpoly import MPoly, PolynomialRing, coefficient_vector
 from lforge.rng import Rng
+from lforge.unipoly import UniPoly
 
 F17 = GF(17)
 R3 = PolynomialRing(F17, ("x", "y", "z"))
@@ -421,6 +423,61 @@ def test_zero_dim_reduced_check_over_qq():
     assert double["degree"] == 2
     assert double["squarefree"] is False
     assert double["reduced"] is False
+
+
+def _object_krylov_minpoly(field, T, rng):
+    """Reference for _matrix_minpoly: its Krylov loop on an object array,
+    one T.dot on Python numbers and one field.of per entry."""
+    n = len(T)
+    T = np.array(T, dtype=object)
+    mp = UniPoly.one(field)
+    stable = 0
+    for _ in range(n + 4):
+        if mp.degree >= n:
+            break
+        krylov = [[field.random(rng) for _ in range(n)]]
+        for _ in range(n):
+            krylov.append([field.of(x) for x in T.dot(krylov[-1])])
+        ker = nullspace_over(field, list(zip(*krylov)))
+        new = ideals._poly_lcm(mp, UniPoly(field, ker[0]))
+        if new == mp:
+            stable += 1
+            if stable >= 2:
+                break
+        else:
+            stable = 0
+            mp = new
+    return mp
+
+
+def _operator(field, kind, n, rng):
+    """A square matrix (list of rows): n x n with a minimal polynomial of
+    degree n ("dense", "jordan") or 1 ("scalar"), or a random block of size
+    n // 2 repeated on the diagonal ("twice")."""
+    rand = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+    c = field.random(rng)
+    if kind == "dense":
+        return rand
+    if kind == "twice":
+        m = n // 2
+        return [[rand[i % m][j % m] if i // m == j // m else field.zero
+                 for j in range(2 * m)] for i in range(2 * m)]
+    return [[c if i == j else field.one if kind == "jordan" and j == i + 1
+             else field.zero for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field, n", [(F17, 7), (QQ, 4)])
+@pytest.mark.parametrize("kind", ["dense", "twice", "jordan", "scalar"])
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_minpoly_matches_object_krylov_loop(field, n, kind, seed):
+    T = _operator(field, kind, n, Rng(seed))
+    r_new, r_ref = Rng(100 + seed), Rng(100 + seed)
+    mp = ideals._matrix_minpoly(field, T, r_new)
+    assert mp == _object_krylov_minpoly(field, T, r_ref)
+    # the same draws: both streams end in the same state
+    assert r_new.state == r_ref.state
+    if kind == "scalar":
+        assert mp.degree == 1
 
 
 @pytest.mark.xfail(

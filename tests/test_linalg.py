@@ -49,6 +49,32 @@ def test_nullspace_is_kernel():
             assert linalg.rank_mod(N.T, P) == N.shape[1]
 
 
+def _setdiff_kernel(A, p):
+    """Reference for _kernel_mod: its free columns by np.setdiff1d."""
+    M, pivots = linalg.rref_mod(A, p)
+    cols = M.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[np.asarray(pivots, dtype=np.intp)] = -M[:len(pivots), free] % p
+    return basis, free
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (0, 5, 0), (5, 0, 0), (4, 6, 0), (5, 5, 5), (3, 7, 3), (6, 9, 2)])
+def test_kernel_free_columns_match_setdiff(rows, cols, rank):
+    rng = np.random.default_rng(rows * 10 + cols)
+    A = rand_matrix(rng, rows, rank) @ rand_matrix(rng, rank, cols) % P
+    assert linalg.rank_mod(A, P) == rank
+    K, free = linalg._kernel_mod(A, P)
+    K_ref, free_ref = _setdiff_kernel(A, P)
+    assert free.dtype == free_ref.dtype and free.tolist() == free_ref.tolist()
+    for N in (K, linalg.nullspace_mod(A, P)):
+        assert N.dtype == K_ref.dtype and N.shape == K_ref.shape
+        assert (N == K_ref).all()
+    assert (K[free] == np.eye(free.size, dtype=np.int64)).all()
+
+
 def test_solve_consistent_and_inconsistent():
     A = [[1, 1], [1, 16]]
     x = linalg.solve_mod(A, [2, 0], P)

@@ -2,17 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lforge import fixtures
+from lforge import fixtures, rao
 from lforge.fields import GF
 from lforge.ideals import Ideal
-from lforge.linalg import rank_mod
+from lforge.linalg import nullspace_mod, rank_mod, rref_mod
 from lforge.linkage import link, random_slice_element
 from lforge.mpoly import PolynomialRing, coefficient_vector
 from lforge.rao import (
     BettiTable,
     RaoError,
     RaoModule,
+    _Resolver,
     ci_hilbert_value,
     graded_betti,
     linked_hilbert_check,
@@ -199,6 +202,102 @@ def test_graded_betti_general_full_resolution(general_module):
     # the Hilbert function (in the module's reported grading)
     for k in range(-2, 4):
         assert tab.hilbert_value(k, 6) == general_module.dim(k + 2)
+
+
+def _span_k_generators(res, free, image_of, scan_hi):
+    """Reference for _Resolver._cover_kernels: the rule it replaced.  In
+    each degree, the kernel columns that rref of [span | K_t] keeps beyond
+    the span block, span = [x_j K_{t-1}]_j in free-module coordinates; the
+    count must equal dim K_t - rank(span), the transposed rank taken
+    separately."""
+    kernels, gens = {}, {}
+    for t in range(min(free.gen_degrees), scan_hi + 1):
+        K = nullspace_mod(image_of(t), res.p)
+        kernels[t] = K
+        prev = kernels.get(t - 1)
+        if prev is not None and prev.shape[1]:
+            span = np.hstack([free.mul_vectors(t - 1, j, prev)
+                              for j in range(res.mod.nvars)])
+        else:
+            span = np.zeros((free.dim(t), 0), dtype=np.int64)
+        _, pivots = rref_mod(np.hstack([span, K]), res.p)
+        chosen = [c - span.shape[1] for c in pivots if c >= span.shape[1]]
+        assert len(chosen) == K.shape[1] - rank_mod(span.T, res.p)
+        if chosen:
+            gens[t] = K[:, chosen]
+    return gens
+
+
+# the special center's longer module costs about 6 s through homological
+# degree 3, so it stops at 2
+@pytest.mark.parametrize("center, hom", [("n0", 2), (3, 3), (14, 3), (27, 3)])
+def test_cover_generators_match_span_k_rule(center, hom, n0_module,
+                                            monkeypatch):
+    mod = n0_module if center == "n0" else RaoModule.from_projection(
+        _random_center(center), kmax=4, certify=False)
+    cover = _Resolver._cover_kernels
+    steps = []
+
+    def compared(self, free, image_of, scan_hi):
+        gens, within = cover(self, free, image_of, scan_hi)
+        assert within
+        # image_of restarts at the lowest generator degree
+        ref = _span_k_generators(self, free, image_of, scan_hi)
+        assert gens.keys() == ref.keys()
+        for t, G in gens.items():
+            assert G.dtype == ref[t].dtype and G.shape == ref[t].shape
+            assert G.tobytes() == np.ascontiguousarray(ref[t]).tobytes()
+        steps.append(sum(G.shape[1] for G in gens.values()))
+        return gens, within
+
+    monkeypatch.setattr(_Resolver, "_cover_kernels", compared)
+    # the smallest bound that certifies homological degree hom
+    tab = graded_betti(mod, hom_bound=hom, deg_bound=max(mod.grades) + hom)
+    assert tab.complete
+    assert len(steps) == hom and steps[0] == 17
+
+
+def _greedy_identity_complement(S, p):
+    """Coordinates that greedy elimination of [S | I] keeps in the I block."""
+    _, pivots = rref_mod(np.hstack([S, np.eye(S.shape[0], dtype=np.int64)]),
+                         p)
+    return [c - S.shape[1] for c in pivots if c >= S.shape[1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 17]), n=st.integers(0, 12),
+       k=st.integers(0, 12), rank=st.integers(0, 12),
+       zero_cols=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(p=17, n=0, k=3, rank=2, zero_cols=1, seed=0)
+@example(p=2, n=5, k=0, rank=0, zero_cols=0, seed=0)
+@example(p=17, n=6, k=9, rank=6, zero_cols=2, seed=1)
+def test_reversed_transpose_pivots_give_greedy_complement(
+        p, n, k, rank, zero_cols, seed):
+    # the rule of _Resolver._cover_kernels: coordinate i is covered by
+    # span(S) when some vector of it has its last nonzero coordinate at i
+    rng = np.random.default_rng(seed)
+    B = rng.integers(0, p, size=(n, rank))
+    C = rng.integers(0, p, size=(rank, k))
+    S = np.hstack([B @ C % p, np.zeros((n, zero_cols), dtype=np.int64)])
+    S = S[:, rng.permutation(S.shape[1])]
+    _, pivots = rref_mod(S.T[:, ::-1], p)
+    covered = {n - 1 - c for c in pivots}
+    kept = [i for i in range(n) if i not in covered]
+    assert len(covered) == rank_mod(S, p)
+    assert kept == _greedy_identity_complement(S, p)
+
+
+def test_cover_budget_counts_the_kernel_span(monkeypatch):
+    # the relations of k over k[t0, t1]: every A_t past degree 0 is empty,
+    # while R_1 times the degree-1 kernel is a 4 x 3 matrix in kernel
+    # coordinates, so a budget below 12 cells stops the step there
+    mod = RaoModule(F17, 2, {0: 1}, {})
+    monkeypatch.setattr(rao, "CELL_BUDGET", 11)
+    tab = graded_betti(mod, hom_bound=1, deg_bound=5)
+    assert not tab.complete
+    assert tab.column(1) == {1: 2}
+    monkeypatch.setattr(rao, "CELL_BUDGET", 12)
+    assert graded_betti(mod, hom_bound=1, deg_bound=5).complete
 
 
 def test_betti_table_text_and_json():
