@@ -72,7 +72,10 @@ def normal_form(f: MPoly, G) -> MPoly:
 
     Terms are taken largest first, each reduced by the first reducer in
     ascending lm order that divides it: G need not be a Groebner basis
-    (Buchberger reduces by partial bases), so that choice fixes the result."""
+    (Buchberger reduces by partial bases), so that choice fixes the result.
+    Over F_p a coefficient is reduced mod p only when its monomial is
+    popped, and so is the multiple of the reducer it is taken to; the
+    updates in between are plain integer arithmetic, as over Q."""
     ring = f.ring
     gens = [g for g in G if g and not g.is_zero()]
     for g in gens:
@@ -82,6 +85,7 @@ def normal_form(f: MPoly, G) -> MPoly:
         return f
     code = ring.code
     F = ring.field
+    p = F.p if isinstance(F, PrimeField) else None
     K0, GUARD = code.K0, code.GUARD
     # lm divides m iff q = m - (lm - K0) is >= 0 with no guard bit set; then
     # q - K0 = m - lm shifts the tail
@@ -93,49 +97,26 @@ def normal_form(f: MPoly, G) -> MPoly:
     heap = [-m for m in work]
     heapify(heap)
     out = []
-    if isinstance(F, PrimeField):
-        p = F.p
-        while heap:
-            m = -heappop(heap)
-            c = work[m]
-            if c == 0:
-                continue
-            for key, ilc, tail in red:
-                q = m - key
-                if q >= 0 and not q & GUARD:
-                    coef = c * ilc % p
-                    off = q - K0
-                    for mt, ct in tail:
-                        mm = mt + off
-                        v = work.get(mm)
-                        if v is None:
-                            heappush(heap, -mm)
-                            v = 0
-                        work[mm] = (v - coef * ct) % p
-                    break
-            else:
-                out.append((m, c))
-    else:
-        while heap:
-            m = -heappop(heap)
-            c = work[m]
-            if F.is_zero(c):
-                continue
-            for key, ilc, tail in red:
-                q = m - key
-                if q >= 0 and not q & GUARD:
-                    coef = F.mul(c, ilc)
-                    off = q - K0
-                    for mt, ct in tail:
-                        mm = mt + off
-                        v = work.get(mm)
-                        if v is None:
-                            heappush(heap, -mm)
-                            v = F.zero
-                        work[mm] = F.sub(v, F.mul(coef, ct))
-                    break
-            else:
-                out.append((m, c))
+    while heap:
+        m = -heappop(heap)
+        c = work[m] if p is None else work[m] % p
+        if not c:
+            continue
+        for key, ilc, tail in red:
+            q = m - key
+            if q >= 0 and not q & GUARD:
+                coef = c * ilc if p is None else c * ilc % p
+                off = q - K0
+                for mt, ct in tail:
+                    mm = mt + off
+                    v = work.get(mm)
+                    if v is None:
+                        heappush(heap, -mm)
+                        v = 0
+                    work[mm] = v - coef * ct
+                break
+        else:
+            out.append((m, c))
     return MPoly(ring, tuple(out))  # popped in descending order
 
 
@@ -277,16 +258,33 @@ def _interreduce(polys, ring):
     return out
 
 
-def macaulay_basis(gens, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of homogeneous generators over a prime field,
-    one Macaulay matrix per degree (see the module docstring)."""
-    gens, ring = _common_ring(gens, order)
+def _by_degree(gens):
+    """The generators grouped by degree, or None if one is inhomogeneous."""
     by_degree: dict[int, list[MPoly]] = {}
     for g in gens:
-        by_degree.setdefault(g.is_homogeneous(), []).append(g)
-    if not isinstance(ring.field, PrimeField) or any(
-            d is False for d in by_degree):
-        raise ValueError("macaulay_basis needs homogeneous generators over F_p")
+        d = g.is_homogeneous()
+        if d is False:
+            return None
+        by_degree.setdefault(d, []).append(g)
+    return by_degree
+
+
+def macaulay_basis(gens, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis of homogeneous generators over a prime field,
+    one Macaulay matrix per degree (see the module docstring).
+
+    gens may also be a dict from degree to the generators of that degree,
+    all in the ring of the wanted order, as groebner_basis passes them
+    after grouping them once; order is then not used."""
+    if isinstance(gens, dict):
+        by_degree = gens
+        ring = next(iter(by_degree.values()))[0].ring
+    else:
+        gens, ring = _common_ring(gens, order)
+        by_degree = _by_degree(gens)
+        if by_degree is None or not isinstance(ring.field, PrimeField):
+            raise ValueError(
+                "macaulay_basis needs homogeneous generators over F_p")
     code = ring.code
     K0, GUARD = code.K0, code.GUARD
     G: list[MPoly] = []
@@ -382,9 +380,11 @@ def groebner_basis(gens, order=None) -> GroebnerBasis:
     uses.
 
     Homogeneous generators over a prime field go to ``macaulay_basis``,
-    degree by degree; everything else goes to ``buchberger``."""
-    gens = [g for g in gens if g and not g.is_zero()]
-    if (gens and isinstance(gens[0].ring.field, PrimeField)
-            and all(g.is_homogeneous() is not False for g in gens)):
-        return macaulay_basis(gens, order)
-    return buchberger(gens, order)
+    degree by degree, grouped by degree once here; everything else goes to
+    ``buchberger``."""
+    gens, ring = _common_ring(gens, order)
+    if isinstance(ring.field, PrimeField):
+        by_degree = _by_degree(gens)
+        if by_degree is not None:
+            return macaulay_basis(by_degree)
+    return buchberger(gens)

@@ -411,12 +411,12 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
         tmons = target.monomials_of_degree(e)
         # kernel of the evaluation map = degree-e piece of the image ideal
         ker = nullspace_over(field, rows[e].T)
-        h0[e] = len(ker)
-        if not ker:
+        h0[e] = ker.shape[1]
+        if not h0[e]:
             continue
         # keep only kernel vectors beyond the span of lower-degree generators
-        old_rows = graded_piece(gens, e).T.tolist() if gens else []
-        for v in _beyond_span(field, old_rows, [list(v) for v in ker]):
+        old = graded_piece(gens, e) if gens else ker[:, :0]
+        for v in _beyond_span(field, old, ker):
             gens.append(from_coefficient_vector(target, tmons, v))
     return ImageComputation(Ideal(target, gens), h0)
 
@@ -577,13 +577,12 @@ def change_coordinates(polys, forms):
     return images
 
 
-def _beyond_span(field, old_rows, vectors):
-    """The vectors, in order, outside the span of old_rows and the vectors
-    before them: the pivot columns of the stack [old_rows; vectors] taken
-    as columns."""
-    stack = old_rows + vectors
-    pivots = rref_over(field, list(zip(*stack)))[1]
-    return [stack[j] for j in pivots if j >= len(old_rows)]
+def _beyond_span(field, old, new):
+    """The columns of new, in order, outside the span of the columns of old
+    and the columns of new before them: the pivot columns of [old | new]."""
+    k = old.shape[1]
+    pivots = rref_over(field, np.hstack([old, new]))[1]
+    return [new[:, j - k] for j in pivots if j >= k]
 
 
 def _image_by_elimination(forms, target: PolynomialRing) -> Ideal:
@@ -674,8 +673,6 @@ def _matrix_minpoly(field, T, rng) -> UniPoly:
     that depends on the columns before it.  Each column is one product by
     T over the field (matmul_over)."""
     n = len(T)
-    Tm = zeros_over(field, (n, n))
-    Tm[...] = T
     mp = UniPoly.one(field)
     stable = 0
     for _ in range(n + 4):
@@ -684,9 +681,9 @@ def _matrix_minpoly(field, T, rng) -> UniPoly:
         krylov = zeros_over(field, (n, n + 1))
         krylov[:, 0] = [field.random(rng) for _ in range(n)]
         for i in range(n):
-            krylov[:, [i + 1]] = matmul_over(field, Tm, krylov[:, [i]])
+            krylov[:, [i + 1]] = matmul_over(field, T, krylov[:, [i]])
         ker = nullspace_over(field, krylov)
-        new = _poly_lcm(mp, UniPoly(field, ker[0]))
+        new = _poly_lcm(mp, UniPoly(field, ker[:, 0]))
         if new == mp:
             stable += 1
             if stable >= 2:

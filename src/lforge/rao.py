@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .fields import PrimeField
+from .hilbert import HilbertData
 from .ideals import (
     GradedQuotient,
     Ideal,
@@ -478,19 +479,13 @@ def graded_betti(mod: RaoModule, hom_bound: int = 2, deg_bound: int = 8,
 # -- liaison Hilbert-function arithmetic -------------------------------
 
 
-def ci_hilbert_value(degrees, nvars: int, t: int) -> int:
-    """Hilbert function of a complete intersection of the given degrees
-    in ``nvars`` variables, by Koszul inclusion-exclusion."""
-    total = 0
-    for mask in range(1 << len(degrees)):
-        s = 0
-        bits = 0
-        for i, d in enumerate(degrees):
-            if mask >> i & 1:
-                s += d
-                bits += 1
-        total += (-1) ** bits * _binom(t - s + nvars - 1, nvars - 1)
-    return total
+def ci_hilbert(degrees, nvars: int) -> HilbertData:
+    """Hilbert data of a complete intersection of the given degrees in
+    ``nvars`` variables: the Hilbert function depends on the degrees alone,
+    so it is that of the pure powers x_1^d_1, x_2^d_2, ..."""
+    return HilbertData.from_exponents(
+        [tuple(d if j == i else 0 for j in range(nvars))
+         for i, d in enumerate(degrees)], nvars)
 
 
 def linked_hilbert_check(final: Ideal, start: Ideal, ci1_degrees,
@@ -514,13 +509,14 @@ def linked_hilbert_check(final: Ideal, start: Ideal, ci1_degrees,
     s = sum(ci2_degrees) - sum(ci1_degrees)
     H_final = final.hilbert()
     H_start = start.hilbert()
+    H_ci1, H_ci2 = ci_hilbert(ci1_degrees, n), ci_hilbert(ci2_degrees, n)
     actual, predicted = [], []
     for t in range(through + 1):
         actual.append(H_final.hf(t))
         back = t - s
-        pred = ci_hilbert_value(ci2_degrees, n, t)
+        pred = H_ci2.hf(t)
         if back >= 0:
-            pred += H_start.hf(back) - ci_hilbert_value(ci1_degrees, n, back)
+            pred += H_start.hf(back) - H_ci1.hf(back)
         predicted.append(pred)
     return {
         "actual": actual,

@@ -197,7 +197,7 @@ class LNMatrix:
         if len(basis) != self.ncols:
             raise ValueError("target ring does not match the column count")
         ker = nullspace_over(self.field, self.entries)
-        return [from_coefficient_vector(target_ring, basis, v) for v in ker]
+        return [from_coefficient_vector(target_ring, basis, v) for v in ker.T]
 
 
 def build_LN(N, field=None) -> LNMatrix:

@@ -88,6 +88,14 @@ def test_secant_cases_pass():
     assert rep.passed
 
 
+def test_secant_cases_pass_over_qq():
+    # an experiment over Q run to completion, its report pinned
+    rep = run_experiment("d9-secant-cases", field="qq", allow_long=True)
+    assert rep.passed
+    assert rep.content_hash() == (
+        "fdd3ef81e67276a3ab53622e43ac20ff4a9fd7340f4ef4aee33109c229593662")
+
+
 def test_report_hash_deterministic():
     a = run_experiment("gamma-tangent")
     b = run_experiment("gamma-tangent")

@@ -326,6 +326,13 @@ def greedy_beyond_span(field, old_rows, vectors):
     return kept
 
 
+def _columns(field, n, vectors):
+    M = zeros_over(field, (n, len(vectors)))
+    for j, v in enumerate(vectors):
+        M[:, j] = v
+    return M
+
+
 @pytest.mark.parametrize("field", [GF(2), F17, QQ])
 def test_beyond_span_matches_greedy_rank_loop(field):
     rng = Rng(77)
@@ -344,7 +351,9 @@ def test_beyond_span_matches_greedy_rank_loop(field):
                                 for u, w in zip(a, b)])
             else:
                 vectors.append([draw() for _ in range(n)])
-        assert _beyond_span(field, old, vectors) == \
+        got = _beyond_span(field, _columns(field, n, old),
+                           _columns(field, n, vectors))
+        assert [v.tolist() for v in got] == \
             greedy_beyond_span(field, old, vectors)
 
 
@@ -439,7 +448,7 @@ def _object_krylov_minpoly(field, T, rng):
         for _ in range(n):
             krylov.append([field.of(x) for x in T.dot(krylov[-1])])
         ker = nullspace_over(field, list(zip(*krylov)))
-        new = ideals._poly_lcm(mp, UniPoly(field, ker[0]))
+        new = ideals._poly_lcm(mp, UniPoly(field, ker[:, 0]))
         if new == mp:
             stable += 1
             if stable >= 2:

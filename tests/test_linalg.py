@@ -1,8 +1,10 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF as SympyGF
@@ -211,37 +213,70 @@ def test_rref_pinned_sparse_matrix():
 
 def test_frac_rref_and_rank():
     A = [[1, 2], [3, 4], [4, 6]]
-    assert linalg.rank_frac(A) == 2
-    M, pivots = linalg.rref_frac(A)
+    assert linalg.rank_over(QQ, A) == 2
+    M, pivots = linalg.rref_over(QQ, A)
     assert pivots == [0, 1]
-    assert M[0] == [1, 0] and M[1] == [0, 1]
+    assert M.tolist() == [[1, 0], [0, 1], [0, 0]]
+    assert all(type(x) is Fraction for x in M.flat)
 
 
 def test_frac_nullspace_and_solve():
     A = [[1, 2, 3], [4, 5, 6]]
-    basis = linalg.nullspace_frac(A)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in A:
-        assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
-    x = linalg.solve_frac([[2, 0], [0, 4]], [1, 1])
-    assert x == [Fraction(1, 2), Fraction(1, 4)]
-    assert linalg.solve_frac([[1, 1], [1, 1]], [0, 1]) is None
+    K = linalg.nullspace_over(QQ, A)
+    assert K.shape == (3, 1)
+    assert K[:, 0].tolist() == [1, -2, 1]
+    assert not (np.array(A, dtype=object) @ K).any()
+    x = linalg.solve_over(QQ, [[2, 0], [0, 4]], [1, 1])
+    assert x.tolist() == [Fraction(1, 2), Fraction(1, 4)]
+    assert linalg.solve_over(QQ, [[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_solve_over_qq_matrix_right_hand_side():
     A = [[2, 1], [1, 3]]
     B = [[1, 0, 4], [0, 1, Fraction(1, 2)]]
     X = linalg.solve_over(QQ, A, B)
-    assert len(X) == 2 and all(len(row) == 3 for row in X)
-    for i in range(2):
-        for j in range(3):
-            assert sum(Fraction(A[i][k]) * X[k][j] for k in range(2)) == B[i][j]
+    assert X.shape == (2, 3)
+    assert (np.array(A, dtype=object) @ X).tolist() == B
     # each column agrees with the vector solve
     for j in range(3):
         col = linalg.solve_over(QQ, A, [B[0][j], B[1][j]])
-        assert col == [X[0][j], X[1][j]]
+        assert col.tolist() == X[:, j].tolist()
     assert linalg.solve_over(QQ, [[1, 1], [1, 1]], [[0, 1], [1, 1]]) is None
+
+
+def _random_fractions(rng, rows, cols):
+    A = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            A[i, j] = Fraction(int(rng.integers(-9, 10)),
+                               int(rng.integers(1, 6)))
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 6), k=st.integers(0, 6),
+       consistent=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_qq_rank_kernel_solve_match_sympy(rows, cols, k, consistent, seed):
+    # a product of random rows x k and k x cols Fraction matrices has rank
+    # at most k; sympy's exact rank and RREF are the reference
+    rng = np.random.default_rng(seed)
+    A = (_random_fractions(rng, rows, k) @ _random_fractions(rng, k, cols)
+         if k else np.full((rows, cols), Fraction(0), dtype=object))
+    S = sympy.Matrix(rows, cols, list(A.flat))
+    rank = S.rank()
+    assert linalg.rank_over(QQ, A) == rank
+    K = linalg.nullspace_over(QQ, A)
+    assert K.shape == (cols, cols - rank)
+    assert not (A @ K).any()
+    free = [c for c in range(cols) if c not in S.rref()[1]]
+    assert (K[free] == np.eye(len(free), dtype=int)).all()
+    b = (A @ _random_fractions(rng, cols, 1) if consistent
+         else _random_fractions(rng, rows, 1))[:, 0]
+    x = linalg.solve_over(QQ, A, b)
+    inconsistent = S.row_join(sympy.Matrix(rows, 1, list(b))).rank() > rank
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert (A @ x == b).all()
 
 
 @pytest.mark.parametrize("p", [2, 17, 32003, 2**31 - 1])
@@ -265,8 +300,8 @@ def test_dispatch():
     assert linalg.rank_over(GF(17), A) == 1
     assert linalg.rank_over(QQ, A) == 1
     ns = linalg.nullspace_over(GF(17), A)
-    assert len(ns) == 1
-    assert linalg.solve_over(QQ, [[2]], [3]) == [Fraction(3, 2)]
+    assert ns.shape == (2, 1) and ns.dtype == np.int64
+    assert linalg.solve_over(QQ, [[2]], [3]).tolist() == [Fraction(3, 2)]
     half = Fraction(1, 2)
     product = linalg.matmul_over(QQ, [[half, 1]], [[2], [half]])
     assert product.tolist() == [[Fraction(3, 2)]]
@@ -279,13 +314,14 @@ def test_dispatch():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31))
 def test_rank_mod_matches_frac_on_lifted(seed):
-    # entries in [0, 5): no mod-17 collisions change the rank story here for
-    # generic matrices, so compare against the rational rank of the lift only
-    # when the mod-p rank is full
+    # sympy is the reference: the rank over Q of a small integer matrix, and
+    # its rank mod 17, the largest k with a k x k minor that 17 does not
+    # divide
     rng = np.random.default_rng(seed)
     A = rng.integers(0, 5, size=(4, 4), dtype=np.int64)
-    rp = linalg.rank_mod(A, P)
-    rq = linalg.rank_frac(A.tolist())
-    assert rp <= rq
-    if rq < 4:
-        assert rp <= rq
+    S = sympy.Matrix(A.tolist())
+    assert linalg.rank_over(QQ, A) == S.rank()
+    idx = [list(c) for k in range(1, 5) for c in combinations(range(4), k)]
+    rp = max([0] + [len(r) for r in idx for c in idx if len(c) == len(r)
+                    and S.extract(r, c).det() % P])
+    assert linalg.rank_mod(A, P) == rp <= S.rank()

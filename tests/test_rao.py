@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from lforge.rao import (
     RaoError,
     RaoModule,
     _Resolver,
-    ci_hilbert_value,
+    ci_hilbert,
     graded_betti,
     linked_hilbert_check,
     rao_presentation,
@@ -314,8 +316,13 @@ def test_ci_hilbert_value_against_ideal():
     x, y, z, w = R.gens()
     ci = Ideal(R, [x * x + y * z, y * y * w + z * z * z])
     H = ci.hilbert()
+    H_ci = ci_hilbert((2, 3), 4)
     for t in range(7):
-        assert ci_hilbert_value((2, 3), 4, t) == H.hf(t)
+        # the Koszul complex: inclusion-exclusion over subsets of degrees
+        koszul = sum((-1) ** len(sub) * comb(t - sum(sub) + 3, 3)
+                     for k in range(3) for sub in combinations((2, 3), k)
+                     if t - sum(sub) >= 0)
+        assert H_ci.hf(t) == H.hf(t) == koszul
 
 
 def _twisted_cubic(R):

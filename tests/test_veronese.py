@@ -97,6 +97,11 @@ def test_build_LN_random_corank_one():
         assert LN.corank() == 1
 
 
+def test_build_LN_random_corank_one_over_qq():
+    spec = ProjectionSpec(_random_N(1), "p2cubics", QQ)
+    assert build_LN(spec.N, QQ).corank() == 1
+
+
 def test_kernel_cubics_vanish_on_image():
     N0 = fixtures.n0_matrix(F17)
     spec = ProjectionSpec(N0, "p2cubics", F17)
