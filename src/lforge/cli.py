@@ -22,6 +22,7 @@ from .experiments import (
 from .fields import GF, QQ
 from .ideals import Ideal
 from .linkage import link
+from .mpoly import RingMismatch
 from .pfaffian import SkewMatrix
 from .snf import PolyMatrix, smith_normal_form
 from .textio import poly_to_string, read_ideal
@@ -101,9 +102,12 @@ def _cmd_gb(args) -> int:
 
 def _cmd_link(args) -> int:
     ring, polys = read_ideal(args.ideal)
-    _, ci_polys = read_ideal(args.ci)
+    ci_ring, ci_polys = read_ideal(args.ci)
+    if ci_ring.names != ring.names:
+        raise RingMismatch("the ci file must list the ideal's variables "
+                           "in the same order")
     I = Ideal(ring, polys)
-    # raises RingMismatch unless the variables and field agree
+    # raises RingMismatch unless the fields agree
     ci = Ideal(ring, [ring.convert(f) for f in ci_polys])
     res = link(I, ci, args.seed).residual
     for g in res.gens:

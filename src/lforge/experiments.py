@@ -503,11 +503,7 @@ def _d6_unprojection(report: Report, ctx: Context):
                  s1 is not None and s2 is not None)
 
     R7 = R6.extend_back(("x6",))
-    up = {n: R7.var(i) for i, n in enumerate(R6.names)}
-
-    def lift(f):
-        return f.substitute(up) if not f.is_zero() else R7.zero
-
+    lift = R7.convert
     phi7 = phi.map_entries(lift, ring=R7)
     P7 = SkewPresentation(phi7, 3, 1, 3,
                           euler_row=[lift(f) for f in v])

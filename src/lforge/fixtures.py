@@ -12,6 +12,7 @@ import os
 
 from .fields import GF
 from .mpoly import PolynomialRing
+from .textio import data_lines
 from .unipoly import UniPoly
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -38,18 +39,11 @@ def _read_fixture(name: str) -> str:
     return blob.decode("utf-8")
 
 
-def _data_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
-
-
 def n0_matrix(field=None):
     """The 10x6 characteristic-17 projection matrix, rows as in the source."""
     field = field or GF(17)
     rows = []
-    for line in _data_lines(_read_fixture("n0.txt")):
+    for line in data_lines(_read_fixture("n0.txt")):
         rows.append([field.of(int(tok)) for tok in line.split()])
     if len(rows) != 10 or any(len(r) != 6 for r in rows):
         raise FixtureError("n0 fixture must be a 10x6 integer grid")
@@ -78,7 +72,7 @@ def nlambda_matrix(field=None, var: str = "lambda"):
     """The 10x6 pencil N(lambda) with univariate-polynomial entries."""
     field = field or GF(17)
     rows = []
-    for line in _data_lines(_read_fixture("nlambda.txt")):
+    for line in data_lines(_read_fixture("nlambda.txt")):
         rows.append([_parse_lambda_entry(tok, field, var) for tok in line.split()])
     if len(rows) != 10 or any(len(r) != 6 for r in rows):
         raise FixtureError("nlambda fixture must be a 10x6 grid")

@@ -131,19 +131,12 @@ def eliminate(I: Ideal, k: int) -> Ideal:
     if k >= ring.nvars:
         raise ValueError("cannot eliminate every variable")
     G = I.groebner(TermOrder.block(k))
-    code = G.ring.code
+    unpack = G.ring.code.unpack
     small = PolynomialRing(ring.field, ring.names[k:])
-    kept = []
-    for g in G:
-        exps = [code.unpack(m) for m in (t[0] for t in g.terms)]
-        if all(all(e == 0 for e in x[:k]) for x in exps):
-            kept.append(
-                small.from_dict(
-                    {small.code.pack(x[k:]): c
-                     for x, (_, c) in zip(exps, g.terms)}
-                )
-            )
-    return Ideal(small, kept)
+    # under the block order g is free of the first k variables iff its
+    # leading monomial is
+    return Ideal(small, [small.convert(g) for g in G
+                         if not any(unpack(g.lm)[:k])])
 
 
 def _aux_name(names):
@@ -163,12 +156,10 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     t_name = _aux_name(ring.names)
     big = PolynomialRing(ring.field, (t_name,) + ring.names, TermOrder.block(1))
     t = big.var(0)
-    up = {name: big.var(i + 1) for i, name in enumerate(ring.names)}
-    gens = [t * f.substitute(up) for f in I.gens]
-    gens += [(big.one - t) * g.substitute(up) for g in J.gens]
+    gens = [t * big.convert(f) for f in I.gens]
+    gens += [(big.one - t) * big.convert(g) for g in J.gens]
     E = eliminate(Ideal(big, gens), 1)
-    down = {name: ring.var(i) for i, name in enumerate(ring.names)}
-    return Ideal(ring, [g.substitute(down) for g in E.gens])
+    return Ideal(ring, [ring.convert(g) for g in E.gens])
 
 
 def quotient(I: Ideal, J: Ideal) -> Ideal:
@@ -197,21 +188,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         cur = nxt
 
 
-def _permuted_ring(ring: PolynomialRing, perm):
-    names = tuple(ring.names[i] for i in perm)
-    return PolynomialRing(ring.field, names)
-
-
-def _permute_poly(f: MPoly, target: PolynomialRing, perm) -> MPoly:
-    src = f.ring.code
-    dst = target.code
-    d = {}
-    for m, c in f.terms:
-        e = src.unpack(m)
-        d[dst.pack(tuple(e[i] for i in perm))] = c
-    return target.from_dict(d)
-
-
 def _divide_out_last_variable(gens, ring):
     """From a grevlex reduced basis, divide each element by its largest
     last-variable power: a basis of I : x_last^∞ (Bayer's trick)."""
@@ -230,27 +206,6 @@ def _divide_out_last_variable(gens, ring):
     return out
 
 
-def colon_variable_power(I: Ideal, i: int) -> Ideal:
-    """I : x_i^∞ via a grevlex basis with x_i moved last.
-
-    I must be homogeneous: Bayer's trick (dividing each basis element by
-    its largest power of the last variable) is only valid for a homogeneous
-    grevlex basis, so an inhomogeneous I raises ValueError."""
-    if not I.is_homogeneous():
-        raise ValueError("colon by a variable power needs a homogeneous ideal")
-    ring = I.ring
-    n = ring.nvars
-    if I.is_zero_ideal():
-        return I
-    perm = [j for j in range(n) if j != i] + [i]
-    inv = [perm.index(j) for j in range(n)]
-    pring = _permuted_ring(ring, perm)
-    pgens = [_permute_poly(g, pring, perm) for g in I.gens]
-    G = groebner_basis(pgens)
-    out = _divide_out_last_variable(list(G), pring)
-    return Ideal(ring, [_permute_poly(g, ring, inv) for g in out])
-
-
 def _hp_signature(basis, ring):
     """Hilbert data of the ideal a homogeneous Groebner basis generates, read
     from its leading monomials, and the Hilbert polynomial at 0..n."""
@@ -263,18 +218,20 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
     """Saturation with respect to the irrelevant maximal ideal.
 
     A generic linear form l avoids every associated prime except the
-    irrelevant one, so I : l^∞ (one coordinate change plus Bayer's
-    last-variable trick) equals I : m^∞; the draw is certified by Hilbert
-    polynomial agreement, which characterizes the saturation among ideals
-    containing it.  A change of coordinates keeps Hilbert data, so both
-    are read from the one basis per draw: HP(I) from its leading monomials,
-    HP(I : l^∞) from those of the divided-out basis, which the result keeps.
-    Persistent bad draws fall back to intersecting the per-variable
-    saturations.
+    irrelevant one, so I : l^∞ equals I : m^∞; the draw is certified by
+    Hilbert polynomial agreement, which characterizes the saturation among
+    ideals containing it.  Persistent bad draws fall back to intersecting
+    I : l^∞ over l = x_n and l = x_i + x_n for i < n: these forms span the
+    linear forms, so they generate m.
 
-    I must be homogeneous, as for colon_variable_power: the Bayer step is
-    only valid for a homogeneous basis, so an inhomogeneous I raises
-    ValueError."""
+    I : l^∞ is one coordinate change sending l to the last variable, one
+    basis and Bayer's last-variable division.  A change of coordinates keeps
+    Hilbert data, so both are read from that one basis: HP(I) from its
+    leading monomials, HP(I : l^∞) from those of the divided-out basis,
+    which the result keeps.
+
+    I must be homogeneous: the Bayer step is only valid for a homogeneous
+    basis, so an inhomogeneous I raises ValueError."""
     ring = I.ring
     if I.is_zero_ideal():
         return I
@@ -284,10 +241,10 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
     n = ring.nvars
     rng = as_rng(seed)
     var = ring.code.var
-    for attempt in range(5):
-        coeffs = [field.random(rng.fork(attempt * 17 + k)) for k in range(n - 1)]
-        an = field.random_nonzero(rng.fork(attempt * 17 + n))
-        # automorphism sending l = sum a_i x_i + a_n x_n to the last variable
+
+    def colon(coeffs, an):
+        """(I : l^∞, whether HP agrees with HP(I)) for
+        l = sum coeffs[k] x_k + an x_n."""
         inv_an = field.inv(an)
         fwd = ring.gens()[:-1] + [ring.from_dict({var(n - 1): inv_an, **{
             var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})]
@@ -296,14 +253,21 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
         G = groebner_basis(change_coordinates(I.gens, fwd))
         out = _divide_out_last_variable(list(G), ring)
         H, sig = _hp_signature(out, ring)
-        if sig == _hp_signature(G, ring)[1]:
-            J = Ideal(ring, change_coordinates(out, bwd))
-            J._hilbert = H
+        J = Ideal(ring, change_coordinates(out, bwd))
+        J._hilbert = H
+        return J, sig == _hp_signature(G, ring)[1]
+
+    for attempt in range(5):
+        coeffs = [field.random(rng.fork(attempt * 17 + k)) for k in range(n - 1)]
+        an = field.random_nonzero(rng.fork(attempt * 17 + n))
+        J, certified = colon(coeffs, an)
+        if certified:
             return J
-    result = None
-    for i in range(n):
-        S = colon_variable_power(I, i)
-        result = S if result is None else intersect(result, S)
+    zero, one = field.zero, field.one
+    result = colon([zero] * (n - 1), one)[0]
+    for i in range(n - 1):
+        coeffs = [one if k == i else zero for k in range(n - 1)]
+        result = intersect(result, colon(coeffs, one)[0])
     return result
 
 
@@ -497,6 +461,28 @@ def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
     return M
 
 
+def form_matrix(P, src, tgt) -> np.ndarray:
+    """The matrix of s -> P s, from vectors of forms of degrees src to
+    vectors of forms of degrees tgt, on the coordinates forms_from_vector
+    reads: block (i, j) is multiplication_matrix(P[i][j], src[j], tgt[i]).
+    Every entry of P is a polynomial (possibly zero) of one ring; a negative
+    degree has no monomials."""
+    return np.vstack([np.hstack([multiplication_matrix(f, a, b)
+                                 for f, a in zip(row, src)])
+                      for row, b in zip(P, tgt)])
+
+
+def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
+    """The forms of degrees degs whose coefficients on
+    monomials_of_degree, one block after the other, make up x."""
+    out, k = [], 0
+    for d in degs:
+        mons = ring.monomials_of_degree(d)
+        out.append(from_coefficient_vector(ring, mons, x[k:k + len(mons)]))
+        k += len(mons)
+    return out
+
+
 def graded_piece(gens, k: int) -> np.ndarray:
     """Columns g*m on monomials_of_degree(k), for every homogeneous
     generator g of degree at most k and every monomial m of degree
@@ -594,13 +580,9 @@ def _image_by_elimination(forms, target: PolynomialRing) -> Ideal:
         raise ValueError("source and target variable names must not clash")
     k = source.nvars
     big = PolynomialRing(field, source.names + target.names, TermOrder.block(k))
-    up_src = {name: big.var(i) for i, name in enumerate(source.names)}
-    gens = []
-    for i, f in enumerate(forms):
-        gens.append(big.var(k + i) - f.substitute(up_src))
+    gens = [big.var(k + i) - big.convert(f) for i, f in enumerate(forms)]
     E = eliminate(Ideal(big, gens), k)
-    down = {name: target.var(i) for i, name in enumerate(target.names)}
-    return Ideal(target, [g.substitute(down) for g in E.gens])
+    return Ideal(target, [target.convert(g) for g in E.gens])
 
 
 # -- zero-dimensional schemes -----------------------------------------

@@ -209,9 +209,12 @@ def bilink_degree18(I_D: Ideal, c1: MPoly, c2: MPoly, k: int,
 
     step2 = _drawn(second, rng)
     final = step2.residual
+    # (I_D ∩ F)_e = (I_D)_e ∩ F_e and (I_D + F)_e = (I_D)_e + F_e
+    h0_F = F.graded_piece_dim(k + 1)
     counts = {
-        "h0_F": F.graded_piece_dim(k + 1),
-        "h0_union": intersect(I_D, F).graded_piece_dim(k + 1),
+        "h0_F": h0_F,
+        "h0_union": I_D.graded_piece_dim(k + 1) + h0_F
+        - (I_D + F).graded_piece_dim(k + 1),
     }
     flags = {
         "step1": liaison_invariants(step1)["ok"],

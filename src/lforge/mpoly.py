@@ -132,18 +132,32 @@ class PolynomialRing:
         return PolynomialRing(self.field, keep, order)
 
     def convert(self, f: "MPoly") -> "MPoly":
-        """Bring a polynomial from a ring with the same variable names (any
-        order) into this ring."""
-        if f.ring is self:
+        """Bring a polynomial into this ring, matching variables by name.
+        The variable order and the term order may differ, and this ring may
+        have variables that f's ring lacks.  A variable that f uses and this
+        ring lacks, or another field, raises RingMismatch."""
+        src = f.ring
+        if src is self:
             return f
-        if f.ring.names != self.names or f.ring.field != self.field:
-            raise RingMismatch("convert needs identical variables and field")
-        src, dst = f.ring.code, self.code
-        return self.from_dict({dst.pack(src.unpack(m)): c for m, c in f.terms})
+        if src.field != self.field:
+            raise RingMismatch(f"cannot convert from {src} to {self}")
+        index, unpack, pack = self._index, src.code.unpack, self.code.pack
+        d = {}
+        for m, c in f.terms:
+            e = [0] * self.nvars
+            for name, a in zip(src.names, unpack(m)):
+                if a:
+                    if name not in index:
+                        raise RingMismatch(f"{self} has no variable {name!r}")
+                    e[index[name]] = a
+            d[pack(e)] = c
+        return self.from_dict(d)
 
 
 def exponent_vectors(nvars: int, d: int):
-    """All exponent vectors of length nvars summing to d."""
+    """All exponent vectors of length nvars summing to d; none for d < 0."""
+    if d < 0:
+        return
     if nvars == 1:
         yield (d,)
         return

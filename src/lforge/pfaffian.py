@@ -13,18 +13,20 @@ import numpy as np
 from .ideals import (
     Ideal,
     eliminate,
-    multiplication_matrix,
+    form_matrix,
+    forms_from_vector,
     saturate_irrelevant,
 )
-from .linalg import nullspace_mod
-from .mpoly import (
-    MPoly,
-    PolynomialRing,
-    coefficient_vector,
-    from_coefficient_vector,
-)
+from .linalg import nullspace_mod, solve_mod
+from .mpoly import MPoly, PolynomialRing, coefficient_vector
 from .rng import as_rng
-from .textio import parse_poly, parse_ring_header, poly_to_string, ring_header
+from .textio import (
+    data_lines,
+    parse_poly,
+    parse_ring_header,
+    poly_to_string,
+    ring_header,
+)
 
 
 class PfaffianError(ValueError):
@@ -137,12 +139,22 @@ class SkewMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
-        lines = [ln for ln in (l.split("#", 1)[0].strip()
-                               for l in text.splitlines()) if ln]
+        lines = list(data_lines(text))
         n = int(lines[0])
         ring = parse_ring_header(lines[1])
         upper = [parse_poly(s, ring) for s in lines[2:]]
         return cls.from_upper(ring, n, upper)
+
+
+def _dot(u, w) -> MPoly:
+    """sum_j u[j] * w[j] for two vectors of polynomials of one ring."""
+    return sum((a * b for a, b in zip(u, w)), u[0].ring.zero)
+
+
+def _annihilates(v, A: SkewMatrix) -> bool:
+    """Whether the row vector v satisfies v . A = 0."""
+    return all(not _dot(v, [A[j, k] for j in range(A.n)])
+               for k in range(A.n))
 
 
 def pfaffian(A: SkewMatrix) -> MPoly:
@@ -203,31 +215,23 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
         if not f.is_zero() and f.degree() != 1:
             raise PfaffianError("constraint entries must be linear or zero")
     rng = as_rng(seed_or_rng)
-    field = ring.field
-    p = field.p
+    p = ring.field.p
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    mon_e = ring.monomials_of_degree(degree)
-    nc = len(ring.monomials_of_degree(degree + 1))
-    nm = len(mon_e)
-    nunk = len(pairs) * nm
-    eqs = np.zeros((n * nc, nunk), dtype=np.int64)
-    pair_index = {pq: i for i, pq in enumerate(pairs)}
-    # (v . A)_k = sum_j v_j A_jk, with A_jk = -A_kj the unknown of pair {j, k}
-    for j in range(n):
-        vj = multiplication_matrix(v[j], degree, degree + 1)
-        for k in range(n):
-            if j != k:
-                pi = pair_index[min(j, k), max(j, k)]
-                eqs[k * nc:(k + 1) * nc, pi * nm:(pi + 1) * nm] = \
-                    vj if j < k else -vj
-    ker = nullspace_mod(eqs % p, p)
+    # (v . A)_k = sum_j v_j A_jk; the unknown of pair (a, b), a < b, is A_ab,
+    # so it enters column b with v_a and column a with -v_b
+    P = [[ring.zero] * len(pairs) for _ in range(n)]
+    for pi, (a, b) in enumerate(pairs):
+        P[b][pi] = v[a]
+        P[a][pi] = -v[b]
+    ker = nullspace_mod(form_matrix(P, [degree] * len(pairs),
+                                    [degree + 1] * n), p)
     dim = ker.shape[1]
-    coeffs = np.zeros(nunk, dtype=np.int64)
+    coeffs = np.zeros(ker.shape[0], dtype=np.int64)
     for col in range(dim):
         coeffs = (coeffs + rng.randrange(p) * ker[:, col]) % p
     M = [[ring.zero] * n for _ in range(n)]
-    for pi, (j, k) in enumerate(pairs):
-        e = from_coefficient_vector(ring, mon_e, coeffs[pi * nm:(pi + 1) * nm])
+    for (j, k), e in zip(pairs, forms_from_vector(ring, coeffs,
+                                                  [degree] * len(pairs))):
         M[j][k] = e
         M[k][j] = -e
     out = SkewMatrix(ring, M)
@@ -254,13 +258,9 @@ class SkewPresentation:
             raise PfaffianError("size must be 2r+1 or 2r+2 (Euler-padded)")
         if skew.n == 2 * r + 2 and self.euler_row is None:
             raise PfaffianError("even (padded) size needs the Euler row")
-        if self.euler_row is not None:
-            for k in range(skew.n):
-                acc = skew.ring.zero
-                for j in range(skew.n):
-                    acc = acc + self.euler_row[j] * skew[j, k]
-                if not acc.is_zero():
-                    raise PfaffianError("Euler row does not annihilate matrix")
+        if self.euler_row is not None and not _annihilates(self.euler_row,
+                                                           skew):
+            raise PfaffianError("Euler row does not annihilate matrix")
 
 
 def divided_power_section(P: SkewPresentation):
@@ -278,38 +278,6 @@ def divided_power_section(P: SkewPresentation):
             val = -val
         psi.append(val)
     return psi
-
-
-def _solve_form_vector(ring, columns, rhs, degs):
-    """Solve sum_i s_i * columns[i] = rhs with deg s_i = degs[i]; returns the
-    list of forms or None.  Linear algebra on coefficients."""
-    field = ring.field
-    p = field.p
-    tdeg = rhs.degree() if not rhs.is_zero() else None
-    if tdeg is None:
-        tdeg = columns[0].degree() + degs[0]
-    basis = ring.monomials_of_degree(tdeg)
-    unknown_mons = [ring.monomials_of_degree(d) if d >= 0 else []
-                    for d in degs]
-    offsets = [0]
-    for mons in unknown_mons:
-        offsets.append(offsets[-1] + len(mons))
-    nunk = offsets[-1]
-    if nunk == 0:
-        return None
-    Amat = np.zeros((len(basis), nunk), dtype=np.int64)
-    for i, col in enumerate(columns):
-        if unknown_mons[i]:
-            Amat[:, offsets[i]:offsets[i + 1]] = multiplication_matrix(
-                col, degs[i], tdeg)
-    b = np.array(coefficient_vector(rhs, basis), dtype=np.int64)
-    from .linalg import solve_mod
-
-    x = solve_mod(Amat % p, b % p, p)
-    if x is None:
-        return None
-    return [from_coefficient_vector(ring, mons, x[offsets[i]:offsets[i + 1]])
-            for i, mons in enumerate(unknown_mons)]
 
 
 def hypersurface_to_section(P: SkewPresentation, h: MPoly):
@@ -332,7 +300,7 @@ def hypersurface_to_section(P: SkewPresentation, h: MPoly):
                 for f in psi]
         if len(set(d for d in degs if d >= 0)) > 1:
             raise PfaffianError("mixed section degrees unsupported")
-        return _solve_form_vector(ring, psi, h, degs)
+        return _solve_forms([psi], [h], degs, [h.degree()])
     # padded case: unknowns are the entries of s; equations from
     # sum_j s_j Psi[j][i] = h * v_i for every i, plus v . s = 0
     v = P.euler_row
@@ -351,34 +319,25 @@ def hypersurface_to_section(P: SkewPresentation, h: MPoly):
     sdeg = h.degree() + vdeg - pf_deg
     if sdeg < 0:
         return None
-    field = ring.field
-    p = field.p
     n = A.n
-    mons = ring.monomials_of_degree(sdeg)
-    nm = len(mons)
-    tdeg = pf_deg + sdeg
-    basis = ring.monomials_of_degree(tdeg)
-    rows = []
-    rhs = []
-    for i in range(n):
-        target = h * v[i]
-        rows.append(np.hstack([multiplication_matrix(Psi[j][i], sdeg, tdeg)
-                               for j in range(n)]))
-        rhs.append(np.array(coefficient_vector(target, basis),
-                            dtype=np.int64))
-    # v . s = 0
-    rows.append(np.hstack([multiplication_matrix(v[j], sdeg, sdeg + vdeg)
-                           for j in range(n)]))
-    rhs.append(np.zeros(rows[-1].shape[0], dtype=np.int64))
-    Amat = np.vstack(rows) % p
-    b = np.concatenate(rhs) % p
-    from .linalg import solve_mod
+    rows = [[Psi[j][i] for j in range(n)] for i in range(n)] + [v]
+    rhs = [h * f for f in v] + [ring.zero]
+    return _solve_forms(rows, rhs, [sdeg] * n,
+                        [pf_deg + sdeg] * n + [sdeg + vdeg])
 
-    x = solve_mod(Amat, b, p)
-    if x is None:
+
+def _solve_forms(P, rhs, src, tgt):
+    """Forms s of degrees src with P s = rhs, rhs forms of degrees tgt (a
+    negative degree stands for a zero form), or None when there are none."""
+    ring = rhs[0].ring
+    p = ring.field.p
+    M = form_matrix(P, src, tgt)
+    if not M.shape[1]:
         return None
-    return [from_coefficient_vector(ring, mons, x[j * nm:(j + 1) * nm])
-            for j in range(n)]
+    b = np.concatenate([np.array(coefficient_vector(
+        f, ring.monomials_of_degree(d)), dtype=np.int64) for f, d in zip(rhs, tgt)])
+    x = solve_mod(M, b % p, p)
+    return None if x is None else forms_from_vector(ring, x, src)
 
 
 def section_to_hypersurface(P: SkewPresentation, s):
@@ -387,20 +346,12 @@ def section_to_hypersurface(P: SkewPresentation, s):
     A = P.skew
     ring = A.ring
     if A.n % 2:
-        psi = divided_power_section(P)
-        acc = ring.zero
-        for si, pi in zip(s, psi):
-            acc = acc + si * pi
-        return acc
+        return _dot(s, divided_power_section(P))
     Psi = A.adjugate()
     v = P.euler_row
     for i in range(A.n):
-        if v[i].is_zero():
-            continue
-        acc = ring.zero
-        for j in range(A.n):
-            acc = acc + s[j] * Psi[j][i]
-        return acc.exact_div(v[i])
+        if not v[i].is_zero():
+            return _dot(s, [row[i] for row in Psi]).exact_div(v[i])
     raise PfaffianError("zero Euler row")
 
 
@@ -445,23 +396,13 @@ def unprojection_matrix(P: SkewPresentation, s1, s2, x6: MPoly) -> SkewMatrix:
     with two section columns and the unprojection variable in the new 2x2
     corner.  The coordinate row [x0..x5,0,0,0,0] annihilates the result; the
     8x8 Pfaffians cut the unprojected threefold."""
-    A = P.skew
-    ring = A.ring
+    ring = P.skew.ring
     v = P.euler_row
-    for s in (s1, s2):
-        acc = ring.zero
-        for j in range(A.n):
-            acc = acc + v[j] * s[j]
-        if not acc.is_zero():
-            raise PfaffianError("section violates the coordinate-row kernel")
+    if _dot(v, s1) or _dot(v, s2):
+        raise PfaffianError("section violates the coordinate-row kernel")
     out = extend_with_sections(P, s1, s2, x6)
-    big_v = v + [ring.zero, ring.zero]
-    for k in range(out.n):
-        acc = ring.zero
-        for j in range(out.n):
-            acc = acc + big_v[j] * out[j, k]
-        if not acc.is_zero():
-            raise PfaffianError("coordinate row fails on the bordered matrix")
+    if not _annihilates(v + [ring.zero, ring.zero], out):
+        raise PfaffianError("coordinate row fails on the bordered matrix")
     return out
 
 
@@ -501,19 +442,13 @@ def exceptional_locus(X: Ideal, x6_index: int) -> Ideal:
     (each generator has degree at most 1 in x6), in the ring without x6."""
     ring = X.ring
     small = ring.drop_vars((ring.names[x6_index],))
-    down = {n: small.var(small.names.index(n))
-            for n in ring.names if n != ring.names[x6_index]}
-    down[ring.names[x6_index]] = small.zero
     x6 = ring.var(x6_index)
-    up = {n: ring.var(i) for i, n in enumerate(ring.names)
-          if n != ring.names[x6_index]}
+    unpack = ring.code.unpack
     coeffs = []
     for g in X.gens:
-        g0 = g.substitute(down)
-        rem = g - (g0.substitute(up) if not g0.is_zero() else ring.zero)
-        if rem.is_zero():
-            continue
-        coeffs.append(rem.exact_div(x6).substitute(down))
+        rem = MPoly(ring, tuple(t for t in g.terms if unpack(t[0])[x6_index]))
+        if not rem.is_zero():
+            coeffs.append(small.convert(rem.exact_div(x6)))
     return saturate_irrelevant(Ideal(small, coeffs))
 
 
@@ -580,16 +515,8 @@ def family_matrix(A: SkewMatrix, Bp, Dp, shift: MPoly) -> SkewMatrix:
     variables (lam kept symbolic).
     """
     R = shift.ring
-    if R is A.ring:
-        def lift(f):
-            return f
-    else:
-        up = {name: R.var(i) for i, name in enumerate(A.ring.names)}
-
-        def lift(f):
-            return f.substitute(up) if not f.is_zero() else R.zero
     field = R.field
-    M = [[lift(A[i, j]) for j in range(10)] for i in range(10)]
+    M = [[R.convert(A[i, j]) for j in range(10)] for i in range(10)]
     for i in range(6):
         for j in range(6):
             c = Bp[i][j]
@@ -620,23 +547,12 @@ def deform_family(A: SkewMatrix, Bp, Dp, lambdas,
     field = ring.field
     x6 = ring.var(6)
     lam_ring = ring.extend_back(("lam",))
-    lam = lam_ring.var(lam_ring.nvars - 1)
-    up = {name: lam_ring.var(i) for i, name in enumerate(ring.names)}
-
-    def lift(f):
-        return f.substitute(up) if not f.is_zero() else lam_ring.zero
+    lam_x6 = lam_ring.var(lam_ring.nvars - 1) * lam_ring.convert(x6)
 
     # symbolic check
-    Asym = family_matrix(A, Bp, Dp, lam * lift(x6))
-    vsym = [lift(ring.var(i)) for i in range(6)] + [lam * lift(x6)] + \
-        [lam_ring.zero] * 3
-    euler_ok = True
-    for k in range(10):
-        acc = lam_ring.zero
-        for j in range(10):
-            acc = acc + vsym[j] * Asym[j, k]
-        if not acc.is_zero():
-            euler_ok = False
+    Asym = family_matrix(A, Bp, Dp, lam_x6)
+    vsym = lam_ring.gens()[:6] + [lam_x6] + [lam_ring.zero] * 3
+    euler_ok = _annihilates(vsym, Asym)
     if not euler_ok:
         raise PfaffianError("deformed coordinate-row relation fails")
 
@@ -665,7 +581,6 @@ def projection_to_cubics(X: Ideal, x6_index: int) -> Ideal:
     front = (X.ring.names[x6_index],) + tuple(
         n for n in X.ring.names if n != X.ring.names[x6_index])
     R2 = PolynomialRing(X.ring.field, front)
-    up = {n: R2.var(R2.names.index(n)) for n in X.ring.names}
-    I2 = Ideal(R2, [g.substitute(up) for g in X.gens])
+    I2 = Ideal(R2, [R2.convert(g) for g in X.gens])
     E = eliminate(I2, 1)
     return saturate_irrelevant(E)

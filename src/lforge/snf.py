@@ -11,6 +11,7 @@ import numpy as np
 
 from .fields import PrimeField, is_prime
 from .rng import as_rng
+from .textio import data_lines
 from .unipoly import UniPoly, gcd, squarefree_decomposition
 
 
@@ -79,8 +80,7 @@ class PolyMatrix:
 
     @classmethod
     def from_text(cls, text: str, field) -> "PolyMatrix":
-        lines = [ln for ln in (l.split("#", 1)[0].strip()
-                               for l in text.splitlines()) if ln]
+        lines = list(data_lines(text))
         header = lines[0].split() if lines else []
         if len(header) != 3 or not all(h.isdigit() for h in header[:2]):
             raise SnfError("header must read: rows columns variable")

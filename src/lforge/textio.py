@@ -253,19 +253,20 @@ def _parse_order(s: str, line: str) -> TermOrder:
     raise ParseError(f"unknown order {s!r}", 0, line)
 
 
+def data_lines(text: str):
+    """The lines of text with `#` comments cut off and whitespace stripped,
+    blank ones skipped."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
 def read_ideal(path):
     """Returns (ring, list of polynomials)."""
-    ring = None
-    polys = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ring is None:
-                ring = parse_ring_header(line)
-                continue
-            polys.append(parse_poly(line, ring))
-    if ring is None:
+        lines = list(data_lines(fh.read()))
+    if not lines:
         raise ParseError("file contains no ring header", 0, "")
-    return ring, polys
+    ring = parse_ring_header(lines[0])
+    return ring, [parse_poly(line, ring) for line in lines[1:]]

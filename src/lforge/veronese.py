@@ -375,10 +375,11 @@ def unique_cubic_analysis(N, field=None) -> dict:
     image: extract the cubic and measure its singular locus."""
     field = field or GF(17)
     LN = build_LN(N, field)
-    if LN.corank() != 1:
-        raise ValueError(f"corank is {LN.corank()}, expected 1")
     spec = ProjectionSpec(N, "p2cubics", field)
-    (cubic,) = LN.kernel_cubics(spec.target_ring)
+    cubics = LN.kernel_cubics(spec.target_ring)
+    if len(cubics) != 1:
+        raise ValueError(f"corank is {len(cubics)}, expected 1")
+    (cubic,) = cubics
     sing = singular_locus(Ideal(spec.target_ring, [cubic]), 1)
     dim, degree = sing.dim_degree()
     return {

@@ -12,7 +12,6 @@ from lforge.ideals import (
     _beyond_span,
     _image_by_elimination,
     change_coordinates,
-    colon_variable_power,
     eliminate,
     evaluation_rows,
     graded_piece,
@@ -235,12 +234,27 @@ def test_graded_piece_dim():
     assert Ideal(R2, []).graded_piece_dim(5) == 0
 
 
-def test_colon_variable_power_refuses_inhomogeneous():
-    # Bayer's last-variable division is invalid without homogeneity
-    with pytest.raises(ValueError):
-        colon_variable_power(Ideal(R3, [x - y * y]), 2)
-    I = Ideal(R3, [x * z, y * z * z])
-    assert colon_variable_power(I, 2) == Ideal(R3, [x, y])
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturate_irrelevant_fallback_on_all_rational_points(monkeypatch, p):
+    # I_pts is the ideal of all p^2 + p + 1 rational points of P^2 and
+    # I = m * I_pts.  Every linear form vanishes at a rational point, so each
+    # drawn I : l^oo loses a point and fails the Hilbert polynomial check;
+    # only the fallback, which intersects the colons, can answer
+    R = PolynomialRing(GF(p), ("x", "y", "z"))
+    X, Y, Z = R.gens()
+    pts = [X**p * Y - X * Y**p, X**p * Z - X * Z**p, Y**p * Z - Y * Z**p]
+    I = Ideal(R, [v * g for v in R.gens() for g in pts])
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return intersect(*args)
+
+    monkeypatch.setattr(ideals, "intersect", counted)
+    S = saturate_irrelevant(I)
+    assert calls
+    assert S == Ideal(R, pts)
+    assert S.dim_degree() == (0, p * p + p + 1)
 
 
 def test_matrix_det_and_minors():

@@ -286,6 +286,23 @@ def test_with_order_convert():
     h = L.convert(y**3 + x * z**2)
     assert L.code.unpack(h.lm) == (1, 0, 2)  # lex prefers any x term
     assert R.convert(g) == f
+    # variables are matched by name, in any order
+    P = PolynomialRing(F17, ("z", "x", "y"), TermOrder.lex())
+    fp = P.convert(f)
+    assert fp == P.parse("x*y^2 + z^3")
+    assert R.convert(fp) == f
+    # into a ring with extra variables and back
+    E = PolynomialRing(F17, ("t", "x", "u", "y", "z"))
+    fe = E.convert(f)
+    assert fe == E.parse("x*y^2 + z^3")
+    assert R.convert(fe) == f
+    # a variable that does not occur may be dropped
+    D = PolynomialRing(F17, ("y", "x"))
+    assert D.convert(x * y - 2 * y**2) == D.parse("x*y - 2*y^2")
+    with pytest.raises(RingMismatch):
+        D.convert(f)
+    with pytest.raises(RingMismatch):
+        PolynomialRing(GF(19), R.names).convert(f)
 
 
 def test_extend_and_drop():
