@@ -1,7 +1,9 @@
 """Liaison drivers: residuation of an ideal through a complete intersection
-it contains, with degree and dimension bookkeeping, plus the two bilinkage
-chains (degree-9 surface to a degree-18 surface through two cubics; degree-8
-threefold to a degree-17 threefold through three cubics and a quartic).
+it contains, plus the two bilinkage chains (degree-9 surface to a degree-18
+surface through two cubics; degree-8 threefold to a degree-17 threefold
+through three cubics and a quartic).  `link` is the one place where a link's
+conditions (containment, codimension, the ci degree, equal dimensions and
+degree additivity) are checked; a step that fails one raises.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ class LinkageError(ValueError):
 
 
 class LinkStep:
-    """One residuation I -> ci : I with the bookkeeping needed for audits."""
+    """One residuation I -> ci : I with its degree bookkeeping."""
 
     def __init__(self, ci_degrees, ci: Ideal, input: Ideal, residual: Ideal,
                  deg_in: int, deg_out: int, dim: int):
@@ -31,15 +33,11 @@ class LinkStep:
         self.deg_out = deg_out
         self.dim = dim
 
-    @property
-    def ci_degree(self) -> int:
-        return math.prod(self.ci_degrees)
-
     def as_dict(self):
         return {
             "ci_degrees": list(self.ci_degrees),
             "deg_in": self.deg_in,
-            "deg_ci": self.ci_degree,
+            "deg_ci": math.prod(self.ci_degrees),
             "deg_out": self.deg_out,
             "dim": self.dim,
         }
@@ -85,46 +83,22 @@ def link(I: Ideal, ci: Ideal, seed_or_rng=0) -> LinkStep:
         raise LinkageError(
             f"not a complete intersection: codim {codim} from "
             f"{len(ci.gens)} forms")
-    expected = 1
-    degs = []
-    for g in ci.gens:
-        degs.append(g.degree())
-        expected *= g.degree()
-    if deg_ci != expected:
+    degs = [g.degree() for g in ci.gens]
+    if deg_ci != math.prod(degs):
         raise LinkageError("ci degree differs from the product of degrees")
     dim_in, deg_in = I.dim_degree()
     if dim_in != dim_ci:
         raise LinkageError("input and ci dimensions differ")
     residual = residual_quotient(ci, I, seed_or_rng)
-    if residual.is_empty():
-        step = LinkStep(degs, ci, I, residual, deg_in, 0, dim_ci)
-    else:
+    deg_out = 0
+    if not residual.is_empty():
         dim_out, deg_out = residual.dim_degree()
         if dim_out != dim_ci:
             raise LinkageError("residual dimension differs from the ci")
-        step = LinkStep(degs, ci, I, residual, deg_in, deg_out, dim_ci)
-    if step.deg_in + step.deg_out != step.ci_degree:
+    if deg_in + deg_out != deg_ci:
         raise LinkageError(
-            f"degree additivity fails: {step.deg_in} + {step.deg_out} "
-            f"!= {step.ci_degree}")
-    return step
-
-
-def liaison_invariants(step: LinkStep) -> dict:
-    """Pure audit of a completed step; flags, never raises."""
-    flags = {}
-    flags["containment"] = all(step.input.contains(g) for g in step.ci.gens)
-    dim_ci, deg_ci = step.ci.dim_degree()
-    flags["ci_codim"] = (
-        step.ci.ring.nvars - 1 - dim_ci == len(step.ci.gens))
-    flags["degree_additivity"] = (
-        step.deg_in + step.deg_out == step.ci_degree)
-    if step.residual.is_empty():
-        flags["dims_equal"] = step.deg_out == 0
-    else:
-        flags["dims_equal"] = step.residual.dim_degree()[0] == dim_ci
-    flags["ok"] = all(flags.values())
-    return flags
+            f"degree additivity fails: {deg_in} + {deg_out} != {deg_ci}")
+    return LinkStep(degs, ci, I, residual, deg_in, deg_out, dim_ci)
 
 
 def random_slice_element(I: Ideal, d: int, seed_or_rng) -> MPoly:
@@ -147,11 +121,10 @@ def random_slice_element(I: Ideal, d: int, seed_or_rng) -> MPoly:
 
 
 class BilinkReport:
-    def __init__(self, steps, final: Ideal, seed, flags, counts=None):
+    def __init__(self, steps, final: Ideal, seed, counts=None):
         self.steps = list(steps)
         self.final = final
         self.seed = seed
-        self.flags = dict(flags)
         self.counts = dict(counts or {})
 
     def as_dict(self):
@@ -159,7 +132,6 @@ class BilinkReport:
             "steps": [s.as_dict() for s in self.steps],
             "final_dim_degree": list(self.final.dim_degree()),
             "seed": self.seed,
-            "flags": self.flags,
             "counts": self.counts,
         }
 
@@ -175,6 +147,25 @@ def _drawn(fn, rng):
         except LinkageError as err:
             last = err
     raise LinkageError(f"generality guard exhausted: {last}")
+
+
+def _second_link(I: Ideal, F: Ideal, a: MPoly, b: MPoly, d: int,
+                 rng) -> LinkStep:
+    """Link F, the residual of I, through (a, b, q) for a general q in F_d.
+
+    Each try draws a new q.  The part of F_d that also lies in I is a
+    proper subspace (a hyperplane on the D9 chain), so over a 17-element
+    field a random draw lands in it with probability at most 1/17; such a
+    q links F to a residual containing I's variety, so it is redrawn, as
+    is any q that `link` rejects.
+    """
+    def attempt(r):
+        q = random_slice_element(F, d, r)
+        if I.contains(q):
+            raise LinkageError("slice sample lies in the original ideal")
+        return link(F, Ideal(F.ring, [a, b, q]), r)
+
+    return _drawn(attempt, rng)
 
 
 def bilink_degree18(I_D: Ideal, c1: MPoly, c2: MPoly, k: int,
@@ -196,19 +187,7 @@ def bilink_degree18(I_D: Ideal, c1: MPoly, c2: MPoly, k: int,
 
     step1 = _drawn(first, rng)
     F = step1.residual
-
-    def second(r):
-        q = random_slice_element(F, k + 1, r)
-        # "general" member: the slice through F that also contains the
-        # original surface is a hyperplane, and over a 17-element field a
-        # random draw lands in it with probability 1/17; such a draw links
-        # to a residual containing the original surface, so redraw
-        if I_D.contains(q):
-            raise LinkageError("slice sample contains the original surface")
-        return link(F, Ideal(ring, [c1, c2, q]), r)
-
-    step2 = _drawn(second, rng)
-    final = step2.residual
+    step2 = _second_link(I_D, F, c1, c2, k + 1, rng)
     # (I_D ∩ F)_e = (I_D)_e ∩ F_e and (I_D + F)_e = (I_D)_e + F_e
     h0_F = F.graded_piece_dim(k + 1)
     counts = {
@@ -216,14 +195,7 @@ def bilink_degree18(I_D: Ideal, c1: MPoly, c2: MPoly, k: int,
         "h0_union": I_D.graded_piece_dim(k + 1) + h0_F
         - (I_D + F).graded_piece_dim(k + 1),
     }
-    flags = {
-        "step1": liaison_invariants(step1)["ok"],
-        "step2": liaison_invariants(step2)["ok"],
-        "final_dim_degree": final.dim_degree() == (2, 18),
-        "final_avoids_containment": not all(
-            I_D.contains(g) for g in final.gens),
-    }
-    return BilinkReport([step1, step2], final, seed, flags, counts)
+    return BilinkReport([step1, step2], step2.residual, seed, counts)
 
 
 def bilink_t8(I_T: Ideal, cubics, seed) -> BilinkReport:
@@ -236,27 +208,6 @@ def bilink_t8(I_T: Ideal, cubics, seed) -> BilinkReport:
         if not I_T.contains(c):
             raise LinkageError("cubic must lie in the threefold ideal")
     rng = as_rng(seed)
-    ring = I_T.ring
-    step1 = link(I_T, Ideal(ring, list(cubics)), rng)
-    G = step1.residual
-
-    def pick_quartic(r):
-        q = random_slice_element(G, 4, r)
-        if I_T.contains(q):
-            raise LinkageError("quartic contains the original threefold")
-        return q
-
-    quartic = _drawn(pick_quartic, rng)
-
-    def second(r):
-        return link(G, Ideal(ring, [cubics[0], cubics[1], quartic]), r)
-
-    step2 = _drawn(second, rng)
-    final = step2.residual
-    flags = {
-        "step1": liaison_invariants(step1)["ok"],
-        "step2": liaison_invariants(step2)["ok"],
-        "quartic_avoids_input": not I_T.contains(quartic),
-        "final_dim_degree": final.dim_degree() == (3, 17),
-    }
-    return BilinkReport([step1, step2], final, seed, flags)
+    step1 = link(I_T, Ideal(I_T.ring, list(cubics)), rng)
+    step2 = _second_link(I_T, step1.residual, cubics[0], cubics[1], 4, rng)
+    return BilinkReport([step1, step2], step2.residual, seed)
