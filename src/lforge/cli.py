@@ -14,12 +14,12 @@ import configparser
 import sys
 
 from .experiments import (
+    FIELDS,
     REGISTRY,
     BudgetRefused,
     ExperimentError,
     run_experiment,
 )
-from .fields import GF, QQ
 from .ideals import Ideal
 from .linkage import link
 from .mpoly import RingMismatch
@@ -31,14 +31,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_REFUSED = 3
-
-
-def _field(name: str):
-    if name == "gf17":
-        return GF(17)
-    if name == "qq":
-        return QQ
-    raise ExperimentError(f"unknown field {name!r} (gf17 or qq)")
 
 
 def _load_config(path: str, experiment: str) -> dict:
@@ -126,7 +118,7 @@ def _cmd_pfaffian(args) -> int:
 
 def _cmd_snf(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        M = PolyMatrix.from_text(fh.read(), _field(args.field))
+        M = PolyMatrix.from_text(fh.read(), FIELDS[args.field])
     res = smith_normal_form(M, verify=not args.no_verify)
     for d in res.diagonal():
         print(d.to_string())
@@ -142,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a registered experiment")
     run.add_argument("experiment")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--field", choices=("gf17", "qq"), default=None)
+    run.add_argument("--field", choices=tuple(FIELDS), default=None)
     run.add_argument("--allow-long", action="store_true")
     run.add_argument("--out", default=None,
                      help="directory for text+json reports")
@@ -171,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     snf = sub.add_parser("snf", help="Smith normal form diagonal of a "
                                      "polynomial matrix file")
     snf.add_argument("file")
-    snf.add_argument("--field", choices=("gf17", "qq"), default="gf17")
+    snf.add_argument("--field", choices=tuple(FIELDS), default="gf17")
     snf.add_argument("--no-verify", action="store_true")
     snf.set_defaults(fn=_cmd_snf)
 

@@ -160,6 +160,9 @@ class Context:
 
 REGISTRY = {}
 
+# the coefficient fields by their command-line names
+FIELDS = {"gf17": GF(17), "qq": QQ}
+
 
 def experiment(name: str, long: bool = False, doc: str = "", seed: int = 0,
                fields=("gf17", "qq")):
@@ -183,16 +186,13 @@ def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
         raise BudgetRefused(
             f"{name} may run for a long time (tens of minutes or more); "
             f"re-run with --allow-long to proceed")
-    if field == "gf17":
-        F = GF(17)
-    elif field == "qq":
-        if not allow_long:
-            raise BudgetRefused(
-                "rational arithmetic is far slower on these pipelines; "
-                "re-run with --allow-long to use --field qq")
-        F = QQ
-    else:
+    if field not in FIELDS:
         raise ExperimentError(f"unknown field {field!r} (gf17 or qq)")
+    F = FIELDS[field]
+    if F is QQ and not allow_long:
+        raise BudgetRefused(
+            "rational arithmetic is far slower on these pipelines; "
+            "re-run with --allow-long to use --field qq")
     if field not in entry["fields"]:
         raise ExperimentError(f"{name} needs a prime field; "
                               f"run it with --field gf17")

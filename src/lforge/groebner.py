@@ -220,13 +220,15 @@ def buchberger(gens, order=None) -> GroebnerBasis:
     G: list[MPoly] = []
     P = _Pairs(ring.code)
     redundant, pairs = P.redundant, P.pairs
+    reducers: list[MPoly] = []  # G without the redundant elements
 
     def add_element(h: MPoly, sugar: int):
         P.add(h.lm, sugar)
         G.append(h)
+        reducers[:] = [x for i, x in enumerate(G) if i not in redundant]
 
     for g in sorted(gens, key=lambda f: f.lm):
-        h = normal_form(g, [x for i, x in enumerate(G) if i not in redundant])
+        h = normal_form(g, reducers)
         if not h.is_zero():
             add_element(h.monic(), h.degree())
 
@@ -235,12 +237,12 @@ def buchberger(gens, order=None) -> GroebnerBasis:
         sugar, _ = pairs.pop(key)
         i, j = key
         sp = s_polynomial(G[i], G[j])
-        h = normal_form(sp, [x for k, x in enumerate(G) if k not in redundant])
+        h = normal_form(sp, reducers)
         if h.is_zero():
             continue
         add_element(h.monic(), max(sugar, h.degree()))
 
-    basis = _interreduce([G[i] for i in range(len(G)) if i not in redundant], ring)
+    basis = _interreduce(reducers, ring)
     return GroebnerBasis(basis, ring)
 
 

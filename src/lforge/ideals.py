@@ -21,8 +21,11 @@ from .groebner import (
 )
 from .hilbert import HilbertData
 from .linalg import (
+    _kernel_mod,
+    _modulus,
     matmul_over,
     nullspace_over,
+    rref_mod,
     rref_over,
     rank_over,
     solve_over,
@@ -361,28 +364,26 @@ class ImageComputation:
 
 def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     """Kernel of the ring map target -> source sending the i-th variable to
-    forms[i], generated in degrees up to bound."""
+    forms[i], generated in degrees up to bound: kernel_generators of the
+    evaluation maps of evaluation_rows, on the free module of rank 1.  The
+    h0 table maps each degree 1..bound to the dimension of the kernel there.
+    Raises ValueError when a step would pass CELL_BUDGET."""
     if len(forms) != target.nvars:
         raise ValueError("need one form per target variable")
     degs = {f.is_homogeneous() for f in forms}
     if False in degs or len(degs) != 1:
         raise ValueError("forms must be homogeneous of one common degree")
-    field = target.field
-    gens: list[MPoly] = []
-    h0 = {}
     rows = evaluation_rows(forms, target, bound)
-    for e in range(1, bound + 1):
-        tmons = target.monomials_of_degree(e)
-        # kernel of the evaluation map = degree-e piece of the image ideal
-        ker = nullspace_over(field, rows[e].T)
-        h0[e] = ker.shape[1]
-        if not h0[e]:
-            continue
-        # keep only kernel vectors beyond the span of lower-degree generators
-        old = graded_piece(gens, e) if gens else ker[:, :0]
-        for v in _beyond_span(field, old, ker):
-            gens.append(from_coefficient_vector(target, tmons, v))
-    return ImageComputation(Ideal(target, gens), h0)
+    gens, dims, within = kernel_generators(
+        FreeModule(target, [0]), lambda e: rows[e].T, bound)
+    if not within:
+        raise ValueError(f"image ideal through degree {bound} passes the "
+                         f"cell budget of {CELL_BUDGET}")
+    return ImageComputation(
+        Ideal(target, [from_coefficient_vector(
+            target, target.monomials_of_degree(e), v)
+            for e, K in gens.items() for v in K.T]),
+        {e: dims[e] for e in range(1, bound + 1)})
 
 
 def evaluation_rows(forms, target: PolynomialRing, top: int):
@@ -523,6 +524,115 @@ class GradedQuotient:
         return X[self.free]
 
 
+# the largest matrix (in cells) one kernel_generators step may build; past
+# it the scan stops and reports itself incomplete
+CELL_BUDGET = 250_000_000
+
+
+class FreeModule:
+    """Graded free module over a polynomial ring with generators of the given
+    degrees.  Its degree-t basis is the pairs (i, m), m a monomial of degree
+    t - deg(generator i), generator by generator and then in the order of
+    monomials_of_degree; multiplication by a variable maps basis elements to
+    basis elements."""
+
+    def __init__(self, ring: PolynomialRing, gen_degrees):
+        self.ring = ring
+        self.gen_degrees = list(gen_degrees)
+        self._basis = {}
+        self._pos = {}
+        self._var_maps = {}
+
+    def basis(self, t: int):
+        if t not in self._basis:
+            out = []
+            for i, a in enumerate(self.gen_degrees):
+                if t >= a:
+                    out.extend((i, m)
+                               for m in self.ring.monomials_of_degree(t - a))
+            self._basis[t] = out
+            self._pos[t] = {bm: idx for idx, bm in enumerate(out)}
+        return self._basis[t]
+
+    def positions(self, t: int) -> dict:
+        """Index of each basis element of degree t in basis(t)."""
+        self.basis(t)
+        return self._pos[t]
+
+    def dim(self, t: int) -> int:
+        return len(self.basis(t))
+
+    def var_map(self, t: int, j: int) -> np.ndarray:
+        """Index array: position of x_j * (basis element of degree t)
+        inside the degree-(t+1) basis."""
+        if (t, j) not in self._var_maps:
+            code = self.ring.code
+            v = code.var(j)
+            pos = self.positions(t + 1)
+            self._var_maps[t, j] = np.array(
+                [pos[(i, code.mul(m, v))] for i, m in self.basis(t)],
+                dtype=np.intp)
+        return self._var_maps[t, j]
+
+    def mul_vectors(self, t: int, j: int, V: np.ndarray) -> np.ndarray:
+        """Multiply the columns of V (vectors in degree t) by x_j."""
+        out = zeros_over(self.ring.field, (self.dim(t + 1), V.shape[1]))
+        if V.shape[0]:
+            out[self.var_map(t, j)] = V
+        return out
+
+
+def kernel_generators(free: FreeModule, image_of, hi: int):
+    """Minimal generators of the kernel of a graded map from free, where
+    ``image_of(t)`` is its matrix A_t in degree t, scanned from the lowest
+    generator degree through degree hi.  Returns (gens, dims, within):
+    gens[t] holds the generators of degree t as columns, dims[t] is
+    dim ker A_t, and within is False when a step would have built a matrix
+    of more than CELL_BUDGET cells (the scan stops there).
+
+    The generators of degree t are the columns of K_t = ker A_t that
+    greedy elimination of [span | K_t] keeps beyond the span block,
+    span = [x_j K_{t-1}]_j.  That choice depends only on the column space
+    of the span, which is the degree-t piece of the submodule generated in
+    lower degrees.  One elimination finds them, in kernel coordinates
+    (``_kernel_mod``: K_t[coords] = I):
+
+    - span lies in ker A_t, as A is a module map, and v -> v[coords] is
+      injective there (v = K_t v[coords]).  So span = K_t S with
+      S = span[coords], and [span | K_t] = K_t [S | I] has the column
+      dependencies, hence the pivot columns, of [S | I].
+    - Greedy [S | I] keeps e_i exactly when e_i is not in
+      span(S) + span(e_0, ..., e_{i-1}), that is, when no vector of
+      span(S) has its last nonzero coordinate at i (such a vector,
+      scaled, is e_i plus earlier unit vectors, and conversely).  Those
+      last nonzero coordinates are the first nonzero columns of the
+      row space of S^T[:, ::-1]: the pivots of its RREF.
+    """
+    p = _modulus(free.ring.field)
+    nvars = free.ring.nvars
+    gens, dims = {}, {}
+    prev = None
+    for t in range(min(free.gen_degrees), hi + 1):
+        A = image_of(t)
+        if A.size > CELL_BUDGET:
+            return gens, dims, False
+        K, coords = _kernel_mod(A, p)
+        n = dims[t] = coords.size
+        fresh = np.ones(n, dtype=bool)
+        if prev is not None and prev.shape[1] and n:
+            if nvars * prev.shape[1] * n > CELL_BUDGET:
+                return gens, dims, False
+            rows = coords[::-1]
+            ST = np.vstack([free.mul_vectors(t - 1, j, prev)[rows].T
+                            for j in range(nvars)])
+            _, pivots = rref_mod(ST, p)
+            fresh[n - 1 - np.asarray(pivots, dtype=np.intp)] = False
+        if fresh.any():
+            gens[t] = K[:, fresh]
+        prev = K
+    return gens, dims, True
+
+
 def change_coordinates(polys, forms):
     """The homogeneous polynomials polys with the i-th variable of their ring
     replaced by forms[i]: one form per variable, all of one degree d
@@ -561,14 +671,6 @@ def change_coordinates(polys, forms):
             images[k] = MPoly(source, tuple(zip(
                 [smons[c] for c in nz.tolist()], row[nz].tolist())))
     return images
-
-
-def _beyond_span(field, old, new):
-    """The columns of new, in order, outside the span of the columns of old
-    and the columns of new before them: the pivot columns of [old | new]."""
-    k = old.shape[1]
-    pivots = rref_over(field, np.hstack([old, new]))[1]
-    return [new[:, j - k] for j in pivots if j >= k]
 
 
 def _image_by_elimination(forms, target: PolynomialRing) -> Ideal:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldError, PrimeField
+from .fields import FieldError
 from .orders import MonomialCode, TermOrder
 from .rng import as_rng
 
@@ -280,28 +280,21 @@ class MPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        K0 = ring.code.K0
-        GUARD = ring.code.GUARD
+        K0, GUARD = ring.code.K0, ring.code.GUARD
+        # unreduced sums of products: Fractions over Q, ints over F_p that
+        # are reduced mod p once at the end
         d: dict[int, object] = {}
-        if isinstance(F, PrimeField):
-            p = F.p
-            for mb, cb in b:
-                off = mb - K0
-                for ma, ca in a:
-                    m = ma + off
-                    d[m] = (d.get(m, 0) + ca * cb) % p
-            for m in d:
-                if m < 0 or m & GUARD:
-                    raise OverflowError("monomial exponent overflow")
-        else:
-            for mb, cb in b:
-                off = mb - K0
-                for ma, ca in a:
-                    m = ma + off
-                    if m in d:
-                        d[m] = F.add(d[m], F.mul(ca, cb))
-                    else:
-                        d[m] = F.mul(ca, cb)
+        for mb, cb in b:
+            off = mb - K0
+            for ma, ca in a:
+                m = ma + off
+                d[m] = d.get(m, 0) + ca * cb
+        for m in d:
+            if m < 0 or m & GUARD:
+                raise OverflowError("monomial exponent overflow")
+        p = F.char
+        if p:
+            d = {m: c % p for m, c in d.items()}
         return ring.from_dict(d)
 
     __rmul__ = __mul__

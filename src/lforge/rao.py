@@ -20,13 +20,16 @@ import numpy as np
 from .fields import PrimeField
 from .hilbert import HilbertData
 from .ideals import (
+    FreeModule,
     GradedQuotient,
     Ideal,
     evaluation_rows,
+    kernel_generators,
     multiplication_matrix,
 )
-# rank_mod is unused here but stays bound: perfbench/tests asserts rao.rank_mod
-from .linalg import _kernel_mod, matmul_mod, rank_mod, rref_mod  # noqa: F401
+# rank_mod and rref_mod are unused here but stay bound: the benchmark's own
+# tests assert that its tracer rebinds rao.rank_mod and rao.rref_mod
+from .linalg import matmul_mod, rank_mod, rref_mod  # noqa: F401
 from .mpoly import PolynomialRing
 from .veronese import ProjectionSpec, secant_avoidance
 
@@ -140,52 +143,7 @@ class RaoModule:
         return mod
 
 
-# -- free modules and degree-by-degree resolution ----------------------
-
-
-class _Free:
-    """Graded free module over an nvars-variable polynomial ring, with
-    per-degree monomial-indexed bases and variable multiplication maps."""
-
-    def __init__(self, ring: PolynomialRing, gen_degrees):
-        self.ring = ring
-        self.gen_degrees = list(gen_degrees)
-        self._basis = {}
-        self._pos = {}
-        self._var_maps = {}
-
-    def basis(self, t: int):
-        if t not in self._basis:
-            out = []
-            for i, a in enumerate(self.gen_degrees):
-                if t >= a:
-                    out.extend((i, m)
-                               for m in self.ring.monomials_of_degree(t - a))
-            self._basis[t] = out
-            self._pos[t] = {bm: idx for idx, bm in enumerate(out)}
-        return self._basis[t]
-
-    def dim(self, t: int) -> int:
-        return len(self.basis(t))
-
-    def var_map(self, t: int, j: int) -> np.ndarray:
-        """Index array: position of x_j * (basis element of degree t)
-        inside the degree-(t+1) basis."""
-        if (t, j) not in self._var_maps:
-            code = self.ring.code
-            v = code.var(j)
-            self.basis(t + 1)
-            pos = self._pos[t + 1]
-            self._var_maps[t, j] = _np([pos[(i, code.mul(m, v))]
-                                        for i, m in self.basis(t)])
-        return self._var_maps[t, j]
-
-    def mul_vectors(self, t: int, j: int, V: np.ndarray) -> np.ndarray:
-        """Multiply the columns of V (vectors in degree t) by x_j."""
-        out = np.zeros((self.dim(t + 1), V.shape[1]), dtype=np.int64)
-        if V.shape[0]:
-            out[self.var_map(t, j)] = V
-        return out
+# -- degree-by-degree resolution -------------------------------------
 
 
 def _binom(n: int, k: int) -> int:
@@ -261,16 +219,11 @@ class BettiTable:
         })
 
 
-# the largest matrix (in cells) one resolution step may build; past it the
-# resolution stops and reports itself incomplete
-CELL_BUDGET = 250_000_000
-
-
 class _Resolver:
     """Minimal free resolution of a finite-length RaoModule by graded
-    linear algebra: at every homological step, find the minimal generators
-    of the current syzygy module (new vectors modulo R_1 times the lower
-    degree), then take per-degree kernels of the induced cover."""
+    linear algebra: at every homological step, cover the current module by
+    a free module (``_cover_map``) and take the minimal generators of the
+    kernel of the cover with ``ideals.kernel_generators``."""
 
     def __init__(self, mod: RaoModule, deg_bound: int):
         self.mod = mod
@@ -280,64 +233,17 @@ class _Resolver:
         self.ring = PolynomialRing(mod.field, names)
 
     def generator_grades(self):
-        """Minimal generators of the module itself: new dimensions modulo
-        the image of R_1 times the previous piece."""
+        """Minimal generators of the module itself, {grade k: one unit vector
+        per new dimension of grade k modulo the image of R_1 times the
+        previous piece}."""
         mod = self.mod
-        out = {}
         lifts = {}
         for k in mod.grades:
             span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
             free = GradedQuotient(mod.field, span).free
             if free:
-                out[k] = len(free)
                 lifts[k] = np.eye(mod.dim(k), dtype=np.int64)[:, free]
-        return out, lifts
-
-    def _cover_kernels(self, free: _Free, image_of, scan_hi: int):
-        """Minimal generators of the kernel of the map free -> target, where
-        ``image_of(t)`` is its matrix A_t in degree t, scanned through
-        degree ``scan_hi``.  Returns ({t: the generators of degree t as
-        columns}, within-budget flag).
-
-        The generators of degree t are the columns of K_t = ker A_t that
-        greedy elimination of [span | K_t] keeps beyond the span block,
-        span = [x_j K_{t-1}]_j.  One elimination finds them, in kernel
-        coordinates (``_kernel_mod``: K_t[coords] = I):
-
-        - span lies in ker A_t, as A is a module map, and v -> v[coords] is
-          injective there (v = K_t v[coords]).  So span = K_t S with
-          S = span[coords], and [span | K_t] = K_t [S | I] has the column
-          dependencies, hence the pivot columns, of [S | I].
-        - Greedy [S | I] keeps e_i exactly when e_i is not in
-          span(S) + span(e_0, ..., e_{i-1}), that is, when no vector of
-          span(S) has its last nonzero coordinate at i (such a vector,
-          scaled, is e_i plus earlier unit vectors, and conversely).  Those
-          last nonzero coordinates are the first nonzero columns of the
-          row space of S^T[:, ::-1]: the pivots of its RREF.
-        """
-        t0 = min(free.gen_degrees)
-        nvars = self.mod.nvars
-        gens = {}
-        prev = None
-        for t in range(t0, scan_hi + 1):
-            A = image_of(t)
-            if A.size > CELL_BUDGET:
-                return gens, False
-            K, coords = _kernel_mod(A, self.p)
-            n = coords.size
-            fresh = np.ones(n, dtype=bool)
-            if prev is not None and prev.shape[1] and n:
-                if nvars * prev.shape[1] * n > CELL_BUDGET:
-                    return gens, False
-                rows = coords[::-1]
-                ST = np.vstack([free.mul_vectors(t - 1, j, prev)[rows].T
-                                for j in range(nvars)])
-                _, pivots = rref_mod(ST, self.p)
-                fresh[n - 1 - np.asarray(pivots, dtype=np.intp)] = False
-            if fresh.any():
-                gens[t] = K[:, fresh]
-            prev = K
-        return gens, True
+        return lifts
 
     def _cover_map(self, gens: dict, target_dim, mul):
         """(free, image): the free module with one generator of degree t
@@ -350,8 +256,8 @@ class _Resolver:
         degrees are asked for in increasing order from the lowest generator
         degree."""
         degrees = sorted(gens)
-        free = _Free(self.ring, [t for t in degrees
-                                 for _ in range(gens[t].shape[1])])
+        free = FreeModule(self.ring, [t for t in degrees
+                                      for _ in range(gens[t].shape[1])])
         gen_vecs = [gens[t][:, c] for t in degrees
                     for c in range(gens[t].shape[1])]
         code = self.ring.code
@@ -369,7 +275,7 @@ class _Resolver:
                 cols, parents = groups.setdefault(j, ([], []))
                 cols.append(idx)
                 parents.append(
-                    free._pos[t - 1][(i, code.divides(xs[j], m))])
+                    free.positions(t - 1)[(i, code.divides(xs[j], m))])
             for j, (cols, parents) in groups.items():
                 out[:, cols] = mul(t - 1, j, below[t - 1][:, parents])
             below.clear()
@@ -390,15 +296,16 @@ class _Resolver:
         entries = {}
         complete = True
 
-        gen_counts, lifts = self.generator_grades()
-        for k, c in gen_counts.items():
-            entries[(0, k)] = c
+        lifts = self.generator_grades()
+        for k, L in lifts.items():
+            entries[(0, k)] = L.shape[1]
         step_free, step_image = self._cover_map(
             lifts, mod.dim,
             lambda t, j, V: matmul_mod(mod._action(t, j), V, self.p))
         for hom in range(1, hom_bound + 1):
             scan_hi = min(reg + hom + 1, self.deg_bound)
-            gens, within = self._cover_kernels(step_free, step_image, scan_hi)
+            gens, _, within = kernel_generators(step_free, step_image,
+                                                scan_hi)
             if not within or self.deg_bound < reg + hom:
                 complete = False
             if any(t > reg + hom for t in gens):
@@ -445,15 +352,12 @@ def rao_presentation(mod: RaoModule, deg_bound: int = 8) -> RaoPresentation:
     bound is reached before the relation degrees stabilize."""
     if not mod.dims:
         raise RaoError("zero module has no presentation")
-    res = _Resolver(mod, deg_bound)
-    gen_counts, lifts = res.generator_grades()
-    table = res.resolve(1)
+    table = _Resolver(mod, deg_bound).resolve(1)
     if not table.complete:
         raise RaoError(
             f"bound insufficient: relations not stabilized by degree "
             f"{deg_bound}")
-    relations = table.column(1)
-    return RaoPresentation(gen_counts, relations, mod.shift)
+    return RaoPresentation(table.column(0), table.column(1), mod.shift)
 
 
 def graded_betti(mod: RaoModule, hom_bound: int = 2, deg_bound: int = 8,

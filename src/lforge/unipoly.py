@@ -2,17 +2,21 @@
 
 Coefficients are stored low degree first with a nonzero leading coefficient
 (the zero polynomial has an empty coefficient list).  These are the matrix
-entries of the Smith-normal-form machinery, so multiplication of F_p
-polynomials goes through numpy convolution.
+entries of the Smith-normal-form machinery.
+
+Each operation is one loop for F_p and Q: it adds and multiplies plain ints
+or Fractions, and the constructor maps the unreduced sums into the field
+once at the end (a vectorized ``% p`` when they fit a machine integer).
+Long division maps a remainder coefficient into the field only when it
+reads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .fields import FieldError, PrimeField
+from .textio import _coeff_str
 
 
 class UniPoly:
@@ -23,7 +27,9 @@ class UniPoly:
         self.var = var
         if isinstance(field, PrimeField):
             arr = np.asarray(coeffs)
-            if arr.dtype.kind in "iu":  # machine integers: vectorized % p
+            # machine integers get a vectorized % p; sums past int64 come
+            # out float or object, and go element by element below
+            if arr.dtype.kind in "iu":
                 arr = arr % field.p
                 if arr.size and not arr[-1]:  # trim trailing zeros at once
                     arr = arr[:np.flatnonzero(arr).max(initial=-1) + 1]
@@ -81,31 +87,17 @@ class UniPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _padded(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        a[:len(self.coeffs)] = self.coeffs
-        b[:len(other.coeffs)] = other.coeffs
-        return a, b
-
     def __add__(self, other):
         self._check(other)
-        F = self.field
-        if isinstance(F, PrimeField):
-            a, b = self._padded(other)
-            return UniPoly(F, a + b, self.var)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(F, [F.add(self[i], other[i]) for i in range(n)], self.var)
+        return UniPoly(self.field, [self[i] + other[i] for i in range(n)],
+                       self.var)
 
     def __sub__(self, other):
         self._check(other)
-        F = self.field
-        if isinstance(F, PrimeField):
-            a, b = self._padded(other)
-            return UniPoly(F, a - b, self.var)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(F, [F.sub(self[i], other[i]) for i in range(n)], self.var)
+        return UniPoly(self.field, [self[i] - other[i] for i in range(n)],
+                       self.var)
 
     def __neg__(self):
         F = self.field
@@ -113,62 +105,42 @@ class UniPoly:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(F, self.var)
-        if isinstance(F, PrimeField) and F.p < 46341:
-            # int64 convolution is exact: coeffs < p, p^2 * len fits easily
-            a = np.asarray(self.coeffs, dtype=np.int64)
-            b = np.asarray(other.coeffs, dtype=np.int64)
-            return UniPoly(F, np.convolve(a, b), self.var)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly(F, out, self.var)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UniPoly(self.field, out, self.var)
 
     def scale(self, c):
         F = self.field
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs], self.var)
 
     def divmod(self, other):
+        """(quotient, remainder).  The remainder's coefficients are updated
+        unreduced; over F_p each is reduced mod p only when it is read as
+        the next coefficient to divide."""
         self._check(other)
         F = self.field
         if other.is_zero():
             raise FieldError("division by zero polynomial")
         if self.degree < other.degree:
             return UniPoly.zero(F, self.var), self
-        if isinstance(F, PrimeField):
-            p = F.p
-            rem = np.asarray(self.coeffs, dtype=np.int64)
-            dv = np.asarray(other.coeffs, dtype=np.int64)
-            nd = len(dv)
-            inv_lc = pow(int(dv[-1]), p - 2, p)
-            qdeg = len(rem) - nd
-            quo = np.zeros(qdeg + 1, dtype=np.int64)
-            for k in range(qdeg, -1, -1):
-                c = int(rem[k + nd - 1])
-                if c:
-                    q = c * inv_lc % p
-                    quo[k] = q
-                    rem[k:k + nd] = (rem[k:k + nd] - q * dv) % p
-            return UniPoly(F, quo, self.var), UniPoly(F, rem, self.var)
         rem = list(self.coeffs)
         dv = other.coeffs
+        nd = len(dv)
         inv_lc = F.inv(other.lc)
-        qdeg = len(rem) - len(dv)
-        quo = [F.zero] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = rem[k + len(dv) - 1]
-            if F.is_zero(c):
-                continue
-            q = F.mul(c, inv_lc)
-            quo[k] = q
-            for j, d in enumerate(dv):
-                rem[k + j] = F.sub(rem[k + j], F.mul(q, d))
-        return UniPoly(F, quo, self.var), UniPoly(F, rem, self.var)
+        quo = [0] * (len(rem) - nd + 1)
+        for k in range(len(quo) - 1, -1, -1):
+            c = F.of(rem[k + nd - 1])
+            if c:
+                q = F.mul(c, inv_lc)
+                quo[k] = q
+                for j in range(nd - 1):
+                    rem[k + j] -= q * dv[j]
+        return (UniPoly(F, quo, self.var),
+                UniPoly(F, rem[:nd - 1], self.var))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -239,12 +211,6 @@ class UniPoly:
                 term = v if c == self.field.one else f"{_coeff_str(c)}*{v}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
 
 
 def gcd(f: UniPoly, g: UniPoly) -> UniPoly:

@@ -9,7 +9,6 @@ from lforge.groebner import groebner_basis, normal_form
 from lforge.ideals import (
     GradedQuotient,
     Ideal,
-    _beyond_span,
     _image_by_elimination,
     change_coordinates,
     eliminate,
@@ -29,7 +28,12 @@ from lforge.ideals import (
     zero_dim_reduced_check,
 )
 from lforge.linalg import nullspace_over, rank_over, zeros_over
-from lforge.mpoly import MPoly, PolynomialRing, coefficient_vector
+from lforge.mpoly import (
+    MPoly,
+    PolynomialRing,
+    coefficient_vector,
+    from_coefficient_vector,
+)
 from lforge.rng import Rng
 from lforge.unipoly import UniPoly
 
@@ -325,50 +329,70 @@ def test_image_ideal_conic_both_methods():
     assert _image_by_elimination(forms, T) == res.ideal
 
 
-def greedy_beyond_span(field, old_rows, vectors):
-    """Reference for _beyond_span: keep a vector when it raises the rank of
-    everything kept so far, one rank computation per vector."""
-    rows = list(old_rows)
-    rank = rank_over(field, rows) if rows else 0
-    kept = []
-    for v in vectors:
-        r = rank_over(field, rows + [v])
-        if r > rank:
-            kept.append(v)
-            rows.append(v)
-            rank = r
-    return kept
+def test_image_ideal_conic_over_qq():
+    S = PolynomialRing(QQ, ("s", "t"))
+    s, t = S.gens()
+    T = PolynomialRing(QQ, ("x", "y", "z"))
+    forms = [s**2, 2 * s * t, t**2]
+    res = image_ideal(forms, T, bound=3)
+    assert res.h0 == {1: 0, 2: 1, 3: 3}
+    assert res.ideal == _image_by_elimination(forms, T)
+    X, Y, Z = T.gens()
+    assert res.ideal == Ideal(T, [4 * X * Z - Y * Y])
 
 
-def _columns(field, n, vectors):
-    M = zeros_over(field, (n, len(vectors)))
-    for j, v in enumerate(vectors):
-        M[:, j] = v
-    return M
+def greedy_image_generators(field, forms, target, bound):
+    """Reference for image_ideal: in each degree, keep a kernel vector of
+    the evaluation map when it raises the rank of graded_piece of the
+    generators kept so far and of the vectors kept before it, one rank
+    computation per vector."""
+    rows = evaluation_rows(forms, target, bound)
+    gens, h0 = [], {}
+    for e in range(1, bound + 1):
+        ker = nullspace_over(field, rows[e].T)
+        h0[e] = ker.shape[1]
+        kept = [list(c) for c in graded_piece(gens, e).T] if gens else []
+        rank = rank_over(field, kept) if kept else 0
+        for v in ker.T:
+            r = rank_over(field, kept + [list(v)])
+            if r > rank:
+                kept.append(list(v))
+                rank = r
+                gens.append(from_coefficient_vector(
+                    target, target.monomials_of_degree(e), v))
+    return gens, h0
 
 
 @pytest.mark.parametrize("field", [GF(2), F17, QQ])
-def test_beyond_span_matches_greedy_rank_loop(field):
+def test_image_ideal_matches_greedy_rank_loop(field):
     rng = Rng(77)
-    draw = lambda: field.of(rng.randrange(-3, 4))
-    for trial in range(40):
-        n = rng.randrange(1, 8)
-        old = [[draw() for _ in range(n)] for _ in range(rng.randrange(0, 5))]
-        vectors = []
-        for _ in range(rng.randrange(1, 7)):
-            if rng.randrange(3) == 0 and old + vectors:
-                # a combination of earlier rows, which must be dropped
-                pool = old + vectors
-                a, b = (pool[rng.randrange(len(pool))] for _ in range(2))
-                s, t = draw(), draw()
-                vectors.append([field.add(field.mul(s, u), field.mul(t, w))
-                                for u, w in zip(a, b)])
-            else:
-                vectors.append([draw() for _ in range(n)])
-        got = _beyond_span(field, _columns(field, n, old),
-                           _columns(field, n, vectors))
-        assert [v.tolist() for v in got] == \
-            greedy_beyond_span(field, old, vectors)
+    # (source variables, forms, their degree, bound)
+    for nsrc, nforms, d, bound in [(2, 3, 2, 3), (2, 4, 1, 3), (2, 4, 2, 3),
+                                   (3, 4, 2, 4), (2, 3, 3, 3)]:
+        S = PolynomialRing(field, ("s", "t", "u")[:nsrc])
+        T = PolynomialRing(field, tuple(f"y{i}" for i in range(nforms)))
+        forms = []
+        while len(forms) < nforms:
+            f = S.random_form(d, rng)
+            if f:
+                forms.append(f)
+        res = image_ideal(forms, T, bound)
+        gens, h0 = greedy_image_generators(field, forms, T, bound)
+        assert res.h0 == h0
+        assert [g.terms for g in res.ideal.gens] == [g.terms for g in gens]
+
+
+def test_image_ideal_budget(monkeypatch):
+    S = PolynomialRing(F17, ("s", "t"))
+    s, t = S.gens()
+    T = PolynomialRing(F17, ("x", "y", "z"))
+    forms = [s**2, s * t, t**2]
+    # the degree-3 evaluation map is 10 x 7
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 69)
+    with pytest.raises(ValueError):
+        image_ideal(forms, T, bound=3)
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 70)
+    assert image_ideal(forms, T, bound=3).h0 == {1: 0, 2: 1, 3: 3}
 
 
 def test_image_ideal_validation():

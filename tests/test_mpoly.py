@@ -70,6 +70,15 @@ def test_mul_zero_and_scalar():
     assert (f * 17).is_zero()
 
 
+@pytest.mark.parametrize("field", [GF(17), QQ])
+def test_mul_exponent_overflow_raises(field):
+    # x^(2^16) squared eight times has exponent 2^24, past the packed field
+    f = PolynomialRing(field, ("x", "y")).monomial((2**16, 0))
+    with pytest.raises(OverflowError):
+        for _ in range(8):
+            f = f * f
+
+
 @pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(),
                                    TermOrder.block(1),
                                    TermOrder.weighted((2, 5, 1))],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lforge import fixtures, rao
+from lforge import fixtures, ideals, rao
 from lforge.fields import GF
 from lforge.ideals import Ideal
 from lforge.linalg import nullspace_mod, rank_mod, rref_mod
@@ -17,7 +17,6 @@ from lforge.rao import (
     BettiTable,
     RaoError,
     RaoModule,
-    _Resolver,
     ci_hilbert,
     graded_betti,
     linked_hilbert_check,
@@ -206,25 +205,26 @@ def test_graded_betti_general_full_resolution(general_module):
         assert tab.hilbert_value(k, 6) == general_module.dim(k + 2)
 
 
-def _span_k_generators(res, free, image_of, scan_hi):
-    """Reference for _Resolver._cover_kernels: the rule it replaced.  In
+def _span_k_generators(free, image_of, scan_hi):
+    """Reference for ideals.kernel_generators: the rule it replaced.  In
     each degree, the kernel columns that rref of [span | K_t] keeps beyond
     the span block, span = [x_j K_{t-1}]_j in free-module coordinates; the
     count must equal dim K_t - rank(span), the transposed rank taken
     separately."""
+    p = free.ring.field.p
     kernels, gens = {}, {}
     for t in range(min(free.gen_degrees), scan_hi + 1):
-        K = nullspace_mod(image_of(t), res.p)
+        K = nullspace_mod(image_of(t), p)
         kernels[t] = K
         prev = kernels.get(t - 1)
         if prev is not None and prev.shape[1]:
             span = np.hstack([free.mul_vectors(t - 1, j, prev)
-                              for j in range(res.mod.nvars)])
+                              for j in range(free.ring.nvars)])
         else:
             span = np.zeros((free.dim(t), 0), dtype=np.int64)
-        _, pivots = rref_mod(np.hstack([span, K]), res.p)
+        _, pivots = rref_mod(np.hstack([span, K]), p)
         chosen = [c - span.shape[1] for c in pivots if c >= span.shape[1]]
-        assert len(chosen) == K.shape[1] - rank_mod(span.T, res.p)
+        assert len(chosen) == K.shape[1] - rank_mod(span.T, p)
         if chosen:
             gens[t] = K[:, chosen]
     return gens
@@ -237,22 +237,22 @@ def test_cover_generators_match_span_k_rule(center, hom, n0_module,
                                             monkeypatch):
     mod = n0_module if center == "n0" else RaoModule.from_projection(
         _random_center(center), kmax=4, certify=False)
-    cover = _Resolver._cover_kernels
+    cover = rao.kernel_generators
     steps = []
 
-    def compared(self, free, image_of, scan_hi):
-        gens, within = cover(self, free, image_of, scan_hi)
+    def compared(free, image_of, scan_hi):
+        gens, dims, within = cover(free, image_of, scan_hi)
         assert within
         # image_of restarts at the lowest generator degree
-        ref = _span_k_generators(self, free, image_of, scan_hi)
+        ref = _span_k_generators(free, image_of, scan_hi)
         assert gens.keys() == ref.keys()
         for t, G in gens.items():
             assert G.dtype == ref[t].dtype and G.shape == ref[t].shape
             assert G.tobytes() == np.ascontiguousarray(ref[t]).tobytes()
         steps.append(sum(G.shape[1] for G in gens.values()))
-        return gens, within
+        return gens, dims, within
 
-    monkeypatch.setattr(_Resolver, "_cover_kernels", compared)
+    monkeypatch.setattr(rao, "kernel_generators", compared)
     # the smallest bound that certifies homological degree hom
     tab = graded_betti(mod, hom_bound=hom, deg_bound=max(mod.grades) + hom)
     assert tab.complete
@@ -275,7 +275,7 @@ def _greedy_identity_complement(S, p):
 @example(p=17, n=6, k=9, rank=6, zero_cols=2, seed=1)
 def test_reversed_transpose_pivots_give_greedy_complement(
         p, n, k, rank, zero_cols, seed):
-    # the rule of _Resolver._cover_kernels: coordinate i is covered by
+    # the rule of ideals.kernel_generators: coordinate i is covered by
     # span(S) when some vector of it has its last nonzero coordinate at i
     rng = np.random.default_rng(seed)
     B = rng.integers(0, p, size=(n, rank))
@@ -294,11 +294,11 @@ def test_cover_budget_counts_the_kernel_span(monkeypatch):
     # while R_1 times the degree-1 kernel is a 4 x 3 matrix in kernel
     # coordinates, so a budget below 12 cells stops the step there
     mod = RaoModule(F17, 2, {0: 1}, {})
-    monkeypatch.setattr(rao, "CELL_BUDGET", 11)
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 11)
     tab = graded_betti(mod, hom_bound=1, deg_bound=5)
     assert not tab.complete
     assert tab.column(1) == {1: 2}
-    monkeypatch.setattr(rao, "CELL_BUDGET", 12)
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 12)
     assert graded_betti(mod, hom_bound=1, deg_bound=5).complete
 
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lforge.fields import GF, QQ, FieldError
+from lforge.rng import Rng
 from lforge.unipoly import UniPoly, gcd, squarefree_decomposition
 
 F17 = GF(17)
@@ -137,3 +139,52 @@ def test_to_string_roundtrip_shapes():
     f = P(5, 0, 16)
     s = f.to_string()
     assert "lambda^2" in s and "5" in s
+
+
+def _int_poly(cs):
+    """Integer coefficient list without trailing zeros (the reference)."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _int_divmod(a, b, p):
+    """Long division of integer coefficient lists mod p, reducing every
+    coefficient at every step."""
+    rem = [c % p for c in a]
+    inv = pow(b[-1], p - 2, p)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + len(b) - 1] * inv % p
+        quo[k] = q
+        for j, d in enumerate(b):
+            rem[k + j] = (rem[k + j] - q * d) % p
+    return _int_poly(quo), _int_poly(rem[:len(b) - 1])
+
+
+def test_big_prime_arithmetic_matches_integers_mod_p():
+    # near p = 2^31 - 1 a product of two coefficients is close to 2^62, so
+    # the unreduced sums of a product or a long division pass 2^63
+    p = 2**31 - 1
+    F = GF(p)
+    rng = Rng(2024)
+    past_int64 = False
+    for _ in range(30):
+        a = [rng.randrange(p - 1000, p) for _ in range(rng.randrange(1, 12))]
+        b = [rng.randrange(p - 1000, p) for _ in range(rng.randrange(1, 12))]
+        f, g = UniPoly(F, a), UniPoly(F, b)
+        pairs = list(zip_longest(a, b, fillvalue=0))
+        assert (f + g).coeffs == _int_poly([(u + v) % p for u, v in pairs])
+        assert (f - g).coeffs == _int_poly([(u - v) % p for u, v in pairs])
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                prod[i + j] += u * v
+        past_int64 |= max(prod) >= 2**63
+        assert (f * g).coeffs == _int_poly([c % p for c in prod])
+        q, r = (f * g + f).divmod(g)
+        ref = _int_divmod([c % p for c in (f * g + f).coeffs], b, p)
+        assert (q.coeffs, r.coeffs) == ref
+        assert q * g + r == f * g + f
+    assert past_int64
