@@ -4,11 +4,16 @@ A polynomial is a tuple of (packed monomial, nonzero coefficient) pairs in
 strictly descending monomial order.  Packed monomials compare as plain ints
 (see orders.py), so the invariant is just "keys strictly decreasing".
 Polynomials from different rings never combine.
+
+PolynomialRing.dot is the one sum-of-products kernel, and a product is its
+one-term case: products are added into one dict of unreduced sums (ints over
+F_p, Fractions over Q), which from_dict maps into the field and sorts once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .fields import FieldError
 from .orders import MonomialCode, TermOrder
@@ -79,10 +84,41 @@ class PolynomialRing:
         return MPoly(self, ((self.code.pack(tuple(exps)), c),))
 
     def from_dict(self, d: dict[int, object]) -> "MPoly":
-        F = self.field
-        items = [(m, c) for m, c in d.items() if not F.is_zero(c)]
-        items.sort(key=lambda t: t[0], reverse=True)
+        """The polynomial with coefficient d[m] on the packed monomial m.
+        Over F_p the values may be any ints: they are reduced mod p here, so
+        sums of products can be collected unreduced and mapped into the
+        field once.  Over Q they are Fractions."""
+        p = self.field.char
+        if p:
+            items = [(m, r) for m, c in d.items() if (r := c % p)]
+        else:
+            items = [(m, c) for m, c in d.items() if c]
+        items.sort(key=itemgetter(0), reverse=True)
         return MPoly(self, tuple(items))
+
+    def dot(self, us, ws) -> "MPoly":
+        """sum_i us[i] * ws[i] for two equally long sequences of polynomials
+        of this ring.  Every product goes into one dict of unreduced sums,
+        which from_dict maps into the field and sorts once."""
+        K0, GUARD = self.code.K0, self.code.GUARD
+        d: dict[int, object] = {}
+        get = d.get
+        for u, w in zip(us, ws, strict=True):
+            if u.ring is not self or w.ring is not self:
+                raise RingMismatch(f"cannot combine {u.ring} and {w.ring} "
+                                   f"in {self}")
+            a, b = u.terms, w.terms
+            if len(a) < len(b):
+                a, b = b, a
+            for mb, cb in b:
+                off = mb - K0
+                for ma, ca in a:
+                    m = ma + off
+                    d[m] = get(m, 0) + ca * cb
+        for m in d:
+            if m < 0 or m & GUARD:
+                raise OverflowError("monomial exponent overflow")
+        return self.from_dict(d)
 
     def parse(self, text: str) -> "MPoly":
         from .textio import parse_poly
@@ -241,17 +277,9 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.ring.field
         d = dict(self.terms)
         for m, c in other.terms:
-            if m in d:
-                s = F.add(d[m], c)
-                if F.is_zero(s):
-                    del d[m]
-                else:
-                    d[m] = s
-            else:
-                d[m] = c
+            d[m] = d.get(m, 0) + c
         return self.ring.from_dict(d)
 
     __radd__ = __add__
@@ -273,29 +301,7 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        F = ring.field
-        if not self.terms or not other.terms:
-            return ring.zero
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        K0, GUARD = ring.code.K0, ring.code.GUARD
-        # unreduced sums of products: Fractions over Q, ints over F_p that
-        # are reduced mod p once at the end
-        d: dict[int, object] = {}
-        for mb, cb in b:
-            off = mb - K0
-            for ma, ca in a:
-                m = ma + off
-                d[m] = d.get(m, 0) + ca * cb
-        for m in d:
-            if m < 0 or m & GUARD:
-                raise OverflowError("monomial exponent overflow")
-        p = F.char
-        if p:
-            d = {m: c % p for m, c in d.items()}
-        return ring.from_dict(d)
+        return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -372,20 +378,14 @@ class MPoly:
     # -- calculus and substitution ------------------------------------
 
     def partial(self, i: int) -> "MPoly":
-        ring = self.ring
-        F = ring.field
-        code = ring.code
+        code = self.ring.code
         xi = code.var(i)
         d: dict[int, object] = {}
         for m, c in self.terms:
             e = code.unpack(m)[i]
-            if e == 0:
-                continue
-            coeff = F.mul(c, F.of(e))
-            if F.is_zero(coeff):
-                continue
-            d[code.divides(xi, m)] = coeff
-        return ring.from_dict(d)
+            if e:
+                d[code.divides(xi, m)] = c * e
+        return self.ring.from_dict(d)
 
     def partials(self) -> list["MPoly"]:
         return [self.partial(i) for i in range(self.ring.nvars)]
@@ -452,7 +452,7 @@ class MPoly:
             for mt, ct in one if t is None else t.terms:
                 mm = mt + off
                 acc[mm] = acc.get(mm, 0) + coef * ct
-        return target.from_dict({m: F.of(c) for m, c in acc.items()})
+        return target.from_dict(acc)
 
     def evaluate(self, point):
         """Evaluate at a point given as a list of field elements.  Test
@@ -512,11 +512,5 @@ def coefficient_vector(f: MPoly, basis: list[int]):
 
 def from_coefficient_vector(ring: PolynomialRing, basis: list[int], vec) -> MPoly:
     F = ring.field
-    d = {}
-    for m, c in zip(basis, vec):
-        if hasattr(c, "item"):
-            c = c.item()
-        c = F.of(c)
-        if not F.is_zero(c):
-            d[m] = c
-    return ring.from_dict(d)
+    return ring.from_dict({m: F.of(c.item() if hasattr(c, "item") else c)
+                           for m, c in zip(basis, vec)})

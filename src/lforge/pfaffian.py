@@ -2,6 +2,10 @@
 Euler-constrained sampling, the section calculus that matches hypersurfaces
 through a Pfaffian variety with section vectors, bordered extensions, the
 10x10 unprojection matrix and its one-parameter deformation family.
+
+Each principal Pfaffian is one PolynomialRing.dot over the signed entries
+of its first row and the memoized Pfaffians one size smaller, and every
+v . A check is one dot as well.
 """
 
 from __future__ import annotations
@@ -94,16 +98,16 @@ class SkewMatrix:
         got = self._pf_cache.get(idx)
         if got is not None:
             return got
-        i0 = idx[0]
-        rest = idx[1:]
-        total = self.ring.zero
+        # expansion along row i0: the t-th entry carries the sign (-1)^t,
+        # and a[j][i0] = -a[i0][j] is that entry negated
+        i0, rest = idx[0], idx[1:]
+        row = self.entries[i0]
+        us, ws = [], []
         for t, j in enumerate(rest):
-            e = self.entries[i0][j]
-            if e.is_zero():
-                continue
-            sub = tuple(x for x in rest if x != j)
-            term = e * self._pf(sub)
-            total = total + term if t % 2 == 0 else total - term
+            if row[j]:
+                us.append(self.entries[j][i0] if t % 2 else row[j])
+                ws.append(self._pf(rest[:t] + rest[t + 1:]))
+        total = self.ring.dot(us, ws)
         self._pf_cache[idx] = total
         return total
 
@@ -146,14 +150,9 @@ class SkewMatrix:
         return cls.from_upper(ring, n, upper)
 
 
-def _dot(u, w) -> MPoly:
-    """sum_j u[j] * w[j] for two vectors of polynomials of one ring."""
-    return sum((a * b for a, b in zip(u, w)), u[0].ring.zero)
-
-
 def _annihilates(v, A: SkewMatrix) -> bool:
     """Whether the row vector v satisfies v . A = 0."""
-    return all(not _dot(v, [A[j, k] for j in range(A.n)])
+    return all(not A.ring.dot(v, [A[j, k] for j in range(A.n)])
                for k in range(A.n))
 
 
@@ -346,12 +345,12 @@ def section_to_hypersurface(P: SkewPresentation, s):
     A = P.skew
     ring = A.ring
     if A.n % 2:
-        return _dot(s, divided_power_section(P))
+        return ring.dot(s, divided_power_section(P))
     Psi = A.adjugate()
     v = P.euler_row
     for i in range(A.n):
         if not v[i].is_zero():
-            return _dot(s, [row[i] for row in Psi]).exact_div(v[i])
+            return ring.dot(s, [row[i] for row in Psi]).exact_div(v[i])
     raise PfaffianError("zero Euler row")
 
 
@@ -398,7 +397,7 @@ def unprojection_matrix(P: SkewPresentation, s1, s2, x6: MPoly) -> SkewMatrix:
     8x8 Pfaffians cut the unprojected threefold."""
     ring = P.skew.ring
     v = P.euler_row
-    if _dot(v, s1) or _dot(v, s2):
+    if ring.dot(v, s1) or ring.dot(v, s2):
         raise PfaffianError("section violates the coordinate-row kernel")
     out = extend_with_sections(P, s1, s2, x6)
     if not _annihilates(v + [ring.zero, ring.zero], out):
@@ -512,9 +511,12 @@ def family_matrix(A: SkewMatrix, Bp, Dp, shift: MPoly) -> SkewMatrix:
     deformation subtracts shift*B' on the 6x6 coordinate block and adds
     shift*D' on rows 7..9 against columns 0..5.  ``shift`` lives in A's ring
     for a numeric lam, or in a ring extending A's ring by trailing
-    variables (lam kept symbolic).
+    variables (lam kept symbolic).  A zero shift returns A itself, with
+    the Pfaffians it has memoized.
     """
     R = shift.ring
+    if R is A.ring and shift.is_zero():
+        return A
     field = R.field
     M = [[R.convert(A[i, j]) for j in range(10)] for i in range(10)]
     for i in range(6):

@@ -293,10 +293,10 @@ def det_gradient_rank1(field, M):
         raise TypeError("rank-1 adjugate route is implemented mod p only")
     p = field.p
     A = np.asarray(M, dtype=np.int64) % p
-    n = A.shape[0]
-    if rank_mod(A, p) != n - 1:
+    ker = nullspace_mod(A, p)
+    if ker.shape[1] != 1:
         raise ValueError("matrix does not have corank 1")
-    u = nullspace_mod(A, p)[:, 0]
+    u = ker[:, 0]
     w = nullspace_mod(A.T, p)[:, 0]
     j = int(np.nonzero(u)[0][0])
     k = int(np.nonzero(w)[0][0])
@@ -316,7 +316,8 @@ def gamma_tangent_space(N, field=None):
 
     Each corank-1 maximal minor M_i (delete column i) contributes the
     gradient v -> trace(adj(M_i) dM_i/dv) computed through the rank-1
-    adjugate; minors of corank >= 2 contribute zero.
+    adjugate; minors of corank >= 2 contribute zero, and
+    det_gradient_rank1 refuses them.
     """
     field = field or GF(17)
     if not isinstance(field, PrimeField):
@@ -349,10 +350,10 @@ def gamma_tangent_space(N, field=None):
     Lfull = np.asarray(LN.entries, dtype=np.int64) % p
     gradients = []
     for i in range(56):
-        Mi = np.delete(Lfull, i, axis=1)
-        if rank_mod(Mi, p) != 54:
+        try:
+            u, w, alpha = det_gradient_rank1(field, np.delete(Lfull, i, axis=1))
+        except ValueError:
             continue
-        u, w, alpha = det_gradient_rank1(field, Mi)
         cols = [m for m in range(56) if m != i]
         # r_b = sum_m u[m] * partial6[b, m];  q_a = mult[a]^T w
         P = partial6[:, cols, :]  # 6 x 55 x 28

@@ -79,6 +79,46 @@ def test_mul_exponent_overflow_raises(field):
             f = f * f
 
 
+@pytest.mark.parametrize("field", [GF(17), QQ], ids=str)
+def test_dot_matches_evaluation_at_points(field):
+    # oracle: the sum of products of values, by MPoly.evaluate and the field
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    rng = Rng(41)
+    for k in (1, 2, 5):
+        us = [rand_poly(rng, ring) for _ in range(k)]
+        ws = [rand_poly(rng, ring) for _ in range(k)]
+        f = ring.dot(us, ws)
+        keys = [m for m, _ in f.terms]
+        assert keys == sorted(set(keys), reverse=True)
+        assert all(not field.is_zero(c) for _, c in f.terms)
+        for _ in range(5):
+            pt = [field.random(rng) for _ in range(3)]
+            want = field.zero
+            for u, w in zip(us, ws):
+                want = field.add(want, field.mul(u.evaluate(pt), w.evaluate(pt)))
+            assert f.evaluate(pt) == want
+
+
+@pytest.mark.parametrize("field", [GF(17), QQ], ids=str)
+def test_dot_cancellation_empty_input_and_guard(field):
+    ring = PolynomialRing(field, ("x", "y"))
+    a, b = ring.gens()
+    f = rand_poly(Rng(5), ring)
+    g = a * b + 3
+    assert ring.dot([f, f], [g, -g]).terms == ()
+    assert ring.dot([a, b], [b, -a]).terms == ()
+    assert ring.dot([], []) == ring.zero
+    big = ring.monomial((2**16, 0)) ** 128  # x^(2^23)
+    # the products overflow the packed exponent and then cancel: the guard
+    # still sees them
+    with pytest.raises(OverflowError):
+        ring.dot([big, big], [big, -big])
+    with pytest.raises(ValueError):
+        ring.dot([a, b], [a])
+    with pytest.raises(RingMismatch):
+        ring.dot([a], [x])
+
+
 @pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(),
                                    TermOrder.block(1),
                                    TermOrder.weighted((2, 5, 1))],

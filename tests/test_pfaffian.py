@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from lforge.fields import GF
+from lforge.fields import GF, QQ
 from lforge.ideals import Ideal, matrix_det, saturate_irrelevant
 from lforge.linalg import det_mod, rank_over
 from lforge.mpoly import PolynomialRing
@@ -15,6 +17,7 @@ from lforge.pfaffian import (
     exceptional_locus,
     extend_with_sections,
     family_data,
+    family_matrix,
     hypersurface_to_section,
     koszul_solve,
     pfaffian,
@@ -32,7 +35,7 @@ F17 = GF(17)
 def _rand_linear(ring, rng):
     f = ring.zero
     for i in range(ring.nvars):
-        f = f + ring.var(i).scale(ring.field.of(rng.randrange(ring.field.p)))
+        f = f + ring.var(i).scale(ring.field.random(rng))
     return f
 
 
@@ -109,11 +112,14 @@ def test_pfaffian_squared_is_det_polynomial():
 
 
 def test_pfaffian_matches_matching_sum_oracle():
-    R = PolynomialRing(F17, ("x0", "x1", "x2"))
-    rng = Rng(3)
-    for n in (4, 6):
-        A = _rand_skew_linear(R, n, rng)
-        assert pfaffian(A) == pfaffian_matching_sum(A)
+    for field, sizes in ((F17, (4, 6, 8)), (QQ, (4, 6))):
+        R = PolynomialRing(field, ("x0", "x1", "x2"))
+        rng = Rng(3)
+        for n in sizes:
+            A = _rand_skew_linear(R, n, rng)
+            pf = pfaffian(A)
+            assert not pf.is_zero()
+            assert pf == pfaffian_matching_sum(A)
 
 
 def test_adjugate_identity():
@@ -480,6 +486,29 @@ def test_koszul_solve_negative():
     xs = list(R.gens())
     with pytest.raises(PfaffianError):
         koszul_solve([xs[0]] + [R.zero] * 5, xs)
+
+
+def test_principal_pfaffians_squared_are_minors_at_points(unprojection):
+    # oracle: det_mod of the evaluated submatrix (mod-p elimination only)
+    A = unprojection["A"]
+    rng = Rng(77)
+    for _ in range(3):
+        pt = [F17.random(rng) for _ in range(7)]
+        M = [[A[i, j].evaluate(pt) for j in range(10)] for i in range(10)]
+        for size in (10, 8):
+            for idx in itertools.combinations(range(10), size):
+                pf = A.principal_pfaffian(idx).evaluate(pt)
+                sub = [[M[i][j] for j in idx] for i in idx]
+                assert F17.mul(pf, pf) == F17.of(det_mod(sub, 17))
+
+
+def test_family_matrix_zero_shift_is_the_matrix(unprojection):
+    A = unprojection["A"]
+    Bp, Dp = family_data(A)
+    x6 = A.ring.var(6)
+    assert family_matrix(A, Bp, Dp, x6.scale(0)) is A
+    shifted = family_matrix(A, Bp, Dp, x6)
+    assert shifted is not A and shifted != A
 
 
 def test_deform_family(unprojection):
