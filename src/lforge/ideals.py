@@ -1,6 +1,7 @@
 """Geometric ideal operations: elimination, intersection, quotient,
-saturation, Hilbert data, minors, singular loci, image ideals, graded pieces
-and reducedness of zero-dimensional schemes.
+saturation, Hilbert data, minors, singular loci, image ideals, graded pieces,
+graded maps out of free modules (cover_map, its rank-1 case ring_map, and
+kernel_generators) and reducedness of zero-dimensional schemes.
 
 Ideals are value-semantic: operations build new Ideal objects and caches hang
 off each instance.
@@ -364,73 +365,24 @@ class ImageComputation:
 
 def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     """Kernel of the ring map target -> source sending the i-th variable to
-    forms[i], generated in degrees up to bound: kernel_generators of the
-    evaluation maps of evaluation_rows, on the free module of rank 1.  The
-    h0 table maps each degree 1..bound to the dimension of the kernel there.
-    Raises ValueError when a step would pass CELL_BUDGET."""
+    forms[i], generated in degrees up to bound: kernel_generators of
+    ring_map, over F_p and Q.  The h0 table maps each degree 1..bound to the
+    dimension of the kernel there.  Raises ValueError when a step would pass
+    CELL_BUDGET."""
     if len(forms) != target.nvars:
         raise ValueError("need one form per target variable")
     degs = {f.is_homogeneous() for f in forms}
     if False in degs or len(degs) != 1:
         raise ValueError("forms must be homogeneous of one common degree")
-    rows = evaluation_rows(forms, target, bound)
-    gens, dims, within = kernel_generators(
-        FreeModule(target, [0]), lambda e: rows[e].T, bound)
+    gens, dims, within = kernel_generators(*ring_map(forms, target), bound)
     if not within:
-        raise ValueError(f"image ideal through degree {bound} passes the "
-                         f"cell budget of {CELL_BUDGET}")
+        raise CellBudgetError(f"image ideal through degree {bound} passes "
+                              f"the cell budget of {CELL_BUDGET}")
     return ImageComputation(
         Ideal(target, [from_coefficient_vector(
             target, target.monomials_of_degree(e), v)
             for e, K in gens.items() for v in K.T]),
         {e: dims[e] for e in range(1, bound + 1)})
-
-
-def evaluation_rows(forms, target: PolynomialRing, top: int):
-    """The ring map target -> source sending the i-th variable to forms[i]
-    (homogeneous of one degree d), degree by degree.  Entry e, for
-    e = 0..top, is the matrix whose rows, in the order of
-    target.monomials_of_degree(e), are the coefficient vectors of the images
-    of those monomials on source.monomials_of_degree(d*e): int64 in [0, p)
-    over F_p, an object array of Fractions over Q.
-
-    The image of m is the image of m / x_i times forms[i], x_i the first
-    variable of m.  So for each term c*t of forms[i], the nonzero entries
-    of the degree-(e-1) rows of the quotients are added, times c, to the
-    rows of degree e whose first variable is x_i, in the columns of their
-    monomials shifted by t; each column index array is computed once per
-    degree.  Over F_p the sums are reduced mod p after each term, so they
-    stay below p + (p-1)^2 < 2^63 for every p < 2^31."""
-    source = forms[0].ring
-    field = source.field
-    p = field.p if isinstance(field, PrimeField) else None
-    d = forms[0].degree()
-    code = target.code
-    ts = sorted({t for f in forms for t, _ in f.terms})
-    out = [zeros_over(field, (1, 1)) + field.one]
-    for e in range(1, top + 1):
-        tmons = target.monomials_of_degree(e)
-        tpos = target.monomial_positions(e - 1)
-        groups: dict[int, tuple[list, list]] = {}
-        for r, m in enumerate(tmons):
-            i = next(j for j, a in enumerate(code.unpack(m)) if a)
-            rows, parents = groups.setdefault(i, ([], []))
-            rows.append(r)
-            parents.append(tpos[code.divides(code.var(i), m)])
-        shifted = dict(zip(ts, _product_positions(source, ts, d * (e - 1),
-                                                  d * e)))
-        M = zeros_over(field, (len(tmons),
-                               len(source.monomials_of_degree(d * e))))
-        for i, (rows, parents) in groups.items():
-            block = out[-1][parents]
-            r, k = np.nonzero(block)
-            vals, dest = block[r, k], np.asarray(rows)[r]
-            for t, c in forms[i].terms:
-                cols = shifted[t][k]
-                acc = M[dest, cols] + c * vals
-                M[dest, cols] = acc if p is None else acc % p
-        out.append(M)
-    return out
 
 
 def _product_positions(ring: PolynomialRing, ts, a: int, b: int):
@@ -460,6 +412,27 @@ def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
         M[_product_positions(ring, ts, a, b), np.arange(n)] = \
             np.array(cs)[:, None]
     return M
+
+
+def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
+    """The columns of V (forms of degree a on monomials_of_degree(a)) times
+    a nonzero form f, in zeros_over's dtype.  For each term c*t of f the
+    nonzero entries of V go, times c, to the rows of their monomials times
+    t; over F_p the sums are reduced mod p after each term, so they stay
+    below p + (p-1)^2 < 2^63 for every p < 2^31."""
+    ring = f.ring
+    p = _modulus(ring.field)
+    ts, cs = zip(*f.terms)
+    b = a + ring.code.deg(ts[0])
+    out = zeros_over(ring.field, (len(ring.monomials_of_degree(b)),
+                                  V.shape[1]))
+    r, k = np.nonzero(V)
+    vals = V[r, k]
+    for shifted, c in zip(_product_positions(ring, ts, a, b), cs):
+        dest = shifted[r]
+        acc = out[dest, k] + c * vals
+        out[dest, k] = acc if p is None else acc % p
+    return out
 
 
 def form_matrix(P, src, tgt) -> np.ndarray:
@@ -524,9 +497,13 @@ class GradedQuotient:
         return X[self.free]
 
 
-# the largest matrix (in cells) one kernel_generators step may build; past
-# it the scan stops and reports itself incomplete
+# the largest matrix (in cells) a cover_map degree or a kernel_generators
+# step may build; past it the scan stops and reports itself incomplete
 CELL_BUDGET = 250_000_000
+
+
+class CellBudgetError(ValueError):
+    """A matrix would have more than CELL_BUDGET cells; it was not built."""
 
 
 class FreeModule:
@@ -582,13 +559,89 @@ class FreeModule:
         return out
 
 
+def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
+    """(free, image): the free module over ring with one generator of
+    degree t per column of gens[t], and image(t), the target_dim(t) x
+    free.dim(t) matrix of the map sending each generator to its column.
+    ``mul(t, j, V)`` multiplies the columns of V (target vectors of degree
+    t) by x_j.  The image of m times a generator is x_j times that of
+    m / x_j, x_j the first variable of m, so each degree takes one mul per
+    first variable on the degree below.  image(t) builds the degrees below
+    it on demand and keeps only the last one, so degrees asked for in
+    increasing order are built once; it raises CellBudgetError instead of
+    building a matrix of more than CELL_BUDGET cells."""
+    degrees = sorted(gens)
+    free = FreeModule(ring, [t for t in degrees
+                             for _ in range(gens[t].shape[1])])
+    gen_vecs = [gens[t][:, c] for t in degrees
+                for c in range(gens[t].shape[1])]
+    code = ring.code
+    xs = [code.var(j) for j in range(ring.nvars)]
+    last = {}
+
+    # a loop, not a recursion: a closure that calls itself is a reference
+    # cycle, which keeps `last` alive until the cyclic collector runs
+    def image(t):
+        if t not in last:
+            s = next(iter(last), t)  # the degree kept, if any
+            if not degrees[0] <= s < t:
+                last.clear()
+                s = min(t, degrees[0]) - 1
+            for u in range(s + 1, t + 1):
+                if target_dim(u) * free.dim(u) > CELL_BUDGET:
+                    raise CellBudgetError(f"degree {u} of a graded map "
+                                          f"passes the budget {CELL_BUDGET}")
+                below = last.pop(u - 1, None)
+                out = zeros_over(ring.field, (target_dim(u), free.dim(u)))
+                groups: dict[int, tuple[list, list]] = {}
+                for idx, (i, m) in enumerate(free.basis(u)):
+                    if m == code.one:
+                        out[:, idx] = gen_vecs[i]
+                        continue
+                    j = next(j for j, e in enumerate(code.unpack(m)) if e)
+                    cols, parents = groups.setdefault(j, ([], []))
+                    cols.append(idx)
+                    parents.append(
+                        free.positions(u - 1)[(i, code.divides(xs[j], m))])
+                for j, (cols, parents) in groups.items():
+                    out[:, cols] = mul(u - 1, j, below[:, parents])
+                last[u] = out
+        return last[t]
+
+    return free, image
+
+
+def ring_map(forms, target: PolynomialRing):
+    """The ring map target -> source sending x_i to forms[i] (homogeneous
+    of one degree d; a zero form acts as zero), as the cover_map of the
+    rank-1 free module whose generator goes to 1: column m of image(e) holds
+    the coefficients of the image of the m-th monomial of degree e on
+    source.monomials_of_degree(d*e), in zeros_over's dtype."""
+    source = forms[0].ring
+    field = source.field
+    d = max(f.degree() for f in forms)
+    if any(f and f.degree() != d for f in forms):
+        raise ValueError("forms of different degrees")
+
+    def dim(t):
+        return len(source.monomials_of_degree(d * t))
+
+    def mul(t, i, V):
+        if forms[i]:
+            return multiply_forms(forms[i], d * t, V)
+        return zeros_over(field, (dim(t + 1), V.shape[1]))
+
+    return cover_map(target, {0: zeros_over(field, (1, 1)) + field.one},
+                     dim, mul)
+
+
 def kernel_generators(free: FreeModule, image_of, hi: int):
     """Minimal generators of the kernel of a graded map from free, where
-    ``image_of(t)`` is its matrix A_t in degree t, scanned from the lowest
-    generator degree through degree hi.  Returns (gens, dims, within):
-    gens[t] holds the generators of degree t as columns, dims[t] is
-    dim ker A_t, and within is False when a step would have built a matrix
-    of more than CELL_BUDGET cells (the scan stops there).
+    ``image_of(t)`` is its matrix A_t in degree t (a cover_map image),
+    scanned from the lowest generator degree through degree hi.  Returns
+    (gens, dims, within): gens[t] holds the generators of degree t as
+    columns, dims[t] is dim ker A_t, and within is False when A_t or the
+    span below would have more than CELL_BUDGET cells (the scan stops).
 
     The generators of degree t are the columns of K_t = ker A_t that
     greedy elimination of [span | K_t] keeps beyond the span block,
@@ -613,8 +666,9 @@ def kernel_generators(free: FreeModule, image_of, hi: int):
     gens, dims = {}, {}
     prev = None
     for t in range(min(free.gen_degrees), hi + 1):
-        A = image_of(t)
-        if A.size > CELL_BUDGET:
+        try:
+            A = image_of(t)
+        except CellBudgetError:
             return gens, dims, False
         K, coords = _kernel_mod(A, p)
         n = dims[t] = coords.size
@@ -637,39 +691,38 @@ def change_coordinates(polys, forms):
     """The homogeneous polynomials polys with the i-th variable of their ring
     replaced by forms[i]: one form per variable, all of one degree d
     (linear forms for a change of coordinates).  The polynomials of each
-    degree e are the rows of one coefficient matrix on the monomials of
-    degree e; one product with evaluation_rows(forms, ...)[e] gives the
-    coefficients of all their images on the monomials of degree d*e, so
-    their terms come out sorted."""
+    degree e are the columns of one coefficient matrix on the monomials of
+    degree e; one product of the degree-e matrix of ring_map(forms, ...)
+    with it gives the coefficients of all their images on the monomials of
+    degree d*e, so their terms come out sorted.  Degrees go in increasing
+    order, and only the current one of the map is kept."""
     polys = list(polys)
     if not polys:
         return []
     ring, source = polys[0].ring, forms[0].ring
     field = ring.field
-    d = forms[0].degree()
+    d = max(f.degree() for f in forms)
     by_degree: dict[int, list[int]] = {}
     for k, f in enumerate(polys):
         if f:  # zero polynomials stay zero
             by_degree.setdefault(ring.code.deg(f.lm), []).append(k)
     images = [source.zero] * len(polys)
-    if not by_degree:
-        return images
-    rows = evaluation_rows(forms, ring, max(by_degree))
-    for e, ks in by_degree.items():
+    _, image = ring_map(forms, ring)
+    for e, ks in sorted(by_degree.items()):
         pos = ring.monomial_positions(e)
-        C = zeros_over(field, (len(ks), len(pos)))
-        for r, k in enumerate(ks):
+        C = zeros_over(field, (len(pos), len(ks)))
+        for c, k in enumerate(ks):
             try:
-                C[r, [pos[m] for m, _ in polys[k].terms]] = [
-                    c for _, c in polys[k].terms]
+                C[[pos[m] for m, _ in polys[k].terms], c] = [
+                    a for _, a in polys[k].terms]
             except KeyError:
                 raise ValueError("change of coordinates of an "
                                  "inhomogeneous polynomial") from None
         smons = source.monomials_of_degree(d * e)
-        for k, row in zip(ks, matmul_over(field, C, rows[e])):
-            nz = np.flatnonzero(row)
+        for k, col in zip(ks, matmul_over(field, image(e), C).T):
+            nz = np.flatnonzero(col)
             images[k] = MPoly(source, tuple(zip(
-                [smons[c] for c in nz.tolist()], row[nz].tolist())))
+                [smons[r] for r in nz.tolist()], col[nz].tolist())))
     return images
 
 

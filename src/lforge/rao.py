@@ -2,12 +2,13 @@
 
 For an isomorphic projection, the failure of projective normality in each
 degree k is the cokernel of the multiplication map
-Sym^k(projection forms) -> (forms of degree k*d on the source), which is
-pure finite-field linear algebra.  This module packages those cokernels as
-a graded module over the target polynomial ring (with explicit variable
+Sym^k(projection forms) -> (forms of degree k*d on the source), the
+degree-k matrix of ideals.ring_map.  This module packages those cokernels
+as a graded module over the target polynomial ring (with explicit variable
 action matrices), and resolves such modules degree by degree: minimal
 generators, presentation, and graded Betti numbers via iterated minimal
-covers -- no syzygy Groebner bases anywhere.
+covers (ideals.cover_map, ideals.kernel_generators) -- no syzygy Groebner
+bases anywhere.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 from .fields import PrimeField
 from .hilbert import HilbertData
 from .ideals import (
-    FreeModule,
     GradedQuotient,
     Ideal,
-    evaluation_rows,
+    cover_map,
     kernel_generators,
     multiplication_matrix,
+    ring_map,
 )
 # rank_mod and rref_mod are unused here but stay bound: the benchmark's own
 # tests assert that its tracer rebinds rao.rank_mod and rao.rref_mod
@@ -101,8 +102,10 @@ class RaoModule:
                 continue
             for i in range(self.nvars):
                 for j in range(i + 1, self.nvars):
-                    lhs = self._action(k + 1, i) @ self._action(k, j) % self.p
-                    rhs = self._action(k + 1, j) @ self._action(k, i) % self.p
+                    lhs = matmul_mod(self._action(k + 1, i),
+                                     self._action(k, j), self.p)
+                    rhs = matmul_mod(self._action(k + 1, j),
+                                     self._action(k, i), self.p)
                     if not np.array_equal(lhs, rhs):
                         return False
         return True
@@ -130,8 +133,8 @@ class RaoModule:
                     "pushforward description does not apply")
         composed = spec.composed_forms()
         d = composed[0].degree()
-        images = evaluation_rows(composed, spec.target_ring, kmax)
-        quotients = [GradedQuotient(field, A.T) for A in images]
+        _, image = ring_map(composed, spec.target_ring)
+        quotients = [GradedQuotient(field, image(k)) for k in range(kmax + 1)]
         dims = {k: len(Q.free) for k, Q in enumerate(quotients)}
         actions = {
             k: [quotients[k + 1].coordinates(multiplication_matrix(
@@ -219,106 +222,47 @@ class BettiTable:
         })
 
 
-class _Resolver:
-    """Minimal free resolution of a finite-length RaoModule by graded
-    linear algebra: at every homological step, cover the current module by
-    a free module (``_cover_map``) and take the minimal generators of the
-    kernel of the cover with ``ideals.kernel_generators``."""
+def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
+    """Betti numbers of a finite-length RaoModule through homological degree
+    ``hom_bound``: at every step, cover the current module by a free module
+    (``ideals.cover_map``) and take the minimal generators of the kernel of
+    the cover (``ideals.kernel_generators``).  The module's own generators
+    are one unit vector per new dimension of grade k modulo R_1 times the
+    piece below.
 
-    def __init__(self, mod: RaoModule, deg_bound: int):
-        self.mod = mod
-        self.p = mod.p
-        self.deg_bound = deg_bound
-        names = tuple(f"t{j}" for j in range(mod.nvars))
-        self.ring = PolynomialRing(mod.field, names)
-
-    def generator_grades(self):
-        """Minimal generators of the module itself, {grade k: one unit vector
-        per new dimension of grade k modulo the image of R_1 times the
-        previous piece}."""
-        mod = self.mod
-        lifts = {}
-        for k in mod.grades:
-            span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
-            free = GradedQuotient(mod.field, span).free
-            if free:
-                lifts[k] = np.eye(mod.dim(k), dtype=np.int64)[:, free]
-        return lifts
-
-    def _cover_map(self, gens: dict, target_dim, mul):
-        """(free, image): the free module with one generator of degree t
-        per column of gens[t], and the matrix image(t), degree by degree, of
-        the map sending each generator to its column, where
-        ``mul(t, j, V)`` multiplies the columns of V (target vectors of
-        degree t) by x_j.  The image of m times a generator is x_j times
-        that of m / x_j, x_j the first variable of m, so each degree takes
-        one mul per first variable on the matrix of the degree below:
-        degrees are asked for in increasing order from the lowest generator
-        degree."""
-        degrees = sorted(gens)
-        free = FreeModule(self.ring, [t for t in degrees
-                                      for _ in range(gens[t].shape[1])])
-        gen_vecs = [gens[t][:, c] for t in degrees
-                    for c in range(gens[t].shape[1])]
-        code = self.ring.code
-        xs = [code.var(j) for j in range(self.ring.nvars)]
-        below = {}
-
-        def image(t):
-            out = np.zeros((target_dim(t), free.dim(t)), dtype=np.int64)
-            groups: dict[int, tuple[list, list]] = {}
-            for idx, (i, m) in enumerate(free.basis(t)):
-                if m == code.one:
-                    out[:, idx] = gen_vecs[i]
-                    continue
-                j = next(j for j, e in enumerate(code.unpack(m)) if e)
-                cols, parents = groups.setdefault(j, ([], []))
-                cols.append(idx)
-                parents.append(
-                    free.positions(t - 1)[(i, code.divides(xs[j], m))])
-            for j, (cols, parents) in groups.items():
-                out[:, cols] = mul(t - 1, j, below[t - 1][:, parents])
-            below.clear()
-            below[t] = out
-            return out
-
-        return free, image
-
-    def resolve(self, hom_bound: int):
-        """Betti numbers through homological degree ``hom_bound``.
-
-        For a finite-length module, beta_{i,j} != 0 forces
-        j <= i + (top nonzero grade), so each homological step only needs
-        kernels through that certified bound (scanned one degree further
-        as a consistency canary)."""
-        mod = self.mod
-        reg = max(mod.grades)
-        entries = {}
-        complete = True
-
-        lifts = self.generator_grades()
-        for k, L in lifts.items():
-            entries[(0, k)] = L.shape[1]
-        step_free, step_image = self._cover_map(
-            lifts, mod.dim,
-            lambda t, j, V: matmul_mod(mod._action(t, j), V, self.p))
-        for hom in range(1, hom_bound + 1):
-            scan_hi = min(reg + hom + 1, self.deg_bound)
-            gens, _, within = kernel_generators(step_free, step_image,
-                                                scan_hi)
-            if not within or self.deg_bound < reg + hom:
-                complete = False
-            if any(t > reg + hom for t in gens):
-                raise RaoError(
-                    "syzygy generators past the regularity bound: the "
-                    "module is not finite length as presented")
-            for t, G in gens.items():
-                entries[(hom, t)] = G.shape[1]
-            if not gens or hom == hom_bound:
-                break
-            step_free, step_image = self._cover_map(
-                gens, step_free.dim, step_free.mul_vectors)
-        return BettiTable(entries, complete=complete)
+    For a finite-length module, beta_{i,j} != 0 forces
+    j <= i + (top nonzero grade), so each homological step only needs
+    kernels through that certified bound (scanned one degree further as a
+    consistency canary)."""
+    ring = PolynomialRing(mod.field,
+                          tuple(f"t{j}" for j in range(mod.nvars)))
+    reg = max(mod.grades)
+    gens = {}
+    for k in mod.grades:
+        span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
+        new = GradedQuotient(mod.field, span).free
+        if new:
+            gens[k] = np.eye(mod.dim(k), dtype=np.int64)[:, new]
+    entries = {(0, k): G.shape[1] for k, G in gens.items()}
+    complete = True
+    free, image = cover_map(
+        ring, gens, mod.dim,
+        lambda t, j, V: matmul_mod(mod._action(t, j), V, mod.p))
+    for hom in range(1, hom_bound + 1):
+        scan_hi = min(reg + hom + 1, deg_bound)
+        gens, _, within = kernel_generators(free, image, scan_hi)
+        if not within or deg_bound < reg + hom:
+            complete = False
+        if any(t > reg + hom for t in gens):
+            raise RaoError(
+                "syzygy generators past the regularity bound: the "
+                "module is not finite length as presented")
+        for t, G in gens.items():
+            entries[(hom, t)] = G.shape[1]
+        if not gens or hom == hom_bound:
+            break
+        free, image = cover_map(ring, gens, free.dim, free.mul_vectors)
+    return BettiTable(entries, complete=complete)
 
 
 class RaoPresentation:
@@ -352,7 +296,7 @@ def rao_presentation(mod: RaoModule, deg_bound: int = 8) -> RaoPresentation:
     bound is reached before the relation degrees stabilize."""
     if not mod.dims:
         raise RaoError("zero module has no presentation")
-    table = _Resolver(mod, deg_bound).resolve(1)
+    table = _resolve(mod, 1, deg_bound)
     if not table.complete:
         raise RaoError(
             f"bound insufficient: relations not stabilized by degree "
@@ -369,8 +313,7 @@ def graded_betti(mod: RaoModule, hom_bound: int = 2, deg_bound: int = 8,
     if not mod.dims:
         raise RaoError("zero module has no resolution")
     hom_bound = min(hom_bound, mod.nvars)
-    res = _Resolver(mod, deg_bound)
-    table = res.resolve(hom_bound)
+    table = _resolve(mod, hom_bound, deg_bound)
     if mod.shift:
         table = BettiTable({(i, j - mod.shift): b
                             for (i, j), b in table.entries.items()},

@@ -1,6 +1,7 @@
 """Veronese maps, catalecticants, central projections, the 55x56 cubic
-interpolation matrix of a projected plane Veronese, secant-avoidance
-certificates and the tangent-space probe of the degeneracy locus.
+interpolation matrix of a projected plane Veronese (the degree-3 matrix of
+the projection's ideals.ring_map), secant-avoidance certificates and the
+tangent-space probe of the degeneracy locus.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from . import fixtures
 from .ideals import (
     Ideal,
     ImageComputation,
-    evaluation_rows,
     image_ideal,
     linear_section_reduce,
     minors_ideal,
     multiplication_matrix,
+    ring_map,
     singular_locus,
 )
 from .linalg import (
+    matmul_mod,
     nullspace_mod,
     nullspace_over,
     rank_mod,
@@ -209,17 +211,17 @@ def build_LN(N, field=None) -> LNMatrix:
     parametric = any(isinstance(e, UniPoly) for row in N for e in row)
     if not parametric:
         spec = ProjectionSpec(N, "p2cubics", field)
-        rows = evaluation_rows(spec.composed_forms(), spec.target_ring, 3)[3]
-        return LNMatrix(rows.T.tolist(), field, False)
+        L = ring_map(spec.composed_forms(), spec.target_ring)[1](3)
+        return LNMatrix(L.tolist(), field, False)
     return _build_LN_parametric(N, field)
 
 
 def _build_LN_parametric(N, field) -> LNMatrix:
     """L_N(lambda) for a pencil N whose entries have lambda-degree at most D.
     Homogenized with a second parameter mu, the composed forms are
-    homogeneous of degree 3 + D on (x, y, z, lambda, mu), so
-    evaluation_rows expands every target cubic monomial at once.  The
-    lambda^k coefficient of entry (m, j) is the coefficient of
+    homogeneous of degree 3 + D on (x, y, z, lambda, mu), so the degree-3
+    matrix of their ring_map expands every target cubic monomial at once.
+    The lambda^k coefficient of entry (m, j) is the coefficient of
     m * lambda^k * mu^(3D - k) in the image of the j-th monomial."""
     var = next(e.var for row in N for e in row if isinstance(e, UniPoly))
     coeffs = [[e.coeffs if isinstance(e, UniPoly) else [field.of(e)]
@@ -239,7 +241,7 @@ def _build_LN_parametric(N, field) -> LNMatrix:
                                            field.mul(a, c))
         composed.append(big.from_dict(terms))
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
-    rows = evaluation_rows(composed, target, 3)[3]
+    L = ring_map(composed, target)[1](3)
     pos9 = {m: r for r, m in enumerate(plane.monomials_of_degree(9))}
     cols, at = [], []
     for c, m in enumerate(big.monomials_of_degree(3 * (3 + D))):
@@ -249,7 +251,7 @@ def _build_LN_parametric(N, field) -> LNMatrix:
             at.append((pos9[plane.code.pack((ex, ey, ez))], el))
     r, k = np.array(at).T
     cube = zeros_over(field, (55, 3 * D + 1, 56))
-    cube[r, k] = rows[:, cols].T
+    cube[r, k] = L[cols]
     entries = [[UniPoly(field, cube[i, :, j], var) for j in range(56)]
                for i in range(55)]
     return LNMatrix(entries, field, True)
@@ -331,21 +333,22 @@ def gamma_tangent_space(N, field=None):
     composed = spec.composed_forms()
     mons3_target = target.monomials_of_degree(3)
 
-    # mult-by-v_a matrices: degree-6 coefficients -> degree-9 coefficients
-    mult = [multiplication_matrix(v, 6, 9) for v in spec.forms]
+    # mult-by-v_a matrices, side by side: degree-6 coefficients -> degree-9
+    mult = np.hstack([multiplication_matrix(v, 6, 9) for v in spec.forms])
 
     # partial of each target cubic monomial by each target variable,
     # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose
-    # image is a row of the degree-2 evaluation matrix (on mons6)
-    rows2 = evaluation_rows(composed, target, 2)[2]
-    pos2 = {m: r for r, m in enumerate(target.monomials_of_degree(2))}
+    # image is a column of the degree-2 matrix of the ring map (on mons6)
+    E2 = ring_map(composed, target)[1](2)
+    pos2 = target.monomial_positions(2)
     code = target.code
-    partial6 = np.zeros((6, 56, 28), dtype=np.int64)
+    partial6 = np.zeros((56, 6, 28), dtype=np.int64)
     for col, mon in enumerate(mons3_target):
         for b, a in enumerate(code.unpack(mon)):
             if a:
                 quo = code.divides(code.var(b), mon)
-                partial6[b, col] = a * rows2[pos2[quo]] % p
+                partial6[col, b] = a * E2[:, pos2[quo]] % p
+    partial6 = partial6.reshape(56, 6 * 28)
 
     Lfull = np.asarray(LN.entries, dtype=np.int64) % p
     gradients = []
@@ -355,11 +358,10 @@ def gamma_tangent_space(N, field=None):
         except ValueError:
             continue
         cols = [m for m in range(56) if m != i]
-        # r_b = sum_m u[m] * partial6[b, m];  q_a = mult[a]^T w
-        P = partial6[:, cols, :]  # 6 x 55 x 28
-        r = np.tensordot(P, u, axes=([1], [0])) % p  # 6 x 28
-        q = np.stack([Ma.T @ w % p for Ma in mult])  # 10 x 28
-        g = (q @ r.T) % p  # 10 x 6, entry (a, b)
+        # r_b = sum_m u[m] * partial6[m, b];  q_a = mult[a]^T w
+        r = matmul_mod(u, partial6[cols], p).reshape(6, 28)
+        q = matmul_mod(w, mult, p).reshape(10, 28)
+        g = matmul_mod(q, r.T, p)  # 10 x 6, entry (a, b)
         g = g * alpha % p
         gradients.append(g.reshape(-1))
     if not gradients:

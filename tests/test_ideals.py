@@ -7,12 +7,15 @@ from lforge import ideals
 from lforge.fields import GF, QQ
 from lforge.groebner import groebner_basis, normal_form
 from lforge.ideals import (
+    FreeModule,
     GradedQuotient,
     Ideal,
     _image_by_elimination,
     change_coordinates,
+    cover_map,
     eliminate,
-    evaluation_rows,
+    form_matrix,
+    forms_from_vector,
     graded_piece,
     image_ideal,
     intersect,
@@ -21,7 +24,9 @@ from lforge.ideals import (
     matrix_det,
     minors_ideal,
     multiplication_matrix,
+    multiply_forms,
     quotient,
+    ring_map,
     saturate,
     saturate_irrelevant,
     singular_locus,
@@ -346,10 +351,10 @@ def greedy_image_generators(field, forms, target, bound):
     the evaluation map when it raises the rank of graded_piece of the
     generators kept so far and of the vectors kept before it, one rank
     computation per vector."""
-    rows = evaluation_rows(forms, target, bound)
+    _, image = ring_map(forms, target)
     gens, h0 = [], {}
     for e in range(1, bound + 1):
-        ker = nullspace_over(field, rows[e].T)
+        ker = nullspace_over(field, image(e))
         h0[e] = ker.shape[1]
         kept = [list(c) for c in graded_piece(gens, e).T] if gens else []
         rank = rank_over(field, kept) if kept else 0
@@ -537,11 +542,13 @@ def test_zero_dim_reduced_check_redraws_non_separating_form():
     assert out["status"] != "ok" or out["reduced"] is True
 
 
-def substitute_rows(forms, target, e):
-    """Reference for evaluation_rows: one substitute call per monomial."""
+def substitute_rows(forms, target, e, d):
+    """Reference for ring_map: one substitute call per monomial of degree e,
+    giving the coefficients of its image on the source monomials of degree
+    d*e, one list per column of the map."""
     source = forms[0].ring
     sub = {name: forms[i] for i, name in enumerate(target.names)}
-    smons = source.monomials_of_degree(forms[0].degree() * e)
+    smons = source.monomials_of_degree(d * e)
     return [coefficient_vector(
                 MPoly(target, ((m, target.field.one),)).substitute(sub), smons)
             for m in target.monomials_of_degree(e)]
@@ -550,20 +557,22 @@ def substitute_rows(forms, target, e):
 @pytest.mark.parametrize("field", [F17, QQ])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_evaluation_rows_match_substitute(field, d):
+    # ring_map, the degree-by-degree matrices of a ring map; the last input
+    # has a zero form first
     rng = Rng(100 + d)
     source = PolynomialRing(field, ("s", "t", "u"))
-    for nforms in (1, 2, 4):
+    for nforms, zero in ((1, False), (2, False), (4, False), (3, True)):
         target = PolynomialRing(field, tuple(f"y{j}" for j in range(nforms)))
         forms = []
         for _ in range(nforms):
             f = source.random_form(d, rng)
             forms.append(f if not f.is_zero() else source.var(0) ** d)
+        if zero:
+            forms[0] = source.zero
+        _, image = ring_map(forms, target)
         top = 4 - d
-        rows = evaluation_rows(forms, target, top)
-        assert len(rows) == top + 1
-        assert rows[0].tolist() == [[field.one]]
-        for e in range(1, top + 1):
-            assert rows[e].tolist() == substitute_rows(forms, target, e)
+        for e in range(top, -1, -1):
+            assert image(e).T.tolist() == substitute_rows(forms, target, e, d)
 
 
 P31 = GF(2**31 - 1)
@@ -586,9 +595,54 @@ def test_evaluation_rows_exact_at_largest_residues(field, d):
     source = PolynomialRing(field, ("s", "t", "u"))
     target = PolynomialRing(field, ("a", "b", "c"))
     forms = [top_coefficient_form(source, d, j) for j in range(3)]
-    rows = evaluation_rows(forms, target, 3)
+    _, image = ring_map(forms, target)
     for e in range(4):
-        assert rows[e].tolist() == substitute_rows(forms, target, e)
+        assert image(e).T.tolist() == substitute_rows(forms, target, e, d)
+
+
+@FIELDS
+@pytest.mark.parametrize("a", [0, 2])
+def test_multiply_forms_matches_mpoly_products(field, a):
+    # oracle: each column read as a form, multiplied as an MPoly
+    source = PolynomialRing(field, ("s", "t", "u"))
+    amons = source.monomials_of_degree(a)
+    for e in (1, 2):
+        f = top_coefficient_form(source, e, a)
+        V = zeros_over(field, (len(amons), 4))
+        V[:, 1] = [field.of(-1 - k % 5) for k in range(len(amons))]
+        V[::2, 3] = field.of(-2)  # columns 0 and 2 stay zero
+        bmons = source.monomials_of_degree(a + e)
+        want = [coefficient_vector(
+                    from_coefficient_vector(source, amons, v) * f, bmons)
+                for v in V.T]
+        assert multiply_forms(f, a, V).T.tolist() == want
+        empty = multiply_forms(f, a, zeros_over(field, (len(amons), 2)))
+        assert empty.shape == (len(bmons), 2) and not empty.any()
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+def test_cover_map_matches_form_matrix(field):
+    # a cover of a free module with generators in degrees 0 and 1, by
+    # generators in degrees 1 and 2, against the matrix of the same map
+    # read as a matrix of forms
+    ring = PolynomialRing(field, ("a", "b", "c"))
+    target = FreeModule(ring, [0, 1])
+    rng = np.random.default_rng(5)
+    gens = {}
+    for t, count in ((1, 2), (2, 1)):
+        gens[t] = zeros_over(field, (target.dim(t), count))
+        gens[t][:] = [[field.of(int(c)) for c in row]
+                      for row in rng.integers(-8, 9, (target.dim(t), count))]
+    free, image = cover_map(ring, gens, target.dim, target.mul_vectors)
+    assert free.gen_degrees == [1, 1, 2]
+    columns = [(t, v) for t in sorted(gens) for v in gens[t].T]
+    P = [list(row) for row in zip(*[
+        forms_from_vector(ring, v, [t - g for g in target.gen_degrees])
+        for t, v in columns])]
+    for t in (4, 0, 1, 2, 3):
+        want = form_matrix(P, [t - s for s in free.gen_degrees],
+                           [t - g for g in target.gen_degrees])
+        assert image(t).tolist() == want.tolist()
 
 
 @FIELDS

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from sympy import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
+import lforge
 from lforge import linalg
 from lforge.fields import GF, QQ
 
@@ -325,3 +328,48 @@ def test_rank_mod_matches_frac_on_lifted(seed):
     rp = max([0] + [len(r) for r in idx for c in idx if len(c) == len(r)
                     and S.extract(r, c).det() % P])
     assert linalg.rank_mod(A, P) == rp <= S.rank()
+
+
+# -- raw matrix products ------------------------------------------------
+
+# (module, function) pairs allowed a raw numpy product, with the reason
+RAW_PRODUCTS_ALLOWED = {
+    # 0/1 bits times the weights 2^t mod p: each row is a sum of `bits`
+    # residues below 2^31, `bits` the bit length of one Kronecker slot (a
+    # few hundred at most), far below 2^63
+    ("snf", "_unpack"),
+}
+RAW_PRODUCT_CALLS = {"dot", "matmul", "tensordot"}
+
+
+def raw_products(path):
+    """(module, enclosing function, line) of every @, np.dot, np.matmul and
+    np.tensordot in one source file."""
+    module = path.stem
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        raw = (isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, ast.MatMult))
+        raw |= (isinstance(node, ast.Attribute)
+                and node.attr in RAW_PRODUCT_CALLS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        if raw:
+            found.append((module, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_raw_matrix_products_outside_linalg():
+    # an int64 product of residues overflows once its sum of products
+    # passes 2^63; matmul_mod is the exact one
+    found = [hit for path in sorted(Path(lforge.__file__).parent.glob("*.py"))
+             if path.name != "linalg.py" for hit in raw_products(path)]
+    assert [h for h in found if h[:2] not in RAW_PRODUCTS_ALLOWED] == []
+    assert {h[:2] for h in found} == RAW_PRODUCTS_ALLOWED

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from lforge import fixtures, ideals, rao
 from lforge.fields import GF
-from lforge.ideals import Ideal
-from lforge.linalg import nullspace_mod, rank_mod, rref_mod
+from lforge.ideals import Ideal, multiplication_matrix
+from lforge.linalg import matmul_mod, nullspace_mod, rank_mod, rref_mod
 from lforge.linkage import link, random_slice_element
 from lforge.mpoly import PolynomialRing, coefficient_vector
 from lforge.rao import (
@@ -126,6 +126,19 @@ def test_noncommuting_actions_rejected():
     B = np.asarray([[1, 0], [0, 2]])
     with pytest.raises(RaoError, match="commute"):
         RaoModule(F17, 2, {0: 2, 1: 2, 2: 2}, {0: [A, B], 1: [A, B]})
+
+
+def test_commutation_check_exact_for_large_p():
+    # X and X^2 commute; at p = 2^31 - 1 a raw int64 product of two 4 x 4
+    # matrices of residues overflows before it is reduced mod p
+    p = 2**31 - 1
+    X = np.random.default_rng(4).integers(0, p, (4, 4))
+    Y = matmul_mod(X, X, p)
+    mod = RaoModule(GF(p), 2, {0: 4, 1: 4, 2: 4}, {0: [X, Y], 1: [X, Y]})
+    assert mod.commutes()
+    Z = np.random.default_rng(5).integers(0, p, (4, 4))
+    with pytest.raises(RaoError, match="commute"):
+        RaoModule(GF(p), 2, {0: 4, 1: 4, 2: 4}, {0: [X, Z], 1: [X, Z]})
 
 
 def test_action_shape_validation():
@@ -300,6 +313,33 @@ def test_cover_budget_counts_the_kernel_span(monkeypatch):
     assert tab.column(1) == {1: 2}
     monkeypatch.setattr(ideals, "CELL_BUDGET", 12)
     assert graded_betti(mod, hom_bound=1, deg_bound=5).complete
+
+
+def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
+    # k[a, b, c] truncated above degree 2: the degree-2 matrix of its cover
+    # by k[a, b, c] is 6 x 6, the largest matrix of the first step
+    R = PolynomialRing(F17, ("a", "b", "c"))
+    mod = RaoModule(F17, 3, {k: len(R.monomials_of_degree(k))
+                             for k in range(3)},
+                    {k: [multiplication_matrix(v, k, k + 1)
+                         for v in R.gens()] for k in range(2)})
+    built = []
+    zeros_over = ideals.zeros_over
+
+    def recording_zeros(field, shape):
+        built.append(shape[0] * shape[1])
+        return zeros_over(field, shape)
+
+    monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 35)
+    tab = graded_betti(mod, hom_bound=2, deg_bound=5)
+    assert max(built) <= 35
+    assert tab.to_text().endswith("(partial: budget reached)")
+    assert tab.entries == {(0, 0): 1}
+    built.clear()
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 36)
+    graded_betti(mod, hom_bound=2, deg_bound=5)
+    assert 36 in built
 
 
 def test_betti_table_text_and_json():
