@@ -2,8 +2,10 @@
 
 The surface is the image of the plane under the ten cubic monomials,
 projected from P^9 to P^5 along a 10x6 matrix N.  Whether the image lies
-on one cubic or a pencil is decided by the corank of a 55x56 interpolation
-matrix built from N -- no Groebner bases needed.
+on one cubic or a pencil is decided by the corank of the 55x56 matrix
+that sends each cubic on P^5 to its pullback, a plane form of degree 9:
+the kernel of the projection in degree 3, found by linear algebra alone
+-- no Groebner bases needed.
 
 Run: python3 demos/cubic_dichotomy.py
 """
@@ -11,7 +13,12 @@ Run: python3 demos/cubic_dichotomy.py
 from lforge import fixtures
 from lforge.fields import GF
 from lforge.rng import Rng
-from lforge.veronese import ProjectionSpec, build_LN, secant_avoidance
+from lforge.veronese import (
+    ProjectionSpec,
+    project,
+    secant_avoidance,
+    surface_cubics,
+)
 
 F = GF(17)
 
@@ -26,11 +33,11 @@ def random_center(rng):
 
 
 def main():
-    print("corank of the interpolation matrix for ten random centers:")
+    print("number of cubics through the surface for ten random centers:")
     rng = Rng(4)
     for i in range(10):
         spec = random_center(rng)
-        print(f"  draw {i}: corank {build_LN(spec.N, F).corank()}")
+        print(f"  draw {i}: corank {project(spec, 3).h0[3]}")
     print()
     print("(over a 17-element field roughly one draw in ten lands on the")
     print(" codimension-1 corank-2 stratum -- both values show up in a")
@@ -38,9 +45,8 @@ def main():
     print()
 
     spec = ProjectionSpec(fixtures.n0_matrix(F), "p2cubics", F)
-    LN = build_LN(spec.N, F)
-    print(f"the pinned special center: corank {LN.corank()}")
-    cubics = LN.kernel_cubics(spec.target_ring)
+    cubics = surface_cubics(project(spec, 3))
+    print(f"the pinned special center: corank {len(cubics)}")
     print(f"  -> a pencil of {len(cubics)} cubics through the surface")
     cert = secant_avoidance(spec.center_forms(), spec.secant_ideal())
     print(f"  -> projection center avoids the secant variety: "

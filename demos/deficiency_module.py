@@ -4,15 +4,16 @@ computed entirely by linear algebra over F_17.
 Each graded piece is the cokernel of a multiplication map between spaces
 of plane forms; the six variables act by explicit matrices that are
 checked to commute.  From the action matrices alone we read off the
-Hilbert values, a minimal presentation, and graded Betti numbers by
-iterated minimal covers -- no syzygy Groebner bases.
+Hilbert values and graded Betti numbers by iterated minimal covers -- no
+syzygy Groebner bases.  Columns 0 and 1 of the Betti table are a minimal
+presentation: the generators and the relations.
 
 Run: python3 demos/deficiency_module.py
 """
 
 from lforge import fixtures
 from lforge.fields import GF
-from lforge.rao import RaoModule, graded_betti, rao_presentation
+from lforge.rao import RaoModule, graded_betti
 from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec
 
@@ -33,11 +34,9 @@ def main():
     mod = RaoModule.from_projection(spec, kmax=4, certify=False)
     print("general center:")
     print("  Hilbert values (grades 0..4):", mod.hilbert_values(range(5)))
-    pres = rao_presentation(mod)
-    print("  generators by degree:", pres.generator_degrees())
-    print("  relations by degree: ", pres.relation_degrees())
-
     tab = graded_betti(mod, hom_bound=2, deg_bound=8)
+    print("  generators by degree:", tab.column(0))
+    print("  relations by degree: ", tab.column(1))
     print("  graded Betti numbers through homological degree 2:")
     print("   ", dict(sorted(tab.entries.items())))
     print("  (keys are (homological degree, internal degree))")

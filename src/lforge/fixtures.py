@@ -13,7 +13,7 @@ import os
 from .fields import GF
 from .mpoly import PolynomialRing
 from .textio import data_lines
-from .unipoly import UniPoly
+from .unipoly import parse_unipoly
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -50,30 +50,14 @@ def n0_matrix(field=None):
     return rows
 
 
-def _parse_lambda_entry(tok: str, field, var: str) -> UniPoly:
-    """Entries of the pencil matrix: integer combinations of 1 and L."""
-    lin = field.zero
-    const = field.zero
-    for piece in tok.replace("-", "+-").split("+"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if piece.endswith("L"):
-            coeff = piece[:-1].rstrip("*")
-            if coeff in ("", "-"):
-                coeff += "1"
-            lin = field.add(lin, field.of(int(coeff)))
-        else:
-            const = field.add(const, field.of(int(piece)))
-    return UniPoly(field, [const, lin], var)
-
-
-def nlambda_matrix(field=None, var: str = "lambda"):
-    """The 10x6 pencil N(lambda) with univariate-polynomial entries."""
+def nlambda_matrix(field=None):
+    """The 10x6 pencil N(lambda) with univariate-polynomial entries, written
+    in L in the fixture file."""
     field = field or GF(17)
     rows = []
     for line in data_lines(_read_fixture("nlambda.txt")):
-        rows.append([_parse_lambda_entry(tok, field, var) for tok in line.split()])
+        rows.append([parse_unipoly(tok, field, "lambda", "L")
+                     for tok in line.split()])
     if len(rows) != 10 or any(len(r) != 6 for r in rows):
         raise FixtureError("nlambda fixture must be a 10x6 grid")
     return rows

@@ -210,15 +210,19 @@ def _divide_out_last_variable(gens, ring):
     return out
 
 
-def _hp_signature(basis, ring):
-    """Hilbert data of the ideal a homogeneous Groebner basis generates, read
-    from its leading monomials, and the Hilbert polynomial at 0..n."""
-    exps = [ring.code.unpack(g.lm) for g in basis]
-    H = HilbertData.from_exponents(exps, ring.nvars)
-    return H, tuple(H.hilbert_polynomial_value(e) for e in range(H.n + 1))
+def _hp_signature(H: HilbertData):
+    """The Hilbert polynomial of H at 0..n."""
+    return tuple(H.hilbert_polynomial_value(e) for e in range(H.n + 1))
 
 
-def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
+def _basis_hilbert(basis, ring) -> HilbertData:
+    """Hilbert data of the ideal a homogeneous Groebner basis generates,
+    read from its leading monomials."""
+    return HilbertData.from_exponents(
+        [ring.code.unpack(g.lm) for g in basis], ring.nvars)
+
+
+def saturate_irrelevant(I: Ideal) -> Ideal:
     """Saturation with respect to the irrelevant maximal ideal.
 
     A generic linear form l avoids every associated prime except the
@@ -231,8 +235,8 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
     I : l^∞ is one coordinate change sending l to the last variable, one
     basis and Bayer's last-variable division.  A change of coordinates keeps
     Hilbert data, so both are read from that one basis: HP(I) from its
-    leading monomials, HP(I : l^∞) from those of the divided-out basis,
-    which the result keeps.
+    leading monomials, which I keeps when it has no Hilbert data yet, and
+    HP(I : l^∞) from those of the divided-out basis, which the result keeps.
 
     I must be homogeneous: the Bayer step is only valid for a homogeneous
     basis, so an inhomogeneous I raises ValueError."""
@@ -243,7 +247,7 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
         raise ValueError("saturation needs a homogeneous ideal")
     field = ring.field
     n = ring.nvars
-    rng = as_rng(seed)
+    rng = as_rng(0)
     var = ring.code.var
 
     def colon(coeffs, an):
@@ -255,11 +259,12 @@ def saturate_irrelevant(I: Ideal, seed=0) -> Ideal:
         bwd = ring.gens()[:-1] + [ring.from_dict(
             {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})]
         G = groebner_basis(change_coordinates(I.gens, fwd))
+        if I._hilbert is None:
+            I._hilbert = _basis_hilbert(G, ring)
         out = _divide_out_last_variable(list(G), ring)
-        H, sig = _hp_signature(out, ring)
         J = Ideal(ring, change_coordinates(out, bwd))
-        J._hilbert = H
-        return J, sig == _hp_signature(G, ring)[1]
+        J._hilbert = _basis_hilbert(out, ring)
+        return J, _hp_signature(J._hilbert) == _hp_signature(I._hilbert)
 
     for attempt in range(5):
         coeffs = [field.random(rng.fork(attempt * 17 + k)) for k in range(n - 1)]

@@ -160,12 +160,12 @@ class PolynomialRing:
     def with_order(self, order: TermOrder) -> "PolynomialRing":
         return PolynomialRing(self.field, self.names, order)
 
-    def extend_back(self, new_names, order: TermOrder | None = None):
-        return PolynomialRing(self.field, self.names + tuple(new_names), order)
+    def extend_back(self, new_names):
+        return PolynomialRing(self.field, self.names + tuple(new_names))
 
-    def drop_vars(self, names_to_drop, order: TermOrder | None = None):
+    def drop_vars(self, names_to_drop):
         keep = tuple(n for n in self.names if n not in set(names_to_drop))
-        return PolynomialRing(self.field, keep, order)
+        return PolynomialRing(self.field, keep)
 
     def convert(self, f: "MPoly") -> "MPoly":
         """Bring a polynomial into this ring, matching variables by name.

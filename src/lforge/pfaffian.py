@@ -562,9 +562,9 @@ def deform_family(A: SkewMatrix, Bp, Dp, lambdas,
     for lv in lambdas:
         Alv = family_matrix(A, Bp, Dp, x6.scale(field.of(lv)))
         I = sub_pfaffians(Alv, 8)
+        # the saturation reads I's Hilbert data from its own basis
+        H = saturate_irrelevant(I).hilbert()
         Hraw = I.hilbert()
-        S = saturate_irrelevant(I)
-        H = S.hilbert()
         samples[lv] = {
             "dim": H.dim,
             "degree": H.degree,

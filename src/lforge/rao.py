@@ -5,10 +5,11 @@ degree k is the cokernel of the multiplication map
 Sym^k(projection forms) -> (forms of degree k*d on the source), the
 degree-k matrix of ideals.ring_map.  This module packages those cokernels
 as a graded module over the target polynomial ring (with explicit variable
-action matrices), and resolves such modules degree by degree: minimal
-generators, presentation, and graded Betti numbers via iterated minimal
-covers (ideals.cover_map, ideals.kernel_generators) -- no syzygy Groebner
-bases anywhere.
+action matrices), and resolves such modules degree by degree into graded
+Betti numbers via iterated minimal covers (ideals.cover_map,
+ideals.kernel_generators) -- no syzygy Groebner bases anywhere.  A minimal
+presentation is columns 0 and 1 of that table (graded_betti with
+hom_bound=1).
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ class RaoModule:
 
     @classmethod
     def from_projection(cls, spec: ProjectionSpec, kmax: int = 4,
-                        certify: bool = True, shift: int = 2) -> "RaoModule":
-        """Cokernels of the multiplication maps of the composed forms.
+                        certify: bool = True) -> "RaoModule":
+        """Cokernels of the multiplication maps of the composed forms, with
+        grade k reported as k - 2.
 
         The grade-k piece is H^0 of degree k*d forms on the source modulo
         the image of Sym^k of the projection; the pushforward
@@ -141,7 +143,7 @@ class RaoModule:
                     f, k * d, (k + 1) * d)[:, quotients[k].free])
                 for f in composed]
             for k in range(kmax)}
-        mod = cls(field, spec.ncols, dims, actions, shift=shift)
+        mod = cls(field, spec.ncols, dims, actions, shift=2)
         mod._tail_certified = (dims.get(kmax, 0) == 0)
         return mod
 
@@ -265,51 +267,13 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
     return BettiTable(entries, complete=complete)
 
 
-class RaoPresentation:
-    def __init__(self, generators: dict, relations: dict, shift: int):
-        self.generators = dict(generators)
-        self.relations = dict(relations)
-        self.shift = shift
-
-    def generator_degrees(self):
-        return {k - self.shift: c for k, c in self.generators.items()}
-
-    def relation_degrees(self):
-        return {k - self.shift: c for k, c in self.relations.items()}
-
-    @property
-    def lowest_grade_only(self) -> bool:
-        return len(self.generators) == 1
-
-    def as_dict(self):
-        return {
-            "generators": {str(k): v
-                           for k, v in sorted(self.generator_degrees().items())},
-            "relations": {str(k): v
-                          for k, v in sorted(self.relation_degrees().items())},
-        }
-
-
-def rao_presentation(mod: RaoModule, deg_bound: int = 8) -> RaoPresentation:
-    """Minimal generators and minimal relations (the degrees of a minimal
-    presentation), computed degree by degree.  Raises when the degree
-    bound is reached before the relation degrees stabilize."""
-    if not mod.dims:
-        raise RaoError("zero module has no presentation")
-    table = _resolve(mod, 1, deg_bound)
-    if not table.complete:
-        raise RaoError(
-            f"bound insufficient: relations not stabilized by degree "
-            f"{deg_bound}")
-    return RaoPresentation(table.column(0), table.column(1), mod.shift)
-
-
-def graded_betti(mod: RaoModule, hom_bound: int = 2, deg_bound: int = 8,
-                 expected: dict | None = None):
+def graded_betti(mod: RaoModule, hom_bound: int = 2,
+                 deg_bound: int = 8) -> BettiTable:
     """Betti table through the requested homological degree (capped at
-    nvars by the syzygy theorem), with an optional cell-by-cell comparison
-    report against an expected table given in the module's reported
-    grading."""
+    nvars by the syzygy theorem), in the module's reported grading.  Its
+    columns 0 and 1 are the degrees of a minimal presentation: the minimal
+    generators and the minimal relations.  ``complete`` is False when the
+    degree bound was reached before the table stabilized."""
     if not mod.dims:
         raise RaoError("zero module has no resolution")
     hom_bound = min(hom_bound, mod.nvars)
@@ -318,9 +282,7 @@ def graded_betti(mod: RaoModule, hom_bound: int = 2, deg_bound: int = 8,
         table = BettiTable({(i, j - mod.shift): b
                             for (i, j), b in table.entries.items()},
                            complete=table.complete)
-    if expected is None:
-        return table
-    return table, table.compare(expected)
+    return table
 
 
 # -- liaison Hilbert-function arithmetic -------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from .fields import PrimeField, is_prime
 from .rng import as_rng
 from .textio import data_lines
-from .unipoly import UniPoly, gcd, squarefree_decomposition
+from .unipoly import UniPoly, gcd, parse_unipoly, squarefree_decomposition
 
 
 class SnfError(ValueError):
@@ -90,7 +90,7 @@ class PolyMatrix:
         entries = []
         it = iter(lines[1:])
         for i in range(r):
-            entries.append([_parse_unipoly(next(it), field, var)
+            entries.append([parse_unipoly(next(it), field, var)
                             for _ in range(c)])
         return cls(entries, field, var)
 
@@ -111,19 +111,6 @@ def _unpack(x: int, bits: int, weights, field, var) -> UniPoly:
                                       np.uint8), count=n * bits,
                         bitorder="little")
     return UniPoly(field, raw.reshape(n, bits) @ weights, var)
-
-
-def _parse_unipoly(text: str, field, var: str) -> UniPoly:
-    from .mpoly import PolynomialRing
-    from .textio import parse_poly
-
-    ring = PolynomialRing(field, (var,))
-    f = parse_poly(text, ring)
-    coeffs = [field.zero] * (1 + max(
-        (ring.code.unpack(m)[0] for m, _ in f.terms), default=0))
-    for m, c in f.terms:
-        coeffs[ring.code.unpack(m)[0]] = c
-    return UniPoly(field, coeffs, var)
 
 
 class SNFResult:

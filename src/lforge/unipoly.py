@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldError, PrimeField
-from .textio import _coeff_str
+from .mpoly import PolynomialRing
+from .textio import _coeff_str, parse_poly
 
 
 class UniPoly:
@@ -51,8 +52,8 @@ class UniPoly:
         return cls(field, [1], var)
 
     @classmethod
-    def const(cls, field, c, var="lambda"):
-        return cls(field, [c], var)
+    def const(cls, field, c):
+        return cls(field, [c])
 
     @classmethod
     def x(cls, field, var="lambda"):
@@ -211,6 +212,19 @@ class UniPoly:
                 term = v if c == self.field.one else f"{_coeff_str(c)}*{v}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def parse_unipoly(text: str, field, var: str, name: str | None = None
+                  ) -> UniPoly:
+    """One polynomial in the syntax of textio.parse_poly, written in the
+    variable ``name`` (``var`` when None), as a UniPoly in ``var``."""
+    ring = PolynomialRing(field, (name or var,))
+    f = parse_poly(text, ring)
+    exps = [ring.code.unpack(m)[0] for m, _ in f.terms]
+    coeffs = [field.zero] * (1 + max(exps, default=0))
+    for e, (_, c) in zip(exps, f.terms):
+        coeffs[e] = c
+    return UniPoly(field, coeffs, var)
 
 
 def gcd(f: UniPoly, g: UniPoly) -> UniPoly:

@@ -1,6 +1,8 @@
-"""Veronese maps, catalecticants, central projections, the 55x56 cubic
-interpolation matrix of a projected plane Veronese (the degree-3 matrix of
-the projection's ideals.ring_map), secant-avoidance certificates and the
+"""Veronese maps, catalecticants, central projections and their image
+ideals (``project``; the degree-3 generators of a projected plane are the
+cubics through the surface, their number the corank of the 55x56 degree-3
+matrix of the projection's ideals.ring_map), the matrix L_N(lambda) of a
+pencil of centers over F[lambda], secant-avoidance certificates and the
 tangent-space probe of the degeneracy locus.
 """
 
@@ -25,13 +27,13 @@ from .ideals import (
 from .linalg import (
     matmul_mod,
     nullspace_mod,
-    nullspace_over,
     rank_mod,
     rank_over,
     det_mod,
     zeros_over,
 )
-from .mpoly import PolynomialRing, from_coefficient_vector
+from .mpoly import PolynomialRing
+from .snf import PolyMatrix
 from .unipoly import UniPoly
 
 
@@ -125,28 +127,15 @@ class ProjectionSpec:
     def composed_forms(self):
         """The target coordinate forms on the source: columns of N applied to
         the Veronese forms."""
-        out = []
-        for j in range(self.ncols):
-            f = self.source_ring.zero
-            for i, v in enumerate(self.forms):
-                c = self.N[i][j]
-                if not self.field.is_zero(c):
-                    f = f + v.scale(c)
-            out.append(f)
-        return out
+        R = self.source_ring
+        return [R.dot([R.const(c) for c in col], self.forms)
+                for col in zip(*self.N)]
 
     def center_forms(self):
         """Linear forms on the ambient space cutting out the center."""
-        gens = self.ambient_ring.gens()
-        out = []
-        for j in range(self.ncols):
-            f = self.ambient_ring.zero
-            for i in range(len(self.N)):
-                c = self.N[i][j]
-                if not self.field.is_zero(c):
-                    f = f + gens[i].scale(c)
-            out.append(f)
-        return out
+        R = self.ambient_ring
+        return [R.dot([R.const(c) for c in col], R.gens())
+                for col in zip(*self.N)]
 
     def secant_ideal(self) -> Ideal:
         """3x3 minors of the catalecticant: the secant locus of the Veronese."""
@@ -159,71 +148,35 @@ def project(spec: ProjectionSpec, bound: int = 5) -> ImageComputation:
     return image_ideal(spec.composed_forms(), spec.target_ring, bound)
 
 
-# -- the interpolation matrix L ---------------------------------------
+# -- the cubics through the surface and the pencil matrix L_N(lambda) --
 
 
-class LNMatrix:
-    """Coefficient matrix of target cubic monomials expanded on the source:
-    55 rows (degree-9 monomials of the plane), 56 columns (cubic monomials in
-    the six target coordinates).  The corank counts independent cubics
-    containing the projected surface."""
-
-    def __init__(self, entries, field, parametric: bool):
-        self.entries = entries
-        self.field = field
-        self.parametric = parametric
-        self.nrows = len(entries)
-        self.ncols = len(entries[0])
-
-    def rank(self) -> int:
-        if self.parametric:
-            raise ValueError("rank of a parametric matrix needs a sample value")
-        return rank_over(self.field, self.entries)
-
-    def corank(self) -> int:
-        return self.ncols - self.rank()
-
-    def at(self, value) -> "LNMatrix":
-        """Evaluate a parametric matrix at one parameter value.  Test oracle:
-        test_veronese.py compares L_N(lambda) with its specializations."""
-        if not self.parametric:
-            raise ValueError("matrix is not parametric")
-        rows = [[e(value) for e in row] for row in self.entries]
-        return LNMatrix(rows, self.field, False)
-
-    def kernel_cubics(self, target_ring: PolynomialRing):
-        """Right-kernel vectors as honest cubics on the target space."""
-        if self.parametric:
-            raise ValueError("kernel of a parametric matrix is not supported")
-        basis = target_ring.monomials_of_degree(3)
-        if len(basis) != self.ncols:
-            raise ValueError("target ring does not match the column count")
-        ker = nullspace_over(self.field, self.entries)
-        return [from_coefficient_vector(target_ring, basis, v) for v in ker.T]
+def surface_cubics(res: ImageComputation) -> list:
+    """The cubics through a projected surface: the degree-3 generators of
+    project(spec, bound), bound >= 3.  When the kernel is zero in degrees 1
+    and 2 they span its degree-3 part, so there are res.h0[3] of them, the
+    corank of the 55x56 degree-3 matrix of the ring map; otherwise
+    ValueError."""
+    if res.h0.get(1) or res.h0.get(2):
+        raise ValueError("the image lies on a hyperplane or a quadric; the "
+                         "cubic generators are not the degree-3 kernel")
+    return [g for g in res.ideal.gens if g.degree() == 3]
 
 
-def build_LN(N, field=None) -> LNMatrix:
-    """L for a 10x6 projection matrix over a field, or for a pencil given by
-    a 10x6 grid of univariate polynomials."""
+def build_LN(N, field=None) -> PolyMatrix:
+    """L_N(lambda), the 55x56 matrix over F[lambda] of a pencil N: a 10x6
+    grid of univariate polynomials of lambda-degree at most D (constant
+    entries count as degree 0).  Homogenized with a second parameter mu,
+    the composed forms are homogeneous of degree 3 + D on
+    (x, y, z, lambda, mu), so the degree-3 matrix of their ring_map expands
+    every target cubic monomial at once.  The lambda^k coefficient of entry
+    (m, j) is the coefficient of m * lambda^k * mu^(3D - k) in the image of
+    the j-th monomial."""
     field = field or GF(17)
     if len(N) != 10 or any(len(r) != 6 for r in N):
         raise ValueError("expected a 10x6 matrix")
-    parametric = any(isinstance(e, UniPoly) for row in N for e in row)
-    if not parametric:
-        spec = ProjectionSpec(N, "p2cubics", field)
-        L = ring_map(spec.composed_forms(), spec.target_ring)[1](3)
-        return LNMatrix(L.tolist(), field, False)
-    return _build_LN_parametric(N, field)
-
-
-def _build_LN_parametric(N, field) -> LNMatrix:
-    """L_N(lambda) for a pencil N whose entries have lambda-degree at most D.
-    Homogenized with a second parameter mu, the composed forms are
-    homogeneous of degree 3 + D on (x, y, z, lambda, mu), so the degree-3
-    matrix of their ring_map expands every target cubic monomial at once.
-    The lambda^k coefficient of entry (m, j) is the coefficient of
-    m * lambda^k * mu^(3D - k) in the image of the j-th monomial."""
-    var = next(e.var for row in N for e in row if isinstance(e, UniPoly))
+    var = next((e.var for row in N for e in row if isinstance(e, UniPoly)),
+               "lambda")
     coeffs = [[e.coeffs if isinstance(e, UniPoly) else [field.of(e)]
                for e in row] for row in N]
     D = max(len(c) for row in coeffs for c in row) - 1
@@ -237,8 +190,7 @@ def _build_LN_parametric(N, field) -> LNMatrix:
             for k, c in enumerate(row[j]):
                 for t, a in v.terms:
                     key = big.code.pack(plane.code.unpack(t) + (k, D - k))
-                    terms[key] = field.add(terms.get(key, field.zero),
-                                           field.mul(a, c))
+                    terms[key] = terms.get(key, 0) + a * c
         composed.append(big.from_dict(terms))
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
     L = ring_map(composed, target)[1](3)
@@ -252,9 +204,8 @@ def _build_LN_parametric(N, field) -> LNMatrix:
     r, k = np.array(at).T
     cube = zeros_over(field, (55, 3 * D + 1, 56))
     cube[r, k] = L[cols]
-    entries = [[UniPoly(field, cube[i, :, j], var) for j in range(56)]
-               for i in range(55)]
-    return LNMatrix(entries, field, True)
+    return PolyMatrix([[UniPoly(field, cube[i, :, j], var) for j in range(56)]
+                       for i in range(55)], field, var)
 
 
 # -- secant avoidance -------------------------------------------------
@@ -312,25 +263,28 @@ def det_gradient_rank1(field, M):
     return u, w, alpha
 
 
-def gamma_tangent_space(N, field=None):
+def gamma_tangent_space(spec: ProjectionSpec):
     """Codimension, inside the 60-dimensional space of projection matrices,
-    of the joint kernel of the gradients of all maximal minors of L at N.
+    of the joint kernel of the gradients of all maximal minors of L at the
+    center of spec (a 10x6 projection of the plane cubic Veronese).  E2 and
+    L are the degree-2 and degree-3 matrices of one ring_map.
 
     Each corank-1 maximal minor M_i (delete column i) contributes the
     gradient v -> trace(adj(M_i) dM_i/dv) computed through the rank-1
     adjugate; minors of corank >= 2 contribute zero, and
     det_gradient_rank1 refuses them.
     """
-    field = field or GF(17)
+    field = spec.field
     if not isinstance(field, PrimeField):
         raise TypeError("tangent-space probe is implemented mod p only")
+    if spec.kind != "p2cubics" or spec.ncols != 6:
+        raise ValueError("expected a 10x6 projection of the plane cubics")
     p = field.p
-    LN = build_LN(N, field)
-    if LN.corank() < 2:
-        raise ValueError("projection matrix is not on the degeneracy locus")
-    spec = ProjectionSpec(N, "p2cubics", field)
     target = spec.target_ring
-    composed = spec.composed_forms()
+    _, image = ring_map(spec.composed_forms(), target)
+    E2, L = image(2), image(3)
+    if L.shape[1] - rank_mod(L, p) < 2:
+        raise ValueError("projection matrix is not on the degeneracy locus")
     mons3_target = target.monomials_of_degree(3)
 
     # mult-by-v_a matrices, side by side: degree-6 coefficients -> degree-9
@@ -338,8 +292,7 @@ def gamma_tangent_space(N, field=None):
 
     # partial of each target cubic monomial by each target variable,
     # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose
-    # image is a column of the degree-2 matrix of the ring map (on mons6)
-    E2 = ring_map(composed, target)[1](2)
+    # image is a column of E2 (on mons6)
     pos2 = target.monomial_positions(2)
     code = target.code
     partial6 = np.zeros((56, 6, 28), dtype=np.int64)
@@ -350,11 +303,10 @@ def gamma_tangent_space(N, field=None):
                 partial6[col, b] = a * E2[:, pos2[quo]] % p
     partial6 = partial6.reshape(56, 6 * 28)
 
-    Lfull = np.asarray(LN.entries, dtype=np.int64) % p
     gradients = []
     for i in range(56):
         try:
-            u, w, alpha = det_gradient_rank1(field, np.delete(Lfull, i, axis=1))
+            u, w, alpha = det_gradient_rank1(field, np.delete(L, i, axis=1))
         except ValueError:
             continue
         cols = [m for m in range(56) if m != i]
@@ -373,13 +325,10 @@ def gamma_tangent_space(N, field=None):
 # -- the generic unique cubic -----------------------------------------
 
 
-def unique_cubic_analysis(N, field=None) -> dict:
+def unique_cubic_analysis(spec: ProjectionSpec) -> dict:
     """For a projection with a one-dimensional space of cubics through the
     image: extract the cubic and measure its singular locus."""
-    field = field or GF(17)
-    LN = build_LN(N, field)
-    spec = ProjectionSpec(N, "p2cubics", field)
-    cubics = LN.kernel_cubics(spec.target_ring)
+    cubics = surface_cubics(project(spec, 3))
     if len(cubics) != 1:
         raise ValueError(f"corank is {len(cubics)}, expected 1")
     (cubic,) = cubics

@@ -45,11 +45,11 @@ from lforge.pfaffian import (
     sub_pfaffians,
     unprojection_matrix,
 )
-from lforge.rao import RaoModule, graded_betti, rao_presentation
+from lforge.rao import RaoModule, graded_betti
 from lforge.rng import Rng
 from lforge.snf import PolyMatrix, smith_normal_form, unipoly_factor_ff
 from lforge.unipoly import UniPoly
-from lforge.veronese import ProjectionSpec, build_LN
+from lforge.veronese import ProjectionSpec, project, surface_cubics
 
 F17 = GF(17)
 
@@ -74,8 +74,8 @@ def test_cubic_count_dichotomy():
     with _timed("dichotomy"):
         rep = run_experiment("d9-generic")
         assert rep.results["coranks"] == [1] * 20
-        LN = build_LN(fixtures.n0_matrix(F17), F17)
-        assert LN.corank() == 2
+        spec = ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17)
+        assert project(spec, 3).h0[3] == 2
     assert _suite_seconds["dichotomy"] <= 60
 
 
@@ -147,7 +147,7 @@ def test_pencil_singular_locus(d9_special_report):
     assert rep.results["singY_on_surface"] == [0, 60]
 
     spec = ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17)
-    cubics = build_LN(spec.N, F17).kernel_cubics(spec.target_ring)
+    cubics = surface_cubics(project(spec, 3))
     q = [F17.of(c) for c in Q_OFF_SURFACE]
     assert [int(c.evaluate(q)) for c in cubics] == [0, 0]
     jac = [[int(d.evaluate(q)) for d in c.partials()] for c in cubics]
@@ -208,12 +208,13 @@ def _h0_surface_ideal(k):
 # 0 -> I_D -> O_P5 -> O_D -> 0, with D = P^2 and O_D(1) = O_P2(3), gives
 # h^1(I_D(k)) = C(3k+2, 2) - C(k+5, 5) + h^0(I_D(k)) for every center.
 # Witness: h^0(I_D(k)) by evaluation at rational points, with h^0(I_D(3))
-# cross-checked against build_LN's corank.  The special center lies on two
+# cross-checked against the corank that project reads off its kernel.  The special center lies on two
 # cubics, so grade 3 is 55 - 56 + 2 = 1; a general center lies on one,
 # and its module is the stated (0, 4, 7, 0).
 def test_deficiency_module_hilbert_values(n0_module, rao_betti_report):
     h0 = [_h0_surface_ideal(k) for k in range(4)]
-    assert h0[3] == build_LN(fixtures.n0_matrix(F17), F17).corank() == 2
+    spec = ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17)
+    assert h0[3] == project(spec, 3).h0[3] == 2
     identity = [comb(3 * k + 2, 2) - comb(k + 5, 5) + h0[k]
                 for k in range(4)]
     assert identity == [0, 4, 7, 1]
@@ -222,9 +223,9 @@ def test_deficiency_module_hilbert_values(n0_module, rao_betti_report):
 
 
 def test_deficiency_module_presentation(n0_module):
-    pres = rao_presentation(n0_module)
-    assert pres.generator_degrees() == {-1: 4}
-    assert pres.lowest_grade_only
+    pres = graded_betti(n0_module, hom_bound=1)
+    assert pres.complete
+    assert pres.column(0) == {-1: 4}
 
 
 def test_deficiency_module_betti_comparison_report(rao_betti_report):

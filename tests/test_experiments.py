@@ -141,3 +141,18 @@ def test_emit_report_bad_format(tmp_path):
     with pytest.raises(ExperimentError, match="format"):
         emit_report(rep, "yaml", str(tmp_path))
 
+
+
+def test_rao_betti_refuses_an_incomplete_presentation(monkeypatch):
+    # the presentation of the special module needs degrees past 3; when the
+    # resolver stops there, the experiment raises instead of reporting a
+    # partial presentation
+    from lforge import experiments
+    from lforge.rao import RaoError, graded_betti
+
+    def capped(mod, hom_bound=2, deg_bound=8):
+        return graded_betti(mod, hom_bound, min(deg_bound, 3))
+
+    monkeypatch.setattr(experiments, "graded_betti", capped)
+    with pytest.raises(RaoError, match="bound insufficient"):
+        run_experiment("rao-betti")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from lforge import fixtures
@@ -5,6 +7,7 @@ from lforge.experiments import _l_plane_spec
 from lforge.fields import GF
 from lforge.linalg import rank_over
 from lforge.mpoly import coefficient_vector
+from lforge.textio import data_lines
 from lforge.unipoly import UniPoly
 
 F17 = GF(17)
@@ -35,6 +38,19 @@ def test_nlambda_linear_terms():
     assert P[5][5] == UniPoly(F17, [0, 2])
     assert P[7][0] == UniPoly(F17, [1, 2])
     assert all(e.degree <= 1 for row in P for e in row)
+
+
+def test_nlambda_entries_match_the_fixture_text():
+    # oracle: each token of the fixture file, evaluated by Python at
+    # L = 0..16, against the parsed entry at lambda = L
+    with open(os.path.join(fixtures.FIXTURE_DIR, "nlambda.txt")) as fh:
+        rows = [line.split() for line in data_lines(fh.read())]
+    P = fixtures.nlambda_matrix(F17)
+    for row, toks in zip(P, rows, strict=True):
+        for e, tok in zip(row, toks, strict=True):
+            assert e.var == "lambda"
+            for a in range(17):
+                assert e(a) == eval(tok, {"L": a}) % 17
 
 
 def test_catalecticant_p2():

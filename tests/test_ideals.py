@@ -188,6 +188,43 @@ def test_saturate_irrelevant_hands_over_hilbert_data(case):
     assert [seeded.hf(e) for e in range(9)] == [fresh.hf(e) for e in range(9)]
 
 
+@pytest.mark.parametrize("case", range(6))
+def test_saturate_irrelevant_keeps_the_input_hilbert_data(monkeypatch, case):
+    # the saturation reads HP(I) from I's basis in moved coordinates, and a
+    # linear change of coordinates keeps the Hilbert function: I keeps those
+    # data, equal to the ones from I's own basis, and reading them later
+    # computes no further basis
+    I, _ = _saturation_cases()[case]
+    assert I._hilbert is None
+    saturate_irrelevant(I)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    kept = I.hilbert()
+    assert not calls
+    fresh = Ideal(I.ring, I.gens).hilbert()
+    assert calls
+    assert (kept.numerator, kept.n) == (fresh.numerator, fresh.n)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturate_irrelevant_fallback_keeps_the_input_hilbert_data(p):
+    # every draw fails here (see the fallback test below); the data I keeps
+    # come from the first draw's basis
+    R = PolynomialRing(GF(p), ("x", "y", "z"))
+    X, Y, Z = R.gens()
+    pts = [X**p * Y - X * Y**p, X**p * Z - X * Z**p, Y**p * Z - Y * Z**p]
+    I = Ideal(R, [v * g for v in R.gens() for g in pts])
+    saturate_irrelevant(I)
+    kept = I.hilbert()
+    fresh = Ideal(R, I.gens).hilbert()
+    assert (kept.numerator, kept.n) == (fresh.numerator, fresh.n)
+
+
 def test_saturate_irrelevant_refuses_inhomogeneous():
     with pytest.raises(ValueError):
         saturate_irrelevant(Ideal(R3, [x * y + z, x * z]))

@@ -20,7 +20,6 @@ from lforge.rao import (
     ci_hilbert,
     graded_betti,
     linked_hilbert_check,
-    rao_presentation,
 )
 from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec
@@ -147,11 +146,15 @@ def test_action_shape_validation():
                                              np.zeros((2, 2))]})
 
 
+# a minimal presentation is columns 0 and 1 of graded_betti(hom_bound=1)
+
+
 def test_presentation_n0(n0_module):
-    pres = rao_presentation(n0_module)
-    assert pres.generator_degrees() == {-1: 4}
-    assert pres.lowest_grade_only
-    assert pres.relation_degrees() == {0: 17}
+    pres = graded_betti(n0_module, hom_bound=1)
+    assert pres.complete
+    assert pres.hom_degrees == [0, 1]
+    assert pres.column(0) == {-1: 4}
+    assert pres.column(1) == {0: 17}
 
 
 def test_presentation_seed_independent():
@@ -159,21 +162,20 @@ def test_presentation_seed_independent():
     for seed in (3, 14, 27):
         mod = RaoModule.from_projection(_random_center(seed), kmax=4,
                                         certify=False)
-        counts.append(rao_presentation(mod).generator_degrees())
+        counts.append(graded_betti(mod, hom_bound=1).column(0))
     assert counts[0] == counts[1] == counts[2] == {-1: 4}
 
 
 def test_presentation_bound_insufficient(n0_module):
-    with pytest.raises(RaoError, match="bound insufficient"):
-        rao_presentation(n0_module, deg_bound=3)
+    assert not graded_betti(n0_module, hom_bound=1, deg_bound=3).complete
 
 
 def test_presentation_one_dimensional_module():
     mod = RaoModule(F17, 6, {0: 1}, {})
-    pres = rao_presentation(mod)
-    assert pres.generator_degrees() == {0: 1}
+    pres = graded_betti(mod, hom_bound=1)
+    assert pres.column(0) == {0: 1}
     # the relations are the six variables themselves
-    assert pres.relation_degrees() == {1: 6}
+    assert pres.column(1) == {1: 6}
 
 
 def test_koszul_betti_two_variables():
@@ -185,8 +187,8 @@ def test_koszul_betti_two_variables():
 
 
 def test_graded_betti_general_center(general_module):
-    tab, report = graded_betti(general_module, hom_bound=2, deg_bound=8,
-                               expected=EXPECTED_GENERAL_BETTI)
+    tab = graded_betti(general_module, hom_bound=2, deg_bound=8)
+    report = tab.compare(EXPECTED_GENERAL_BETTI)
     assert tab.column(0) == {-1: 4}
     assert tab.column(1) == {0: 17}
     # the paper's "29 R(-2)" block sits in homological degree 2 here,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lforge.fields import GF, QQ, FieldError
 from lforge.rng import Rng
-from lforge.unipoly import UniPoly, gcd, squarefree_decomposition
+from lforge.unipoly import UniPoly, gcd, parse_unipoly, squarefree_decomposition
 
 F17 = GF(17)
 
@@ -139,6 +139,18 @@ def test_to_string_roundtrip_shapes():
     f = P(5, 0, 16)
     s = f.to_string()
     assert "lambda^2" in s and "5" in s
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+def test_parse_unipoly_reads_to_string(field):
+    rng = Rng(3)
+    for n in range(6):
+        f = UniPoly(field, [field.random(rng) for _ in range(n)], "t")
+        assert parse_unipoly(f.to_string(), field, "t") == f
+    g = parse_unipoly("-2*L-1 + 3*L^2", field, "lambda", "L")
+    assert g == UniPoly(field, [-1, -2, 3]) and g.var == "lambda"
+    with pytest.raises(ValueError):
+        parse_unipoly("lambda", field, "lambda", "L")
 
 
 def _int_poly(cs):

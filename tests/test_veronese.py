@@ -3,12 +3,13 @@ import pytest
 
 from lforge import fixtures
 from lforge.fields import GF, QQ
-from lforge.ideals import minors_ideal
-from lforge.linalg import det_mod
+from lforge.ideals import minors_ideal, ring_map
+from lforge.linalg import det_mod, rank_over
+from lforge.mpoly import coefficient_vector
 from lforge.rng import Rng
+from lforge.snf import PolyMatrix
 from lforge.unipoly import UniPoly
 from lforge.veronese import (
-    LNMatrix,
     ProjectionSpec,
     build_LN,
     catalecticant,
@@ -16,6 +17,7 @@ from lforge.veronese import (
     gamma_tangent_space,
     project,
     secant_avoidance,
+    surface_cubics,
     unique_cubic_analysis,
     veronese_map,
 )
@@ -85,33 +87,63 @@ def _random_N(seed, rows=10, cols=6):
     return [[rng.randrange(17) for _ in range(cols)] for _ in range(rows)]
 
 
+# the corank of L_N, the 55x56 degree-3 matrix of the projection's ring
+# map, is the number of cubics through the projected surface: h0[3]
+
+
 def test_build_LN_special_matrix_corank_two():
-    LN = build_LN(fixtures.n0_matrix(F17), F17)
-    assert (LN.nrows, LN.ncols) == (55, 56)
-    assert LN.corank() == 2
+    res = project(ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17), 3)
+    assert (res.h0[1], res.h0[2], res.h0[3]) == (0, 0, 2)
 
 
 def test_build_LN_random_corank_one():
     for seed in (1, 2, 3):
-        LN = build_LN(_random_N(seed), F17)
-        assert LN.corank() == 1
+        spec = ProjectionSpec(_random_N(seed), "p2cubics", F17)
+        assert project(spec, 3).h0[3] == 1
 
 
 def test_build_LN_random_corank_one_over_qq():
     spec = ProjectionSpec(_random_N(1), "p2cubics", QQ)
-    assert build_LN(spec.N, QQ).corank() == 1
+    assert project(spec, 3).h0[3] == 1
+
+
+def _center(field, seed):
+    while True:
+        try:
+            return ProjectionSpec(_random_N(seed), "p2cubics", field)
+        except ValueError:
+            seed += 1000
 
 
 def test_kernel_cubics_vanish_on_image():
-    N0 = fixtures.n0_matrix(F17)
-    spec = ProjectionSpec(N0, "p2cubics", F17)
-    LN = build_LN(N0, F17)
-    cubics = LN.kernel_cubics(spec.target_ring)
-    assert len(cubics) == 2
-    composed = spec.composed_forms()
-    sub = {n: composed[j] for j, n in enumerate(spec.target_ring.names)}
-    for c in cubics:
-        assert c.substitute(sub).is_zero()
+    # oracle: substitution of the composed forms, and the rank of the
+    # degree-3 matrix of the ring map, not the kernel computation
+    for spec in (ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17),
+                 _center(F17, 7), _center(QQ, 1)):
+        cubics = surface_cubics(project(spec, 3))
+        composed = spec.composed_forms()
+        sub = {n: composed[j] for j, n in enumerate(spec.target_ring.names)}
+        for c in cubics:
+            assert c.degree() == 3
+            assert c.substitute(sub).is_zero()
+        mons = spec.target_ring.monomials_of_degree(3)
+        assert rank_over(spec.field, [coefficient_vector(c, mons)
+                                      for c in cubics]) == len(cubics)
+        L = ring_map(composed, spec.target_ring)[1](3)
+        assert len(cubics) == 56 - rank_over(spec.field, L.tolist())
+
+
+def test_surface_cubics_refuses_lower_degree_kernel():
+    # the columns pick x^3, xy^2, xz^2, x^2y, x^2z, xyz: the common factor x
+    # drops out, so the image is the quadric Veronese surface, which lies on
+    # six quadrics, and its cubic generators are not the degree-3 kernel
+    N = [[0] * 6 for _ in range(10)]
+    for j, row in enumerate((0, 4, 6, 3, 5, 9)):
+        N[row][j] = 1
+    res = project(ProjectionSpec(N, "p2cubics", F17), 3)
+    assert (res.h0[1], res.h0[2]) == (0, 6)
+    with pytest.raises(ValueError, match="quadric"):
+        surface_cubics(res)
 
 
 def test_build_LN_parametric_matches_specializations():
@@ -121,17 +153,27 @@ def test_build_LN_parametric_matches_specializations():
     rng = Rng(2)
     quadratic = [[UniPoly(F17, [rng.randrange(17) for _ in range(3)])
                   for _ in range(6)] for _ in range(10)]
-    for P in (fixtures.nlambda_matrix(F17), quadratic):
+    nlambda = fixtures.nlambda_matrix(F17)
+    # constant entries count as degree 0
+    mixed = [[e if (i + j) % 3 else e(5) for j, e in enumerate(row)]
+             for i, row in enumerate(nlambda)]
+    for P in (nlambda, quadratic, mixed):
         LNp = build_LN(P, F17)
-        assert LNp.parametric
-        assert max(e.degree for row in LNp.entries for e in row) == \
-            3 * max(e.degree for row in P for e in row)
+        assert isinstance(LNp, PolyMatrix)
+        assert (LNp.nrows, LNp.ncols) == (55, 56)
+        assert max(e.degree for row in LNp.entries for e in row) == 3 * max(
+            e.degree if isinstance(e, UniPoly) else 0 for row in P for e in row)
         for lam in range(17):
-            direct = build_LN([[e(lam) for e in row] for row in P], F17)
-            assert LNp.at(lam).entries == direct.entries
-    LNp = build_LN(fixtures.nlambda_matrix(F17), F17)
-    assert LNp.at(0).corank() == 2
-    assert LNp.at(1).corank() == 1
+            spec = ProjectionSpec(
+                [[e(lam) if isinstance(e, UniPoly) else e for e in row]
+                 for row in P], "p2cubics", F17)
+            direct = ring_map(spec.composed_forms(), spec.target_ring)[1](3)
+            assert [[e(lam) for e in row] for row in LNp.entries] == \
+                direct.tolist()
+    LNp = build_LN(nlambda, F17)
+    for lam, corank in ((0, 2), (1, 1)):
+        at = [[e(lam) for e in row] for row in LNp.entries]
+        assert 56 - rank_over(F17, at) == corank
 
 
 def test_project_special_matrix():
@@ -193,18 +235,19 @@ def test_det_gradient_rank1_rejects_full_rank():
 
 
 def test_gamma_tangent_space_special_matrix():
-    assert gamma_tangent_space(fixtures.n0_matrix(F17), F17) == 1
+    spec = ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17)
+    assert gamma_tangent_space(spec) == 1
 
 
 def test_gamma_tangent_space_rejects_generic():
     with pytest.raises(ValueError):
-        gamma_tangent_space(_random_N(5), F17)
+        gamma_tangent_space(ProjectionSpec(_random_N(5), "p2cubics", F17))
 
 
 def test_unique_cubic_generic_pencil_member():
     P = fixtures.nlambda_matrix(F17)
     N1 = [[e(1) for e in row] for row in P]
-    out = unique_cubic_analysis(N1, F17)
+    out = unique_cubic_analysis(ProjectionSpec(N1, "p2cubics", F17))
     assert out["dim"] == 1
     assert out["degree"] == 6
     assert out["nondegenerate"] is True
@@ -213,4 +256,5 @@ def test_unique_cubic_generic_pencil_member():
 
 def test_unique_cubic_rejects_corank_two():
     with pytest.raises(ValueError):
-        unique_cubic_analysis(fixtures.n0_matrix(F17), F17)
+        unique_cubic_analysis(
+            ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17))
