@@ -321,6 +321,8 @@ def _d9_bilinkage(report: Report, ctx: Context):
     cubics = surface_cubics(res)
     report.check("two cubics in the surface ideal", len(cubics) == 2)
     rep = bilink_degree18(I_D9, cubics[0], cubics[1], 4, ctx.seed)
+    for i, step in enumerate(rep.steps, 1):
+        report.time(f"link{i}", step.seconds)
     report.result("chain", rep.as_dict())
     report.check("intermediate degree 27",
                  rep.steps[0].deg_out == 27)
@@ -474,6 +476,8 @@ def _t8(report: Report, ctx: Context):
 
     cubics = [g for g in I_T.gens if g.degree() == 3]
     rep = bilink_t8(I_T, cubics, ctx.seed)
+    for i, step in enumerate(rep.steps, 1):
+        report.time(f"link{i}", step.seconds)
     report.result("chain", rep.as_dict())
     report.check("intermediate degree 19", rep.steps[0].deg_out == 19)
     report.check("final degree 17", rep.final.dim_degree() == (3, 17),

@@ -360,11 +360,6 @@ def minimalize_monomials(mons, code):
     return out
 
 
-def lt_ideal(G: GroebnerBasis):
-    """Minimal generators of the leading-term ideal, ascending."""
-    return minimalize_monomials([g.lm for g in G.basis], G.ring.code)
-
-
 def spair_audit(G: GroebnerBasis) -> bool:
     """Post-hoc check: every S-polynomial of the basis reduces to zero.
     Test oracle for the Groebner bases of test_groebner.py."""

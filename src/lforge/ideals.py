@@ -14,12 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import PrimeField
-from .groebner import (
-    GroebnerBasis,
-    groebner_basis,
-    lt_ideal,
-    normal_form,
-)
+from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .hilbert import HilbertData
 from .linalg import (
     _kernel_mod,
@@ -100,19 +95,12 @@ class Ideal:
         if self._hilbert is None:
             if not self.is_homogeneous():
                 raise ValueError("Hilbert data needs a homogeneous ideal")
-            G = self.groebner()
-            code = G.ring.code
-            exps = [code.unpack(m) for m in lt_ideal(G)] if len(G) else []
-            self._hilbert = HilbertData.from_exponents(exps, self.ring.nvars)
+            self._hilbert = _basis_hilbert(self.groebner(), self.ring)
         return self._hilbert
 
     def dim_degree(self):
         H = self.hilbert()
         return H.dim, H.degree
-
-    def is_empty(self) -> bool:
-        """True iff the projective vanishing locus is empty."""
-        return self.hilbert().dim == -1
 
     def graded_piece_dim(self, e: int) -> int:
         """dim of the degree-e slice of the ideal itself (not saturated)."""

@@ -143,9 +143,7 @@ class RaoModule:
                     f, k * d, (k + 1) * d)[:, quotients[k].free])
                 for f in composed]
             for k in range(kmax)}
-        mod = cls(field, spec.ncols, dims, actions, shift=2)
-        mod._tail_certified = (dims.get(kmax, 0) == 0)
-        return mod
+        return cls(field, spec.ncols, dims, actions, shift=2)
 
 
 # -- degree-by-degree resolution -------------------------------------

@@ -177,6 +177,7 @@ def test_bilinkage_chain_degree18():
     # Sing(Y) is the 60 surface points plus q (test_pencil_singular_locus
     # holds the witness for q), so the meet is exactly those 60 points
     assert rep.results["meet_dim_degree"] == [0, 60]
+    assert {"link1", "link2"} <= set(rep.timings)
 
 
 # -- 5. deficiency module -----------------------------------------------
@@ -300,6 +301,7 @@ def test_t8_chain_to_degree17():
     assert by["generic projection has no cubics and 45 quartics"]["ok"]
     assert by["intermediate degree 19"]["ok"]
     assert by["final degree 17"]["ok"]
+    assert {"link1", "link2"} <= set(rep.timings)
 
 
 # -- 10. unprojection and the deformation family --------------------------

@@ -9,7 +9,6 @@ from lforge.groebner import (
     GroebnerBasis,
     buchberger,
     groebner_basis,
-    lt_ideal,
     macaulay_basis,
     minimalize_monomials,
     normal_form,
@@ -163,7 +162,7 @@ def test_s_polynomial_cancels_leads():
 
 def test_lt_ideal_minimal():
     G = buchberger([x**2, x * y, y**3])
-    mons = lt_ideal(G)
+    mons = [g.lm for g in G]
     assert len(mons) == 3
     code = R3.code
     for i, a in enumerate(mons):

@@ -265,7 +265,6 @@ def test_hilbert_complete_intersection():
 
 def test_hilbert_irrelevant_and_errors():
     assert Ideal(R3, R3.gens()).dim_degree()[0] == -1
-    assert Ideal(R3, R3.gens()).is_empty()
     with pytest.raises(ValueError):
         Ideal(R3, [x + x * y]).hilbert()
 
@@ -331,7 +330,7 @@ def test_singular_locus_smooth_quadric():
     g = R6.gens()
     q = g[0] * g[1] + g[2] * g[3] + g[4] * g[5]
     S = singular_locus(Ideal(R6, [q]), 1)
-    assert S.is_empty()
+    assert S.dim_degree()[0] == -1
 
 
 def test_singular_locus_cuspidal_cubic():

@@ -1,8 +1,10 @@
+from functools import partial
+
 import pytest
 
 from lforge import fixtures, linkage
 from lforge.fields import GF
-from lforge.ideals import Ideal, minors_ideal
+from lforge.ideals import Ideal, minors_ideal, quotient
 from lforge.linkage import (
     BilinkReport,
     LinkageError,
@@ -34,6 +36,10 @@ def test_link_twisted_cubic_to_line():
     step = link(I, ci, 3)
     assert step.deg_in == 3 and step.deg_out == 1
     assert step.ci_degrees == (2, 2)
+    # the link's wall time is recorded, and kept out of the content
+    assert step.seconds > 0
+    assert set(step.as_dict()) == {"ci_degrees", "deg_in", "deg_ci",
+                                   "deg_out", "dim"}
     H = step.residual.hilbert()
     # a line: Hilbert polynomial t + 1
     assert [H.hf(e) for e in range(4)] == [1, 2, 3, 4]
@@ -44,7 +50,7 @@ def test_link_self_gives_empty_residual():
     ci = Ideal(R, _twisted_cubic(R).gens[:2])
     step = link(ci, ci, 1)
     assert step.deg_out == 0
-    assert step.residual.is_empty()
+    assert step.residual.dim_degree() == (-1, 0)  # the unit ideal
 
 
 def test_link_validation():
@@ -133,13 +139,98 @@ def test_random_slice_element_matches_sum_of_multiples():
             assert a.state == b.state
 
 
-def test_residual_quotient_matches_plain_quotient():
-    from lforge.ideals import quotient
+def _twisted_cubic_link():
+    I = _twisted_cubic(_p3_ring())
+    return Ideal(I.ring, I.gens[:2]), I
 
-    R = _p3_ring()
-    I = _twisted_cubic(R)
-    ci = Ideal(R, I.gens[:2])
-    assert residual_quotient(ci, I, 9) == quotient(ci, I)
+
+def _double_point_link():
+    """ci = (x^2, y^2) inside I = (x, y) in F17[x, y, z].  For a linear f in
+    I, ci : (f) has degree 2, but the target is 4 - 1 = 3: ci : I is
+    (x^2, xy, y^2), the intersection of two colons."""
+    R = PolynomialRing(F17, ("x", "y", "z"))
+    x, y, _ = R.gens()
+    return Ideal(R, [x * x, y * y]), Ideal(R, [x, y])
+
+
+def _small_link(seed):
+    """ci: two binary forms of degree 2 or 3 with no common factor in
+    general linear forms u, v of F17[x, y, z]; I: ci plus up to three
+    random monomials in u, v.  Both are (u, v)-primary, so ci lies in I and
+    the dimensions agree."""
+    rng = Rng(seed)
+    R = PolynomialRing(F17, ("x", "y", "z"))
+
+    def combination(forms):
+        return sum((f.scale(F17.of(rng.randrange(17))) for f in forms),
+                   R.zero)
+
+    while True:
+        u, v = combination(R.gens()), combination(R.gens())
+        da, db = 2 + rng.randrange(2), 2 + rng.randrange(2)
+        ci = Ideal(R, [combination([u**i * v**(d - i) for i in range(d + 1)])
+                       for d in (da, db)])
+        if ci.dim_degree() == (0, da * db):
+            break
+    mons = [u**rng.randrange(4) * v**rng.randrange(4)
+            for _ in range(1 + rng.randrange(3))]
+    return ci, ci + Ideal(R, [m for m in mons if m.degree() > 0])
+
+
+def _count_draws(monkeypatch, draw=None):
+    """Wrap (or replace by `draw`) the slice sampler the colon loop calls;
+    the returned list grows by one per draw."""
+    calls = []
+    sample = draw or random_slice_element
+
+    def counted(I, d, rng):
+        calls.append(d)
+        return sample(I, d, rng)
+
+    monkeypatch.setattr(linkage, "random_slice_element", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, seed, draws", [
+    pytest.param(_twisted_cubic_link, 9, 1, id="twisted-cubic"),
+    *[pytest.param(_double_point_link, s, 2, id=f"double-point-{s}")
+      for s in range(5)],
+    *[pytest.param(partial(_small_link, s), s, None, id=f"small-{s}")
+      for s in range(20)],
+])
+def test_residual_quotient_matches_plain_quotient(monkeypatch, case, seed,
+                                                  draws):
+    ci, I = case()
+    calls = _count_draws(monkeypatch)
+    Q = residual_quotient(ci, I, seed)
+    assert Q == quotient(ci, I)
+    # the membership oracle the degree identity replaced: Q * I lies in ci
+    assert all(ci.contains(q * g) for q in Q.gens for g in I.gens)
+    if draws is None:
+        # the degree identity, not the fallback, ended the draws
+        assert len(calls) < 2 * linkage._MAX_REDRAWS
+    else:
+        assert len(calls) == draws
+
+
+def test_residual_quotient_falls_back_after_every_draw(monkeypatch):
+    ci, I = _double_point_link()
+    x, y, _ = I.ring.gens()
+    calls = _count_draws(monkeypatch, lambda I, d, rng: x + y)
+    assert residual_quotient(ci, I, 0) == quotient(ci, I)
+    assert len(calls) == 2 * linkage._MAX_REDRAWS
+
+
+def test_link_rejects_a_residual_that_fails_the_degree_identity(
+        monkeypatch):
+    ci, I = _twisted_cubic_link()
+    w = I.ring.gens()[3]
+    # every colon, in the loop and in the fallback, comes back too big:
+    # a point on the residual line instead of the line
+    monkeypatch.setattr(linkage, "quotient",
+                        lambda A, B: quotient(A, B) + Ideal(A.ring, [w]))
+    with pytest.raises(LinkageError, match="residual"):
+        link(I, ci, 3)
 
 
 def _grid_points(R):

@@ -75,7 +75,6 @@ def test_rao_hilbert_n0(n0_module):
     # two cubics contain the surface, so the degree-3 multiplication
     # image has rank 56 - 2 = 54 inside the 55 degree-9 plane forms
     assert n0_module.hilbert_values(range(5)) == [0, 4, 7, 1, 0]
-    assert n0_module._tail_certified
 
 
 @pytest.mark.xfail(strict=True, reason="holds for a general center; the "
