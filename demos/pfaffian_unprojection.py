@@ -41,7 +41,7 @@ def main():
     print("4x4 Pfaffians of a general 5x5 linear skew matrix:",
           I.dim_degree(), "-- an elliptic quintic curve")
 
-    P = SkewPresentation(A, 2, 1, 2)
+    P = SkewPresentation(A, 2, 1)
     c1 = R.var(0) * I.gens[0] + R.var(1) * I.gens[2]
     c2 = R.var(2) * I.gens[1] + R.var(4) * I.gens[3]
     s1 = hypersurface_to_section(P, c1)

@@ -146,10 +146,9 @@ def emit_report(report: Report, fmt: str, out_dir: str) -> str:
 
 
 class Context:
-    def __init__(self, seed: int, field, allow_long: bool):
+    def __init__(self, seed: int, field):
         self.seed = seed
         self.field = field
-        self.allow_long = allow_long
 
     def rng(self, label: str = "") -> Rng:
         r = Rng(self.seed)
@@ -197,7 +196,7 @@ def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
     if field not in entry["fields"]:
         raise ExperimentError(f"{name} needs a prime field; "
                               f"run it with --field gf17")
-    ctx = Context(seed, F, allow_long)
+    ctx = Context(seed, F)
     report = Report(name, seed, field)
     t0 = time.perf_counter()
     entry["fn"](report, ctx)
@@ -388,8 +387,7 @@ def _rao_betti(report: Report, ctx: Context):
         (4, 5): 38,
         (5, 6): 7,
     }
-    hom_bound = 6 if ctx.allow_long else 2
-    tab = graded_betti(gen, hom_bound=hom_bound, deg_bound=12)
+    tab = graded_betti(gen, hom_bound=2, deg_bound=12)
     cmp = tab.compare(expected)
     report.result("general_betti", sorted(
         [list(k) + [v] for k, v in tab.entries.items()]))
@@ -494,7 +492,7 @@ def _d6_unprojection(report: Report, ctx: Context):
     v = list(R6.gens()) + [R6.zero, R6.zero]
     rng = ctx.rng("phi")
     phi = euler_constrained_sample(R6, 8, v, 1, rng)
-    P = SkewPresentation(phi, 3, 1, 3, euler_row=v)
+    P = SkewPresentation(phi, 3, 1, euler_row=v)
     D6 = sub_pfaffians(phi, 6)
     gens = list(D6.gens)
     c1 = sum((g.scale(F.of(rng.randrange(17))) for g in gens), R6.zero)
@@ -507,12 +505,16 @@ def _d6_unprojection(report: Report, ctx: Context):
     R7 = R6.extend_back(("x6",))
     lift = R7.convert
     phi7 = phi.map_entries(lift, ring=R7)
-    P7 = SkewPresentation(phi7, 3, 1, 3,
-                          euler_row=[lift(f) for f in v])
+    P7 = SkewPresentation(phi7, 3, 1, euler_row=[lift(f) for f in v])
     A = unprojection_matrix(P7, [lift(f) for f in s1],
                             [lift(f) for f in s2], R7.var(6))
     X = sub_pfaffians(A, 8)
-    dd = saturate_irrelevant(X).dim_degree()
+    # family_matrix returns A itself at lambda = 0, so the family's lambda = 0
+    # sample is the saturated Pfaffian scheme of X
+    Bp, Dp = family_data(A)
+    lambdas = [0, 1, 2, 5]
+    fam = deform_family(A, Bp, Dp, lambdas, hf_through=8)
+    dd = (fam.samples[0]["dim"], fam.samples[0]["degree"])
     report.result("X_dim_degree", list(dd))
     report.check("unprojected threefold is (3, 15)", dd == (3, 15))
 
@@ -524,9 +526,6 @@ def _d6_unprojection(report: Report, ctx: Context):
     report.check("exceptional locus is the degree-6 surface",
                  E == saturate_irrelevant(D6))
 
-    Bp, Dp = family_data(A)
-    lambdas = [0, 1, 2, 5]
-    fam = deform_family(A, Bp, Dp, lambdas, hf_through=8)
     report.result("family", {str(k): v for k, v in fam.samples.items()})
     report.check("deformed Euler relation holds symbolically",
                  fam.euler_verified)
@@ -552,7 +551,7 @@ def _lemma23(report: Report, ctx: Context):
             f = f + R.var(i).scale(F.of(rng.randrange(17)))
         uppers.append(f)
     A = SkewMatrix.from_upper(R, 5, uppers)
-    P = SkewPresentation(A, 2, 1, 2)
+    P = SkewPresentation(A, 2, 1)
     I = sub_pfaffians(A, 4)
     dd = I.dim_degree()
     report.result("quintic_dim_degree", list(dd))

@@ -181,19 +181,24 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _divide_out_last_variable(gens, ring):
-    """From a grevlex reduced basis, divide each element by its largest
-    last-variable power: a basis of I : x_last^∞ (Bayer's trick)."""
+    """From a grevlex reduced basis of a homogeneous ideal I, divide each
+    element by its largest last-variable power: a basis of I : x_last^∞
+    (Bayer's trick).
+
+    For a homogeneous g under grevlex, the leading monomial carries the least
+    power of the last variable among g's terms: all terms have one degree,
+    and at equal degree grevlex compares that exponent first, the smaller
+    one winning.  So the power k to divide out is read off g.lm alone,
+    x_last^k divides every term, and dividing by one monomial keeps the
+    term order."""
     code = ring.code
     out = []
     for g in gens:
-        exps = [code.unpack(m) for m, _ in g.terms]
-        drop = min(e[-1] for e in exps)
-        if drop:
-            d = {
-                code.pack(e[:-1] + (e[-1] - drop,)): c
-                for e, (_, c) in zip(exps, g.terms)
-            }
-            g = ring.from_dict(d)
+        k = code.unpack(g.lm)[-1]
+        if k:
+            xk = code.pack((0,) * (ring.nvars - 1) + (k,))
+            g = MPoly(ring, tuple((code.divides(xk, m), c)
+                                  for m, c in g.terms))
         out.append(g)
     return out
 
@@ -221,10 +226,12 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     linear forms, so they generate m.
 
     I : l^∞ is one coordinate change sending l to the last variable, one
-    basis and Bayer's last-variable division.  A change of coordinates keeps
-    Hilbert data, so both are read from that one basis: HP(I) from its
-    leading monomials, which I keeps when it has no Hilbert data yet, and
-    HP(I : l^∞) from those of the divided-out basis, which the result keeps.
+    basis and Bayer's last-variable division.  That division is valid only
+    for a grevlex basis, so the moved basis is grevlex whatever the ring's
+    order.  A change of coordinates keeps Hilbert data, so both are read
+    from that one basis: HP(I) from its leading monomials, which I keeps
+    when it has no Hilbert data yet, and HP(I : l^∞) from those of the
+    divided-out basis, which the result keeps.
 
     I must be homogeneous: the Bayer step is only valid for a homogeneous
     basis, so an inhomogeneous I raises ValueError."""
@@ -246,12 +253,13 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
             var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})]
         bwd = ring.gens()[:-1] + [ring.from_dict(
             {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})]
-        G = groebner_basis(change_coordinates(I.gens, fwd))
+        G = groebner_basis(change_coordinates(I.gens, fwd),
+                           TermOrder.grevlex())
         if I._hilbert is None:
-            I._hilbert = _basis_hilbert(G, ring)
-        out = _divide_out_last_variable(list(G), ring)
+            I._hilbert = _basis_hilbert(G, G.ring)
+        out = _divide_out_last_variable(list(G), G.ring)
         J = Ideal(ring, change_coordinates(out, bwd))
-        J._hilbert = _basis_hilbert(out, ring)
+        J._hilbert = _basis_hilbert(out, G.ring)
         return J, _hp_signature(J._hilbert) == _hp_signature(I._hilbert)
 
     for attempt in range(5):

@@ -21,7 +21,7 @@ from .ideals import (
     forms_from_vector,
     saturate_irrelevant,
 )
-from .linalg import nullspace_mod, solve_mod
+from .linalg import matmul_mod, nullspace_mod, solve_mod
 from .mpoly import MPoly, PolynomialRing, coefficient_vector
 from .rng import as_rng
 from .textio import (
@@ -206,8 +206,10 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
     """Seeded random skew n x n matrix with entries of the given degree
     satisfying v . A = 0 identically (v a vector of linear forms and zeros).
     The constraint is a linear system on the entry coefficients; the sample
-    is a random point of its solution space.  The dimension of that space is
-    exposed as .solution_dim; zero only admits the zero matrix (flagged)."""
+    is a random point of its solution space: one matmul_mod of the kernel
+    basis with one draw per basis column, in column order.  The dimension of
+    that space is exposed as .solution_dim; zero only admits the zero
+    matrix (flagged)."""
     if len(v) != n:
         raise PfaffianError("constraint row length must match n")
     for f in v:
@@ -225,9 +227,9 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
     ker = nullspace_mod(form_matrix(P, [degree] * len(pairs),
                                     [degree + 1] * n), p)
     dim = ker.shape[1]
-    coeffs = np.zeros(ker.shape[0], dtype=np.int64)
-    for col in range(dim):
-        coeffs = (coeffs + rng.randrange(p) * ker[:, col]) % p
+    draws = np.array([rng.randrange(p) for _ in range(dim)],
+                     dtype=np.int64).reshape(dim, 1)
+    coeffs = matmul_mod(ker, draws, p)[:, 0]
     M = [[ring.zero] * n for _ in range(n)]
     for (j, k), e in zip(pairs, forms_from_vector(ring, coeffs,
                                                   [degree] * len(pairs))):
@@ -244,14 +246,11 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
 class SkewPresentation:
     """A skew matrix presenting a rank-(2r+1) degeneracy situation, possibly
     padded to even size by coordinate (Euler) constraints, with the twist t
-    and section degree s of the associated resolution."""
+    of the associated resolution."""
 
-    def __init__(self, skew: SkewMatrix, r: int, t: int, s: int,
-                 euler_row=None):
+    def __init__(self, skew: SkewMatrix, r: int, t: int, euler_row=None):
         self.skew = skew
-        self.r = r
         self.t = t
-        self.s = s
         self.euler_row = list(euler_row) if euler_row is not None else None
         if skew.n not in (2 * r + 1, 2 * r + 2):
             raise PfaffianError("size must be 2r+1 or 2r+2 (Euler-padded)")
@@ -408,24 +407,19 @@ def unprojection_matrix(P: SkewPresentation, s1, s2, x6: MPoly) -> SkewMatrix:
 def koszul_solve(a, xs):
     """Constant skew matrix B' with a = B' . xs, for a vector of linear forms
     a satisfying the Koszul relation sum xs_i a_i = 0.  The coefficient
-    matrix of a is the unique candidate; the relation holds iff it is skew."""
-    ring = a[0].ring
-    field = ring.field
+    matrix of a, read row by row with coefficient_vector on the monomials
+    of xs, is the unique candidate; the relation holds iff it is skew."""
+    field = a[0].ring.field
     n = len(a)
     if len(xs) != n:
         raise PfaffianError("length mismatch")
-    var_pos = {}
-    for i, x in enumerate(xs):
-        (m, c), = x.terms
-        if c != field.one:
-            raise PfaffianError("xs must be plain variables")
-        var_pos[m] = i
-    B = [[field.zero] * n for _ in range(n)]
-    for i, f in enumerate(a):
-        for m, c in f.terms:
-            if m not in var_pos:
-                raise PfaffianError("a has a variable outside xs")
-            B[i][var_pos[m]] = c
+    if any(len(x) != 1 or x.lc != field.one for x in xs):
+        raise PfaffianError("xs must be plain variables")
+    mons = [x.lm for x in xs]
+    try:
+        B = [coefficient_vector(f, mons) for f in a]
+    except ValueError:
+        raise PfaffianError("a has a variable outside xs") from None
     for i in range(n):
         if not field.is_zero(B[i][i]):
             raise PfaffianError("Koszul relation fails (diagonal)")
@@ -438,17 +432,12 @@ def koszul_solve(a, xs):
 def exceptional_locus(X: Ideal, x6_index: int) -> Ideal:
     """Base locus of the inverse of the projection from the distinguished
     point: the saturated ideal of the x6-coefficients of the generators
-    (each generator has degree at most 1 in x6), in the ring without x6."""
+    (each generator has degree at most 1 in x6, so its x6-coefficient is
+    its x6-partial), in the ring without x6."""
     ring = X.ring
     small = ring.drop_vars((ring.names[x6_index],))
-    x6 = ring.var(x6_index)
-    unpack = ring.code.unpack
-    coeffs = []
-    for g in X.gens:
-        rem = MPoly(ring, tuple(t for t in g.terms if unpack(t[0])[x6_index]))
-        if not rem.is_zero():
-            coeffs.append(small.convert(rem.exact_div(x6)))
-    return saturate_irrelevant(Ideal(small, coeffs))
+    return saturate_irrelevant(Ideal(small, [
+        small.convert(g.partial(x6_index)) for g in X.gens]))
 
 
 class FamilyReport:
@@ -485,20 +474,15 @@ class FamilyReport:
 def family_data(A: SkewMatrix):
     """Extract (B', D') for the deformation: B' solves the Koszul relation of
     the column (A[0,6]..A[5,6]); D' is the coefficient matrix of the row
-    entries (A[6,7], A[6,8], A[6,9])."""
-    ring = A.ring
-    field = ring.field
-    xs = [ring.var(i) for i in range(6)]
+    entries (A[6,7], A[6,8], A[6,9]), read with coefficient_vector on
+    x0..x5."""
+    xs = A.ring.gens()[:6]
     Bp = koszul_solve([A[i, 6] for i in range(6)], xs)
-    var_pos = {ring.code.var(i): i for i in range(6)}
-    Dp = []
-    for k in (7, 8, 9):
-        row = [field.zero] * 6
-        for m, c in A[6, k].terms:
-            if m not in var_pos:
-                raise PfaffianError("entry depends on a variable beyond x5")
-            row[var_pos[m]] = c
-        Dp.append(row)
+    mons = [x.lm for x in xs]
+    try:
+        Dp = [coefficient_vector(A[6, k], mons) for k in (7, 8, 9)]
+    except ValueError:
+        raise PfaffianError("entry depends on a variable beyond x5") from None
     return Bp, Dp
 
 

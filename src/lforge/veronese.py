@@ -167,11 +167,12 @@ def build_LN(N, field=None) -> PolyMatrix:
     """L_N(lambda), the 55x56 matrix over F[lambda] of a pencil N: a 10x6
     grid of univariate polynomials of lambda-degree at most D (constant
     entries count as degree 0).  Homogenized with a second parameter mu,
-    the composed forms are homogeneous of degree 3 + D on
-    (x, y, z, lambda, mu), so the degree-3 matrix of their ring_map expands
-    every target cubic monomial at once.  The lambda^k coefficient of entry
-    (m, j) is the coefficient of m * lambda^k * mu^(3D - k) in the image of
-    the j-th monomial."""
+    entry (i, j) is sum_k c_k lambda^k mu^(D - k), and the j-th composed
+    form, one ring.dot of those entries with the ten Veronese cubics, is
+    homogeneous of degree 3 + D on (x, y, z, lambda, mu).  So the degree-3
+    matrix of their ring_map expands every target cubic monomial at once.
+    The lambda^k coefficient of entry (m, j) is the coefficient of
+    m * lambda^k * mu^(3D - k) in the image of the j-th monomial."""
     field = field or GF(17)
     if len(N) != 10 or any(len(r) != 6 for r in N):
         raise ValueError("expected a 10x6 matrix")
@@ -182,16 +183,13 @@ def build_LN(N, field=None) -> PolyMatrix:
     D = max(len(c) for row in coeffs for c in row) - 1
     plane = PolynomialRing(field, ("x", "y", "z"))
     big = PolynomialRing(field, ("x", "y", "z", "l", "m"))
-    forms = veronese_map(2, 3, scaled=True, ring=plane)
-    composed = []
-    for j in range(6):
-        terms = {}
-        for v, row in zip(forms, coeffs):
-            for k, c in enumerate(row[j]):
-                for t, a in v.terms:
-                    key = big.code.pack(plane.code.unpack(t) + (k, D - k))
-                    terms[key] = terms.get(key, 0) + a * c
-        composed.append(big.from_dict(terms))
+    forms = [big.convert(v)
+             for v in veronese_map(2, 3, scaled=True, ring=plane)]
+    pack = big.code.pack
+    entries = [[big.from_dict({pack((0, 0, 0, k, D - k)): c
+                               for k, c in enumerate(e)}) for e in row]
+               for row in coeffs]
+    composed = [big.dot(forms, [row[j] for row in entries]) for j in range(6)]
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
     L = ring_map(composed, target)[1](3)
     pos9 = {m: r for r, m in enumerate(plane.monomials_of_degree(9))}

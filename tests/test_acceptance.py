@@ -327,12 +327,12 @@ def test_unprojection_elimination(unprojection_report):
 def _d6_unprojection_matrix():
     """The 10x10 unprojection matrix A, built as d6-unprojection-15 builds
     it at its default seed."""
-    ctx = Context(2024, F17, False)
+    ctx = Context(2024, F17)
     R6 = PolynomialRing(F17, tuple(f"x{i}" for i in range(6)))
     v = list(R6.gens()) + [R6.zero, R6.zero]
     rng = ctx.rng("phi")
     phi = euler_constrained_sample(R6, 8, v, 1, rng)
-    P = SkewPresentation(phi, 3, 1, 3, euler_row=v)
+    P = SkewPresentation(phi, 3, 1, euler_row=v)
     gens = list(sub_pfaffians(phi, 6).gens)
     c1 = sum((g.scale(F17.of(rng.randrange(17))) for g in gens), R6.zero)
     c2 = sum((g.scale(F17.of(rng.randrange(17))) for g in gens), R6.zero)
@@ -344,7 +344,7 @@ def _d6_unprojection_matrix():
     def lift(f):
         return f.substitute(up) if not f.is_zero() else R7.zero
 
-    P7 = SkewPresentation(phi.map_entries(lift, ring=R7), 3, 1, 3,
+    P7 = SkewPresentation(phi.map_entries(lift, ring=R7), 3, 1,
                           euler_row=[lift(f) for f in v])
     return unprojection_matrix(P7, [lift(f) for f in s1],
                                [lift(f) for f in s2], R7.var(6))

@@ -156,3 +156,31 @@ def test_rao_betti_refuses_an_incomplete_presentation(monkeypatch):
     monkeypatch.setattr(experiments, "graded_betti", capped)
     with pytest.raises(RaoError, match="bound insufficient"):
         run_experiment("rao-betti")
+
+
+def test_rao_betti_hash_is_fixed_by_experiment_seed_and_field():
+    # --allow-long gates long runs only; it does not change a report
+    assert (run_experiment("rao-betti", allow_long=True).content_hash()
+            == run_experiment("rao-betti").content_hash())
+
+
+def test_d6_unprojection_saturates_x_once(monkeypatch):
+    # X is the lambda = 0 member of its deformation family, so its
+    # saturation is read from the family's sample: every ideal of the
+    # seven-variable ring (X and the members at lambda = 1, 2, 5) is
+    # saturated once
+    from collections import Counter
+
+    from lforge import experiments, ideals, pfaffian
+
+    calls = Counter()
+
+    def counted(I):
+        calls[I.gens] += 1
+        return ideals.saturate_irrelevant(I)
+
+    for module in (experiments, pfaffian):
+        monkeypatch.setattr(module, "saturate_irrelevant", counted)
+    run_experiment("d6-unprojection-15")
+    assert [n for gens, n in calls.items() if gens[0].ring.nvars == 7] == [
+        1, 1, 1, 1]

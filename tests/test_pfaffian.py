@@ -168,7 +168,7 @@ def quintic():
     # generic 5x5 linear skew matrix on four-dimensional projective space
     R = PolynomialRing(F17, ("x0", "x1", "x2", "x3", "x4"))
     A = _rand_skew_linear(R, 5, Rng(7))
-    P = SkewPresentation(A, 2, 1, 2)
+    P = SkewPresentation(A, 2, 1)
     I = sub_pfaffians(A, 4)
     return R, A, P, I
 
@@ -242,6 +242,14 @@ def test_euler_sample_unconstrained():
     assert any(not A[i, j].is_zero() for i in range(4) for j in range(4))
 
 
+def test_euler_sample_zero_solution_space():
+    # v . A = 0 with v = (x0, x1) forces A[0, 1] = 0
+    R = PolynomialRing(F17, ("x0", "x1"))
+    A = euler_constrained_sample(R, 2, R.gens(), 1, Rng(1))
+    assert A.solution_dim == 0
+    assert all(e.is_zero() for row in A.entries for e in row)
+
+
 def test_euler_sample_validation():
     R = PolynomialRing(F17, ("x0", "x1", "x2"))
     with pytest.raises(PfaffianError):
@@ -257,19 +265,19 @@ def test_euler_sample_validation():
 def test_presentation_size_validation(euler8):
     R, v, A = euler8
     with pytest.raises(PfaffianError):
-        SkewPresentation(A, 2, 1, 2)  # 8 is neither 5 nor 6
+        SkewPresentation(A, 2, 1)  # 8 is neither 5 nor 6
     with pytest.raises(PfaffianError):
-        SkewPresentation(A, 3, 1, 3)  # padded size without the Euler row
+        SkewPresentation(A, 3, 1)  # padded size without the Euler row
     bad = list(R.gens()) + [R.one, R.zero]
     with pytest.raises(PfaffianError):
-        SkewPresentation(A, 3, 1, 3, euler_row=bad)
+        SkewPresentation(A, 3, 1, euler_row=bad)
 
 
 def test_divided_power_section_3x3():
     R = PolynomialRing(F17, ("a", "b", "c"))
     a, b, c = R.gens()
     A = SkewMatrix.from_upper(R, 3, [a, b, c])  # a=a12, b=a13, c=a23
-    P = SkewPresentation(A, 1, 1, 1)
+    P = SkewPresentation(A, 1, 1)
     assert divided_power_section(P) == [c, -b, a]
 
 
@@ -286,7 +294,7 @@ def test_divided_power_section_complex_condition(quintic):
 
 def test_divided_power_section_even_raises(euler8):
     R, v, A = euler8
-    P = SkewPresentation(A, 3, 1, 3, euler_row=v)
+    P = SkewPresentation(A, 3, 1, euler_row=v)
     with pytest.raises(PfaffianError):
         divided_power_section(P)
 
@@ -351,7 +359,7 @@ def unprojection():
     v = list(R6.gens()) + [R6.zero, R6.zero]
     rng = Rng(2024)
     phi = euler_constrained_sample(R6, 8, v, 1, rng)
-    P = SkewPresentation(phi, 3, 1, 3, euler_row=v)
+    P = SkewPresentation(phi, 3, 1, euler_row=v)
     D6 = sub_pfaffians(phi, 6)
     gens = list(D6.gens)
     c1 = sum((g.scale(F17.of(rng.randrange(17))) for g in gens), R6.zero)
@@ -366,7 +374,7 @@ def unprojection():
 
     phi7 = phi.map_entries(lift, ring=R7)
     v7 = [lift(f) if not f.is_zero() else R7.zero for f in v]
-    P7 = SkewPresentation(phi7, 3, 1, 3, euler_row=v7)
+    P7 = SkewPresentation(phi7, 3, 1, euler_row=v7)
     A = unprojection_matrix(P7, [lift(f) for f in s1], [lift(f) for f in s2],
                             R7.var(6))
     X = sub_pfaffians(A, 8)
@@ -409,7 +417,7 @@ def test_unprojection_rejects_bad_sections(unprojection):
     R7, A = u["R7"], u["A"]
     P7 = SkewPresentation(
         SkewMatrix(R7, [[A[i, j] for j in range(8)] for i in range(8)]),
-        3, 1, 3,
+        3, 1,
         euler_row=list(R7.gens())[:6] + [R7.zero, R7.zero])
     bad = [R7.var(0)] * 8
     with pytest.raises(PfaffianError):
@@ -482,10 +490,15 @@ def test_koszul_solve_roundtrip():
 
 
 def test_koszul_solve_negative():
-    R = PolynomialRing(F17, tuple(f"x{i}" for i in range(6)))
-    xs = list(R.gens())
-    with pytest.raises(PfaffianError):
-        koszul_solve([xs[0]] + [R.zero] * 5, xs)
+    R = PolynomialRing(F17, tuple(f"x{i}" for i in range(7)))
+    xs = list(R.gens())[:6]
+    skew = [xs[1], -xs[0]] + [R.zero] * 4
+    for a, ys, message in (
+            ([xs[0]] + [R.zero] * 5, xs, "Koszul relation fails"),
+            ([xs[1] + R.var(6)] + skew[1:], xs, "variable outside xs"),
+            (skew, [xs[0].scale(2)] + xs[1:], "xs must be plain variables")):
+        with pytest.raises(PfaffianError, match=message):
+            koszul_solve(a, ys)
 
 
 def test_principal_pfaffians_squared_are_minors_at_points(unprojection):
