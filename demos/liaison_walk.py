@@ -44,7 +44,7 @@ def main():
     print("Hilbert function of the quintic:",
           [H.hf(t) for t in range(6)])
 
-    rep = linked_hilbert_check(final, I, (2, 2), (2, 3), through=8)
+    rep = linked_hilbert_check(final, I, (2, 2), (2, 3))
     print("double-link prediction from the degree tuples alone:")
     print("  predicted:", rep["predicted"])
     print("  actual:   ", rep["actual"])

@@ -214,9 +214,10 @@ class _Pairs:
         self._supports.append(support)
 
 
-def buchberger(gens, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens."""
-    gens, ring = _common_ring(gens, order)
+def buchberger(gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens, in the order
+    of their ring."""
+    gens, ring = _common_ring(gens, None)
     G: list[MPoly] = []
     P = _Pairs(ring.code)
     redundant, pairs = P.redundant, P.pairs
@@ -271,18 +272,18 @@ def _by_degree(gens):
     return by_degree
 
 
-def macaulay_basis(gens, order=None) -> GroebnerBasis:
+def macaulay_basis(gens) -> GroebnerBasis:
     """Reduced Groebner basis of homogeneous generators over a prime field,
-    one Macaulay matrix per degree (see the module docstring).
+    in the order of their ring, one Macaulay matrix per degree (see the
+    module docstring).
 
     gens may also be a dict from degree to the generators of that degree,
-    all in the ring of the wanted order, as groebner_basis passes them
-    after grouping them once; order is then not used."""
+    as groebner_basis passes them after grouping them once."""
     if isinstance(gens, dict):
         by_degree = gens
         ring = next(iter(by_degree.values()))[0].ring
     else:
-        gens, ring = _common_ring(gens, order)
+        gens, ring = _common_ring(gens, None)
         by_degree = _by_degree(gens)
         if by_degree is None or not isinstance(ring.field, PrimeField):
             raise ValueError(

@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import PrimeField
 from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .hilbert import HilbertData
 from .linalg import (
@@ -22,7 +21,6 @@ from .linalg import (
     matmul_over,
     nullspace_over,
     rref_mod,
-    rref_over,
     rank_over,
     solve_over,
     zeros_over,
@@ -474,28 +472,22 @@ def graded_piece(gens, k: int) -> np.ndarray:
 
 class GradedQuotient:
     """Forms of degree k modulo the span of the columns of a matrix on
-    monomials_of_degree(k), from one reduced row echelon form R of the span.
+    monomials_of_degree(k), from one kernel (K, free) = _kernel_mod(span^T).
 
     Its free columns are the standard monomials, and the class of a vector
-    x has coordinates (x - R^T x[pivots])[free] on them.  With the columns
-    in descending monomial order the pivots of the span of I_k are the
-    leading monomials LT(I)_k and the rows of R are reduced basis elements,
-    so these coordinates are normal forms modulo a reduced Groebner basis."""
+    x has coordinates K^T x = x[free] - R[:, free]^T x[pivots] on them, R
+    the reduced row echelon form of span^T.  With the columns in descending
+    monomial order the pivots of the span of I_k are the leading monomials
+    LT(I)_k and the rows of R are reduced basis elements, so these
+    coordinates are normal forms modulo a reduced Groebner basis."""
 
     def __init__(self, field, span):
         self.field = field
-        R, self.pivots = rref_over(field, span.T)
-        self._R = R[:len(self.pivots)]
-        pivots = set(self.pivots)
-        self.free = [c for c in range(span.shape[0]) if c not in pivots]
+        self._K, self.free = _kernel_mod(span.T, _modulus(field))
 
     def coordinates(self, X) -> np.ndarray:
         """Coordinates of the classes of the columns of X, one column each."""
-        if self.pivots:
-            X = X - matmul_over(self.field, self._R.T, X[self.pivots])
-            if isinstance(self.field, PrimeField):
-                X %= self.field.p
-        return X[self.free]
+        return matmul_over(self.field, self._K.T, X)
 
 
 # the largest matrix (in cells) a cover_map degree or a kernel_generators
@@ -843,8 +835,11 @@ def _poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def linear_section_reduce(I: Ideal, forms) -> Ideal:
-    """Restrict I to the linear subspace cut out by independent linear forms,
-    by substituting the solved pivot coordinates."""
+    """Restrict I to the linear subspace cut out by independent linear forms.
+    The subspace is the kernel (K, free) = _kernel_mod of the forms'
+    coefficient rows, with the free variables as coordinates: variable j
+    becomes the form with coefficients K[j] on them (a free variable's row
+    is a unit vector, so it stays itself)."""
     ring = I.ring
     field = ring.field
     n = ring.nvars
@@ -853,18 +848,14 @@ def linear_section_reduce(I: Ideal, forms) -> Ideal:
         if f.is_homogeneous() != 1:
             raise ValueError("section forms must be linear and homogeneous")
         rows.append(coefficient_vector(f, [ring.code.var(i) for i in range(n)]))
-    R, pivots = rref_over(field, rows)
-    if len(pivots) != len(forms):
+    K, free = _kernel_mod(rows, _modulus(field))
+    if free.size != n - len(forms):
         raise ValueError("section forms are linearly dependent")
-    free = [j for j in range(n) if j not in set(pivots)]
-    if not free:
+    if not free.size:
         raise ValueError("section forms cut out only the origin")
     small = PolynomialRing(field, tuple(ring.names[j] for j in free))
-    images = {}
-    for idx, j in enumerate(free):
-        images[ring.names[j]] = small.var(idx)
-    xs = [small.code.var(idx) for idx in range(len(free))]
-    for r, pc in enumerate(pivots):
-        images[ring.names[pc]] = from_coefficient_vector(small, xs, -R[r, free])
+    xs = [small.code.var(idx) for idx in range(free.size)]
+    images = {name: from_coefficient_vector(small, xs, K[j])
+              for j, name in enumerate(ring.names)}
     gens = [g.substitute(images) for g in I.gens]
     return Ideal(small, [g for g in gens if not g.is_zero()])

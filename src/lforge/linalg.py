@@ -191,8 +191,8 @@ def _kernel_mod(A, p):
     is None, one vector per column, and the free (non-pivot) columns of A
     in increasing order, with K[free] = I.  A kernel vector x satisfies
     x[pivots] = -R x[free], so it is determined by its free coordinates:
-    x = K x[free].  The one kernel builder, behind nullspace_mod and rao's
-    syzygy resolver."""
+    x = K x[free].  The one kernel builder, behind nullspace_mod, the
+    syzygy resolver, ideals.GradedQuotient and ideals.linear_section_reduce."""
     M, pivots = rref_mod(A, p)
     cols = M.shape[1]
     is_free = np.ones(cols, dtype=bool)
@@ -231,10 +231,12 @@ def solve_mod(A, b, p):
 
 
 def det_mod(A, p: int) -> int:
-    """Determinant mod p, by its own elimination loop: every entry is
-    reduced after each step.  _eliminate reduces lazily, which is exact only
-    for at most w steps (a panel), so over a whole n x n matrix at p near
-    2^31 its int64 entries would overflow."""
+    """Determinant mod p, a test oracle: the Pfaffian and acceptance tests
+    use it as a witness that shares no code with the other routines, and
+    the benchmark's tracer wraps it by name.  It has its own elimination
+    loop, which reduces every entry after each step: _eliminate reduces
+    lazily, which is exact only for at most w steps (a panel), so over a
+    whole n x n matrix at p near 2^31 its int64 entries would overflow."""
     M = _as_array(A, p)
     n = M.shape[0]
     if M.shape[1] != n:
@@ -284,12 +286,6 @@ def matmul_over(field, A, B) -> np.ndarray:
     if p is None:
         return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
     return matmul_mod(A, B, p)
-
-
-def rref_over(field, A):
-    """(R, pivot_columns): the reduced row echelon form of A as an array,
-    int64 in [0, p) over F_p, an object array of Fractions over Q."""
-    return rref_mod(A, _modulus(field))
 
 
 def nullspace_over(field, A) -> np.ndarray:

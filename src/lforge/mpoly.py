@@ -120,11 +120,6 @@ class PolynomialRing:
                 raise OverflowError("monomial exponent overflow")
         return self.from_dict(d)
 
-    def parse(self, text: str) -> "MPoly":
-        from .textio import parse_poly
-
-        return parse_poly(text, self)
-
     # -- monomial enumeration -----------------------------------------
 
     def monomials_of_degree(self, d: int) -> list[int]:

@@ -135,6 +135,8 @@ class SkewMatrix:
         return Psi
 
     def to_text(self) -> str:
+        """Test oracle (test_pfaffian.py::test_text_roundtrip): the text that
+        from_text reads, written back for a round trip."""
         lines = [str(self.n), ring_header(self.ring)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -156,12 +158,8 @@ def _annihilates(v, A: SkewMatrix) -> bool:
                for k in range(A.n))
 
 
-def pfaffian(A: SkewMatrix) -> MPoly:
-    return A.pfaffian()
-
-
 def pfaffian_matching_sum(A: SkewMatrix) -> MPoly:
-    """Test oracle for pfaffian (test_pfaffian.py): the signed
+    """Test oracle for SkewMatrix.pfaffian (test_pfaffian.py): the signed
     perfect-matching sum.  Exponential, intended for n <= 8."""
     n = A.n
     if n % 2:
@@ -430,14 +428,13 @@ def koszul_solve(a, xs):
 
 
 def exceptional_locus(X: Ideal, x6_index: int) -> Ideal:
-    """Base locus of the inverse of the projection from the distinguished
-    point: the saturated ideal of the x6-coefficients of the generators
-    (each generator has degree at most 1 in x6, so its x6-coefficient is
-    its x6-partial), in the ring without x6."""
+    """The ideal of the x6-coefficients of the generators, in the ring
+    without x6 (each generator has degree at most 1 in x6, so its
+    x6-coefficient is its x6-partial).  Its saturation is the base locus
+    of the inverse of the projection from the distinguished point."""
     ring = X.ring
     small = ring.drop_vars((ring.names[x6_index],))
-    return saturate_irrelevant(Ideal(small, [
-        small.convert(g.partial(x6_index)) for g in X.gens]))
+    return Ideal(small, [small.convert(g.partial(x6_index)) for g in X.gens])
 
 
 class FamilyReport:
@@ -486,6 +483,10 @@ def family_data(A: SkewMatrix):
     return Bp, Dp
 
 
+# deform_family's samples record Hilbert data in degrees 0..HF_THROUGH
+HF_THROUGH = 8
+
+
 def family_matrix(A: SkewMatrix, Bp, Dp, shift: MPoly) -> SkewMatrix:
     """The deformed matrix A_lam for shift = lam*x6.
 
@@ -518,10 +519,10 @@ def family_matrix(A: SkewMatrix, Bp, Dp, shift: MPoly) -> SkewMatrix:
     return SkewMatrix(R, M)
 
 
-def deform_family(A: SkewMatrix, Bp, Dp, lambdas,
-                  hf_through: int = 8) -> FamilyReport:
+def deform_family(A: SkewMatrix, Bp, Dp, lambdas) -> FamilyReport:
     """One-parameter deformation of the 10x10 unprojection matrix
-    (family_matrix), sampled at the given lambdas.
+    (family_matrix), sampled at the given lambdas; the Hilbert data are
+    recorded in degrees 0..HF_THROUGH.
 
     [x0..x5, lam*x6, 0, 0, 0] annihilates A_lam identically (verified
     symbolically with lam a fresh variable).  Each sample records the raw
@@ -553,9 +554,9 @@ def deform_family(A: SkewMatrix, Bp, Dp, lambdas,
             "dim": H.dim,
             "degree": H.degree,
             "hp": tuple(H.hilbert_polynomial_value(e)
-                        for e in range(hf_through + 1)),
-            "hf": tuple(H.hf(e) for e in range(hf_through + 1)),
-            "hf_raw": tuple(Hraw.hf(e) for e in range(hf_through + 1)),
+                        for e in range(HF_THROUGH + 1)),
+            "hf": tuple(H.hf(e) for e in range(HF_THROUGH + 1)),
+            "hf_raw": tuple(Hraw.hf(e) for e in range(HF_THROUGH + 1)),
         }
     return FamilyReport(euler_ok, samples)
 

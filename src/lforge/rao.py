@@ -14,7 +14,6 @@ hom_bound=1).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -215,12 +214,6 @@ class BettiTable:
             lines.append("(partial: budget reached)")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "betti": [[i, j, b] for (i, j), b in sorted(self.entries.items())],
-            "complete": self.complete,
-        })
-
 
 def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
     """Betti numbers of a finite-length RaoModule through homological degree
@@ -241,7 +234,7 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
     for k in mod.grades:
         span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
         new = GradedQuotient(mod.field, span).free
-        if new:
+        if new.size:
             gens[k] = np.eye(mod.dim(k), dtype=np.int64)[:, new]
     entries = {(0, k): G.shape[1] for k, G in gens.items()}
     complete = True
@@ -295,10 +288,15 @@ def ci_hilbert(degrees, nvars: int) -> HilbertData:
          for i, d in enumerate(degrees)], nvars)
 
 
+# linked_hilbert_check compares Hilbert functions in degrees 0..HF_THROUGH
+HF_THROUGH = 8
+
+
 def linked_hilbert_check(final: Ideal, start: Ideal, ci1_degrees,
-                         ci2_degrees, through: int = 8) -> dict:
-    """Hilbert function of the output of a double link, predicted from the
-    input and the two complete-intersection degree tuples alone.
+                         ci2_degrees) -> dict:
+    """Hilbert function of the output of a double link in degrees
+    0..HF_THROUGH, predicted from the input and the two
+    complete-intersection degree tuples alone.
 
     Each link identifies the new ideal modulo the complete intersection
     with a twist of the canonical module of the old scheme; composing the
@@ -318,7 +316,7 @@ def linked_hilbert_check(final: Ideal, start: Ideal, ci1_degrees,
     H_start = start.hilbert()
     H_ci1, H_ci2 = ci_hilbert(ci1_degrees, n), ci_hilbert(ci2_degrees, n)
     actual, predicted = [], []
-    for t in range(through + 1):
+    for t in range(HF_THROUGH + 1):
         actual.append(H_final.hf(t))
         back = t - s
         pred = H_ci2.hf(t)
@@ -330,5 +328,5 @@ def linked_hilbert_check(final: Ideal, start: Ideal, ci1_degrees,
         "predicted": predicted,
         "match": actual == predicted,
         "shift": s,
-        "through": through,
+        "through": HF_THROUGH,
     }

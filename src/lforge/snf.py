@@ -72,6 +72,10 @@ class PolyMatrix:
                            for row in rows], F, var)
 
     def to_text(self) -> str:
+        """Test oracle (test_snf.py): the text that from_text reads, written
+        back for the round trip of test_polymatrix_validation_and_text and
+        hashed by test_snf_ln_block_pinned_output and
+        test_snf_over_rationals_pinned_output."""
         lines = [f"{self.nrows} {self.ncols} {self.var}"]
         for row in self.entries:
             for e in row:
@@ -350,14 +354,15 @@ def _equal_degree_split(f: UniPoly, d: int, rng):
                 + _equal_degree_split(right, d, rng))
 
 
-def unipoly_factor_ff(f: UniPoly, seed_or_rng=0):
+def unipoly_factor_ff(f: UniPoly):
     """Full factorization over a prime field: list of (monic irreducible,
-    multiplicity), unit absorbed by monic scaling."""
+    multiplicity), unit absorbed by monic scaling.  The equal-degree splits
+    draw from a fixed stream; the sorted factors do not depend on it."""
     if f.is_zero():
         raise SnfError("cannot factor the zero polynomial")
     if not isinstance(f.field, PrimeField):
         raise SnfError("finite-field factorization needs a prime field")
-    rng = as_rng(seed_or_rng)
+    rng = as_rng(0)
     out = []
     for sq, mult in squarefree_decomposition(f.monic()):
         for block, d in distinct_degree_split(sq):

@@ -52,10 +52,6 @@ class UniPoly:
         return cls(field, [1], var)
 
     @classmethod
-    def const(cls, field, c):
-        return cls(field, [c])
-
-    @classmethod
     def x(cls, field, var="lambda"):
         return cls(field, [0, 1], var)
 

@@ -29,7 +29,6 @@ from .linalg import (
     nullspace_mod,
     rank_mod,
     rank_over,
-    det_mod,
     zeros_over,
 )
 from .mpoly import PolynomialRing
@@ -37,23 +36,20 @@ from .snf import PolyMatrix
 from .unipoly import UniPoly
 
 
-def veronese_map(m: int, d: int, scaled: bool = False, ring=None, field=None):
-    """All degree-d monomials in m+1 variables as a fixed-order form list.
+def veronese_map(ring, d: int):
+    """All degree-d monomials in the m+1 variables of ring as a fixed-order
+    form list, with multinomial coefficients.
 
-    Generic order: descending grevlex.  The two special scaled cases follow
-    their classical conventions: (m=2, d=3) is the plane cubic Veronese with
-    multinomial coefficients in the order
-    (x^3, y^3, z^3, 3x^2y, 3xy^2, 3x^2z, 3xz^2, 3y^2z, 3yz^2, 6xyz), and
-    (m=3, d=2) lists the entries of the symmetric rank-1 matrix s.s^T as
+    Generic order: descending grevlex.  The two special cases follow their
+    classical conventions: (m=2, d=3) is the plane cubic Veronese in the
+    order (x^3, y^3, z^3, 3x^2y, 3xy^2, 3x^2z, 3xz^2, 3y^2z, 3yz^2, 6xyz),
+    and (m=3, d=2) lists the entries of the symmetric rank-1 matrix s.s^T as
     (s0^2, s1^2, s2^2, s0s1, s0s2, s0s3, s1s2, s1s3, s2s3, s3^2), unscaled.
     """
+    m = ring.nvars - 1
     if m < 1 or d < 1:
         raise ValueError("veronese map needs m >= 1 and d >= 1")
-    field = field or GF(17)
-    if ring is None:
-        names = ("x", "y", "z") if m == 2 else tuple(f"s{i}" for i in range(m + 1))
-        ring = PolynomialRing(field, names)
-    if scaled and (m, d) == (2, 3):
+    if (m, d) == (2, 3):
         x, y, z = ring.gens()
         return [
             x**3, y**3, z**3,
@@ -62,7 +58,7 @@ def veronese_map(m: int, d: int, scaled: bool = False, ring=None, field=None):
             3 * y**2 * z, 3 * y * z**2,
             6 * x * y * z,
         ]
-    if scaled and (m, d) == (3, 2):
+    if (m, d) == (3, 2):
         s = ring.gens()
         return [
             s[0] ** 2, s[1] ** 2, s[2] ** 2,
@@ -73,11 +69,9 @@ def veronese_map(m: int, d: int, scaled: bool = False, ring=None, field=None):
     forms = []
     for mon in ring.monomials_of_degree(d):
         exps = ring.code.unpack(mon)
-        c = 1
-        if scaled:
-            c = factorial(d)
-            for e in exps:
-                c //= factorial(e)
+        c = factorial(d)
+        for e in exps:
+            c //= factorial(e)
         forms.append(ring.monomial(exps, c))
     return forms
 
@@ -102,13 +96,13 @@ class ProjectionSpec:
         self.N = [[self.field.of(e) for e in row] for row in N]
         if kind == "p2cubics":
             self.source_ring = PolynomialRing(self.field, ("x", "y", "z"))
-            self.forms = veronese_map(2, 3, scaled=True, ring=self.source_ring)
+            self.forms = veronese_map(self.source_ring, 3)
             self.coord_names = fixtures.P9_NAMES
         elif kind == "p3quadrics":
             self.source_ring = PolynomialRing(
                 self.field, tuple(f"s{i}" for i in range(4))
             )
-            self.forms = veronese_map(3, 2, scaled=True, ring=self.source_ring)
+            self.forms = veronese_map(self.source_ring, 2)
             self.coord_names = fixtures.P3Q_NAMES
         else:
             raise ValueError(f"unknown source kind {kind!r}")
@@ -152,11 +146,11 @@ def project(spec: ProjectionSpec, bound: int = 5) -> ImageComputation:
 
 
 def surface_cubics(res: ImageComputation) -> list:
-    """The cubics through a projected surface: the degree-3 generators of
+    """The cubics through a projected Veronese: the degree-3 generators of
     project(spec, bound), bound >= 3.  When the kernel is zero in degrees 1
     and 2 they span its degree-3 part, so there are res.h0[3] of them, the
-    corank of the 55x56 degree-3 matrix of the ring map; otherwise
-    ValueError."""
+    corank of the degree-3 matrix of the ring map (55x56 for a plane-cubic
+    center); otherwise ValueError."""
     if res.h0.get(1) or res.h0.get(2):
         raise ValueError("the image lies on a hyperplane or a quadric; the "
                          "cubic generators are not the degree-3 kernel")
@@ -184,7 +178,7 @@ def build_LN(N, field=None) -> PolyMatrix:
     plane = PolynomialRing(field, ("x", "y", "z"))
     big = PolynomialRing(field, ("x", "y", "z", "l", "m"))
     forms = [big.convert(v)
-             for v in veronese_map(2, 3, scaled=True, ring=plane)]
+             for v in veronese_map(plane, 3)]
     pack = big.code.pack
     entries = [[big.from_dict({pack((0, 0, 0, k, D - k)): c
                                for k, c in enumerate(e)}) for e in row]
@@ -236,41 +230,24 @@ def secant_avoidance(center_forms, secant: Ideal) -> dict:
 # -- tangent space of the degeneracy locus ----------------------------
 
 
-def det_gradient_rank1(field, M):
-    """(u, w, alpha) with adj(M) = alpha * outer(u, w) for a square matrix of
-    corank exactly 1: u spans ker(M), w spans ker(M^T), and alpha is fixed by
-    one explicit cofactor.  Then d/dt det(M + tD) = alpha * w.D.u."""
-    if not isinstance(field, PrimeField):
-        raise TypeError("rank-1 adjugate route is implemented mod p only")
-    p = field.p
-    A = np.asarray(M, dtype=np.int64) % p
-    ker = nullspace_mod(A, p)
-    if ker.shape[1] != 1:
-        raise ValueError("matrix does not have corank 1")
-    u = ker[:, 0]
-    w = nullspace_mod(A.T, p)[:, 0]
-    j = int(np.nonzero(u)[0][0])
-    k = int(np.nonzero(w)[0][0])
-    # adj(M)[j][k] = (-1)^(j+k) * det(M with row k and column j removed)
-    sub = np.delete(np.delete(A, k, axis=0), j, axis=1)
-    cof = det_mod(sub, p)
-    if (j + k) % 2:
-        cof = (-cof) % p
-    denom = int(u[j]) * int(w[k]) % p
-    alpha = cof * pow(denom, p - 2, p) % p
-    return u, w, alpha
-
-
 def gamma_tangent_space(spec: ProjectionSpec):
     """Codimension, inside the 60-dimensional space of projection matrices,
     of the joint kernel of the gradients of all maximal minors of L at the
     center of spec (a 10x6 projection of the plane cubic Veronese).  E2 and
     L are the degree-2 and degree-3 matrices of one ring_map.
 
-    Each corank-1 maximal minor M_i (delete column i) contributes the
-    gradient v -> trace(adj(M_i) dM_i/dv) computed through the rank-1
-    adjugate; minors of corank >= 2 contribute zero, and
-    det_gradient_rank1 refuses them.
+    The gradients are read off the two kernels of L, with no adjugate.  L
+    is 55x56; at corank 2 (rank 54) let ker L = <u_1, u_2> and
+    ker L^T = <w>.  The minor M_i (L without column i) has left kernel
+    <w> too, and ker M_i = {u in ker L : u_i = 0}.  When that is a line
+    <v_i>, adj M_i = alpha_i v_i w^T with alpha_i != 0, so the gradient
+    of det M_i is alpha_i (v -> w^T dL/dv v_i); a minor of corank >= 2
+    has a zero adjugate and contributes nothing.  The vectors
+    v_i = u_2[i] u_1 - u_1[i] u_2 span ker L, as u_1 and u_2 are
+    independent, so the gradients span the same space as the two rows
+    v -> w^T dL/dv u_k.  Row k has entry (a, b) = q_a . r_{k,b} with
+    q = w^T mult and r_k = u_k^T partial6.  At corank above 2 every M_i
+    has corank >= 2 and the codimension is 0.
     """
     field = spec.field
     if not isinstance(field, PrimeField):
@@ -281,8 +258,12 @@ def gamma_tangent_space(spec: ProjectionSpec):
     target = spec.target_ring
     _, image = ring_map(spec.composed_forms(), target)
     E2, L = image(2), image(3)
-    if L.shape[1] - rank_mod(L, p) < 2:
+    U = nullspace_mod(L, p)
+    if U.shape[1] < 2:
         raise ValueError("projection matrix is not on the degeneracy locus")
+    if U.shape[1] > 2:
+        return 0
+    w = nullspace_mod(L.T, p)[:, 0]
     mons3_target = target.monomials_of_degree(3)
 
     # mult-by-v_a matrices, side by side: degree-6 coefficients -> degree-9
@@ -301,23 +282,11 @@ def gamma_tangent_space(spec: ProjectionSpec):
                 partial6[col, b] = a * E2[:, pos2[quo]] % p
     partial6 = partial6.reshape(56, 6 * 28)
 
-    gradients = []
-    for i in range(56):
-        try:
-            u, w, alpha = det_gradient_rank1(field, np.delete(L, i, axis=1))
-        except ValueError:
-            continue
-        cols = [m for m in range(56) if m != i]
-        # r_b = sum_m u[m] * partial6[m, b];  q_a = mult[a]^T w
-        r = matmul_mod(u, partial6[cols], p).reshape(6, 28)
-        q = matmul_mod(w, mult, p).reshape(10, 28)
-        g = matmul_mod(q, r.T, p)  # 10 x 6, entry (a, b)
-        g = g * alpha % p
-        gradients.append(g.reshape(-1))
-    if not gradients:
-        return 0
-    G = np.stack(gradients) % p
-    return rank_mod(G, p)
+    q = matmul_mod(w, mult, p).reshape(10, 28)
+    r = matmul_mod(U.T, partial6, p).reshape(2 * 6, 28)
+    # row k, entry (a, b): q_a . r_{k, b}
+    G = matmul_mod(q, r.T, p).reshape(10, 2, 6).transpose(1, 0, 2)
+    return rank_mod(G.reshape(2, 60), p)
 
 
 # -- the generic unique cubic -----------------------------------------

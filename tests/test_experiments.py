@@ -168,7 +168,8 @@ def test_d6_unprojection_saturates_x_once(monkeypatch):
     # X is the lambda = 0 member of its deformation family, so its
     # saturation is read from the family's sample: every ideal of the
     # seven-variable ring (X and the members at lambda = 1, 2, 5) is
-    # saturated once
+    # saturated once.  The exceptional locus is compared with D6 as an
+    # ideal, so no generator tuple is saturated twice either
     from collections import Counter
 
     from lforge import experiments, ideals, pfaffian
@@ -184,3 +185,4 @@ def test_d6_unprojection_saturates_x_once(monkeypatch):
     run_experiment("d6-unprojection-15")
     assert [n for gens, n in calls.items() if gens[0].ring.nvars == 7] == [
         1, 1, 1, 1]
+    assert max(calls.values()) == 1

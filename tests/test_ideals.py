@@ -32,7 +32,13 @@ from lforge.ideals import (
     singular_locus,
     zero_dim_reduced_check,
 )
-from lforge.linalg import nullspace_over, rank_over, zeros_over
+from lforge.linalg import (
+    _modulus,
+    nullspace_over,
+    rank_over,
+    rref_mod,
+    zeros_over,
+)
 from lforge.mpoly import (
     MPoly,
     PolynomialRing,
@@ -41,6 +47,7 @@ from lforge.mpoly import (
 )
 from lforge.orders import TermOrder
 from lforge.rng import Rng
+from lforge.textio import parse_poly
 from lforge.unipoly import UniPoly
 
 F17 = GF(17)
@@ -303,7 +310,7 @@ def test_saturate_irrelevant_on_a_lex_ring_matches_saturate(seed):
     # ideal with the right Hilbert polynomial but hf(S/J)(6) = 44 against
     # 43; the seeds are those below 40 whose ideal is not saturated
     if seed is None:
-        gens = [LEX.parse(t) for t in ("-5*y^3*z + 6*z^3*w",
+        gens = [parse_poly(t, LEX) for t in ("-5*y^3*z + 6*z^3*w",
                                        "4*x*y*w^2 + y*z^2*w",
                                        "5*x*y^2 + 6*x*w^2")]
     else:
@@ -860,6 +867,75 @@ def test_quotient_coordinates_are_normal_forms(case):
             nf = normal_form(ell.mul_term(m, field.one), G)
             # raises unless the normal form lives on the free columns
             assert col == coefficient_vector(nf, standard)
+
+
+def _random_span(field, rng, n, rank, cols):
+    """An n x cols matrix over the field of rank at most ``rank``."""
+    A = [[rng.randrange(5) - 2 for _ in range(rank)] for _ in range(n)]
+    B = [[rng.randrange(5) - 2 for _ in range(cols)] for _ in range(rank)]
+    M = np.array(A, dtype=object).reshape(n, rank) @ np.array(
+        B, dtype=object).reshape(rank, cols)
+    out = zeros_over(field, (n, cols))
+    return out + (M if field is QQ else M.astype(np.int64) % field.p)
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_coordinates_match_the_pivot_formula(field, seed):
+    # the class of x has coordinates (x - R^T x[pivots])[free], R the RREF
+    # of span^T; spans of every rank, the empty span and the full one
+    rng = Rng(seed)
+    p = _modulus(field)
+    n = 6 + seed
+    for rank, cols in ((0, 0), (0, 3), (2, 5), (n - 2, n), (n, n + 2)):
+        span = _random_span(field, rng, n, rank, cols)
+        X = _random_span(field, rng, n, n, 4)
+        R, pivots = rref_mod(span.T, p)
+        R = R[:len(pivots)]
+        free = [c for c in range(n) if c not in pivots]
+        want = X - R.T @ X[pivots] if pivots else X
+        if p is not None:
+            want %= p
+        Q = GradedQuotient(field, span)
+        assert Q.free.tolist() == free
+        assert Q.coordinates(X).tolist() == want[free].tolist()
+
+
+def _section_by_pivots(I, forms):
+    """linear_section_reduce by its pivot assembly: free variables stay,
+    pivot variable r becomes -R[r, free] on them."""
+    ring, field = I.ring, I.ring.field
+    n = ring.nvars
+    rows = [coefficient_vector(f, [ring.code.var(i) for i in range(n)])
+            for f in forms]
+    R, pivots = rref_mod(rows, _modulus(field))
+    free = [j for j in range(n) if j not in pivots]
+    small = PolynomialRing(field, tuple(ring.names[j] for j in free))
+    images = {ring.names[j]: small.var(i) for i, j in enumerate(free)}
+    xs = [small.code.var(i) for i in range(len(free))]
+    for r, pc in enumerate(pivots):
+        images[ring.names[pc]] = from_coefficient_vector(small, xs,
+                                                         -R[r, free])
+    return [g.substitute(images) for g in I.gens]
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_section_reduce_matches_the_pivot_assembly(field, seed):
+    ring = PolynomialRing(field, ("a", "b", "c", "d", "e"))
+    rng = Rng(seed)
+    I = Ideal(ring, [ring.random_form(k, rng.fork(k)) for k in (2, 3)])
+    for k in (1, 2, 3):
+        # sparse forms move the pivots off the leading variables
+        forms = [ring.dot([ring.const(rng.randrange(3) * rng.randrange(17))
+                           for _ in range(5)], ring.gens())
+                 for _ in range(k)]
+        if rank_over(field, [coefficient_vector(
+                f, [ring.code.var(i) for i in range(5)]) for f in forms]) < k:
+            continue
+        S = linear_section_reduce(I, forms)
+        want = _section_by_pivots(I, forms)
+        assert S.gens == tuple(g for g in want if not g.is_zero())
 
 
 def test_zero_dim_check_rejects_positive_dim():

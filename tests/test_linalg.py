@@ -217,7 +217,7 @@ def test_rref_pinned_sparse_matrix():
 def test_frac_rref_and_rank():
     A = [[1, 2], [3, 4], [4, 6]]
     assert linalg.rank_over(QQ, A) == 2
-    M, pivots = linalg.rref_over(QQ, A)
+    M, pivots = linalg.rref_mod(A, None)
     assert pivots == [0, 1]
     assert M.tolist() == [[1, 0], [0, 1], [0, 0]]
     assert all(type(x) is Fraction for x in M.flat)

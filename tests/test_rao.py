@@ -1,4 +1,3 @@
-import json
 from itertools import combinations
 from math import comb
 
@@ -343,13 +342,11 @@ def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
     assert 36 in built
 
 
-def test_betti_table_text_and_json():
+def test_betti_table_text():
     tab = BettiTable({(0, 0): 1, (1, 1): 2, (2, 2): 1})
     text = tab.to_text()
     assert "deg" in text and "2" in text
-    data = json.loads(tab.to_json())
-    assert [0, 0, 1] in data["betti"]
-    assert data["complete"]
+    assert not text.endswith("(partial: budget reached)")
 
 
 def test_ci_hilbert_value_against_ideal():
@@ -386,7 +383,7 @@ def double_link():
 
 def test_linked_hilbert_check_double_link(double_link):
     I, _, final = double_link
-    rep = linked_hilbert_check(final, I, (2, 2), (2, 3), through=8)
+    rep = linked_hilbert_check(final, I, (2, 2), (2, 3))
     assert rep["match"]
     assert rep["shift"] == 1
     assert rep["actual"][0:3] == [1, 4, 9]
@@ -394,5 +391,5 @@ def test_linked_hilbert_check_double_link(double_link):
 
 def test_linked_hilbert_check_negative_control(double_link):
     I, ci1, _ = double_link
-    rep = linked_hilbert_check(ci1, I, (2, 2), (2, 3), through=8)
+    rep = linked_hilbert_check(ci1, I, (2, 2), (2, 3))
     assert not rep["match"]

@@ -10,7 +10,14 @@ Public means that neither the function nor its class has a leading
 underscore; functions nested in other functions are not public, and
 functions whose docstring says they are a test oracle are exempt.  A
 parameter that stays without a setting caller needs an entry in ALLOWED
-with its reason."""
+with its reason.
+
+The second check is that an option takes more than one value: a parameter
+fails when the calls in src/lforge, demos and perfbench (not perfbench/tests)
+all leave it at one literal value (a constant passed the same at every
+call, or the literal default where no call passes it), unless ALLOWED says
+why.  A call with ``*args`` or ``**kwargs`` counts as passing an unknown
+value."""
 
 import ast
 import pathlib
@@ -18,12 +25,26 @@ from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "lforge").glob("*.py"))
-CALLERS = SOURCES + sorted((ROOT / "demos").rglob("*.py")) + sorted(
-    (ROOT / "perfbench").rglob("*.py")) + sorted(
-    (ROOT / "tests").rglob("*.py"))
+DEMOS = sorted((ROOT / "demos").rglob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
+PROGRAM = SOURCES + DEMOS + [
+    p for p in PERFBENCH
+    if "tests" not in p.relative_to(ROOT / "perfbench").parts]
+CALLERS = SOURCES + DEMOS + PERFBENCH + sorted((ROOT / "tests").rglob("*.py"))
 
 # "file:function.parameter" -> why the option stays although no call sets it
-ALLOWED: dict[str, str] = {}
+# or every call leaves it at one value
+ALLOWED: dict[str, str] = {
+    "cli.py:main.argv": "the console entry point calls main() and reads "
+                        "sys.argv; the tests pass their own argument lists",
+    "rao.py:RaoModule.from_projection.kmax":
+        "the benchmark's linalg-betti workload passes kmax=4 by keyword and "
+        "reads grades 0..4 through hilbert_values(range(5)); the tests build "
+        "shorter modules with kmax=3",
+    "rao.py:RaoModule.__init__.shift":
+        "from_projection's modules start at internal grade 2 (shift=2); the "
+        "modules the tests build by hand start at grade 0",
+}
 
 
 def _optional(fn, is_method):
@@ -107,6 +128,50 @@ def _unset(sources, callers) -> list[str]:
     return out
 
 
+def _passed(call, param, positional, defaults):
+    """The repr of the literal value a call gives param, or None when that
+    value is not a literal or cannot be told (a ``*args`` or ``**kwargs``
+    call)."""
+    kws = {k.arg: k.value for k in call.keywords}
+    if None in kws or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    at = positional.index(param) if param in positional else len(call.args)
+    node = (kws[param] if param in kws
+            else call.args[at] if at < len(call.args) else defaults[param])
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _one_value(sources, callers) -> list[str]:
+    """The optional parameters that every call in ``callers`` leaves at one
+    literal value."""
+    calls = defaultdict(list)
+    for tree in callers:
+        for name, n in _calls(tree):
+            calls[name].append(n)
+    out = []
+    for file, tree in sources:
+        for qual, name, fn, is_method in _public_functions(tree):
+            doc = " ".join((ast.get_docstring(fn) or "").split()).lower()
+            if "test oracle" in doc or not calls.get(name):
+                continue
+            positional, optional = _optional(fn, is_method)
+            args = fn.args
+            defaults = dict(zip(positional[len(positional)
+                                           - len(args.defaults):],
+                                args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                        args.kw_defaults))
+            for param in sorted(optional):
+                values = {_passed(n, param, positional, defaults)
+                          for n in calls[name]}
+                if len(values) == 1 and None not in values:
+                    out.append(f"{file}:{qual}.{param}")
+    return out
+
+
 def _parsed(paths):
     return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
 
@@ -119,6 +184,16 @@ def test_every_optional_parameter_is_set_by_some_call():
     assert not unset, (
         "no call sets these optional parameters; drop them, or add an "
         "ALLOWED entry with the reason: " + ", ".join(unset))
+
+
+def test_no_optional_parameter_has_only_one_value_in_use():
+    sources = _parsed(SOURCES)
+    one = [u for u in _one_value(sources, [t for _, t in _parsed(PROGRAM)])
+           if u not in ALLOWED]
+    assert not one, (
+        "every call leaves these optional parameters at one literal value; "
+        "make them constants, or add an ALLOWED entry with the reason: "
+        + ", ".join(one))
 
 
 def test_the_scan_sees_keywords_positions_and_star_arguments():
@@ -144,3 +219,23 @@ def test_the_scan_sees_keywords_positions_and_star_arguments():
     assert unset("f(**o)\nk.m(**o)\nK.make(w=1)") == []
     assert _unset(sources, [ast.parse("f(*a, d=1)\nk.m(*a)\nK.make(1)")]) \
         == ["planted.py:K.__init__.x"]
+
+
+def test_the_one_value_scan_sees_literals_defaults_and_stars():
+    planted = ast.parse(
+        "def g(a, b=1, c=None, *, d='x'):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=2):\n        pass\n")
+    sources = [("planted.py", planted)]
+
+    def one(calls):
+        return _one_value(sources, [planted, ast.parse(calls)])
+
+    # b is 1 passed or not, d and x keep their defaults, y is always 3; c
+    # once takes an expression
+    assert one("g(0)\ng(1, 1)\ng(2, 1, c=h)\nK()\nK(x=0)\nk.m(3)\nk.m(y=3)") \
+        == ["planted.py:g.b", "planted.py:g.d", "planted.py:K.__init__.x",
+            "planted.py:K.m.y"]
+    # a second value, a negative literal, or a star call stops the finding
+    assert one("g(0, 2)\ng(*a)\nK(-1)\nK()\nk.m(**o)") == []

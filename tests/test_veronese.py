@@ -1,11 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lforge import fixtures
 from lforge.fields import GF, QQ
-from lforge.ideals import minors_ideal, ring_map
-from lforge.linalg import det_mod, rank_over
-from lforge.mpoly import coefficient_vector
+from lforge.ideals import minors_ideal, multiplication_matrix, ring_map
+from lforge.linalg import (
+    det_mod,
+    matmul_mod,
+    nullspace_mod,
+    rank_mod,
+    rank_over,
+)
+from lforge.mpoly import PolynomialRing, coefficient_vector
 from lforge.rng import Rng
 from lforge.snf import PolyMatrix
 from lforge.unipoly import UniPoly
@@ -13,7 +21,6 @@ from lforge.veronese import (
     ProjectionSpec,
     build_LN,
     catalecticant,
-    det_gradient_rank1,
     gamma_tangent_space,
     project,
     secant_avoidance,
@@ -25,17 +32,20 @@ from lforge.veronese import (
 F17 = GF(17)
 
 
+P2 = PolynomialRing(F17, ("x", "y", "z"))
+P3 = PolynomialRing(F17, ("s0", "s1", "s2", "s3"))
+
+
 def test_veronese_map_counts():
-    assert len(veronese_map(2, 3)) == 10
-    assert len(veronese_map(3, 2)) == 10
-    assert len(veronese_map(2, 9)) == 55
-    assert len(veronese_map(5, 3)) == 56
+    assert len(veronese_map(P2, 3)) == 10
+    assert len(veronese_map(P3, 2)) == 10
+    assert len(veronese_map(P2, 9)) == 55
+    assert len(veronese_map(PolynomialRing(F17, tuple("abcdef")), 3)) == 56
 
 
 def test_veronese_map_plane_cubics_scaled():
-    forms = veronese_map(2, 3, scaled=True)
-    R = forms[0].ring
-    x, y, z = R.gens()
+    forms = veronese_map(P2, 3)
+    x, y, z = P2.gens()
     assert forms == [
         x**3, y**3, z**3, 3 * x**2 * y, 3 * x * y**2, 3 * x**2 * z,
         3 * x * z**2, 3 * y**2 * z, 3 * y * z**2, 6 * x * y * z,
@@ -44,8 +54,8 @@ def test_veronese_map_plane_cubics_scaled():
 
 def test_veronese_map_scaled_sums_to_power():
     # multinomial scaling makes the coordinate sum a power of the linear sum
-    forms = veronese_map(3, 4, scaled=True, field=QQ)
-    R = forms[0].ring
+    R = PolynomialRing(QQ, ("s0", "s1", "s2", "s3"))
+    forms = veronese_map(R, 4)
     s = sum(R.gens(), R.zero)
     total = R.zero
     for f in forms:
@@ -54,11 +64,10 @@ def test_veronese_map_scaled_sums_to_power():
 
 
 def test_veronese_quadrics_match_symmetric_matrix():
-    forms = veronese_map(3, 2, scaled=True)
-    R = forms[0].ring
+    forms = veronese_map(P3, 2)
     A = catalecticant("p3quadrics", F17)
     sub = {name: forms[k] for k, name in enumerate(fixtures.P3Q_NAMES)}
-    s = R.gens()
+    s = P3.gens()
     # entry (i, j) of the symmetric matrix pulls back to s_i * s_j
     for i in range(4):
         for j in range(4):
@@ -66,7 +75,7 @@ def test_veronese_quadrics_match_symmetric_matrix():
 
 
 def test_catalecticant_minors_vanish_on_veronese():
-    forms = veronese_map(2, 3, scaled=True)
+    forms = veronese_map(P2, 3)
     A = catalecticant("p2cubics", F17)
     I = minors_ideal(A, 2)
     sub = {name: forms[k] for k, name in enumerate(fixtures.P9_NAMES)}
@@ -212,7 +221,26 @@ def _directional_derivative_oracle(M, D, p):
     return total
 
 
-def test_det_gradient_rank1_against_oracle():
+def _rank1_adjugate(M, p):
+    """(u, w, alpha) with adj(M) = alpha * outer(u, w) for a square M of
+    corank exactly 1 (u spans ker M, w spans ker M^T), alpha fixed by one
+    cofactor; None at any other corank."""
+    A = np.asarray(M, dtype=np.int64) % p
+    ker = nullspace_mod(A, p)
+    if ker.shape[1] != 1:
+        return None
+    u = ker[:, 0]
+    w = nullspace_mod(A.T, p)[:, 0]
+    j = int(np.nonzero(u)[0][0])
+    k = int(np.nonzero(w)[0][0])
+    # adj(M)[j][k] = (-1)^(j+k) * det(M with row k and column j removed)
+    cof = det_mod(np.delete(np.delete(A, k, axis=0), j, axis=1), p)
+    cof = cof * (-1) ** (j + k)
+    return u, w, cof * pow(int(u[j]) * int(w[k]), p - 2, p) % p
+
+
+def test_rank1_adjugate_matches_directional_derivative():
+    # d/dt det(M + tD) at t = 0 is trace(adj(M) D) = alpha * w.D.u
     p = 17
     rng = Rng(99)
     for trial in range(10):
@@ -220,18 +248,71 @@ def test_det_gradient_rank1_against_oracle():
         B = [[rng.randrange(p) for _ in range(n - 1)] for _ in range(n)]
         C = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
         M = (np.array(B) @ np.array(C)) % p
-        try:
-            u, w, alpha = det_gradient_rank1(F17, M)
-        except ValueError:
+        adj = _rank1_adjugate(M, p)
+        if adj is None:
             continue  # unlucky rank drop
+        u, w, alpha = adj
         D = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         got = alpha * int(w @ (D % p) @ u) % p
         assert got == _directional_derivative_oracle(M, D, p)
+    assert _rank1_adjugate(np.eye(3, dtype=np.int64), p) is None
 
 
-def test_det_gradient_rank1_rejects_full_rank():
-    with pytest.raises(ValueError):
-        det_gradient_rank1(F17, np.eye(3, dtype=np.int64))
+def _cofactor_codimension(spec):
+    """The codimension gamma_tangent_space computes, by cofactors: the rank
+    of the gradients v -> trace(adj(M_i) dM_i/dv) of the maximal minors M_i
+    of L (L without column i), each through its rank-1 adjugate; minors of
+    corank >= 2 have a zero adjugate."""
+    p = spec.field.p
+    target = spec.target_ring
+    code = target.code
+    _, image = ring_map(spec.composed_forms(), target)
+    E2, L = image(2), image(3)
+    pos2 = target.monomial_positions(2)
+    # dL/dN[a, b] = mult_a @ partial[b]: column m of partial[b] is the image
+    # of d(m)/dy_b, a quadric, and mult_a multiplies by the cubic v_a
+    partial = np.zeros((6, 28, 56), dtype=np.int64)
+    for col, mon in enumerate(target.monomials_of_degree(3)):
+        for b, e in enumerate(code.unpack(mon)):
+            if e:
+                quo = code.divides(code.var(b), mon)
+                partial[b, :, col] = e * E2[:, pos2[quo]] % p
+    dL = [matmul_mod(multiplication_matrix(v, 6, 9), partial[b], p)
+          for v in spec.forms for b in range(6)]
+    gradients = []
+    for i in range(56):
+        adj = _rank1_adjugate(np.delete(L, i, axis=1), p)
+        if adj is None:
+            continue
+        u, w, alpha = adj
+        gradients.append([alpha * int(w @ np.delete(D, i, axis=1) @ u) % p
+                          for D in dL])
+    return rank_mod(gradients, p) if gradients else 0
+
+
+@functools.cache
+def _corank_two_centers():
+    """The first five seeded centers on the corank-2 stratum."""
+    rng = Rng(2024)
+    found = []
+    while len(found) < 5:
+        N = _random_N(rng.randrange(10 ** 6))
+        if project(ProjectionSpec(N, "p2cubics", F17), 3).h0[3] == 2:
+            found.append(N)
+    return found
+
+
+@pytest.mark.parametrize("center", ["n0", 0, 1, 2, 3, 4, "corank7"])
+def test_gamma_tangent_space_matches_cofactor_route(center):
+    if center == "n0":
+        N = fixtures.n0_matrix(F17)
+    elif center == "corank7":
+        # x^3, y^3, z^3, x^2y, xz^2, y^2z: every minor has corank >= 2
+        N = [[int(r == c) for c in (0, 1, 2, 3, 6, 7)] for r in range(10)]
+    else:
+        N = _corank_two_centers()[center]
+    spec = ProjectionSpec(N, "p2cubics", F17)
+    assert gamma_tangent_space(spec) == _cofactor_codimension(spec)
 
 
 def test_gamma_tangent_space_special_matrix():
