@@ -221,14 +221,15 @@ def _directional_derivative_oracle(M, D, p):
     return total
 
 
-def _rank1_adjugate(M, p):
+def _det_gradient_rank1(M, p):
     """(u, w, alpha) with adj(M) = alpha * outer(u, w) for a square M of
     corank exactly 1 (u spans ker M, w spans ker M^T), alpha fixed by one
-    cofactor; None at any other corank."""
+    cofactor; then d/dt det(M + tD) at t = 0 is alpha * w.D.u.  Raises
+    ValueError at any other corank."""
     A = np.asarray(M, dtype=np.int64) % p
     ker = nullspace_mod(A, p)
     if ker.shape[1] != 1:
-        return None
+        raise ValueError("matrix does not have corank 1")
     u = ker[:, 0]
     w = nullspace_mod(A.T, p)[:, 0]
     j = int(np.nonzero(u)[0][0])
@@ -239,8 +240,7 @@ def _rank1_adjugate(M, p):
     return u, w, cof * pow(int(u[j]) * int(w[k]), p - 2, p) % p
 
 
-def test_rank1_adjugate_matches_directional_derivative():
-    # d/dt det(M + tD) at t = 0 is trace(adj(M) D) = alpha * w.D.u
+def test_det_gradient_rank1_against_oracle():
     p = 17
     rng = Rng(99)
     for trial in range(10):
@@ -248,14 +248,18 @@ def test_rank1_adjugate_matches_directional_derivative():
         B = [[rng.randrange(p) for _ in range(n - 1)] for _ in range(n)]
         C = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
         M = (np.array(B) @ np.array(C)) % p
-        adj = _rank1_adjugate(M, p)
-        if adj is None:
+        try:
+            u, w, alpha = _det_gradient_rank1(M, p)
+        except ValueError:
             continue  # unlucky rank drop
-        u, w, alpha = adj
         D = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         got = alpha * int(w @ (D % p) @ u) % p
         assert got == _directional_derivative_oracle(M, D, p)
-    assert _rank1_adjugate(np.eye(3, dtype=np.int64), p) is None
+
+
+def test_det_gradient_rank1_rejects_full_rank():
+    with pytest.raises(ValueError):
+        _det_gradient_rank1(np.eye(3, dtype=np.int64), 17)
 
 
 def _cofactor_codimension(spec):
@@ -281,10 +285,10 @@ def _cofactor_codimension(spec):
           for v in spec.forms for b in range(6)]
     gradients = []
     for i in range(56):
-        adj = _rank1_adjugate(np.delete(L, i, axis=1), p)
-        if adj is None:
+        try:
+            u, w, alpha = _det_gradient_rank1(np.delete(L, i, axis=1), p)
+        except ValueError:
             continue
-        u, w, alpha = adj
         gradients.append([alpha * int(w @ np.delete(D, i, axis=1) @ u) % p
                           for D in dL])
     return rank_mod(gradients, p) if gradients else 0
