@@ -9,7 +9,7 @@ off each instance.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -366,22 +366,20 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     """Kernel of the ring map target -> source sending the i-th variable to
     forms[i], generated in degrees up to bound: kernel_generators of
     ring_map, over F_p and Q.  The h0 table maps each degree 1..bound to the
-    dimension of the kernel there.  Raises ValueError when a step would pass
-    CELL_BUDGET."""
+    dimension of the kernel there.  Raises CellBudgetError, a ValueError,
+    when a step would pass CELL_BUDGET."""
     if len(forms) != target.nvars:
         raise ValueError("need one form per target variable")
     degs = {f.is_homogeneous() for f in forms}
     if False in degs or len(degs) != 1:
         raise ValueError("forms must be homogeneous of one common degree")
-    gens, dims, within = kernel_generators(*ring_map(forms, target), bound)
-    if not within:
-        raise CellBudgetError(f"image ideal through degree {bound} passes "
-                              f"the cell budget of {CELL_BUDGET}")
-    return ImageComputation(
-        Ideal(target, [from_coefficient_vector(
-            target, target.monomials_of_degree(e), v)
-            for e, K in gens.items() for v in K.T]),
-        {e: dims[e] for e in range(1, bound + 1)})
+    gens, h0 = [], {}
+    for e, G, n in kernel_generators(*ring_map(forms, target), bound):
+        if e:
+            h0[e] = n
+        mons = target.monomials_of_degree(e)
+        gens.extend(from_coefficient_vector(target, mons, v) for v in G.T)
+    return ImageComputation(Ideal(target, gens), h0)
 
 
 def _product_positions(ring: PolynomialRing, ts, a: int, b: int):
@@ -553,16 +551,18 @@ class FreeModule:
 
 
 def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
-    """(free, image): the free module over ring with one generator of
-    degree t per column of gens[t], and image(t), the target_dim(t) x
-    free.dim(t) matrix of the map sending each generator to its column.
-    ``mul(t, j, V)`` multiplies the columns of V (target vectors of degree
-    t) by x_j.  The image of m times a generator is x_j times that of
-    m / x_j, x_j the first variable of m, so each degree takes one mul per
-    first variable on the degree below.  image(t) builds the degrees below
-    it on demand and keeps only the last one, so degrees asked for in
-    increasing order are built once; it raises CellBudgetError instead of
-    building a matrix of more than CELL_BUDGET cells."""
+    """(free, images): the free module over ring with one generator of
+    degree t per column of gens[t], and a generator of the matrices of the
+    map sending each generator to its column.  ``images`` yields (t, A_t),
+    A_t the target_dim(t) x free.dim(t) matrix in degree t, for t = the
+    lowest generator degree, then t + 1, and so on without end; the caller
+    stops reading at the degree it needs.  ``mul(t, j, V)`` multiplies the
+    columns of V (target vectors of degree t) by x_j.  The image of m times
+    a generator is x_j times that of m / x_j, x_j the first variable of m,
+    so each degree takes one mul per first variable on the degree before
+    it, and the generator lets go of that degree before it yields the new
+    one.  It raises CellBudgetError instead of building a matrix of more
+    than CELL_BUDGET cells."""
     degrees = sorted(gens)
     free = FreeModule(ring, [t for t in degrees
                              for _ in range(gens[t].shape[1])])
@@ -570,45 +570,40 @@ def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
                 for c in range(gens[t].shape[1])]
     code = ring.code
     xs = [code.var(j) for j in range(ring.nvars)]
-    last = {}
 
-    # a loop, not a recursion: a closure that calls itself is a reference
-    # cycle, which keeps `last` alive until the cyclic collector runs
-    def image(t):
-        if t not in last:
-            s = next(iter(last), t)  # the degree kept, if any
-            if not degrees[0] <= s < t:
-                last.clear()
-                s = min(t, degrees[0]) - 1
-            for u in range(s + 1, t + 1):
-                if target_dim(u) * free.dim(u) > CELL_BUDGET:
-                    raise CellBudgetError(f"degree {u} of a graded map "
-                                          f"passes the budget {CELL_BUDGET}")
-                below = last.pop(u - 1, None)
-                out = zeros_over(ring.field, (target_dim(u), free.dim(u)))
-                groups: dict[int, tuple[list, list]] = {}
-                for idx, (i, m) in enumerate(free.basis(u)):
-                    if m == code.one:
-                        out[:, idx] = gen_vecs[i]
-                        continue
-                    j = next(j for j, e in enumerate(code.unpack(m)) if e)
-                    cols, parents = groups.setdefault(j, ([], []))
-                    cols.append(idx)
-                    parents.append(
-                        free.positions(u - 1)[(i, code.divides(xs[j], m))])
-                for j, (cols, parents) in groups.items():
-                    out[:, cols] = mul(u - 1, j, below[:, parents])
-                last[u] = out
-        return last[t]
+    def images():
+        A = None
+        for t in count(degrees[0]):
+            if target_dim(t) * free.dim(t) > CELL_BUDGET:
+                raise CellBudgetError(f"degree {t} of a graded map "
+                                      f"passes the budget {CELL_BUDGET}")
+            below = A
+            A = zeros_over(ring.field, (target_dim(t), free.dim(t)))
+            groups: dict[int, tuple[list, list]] = {}
+            for idx, (i, m) in enumerate(free.basis(t)):
+                if m == code.one:
+                    A[:, idx] = gen_vecs[i]
+                    continue
+                j = next(j for j, e in enumerate(code.unpack(m)) if e)
+                cols, parents = groups.setdefault(j, ([], []))
+                cols.append(idx)
+                parents.append(
+                    free.positions(t - 1)[(i, code.divides(xs[j], m))])
+            for j, (cols, parents) in groups.items():
+                A[:, cols] = mul(t - 1, j, below[:, parents])
+            # not held while suspended: the caller may drop degree t - 1
+            below = None
+            yield t, A
 
-    return free, image
+    return free, images()
 
 
 def ring_map(forms, target: PolynomialRing):
     """The ring map target -> source sending x_i to forms[i] (homogeneous
     of one degree d; a zero form acts as zero), as the cover_map of the
-    rank-1 free module whose generator goes to 1: column m of image(e) holds
-    the coefficients of the image of the m-th monomial of degree e on
+    rank-1 free module whose generator goes to 1: its images start at
+    degree 0, and column m of the degree-e matrix holds the coefficients of
+    the image of the m-th monomial of degree e on
     source.monomials_of_degree(d*e), in zeros_over's dtype."""
     source = forms[0].ring
     field = source.field
@@ -628,13 +623,14 @@ def ring_map(forms, target: PolynomialRing):
                      dim, mul)
 
 
-def kernel_generators(free: FreeModule, image_of, hi: int):
+def kernel_generators(free: FreeModule, images, hi: int):
     """Minimal generators of the kernel of a graded map from free, where
-    ``image_of(t)`` is its matrix A_t in degree t (a cover_map image),
-    scanned from the lowest generator degree through degree hi.  Returns
-    (gens, dims, within): gens[t] holds the generators of degree t as
-    columns, dims[t] is dim ker A_t, and within is False when A_t or the
-    span below would have more than CELL_BUDGET cells (the scan stops).
+    ``images`` yields its matrices (t, A_t) in increasing degree from the
+    lowest generator degree (a cover_map stream).  Yields (t, G_t,
+    dim ker A_t) for each degree t through hi, G_t the generators of
+    degree t as columns (possibly none), and reads no degree past hi.
+    Raises CellBudgetError when A_t or the span below would have more than
+    CELL_BUDGET cells; the degrees yielded before it stand.
 
     The generators of degree t are the columns of K_t = ker A_t that
     greedy elimination of [span | K_t] keeps beyond the span block,
@@ -656,28 +652,23 @@ def kernel_generators(free: FreeModule, image_of, hi: int):
     """
     p = _modulus(free.ring.field)
     nvars = free.ring.nvars
-    gens, dims = {}, {}
-    prev = None
-    for t in range(min(free.gen_degrees), hi + 1):
-        try:
-            A = image_of(t)
-        except CellBudgetError:
-            return gens, dims, False
-        K, coords = _kernel_mod(A, p)
-        n = dims[t] = coords.size
+    K = None
+    # the range comes first, so zip stops before reading a degree past hi
+    for t, (_, A) in zip(range(min(free.gen_degrees), hi + 1), images):
+        prev, (K, coords) = K, _kernel_mod(A, p)
+        n = coords.size
         fresh = np.ones(n, dtype=bool)
         if prev is not None and prev.shape[1] and n:
             if nvars * prev.shape[1] * n > CELL_BUDGET:
-                return gens, dims, False
+                raise CellBudgetError(f"the span of degree {t} passes the "
+                                      f"budget {CELL_BUDGET}")
             rows = coords[::-1]
-            ST = np.vstack([free.mul_vectors(t - 1, j, prev)[rows].T
-                            for j in range(nvars)])
-            _, pivots = rref_mod(ST, p)
+            _, pivots = rref_mod(np.vstack(
+                [free.mul_vectors(t - 1, j, prev)[rows].T
+                 for j in range(nvars)]), p)
             fresh[n - 1 - np.asarray(pivots, dtype=np.intp)] = False
-        if fresh.any():
-            gens[t] = K[:, fresh]
-        prev = K
-    return gens, dims, True
+        prev = None  # not held while suspended, as in cover_map
+        yield t, K[:, fresh], n
 
 
 def change_coordinates(polys, forms):
@@ -700,7 +691,7 @@ def change_coordinates(polys, forms):
         if f:  # zero polynomials stay zero
             by_degree.setdefault(ring.code.deg(f.lm), []).append(k)
     images = [source.zero] * len(polys)
-    _, image = ring_map(forms, ring)
+    _, maps = ring_map(forms, ring)
     for e, ks in sorted(by_degree.items()):
         pos = ring.monomial_positions(e)
         C = zeros_over(field, (len(pos), len(ks)))
@@ -712,7 +703,8 @@ def change_coordinates(polys, forms):
                 raise ValueError("change of coordinates of an "
                                  "inhomogeneous polynomial") from None
         smons = source.monomials_of_degree(d * e)
-        for k, col in zip(ks, matmul_over(field, image(e), C).T):
+        M = matmul_over(field, next(A for t, A in maps if t == e), C)
+        for k, col in zip(ks, M.T):
             nz = np.flatnonzero(col)
             images[k] = MPoly(source, tuple(zip(
                 [smons[r] for r in nz.tolist()], col[nz].tolist())))

@@ -12,7 +12,7 @@ import math
 import time
 
 from .ideals import Ideal, graded_piece, intersect, quotient
-from .linalg import matmul_mod
+from .linalg import matmul_over
 from .mpoly import MPoly, from_coefficient_vector
 from .rng import as_rng
 
@@ -125,13 +125,13 @@ def random_slice_element(I: Ideal, d: int, seed_or_rng) -> MPoly:
     random element of the whole slice)."""
     rng = as_rng(seed_or_rng)
     ring = I.ring
-    p = ring.field.p
+    field = ring.field
     if all(ring.code.deg(g.lm) > d for g in I.gens):
         raise LinkageError(f"no generators of degree <= {d}")
     P = graded_piece(I.gens, d)
-    coeffs = [[rng.randrange(p)] for _ in range(P.shape[1])]
+    coeffs = [[field.random(rng)] for _ in range(P.shape[1])]
     out = from_coefficient_vector(ring, ring.monomials_of_degree(d),
-                                  matmul_mod(P, coeffs, p)[:, 0])
+                                  matmul_over(field, P, coeffs)[:, 0])
     if out.is_zero():
         raise LinkageError("degenerate slice sample")
     return out

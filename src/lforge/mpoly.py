@@ -77,12 +77,6 @@ class PolynomialRing:
             raise KeyError(f"unknown variable {name!r}")
         return self._index[name]
 
-    def monomial(self, exps, coeff=1) -> "MPoly":
-        c = self.field.of(coeff)
-        if self.field.is_zero(c):
-            return self.zero
-        return MPoly(self, ((self.code.pack(tuple(exps)), c),))
-
     def from_dict(self, d: dict[int, object]) -> "MPoly":
         """The polynomial with coefficient d[m] on the packed monomial m.
         Over F_p the values may be any ints: they are reduced mod p here, so

@@ -15,12 +15,14 @@ hom_bound=1).
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from .fields import PrimeField
 from .hilbert import HilbertData
 from .ideals import (
+    CellBudgetError,
     GradedQuotient,
     Ideal,
     cover_map,
@@ -134,8 +136,9 @@ class RaoModule:
                     "pushforward description does not apply")
         composed = spec.composed_forms()
         d = composed[0].degree()
-        _, image = ring_map(composed, spec.target_ring)
-        quotients = [GradedQuotient(field, image(k)) for k in range(kmax + 1)]
+        _, images = ring_map(composed, spec.target_ring)
+        quotients = [GradedQuotient(field, A)
+                     for _, A in islice(images, kmax + 1)]
         dims = {k: len(Q.free) for k, Q in enumerate(quotients)}
         actions = {
             k: [quotients[k + 1].coordinates(multiplication_matrix(
@@ -226,7 +229,8 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
     For a finite-length module, beta_{i,j} != 0 forces
     j <= i + (top nonzero grade), so each homological step only needs
     kernels through that certified bound (scanned one degree further as a
-    consistency canary)."""
+    consistency canary).  A CellBudgetError ends a step: the degrees read
+    before it stay in the table, which is marked incomplete."""
     ring = PolynomialRing(mod.field,
                           tuple(f"t{j}" for j in range(mod.nvars)))
     reg = max(mod.grades)
@@ -238,23 +242,29 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
             gens[k] = np.eye(mod.dim(k), dtype=np.int64)[:, new]
     entries = {(0, k): G.shape[1] for k, G in gens.items()}
     complete = True
-    free, image = cover_map(
+    free, images = cover_map(
         ring, gens, mod.dim,
         lambda t, j, V: matmul_mod(mod._action(t, j), V, mod.p))
     for hom in range(1, hom_bound + 1):
-        scan_hi = min(reg + hom + 1, deg_bound)
-        gens, _, within = kernel_generators(free, image, scan_hi)
-        if not within or deg_bound < reg + hom:
+        gens = {}
+        try:
+            for t, G, _ in kernel_generators(
+                    free, images, min(reg + hom + 1, deg_bound)):
+                if not G.shape[1]:
+                    continue
+                if t > reg + hom:
+                    raise RaoError(
+                        "syzygy generators past the regularity bound: the "
+                        "module is not finite length as presented")
+                gens[t] = G
+                entries[(hom, t)] = G.shape[1]
+        except CellBudgetError:
             complete = False
-        if any(t > reg + hom for t in gens):
-            raise RaoError(
-                "syzygy generators past the regularity bound: the "
-                "module is not finite length as presented")
-        for t, G in gens.items():
-            entries[(hom, t)] = G.shape[1]
+        if deg_bound < reg + hom:
+            complete = False
         if not gens or hom == hom_bound:
             break
-        free, image = cover_map(ring, gens, free.dim, free.mul_vectors)
+        free, images = cover_map(ring, gens, free.dim, free.mul_vectors)
     return BettiTable(entries, complete=complete)
 
 

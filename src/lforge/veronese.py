@@ -8,7 +8,7 @@ tangent-space probe of the degeneracy locus.
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import islice
 
 import numpy as np
 
@@ -37,18 +37,15 @@ from .unipoly import UniPoly
 
 
 def veronese_map(ring, d: int):
-    """All degree-d monomials in the m+1 variables of ring as a fixed-order
-    form list, with multinomial coefficients.
-
-    Generic order: descending grevlex.  The two special cases follow their
-    classical conventions: (m=2, d=3) is the plane cubic Veronese in the
+    """The degree-d monomials in the m+1 variables of ring as a fixed-order
+    form list, for the two Veronese maps the projections use, each in its
+    classical convention: (m=2, d=3) is the plane cubic Veronese in the
     order (x^3, y^3, z^3, 3x^2y, 3xy^2, 3x^2z, 3xz^2, 3y^2z, 3yz^2, 6xyz),
-    and (m=3, d=2) lists the entries of the symmetric rank-1 matrix s.s^T as
+    with multinomial coefficients, and (m=3, d=2) lists the entries of the
+    symmetric rank-1 matrix s.s^T as
     (s0^2, s1^2, s2^2, s0s1, s0s2, s0s3, s1s2, s1s3, s2s3, s3^2), unscaled.
-    """
+    Any other (m, d) raises ValueError."""
     m = ring.nvars - 1
-    if m < 1 or d < 1:
-        raise ValueError("veronese map needs m >= 1 and d >= 1")
     if (m, d) == (2, 3):
         x, y, z = ring.gens()
         return [
@@ -66,14 +63,7 @@ def veronese_map(ring, d: int):
             s[1] * s[2], s[1] * s[3], s[2] * s[3],
             s[3] ** 2,
         ]
-    forms = []
-    for mon in ring.monomials_of_degree(d):
-        exps = ring.code.unpack(mon)
-        c = factorial(d)
-        for e in exps:
-            c //= factorial(e)
-        forms.append(ring.monomial(exps, c))
-    return forms
+    raise ValueError(f"no Veronese map of degree {d} on P^{m}")
 
 
 def catalecticant(kind: str, field=None):
@@ -185,7 +175,7 @@ def build_LN(N, field=None) -> PolyMatrix:
                for row in coeffs]
     composed = [big.dot(forms, [row[j] for row in entries]) for j in range(6)]
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
-    L = ring_map(composed, target)[1](3)
+    [(_, L)] = islice(ring_map(composed, target)[1], 3, 4)
     pos9 = {m: r for r, m in enumerate(plane.monomials_of_degree(9))}
     cols, at = [], []
     for c, m in enumerate(big.monomials_of_degree(3 * (3 + D))):
@@ -256,8 +246,7 @@ def gamma_tangent_space(spec: ProjectionSpec):
         raise ValueError("expected a 10x6 projection of the plane cubics")
     p = field.p
     target = spec.target_ring
-    _, image = ring_map(spec.composed_forms(), target)
-    E2, L = image(2), image(3)
+    (_, E2), (_, L) = islice(ring_map(spec.composed_forms(), target)[1], 2, 4)
     U = nullspace_mod(L, p)
     if U.shape[1] < 2:
         raise ValueError("projection matrix is not on the degeneracy locus")

@@ -178,6 +178,8 @@ def test_bilinkage_chain_degree18():
     # holds the witness for q), so the meet is exactly those 60 points
     assert rep.results["meet_dim_degree"] == [0, 60]
     assert {"link1", "link2"} <= set(rep.timings)
+    assert rep.content_hash() == (
+        "1324299dba1994e2a26fc93556de3121d64a8a74f458031f24eb21cd63aae7b1")
 
 
 # -- 5. deficiency module -----------------------------------------------
@@ -267,6 +269,8 @@ def test_parametric_matrix_snf():
         rep = run_experiment("ln-snf")
     assert rep.passed
     assert rep.results["p_degree"] == 150
+    assert rep.content_hash() == (
+        "bb7a024d2793607698659e15528c57824d024d0f854aa180a96d2d94f1c0ce8a")
     assert _suite_seconds["snf"] <= 600
 
 
@@ -302,6 +306,8 @@ def test_t8_chain_to_degree17():
     assert by["intermediate degree 19"]["ok"]
     assert by["final degree 17"]["ok"]
     assert {"link1", "link2"} <= set(rep.timings)
+    assert rep.content_hash() == (
+        "8b913a12124f9a15fae760cba99f011d485455f3b50d0a636d328393c9a08e81")
 
 
 # -- 10. unprojection and the deformation family --------------------------

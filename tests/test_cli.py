@@ -146,15 +146,20 @@ def test_gb_missing_file(capsys):
     assert main(["gb", "/no/such/file.txt"]) == EXIT_ERROR
 
 
-def test_link_subcommand(tmp_path, capsys):
+@pytest.mark.parametrize("field, line", [
+    ("GF(17)", "7*y\n7*x\n"),
+    ("QQ", "-1/3*y\n-1/3*x\n"),
+], ids=["gf17", "qq"])
+def test_link_subcommand(tmp_path, capsys, field, line):
     a = tmp_path / "ideal.txt"
     b = tmp_path / "ci.txt"
-    a.write_text(TWISTED_CUBIC)
-    b.write_text(CI_22)
+    a.write_text(TWISTED_CUBIC.replace("GF(17)", field))
+    b.write_text(CI_22.replace("GF(17)", field))
     assert main(["link", str(a), str(b)]) == EXIT_PASS
     captured = capsys.readouterr()
     # residual of the twisted cubic in the (2,2) CI is a line
     assert "dim 1 degree 1" in captured.err
+    assert captured.out.endswith(line)
 
 
 @pytest.mark.parametrize("header, want", [

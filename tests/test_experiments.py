@@ -96,6 +96,18 @@ def test_secant_cases_pass_over_qq():
         "fdd3ef81e67276a3ab53622e43ac20ff4a9fd7340f4ef4aee33109c229593662")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("name, pin", [
+    ("d9-generic",
+     "8049d73a1cee0c3286ded80794f39ef2b2e74d032b3f4ca23373b557853192f5"),
+    ("unique-cubic",
+     "7748d07b98a42e0204effe59878e0d7fd46b46587357a511364f704e793db25f"),
+])
+def test_report_pinned_over_qq(name, pin):
+    rep = run_experiment(name, field="qq", allow_long=True)
+    assert rep.content_hash() == pin
+
+
 def test_report_hash_deterministic():
     a = run_experiment("gamma-tangent")
     b = run_experiment("gamma-tangent")

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -465,10 +467,10 @@ def greedy_image_generators(field, forms, target, bound):
     the evaluation map when it raises the rank of graded_piece of the
     generators kept so far and of the vectors kept before it, one rank
     computation per vector."""
-    _, image = ring_map(forms, target)
+    _, images = ring_map(forms, target)
     gens, h0 = [], {}
-    for e in range(1, bound + 1):
-        ker = nullspace_over(field, image(e))
+    for e, A in islice(images, 1, bound + 1):
+        ker = nullspace_over(field, A)
         h0[e] = ker.shape[1]
         kept = [list(c) for c in graded_piece(gens, e).T] if gens else []
         rank = rank_over(field, kept) if kept else 0
@@ -508,10 +510,21 @@ def test_image_ideal_budget(monkeypatch):
     forms = [s**2, s * t, t**2]
     # the degree-3 evaluation map is 10 x 7
     monkeypatch.setattr(ideals, "CELL_BUDGET", 69)
-    with pytest.raises(ValueError):
+    with pytest.raises(ideals.CellBudgetError):
         image_ideal(forms, T, bound=3)
     monkeypatch.setattr(ideals, "CELL_BUDGET", 70)
+    shapes = []
+    zeros_over = ideals.zeros_over
+
+    def recording_zeros(field, shape):
+        shapes.append(shape)
+        return zeros_over(field, shape)
+
+    monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
     assert image_ideal(forms, T, bound=3).h0 == {1: 0, 2: 1, 3: 3}
+    # the degree-3 map is the largest matrix built: the degree-4 map
+    # (9 x 15) past the bound is not
+    assert max(r * c for r, c in shapes) == 70
 
 
 def test_image_ideal_validation():
@@ -683,10 +696,9 @@ def test_evaluation_rows_match_substitute(field, d):
             forms.append(f if not f.is_zero() else source.var(0) ** d)
         if zero:
             forms[0] = source.zero
-        _, image = ring_map(forms, target)
-        top = 4 - d
-        for e in range(top, -1, -1):
-            assert image(e).T.tolist() == substitute_rows(forms, target, e, d)
+        _, images = ring_map(forms, target)
+        for e, A in islice(images, 5 - d):
+            assert A.T.tolist() == substitute_rows(forms, target, e, d)
 
 
 P31 = GF(2**31 - 1)
@@ -709,9 +721,9 @@ def test_evaluation_rows_exact_at_largest_residues(field, d):
     source = PolynomialRing(field, ("s", "t", "u"))
     target = PolynomialRing(field, ("a", "b", "c"))
     forms = [top_coefficient_form(source, d, j) for j in range(3)]
-    _, image = ring_map(forms, target)
-    for e in range(4):
-        assert image(e).T.tolist() == substitute_rows(forms, target, e, d)
+    _, images = ring_map(forms, target)
+    for e, A in islice(images, 4):
+        assert A.T.tolist() == substitute_rows(forms, target, e, d)
 
 
 @FIELDS
@@ -747,16 +759,18 @@ def test_cover_map_matches_form_matrix(field):
         gens[t] = zeros_over(field, (target.dim(t), count))
         gens[t][:] = [[field.of(int(c)) for c in row]
                       for row in rng.integers(-8, 9, (target.dim(t), count))]
-    free, image = cover_map(ring, gens, target.dim, target.mul_vectors)
+    free, images = cover_map(ring, gens, target.dim, target.mul_vectors)
     assert free.gen_degrees == [1, 1, 2]
     columns = [(t, v) for t in sorted(gens) for v in gens[t].T]
     P = [list(row) for row in zip(*[
         forms_from_vector(ring, v, [t - g for g in target.gen_degrees])
         for t, v in columns])]
-    for t in (4, 0, 1, 2, 3):
+    # the stream starts at the lowest generator degree
+    for want_t, (t, A) in zip(range(1, 5), images):
+        assert t == want_t
         want = form_matrix(P, [t - s for s in free.gen_degrees],
                            [t - g for g in target.gen_degrees])
-        assert image(t).tolist() == want.tolist()
+        assert A.tolist() == want.tolist()
 
 
 @FIELDS

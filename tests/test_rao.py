@@ -218,16 +218,16 @@ def test_graded_betti_general_full_resolution(general_module):
         assert tab.hilbert_value(k, 6) == general_module.dim(k + 2)
 
 
-def _span_k_generators(free, image_of, scan_hi):
+def _span_k_generators(free, maps):
     """Reference for ideals.kernel_generators: the rule it replaced.  In
-    each degree, the kernel columns that rref of [span | K_t] keeps beyond
-    the span block, span = [x_j K_{t-1}]_j in free-module coordinates; the
-    count must equal dim K_t - rank(span), the transposed rank taken
-    separately."""
+    each degree t of maps (t -> A_t), the kernel columns that rref of
+    [span | K_t] keeps beyond the span block, span = [x_j K_{t-1}]_j in
+    free-module coordinates; the count must equal dim K_t - rank(span),
+    the transposed rank taken separately."""
     p = free.ring.field.p
     kernels, gens = {}, {}
-    for t in range(min(free.gen_degrees), scan_hi + 1):
-        K = nullspace_mod(image_of(t), p)
+    for t, A in maps.items():
+        K = nullspace_mod(A, p)
         kernels[t] = K
         prev = kernels.get(t - 1)
         if prev is not None and prev.shape[1]:
@@ -253,17 +253,26 @@ def test_cover_generators_match_span_k_rule(center, hom, n0_module,
     cover = rao.kernel_generators
     steps = []
 
-    def compared(free, image_of, scan_hi):
-        gens, dims, within = cover(free, image_of, scan_hi)
-        assert within
-        # image_of restarts at the lowest generator degree
-        ref = _span_k_generators(free, image_of, scan_hi)
+    def compared(free, images, scan_hi):
+        maps, gens = {}, {}
+
+        def tapped():
+            for t, A in images:
+                maps[t] = A
+                yield t, A
+
+        for t, G, n in cover(free, tapped(), scan_hi):
+            if G.shape[1]:
+                gens[t] = G
+            yield t, G, n
+        # every degree from the lowest through scan_hi, and none past it
+        assert list(maps) == list(range(min(free.gen_degrees), scan_hi + 1))
+        ref = _span_k_generators(free, maps)
         assert gens.keys() == ref.keys()
         for t, G in gens.items():
             assert G.dtype == ref[t].dtype and G.shape == ref[t].shape
             assert G.tobytes() == np.ascontiguousarray(ref[t]).tobytes()
         steps.append(sum(G.shape[1] for G in gens.values()))
-        return gens, dims, within
 
     monkeypatch.setattr(rao, "kernel_generators", compared)
     # the smallest bound that certifies homological degree hom

@@ -96,7 +96,7 @@ def test_print_parse_roundtrip_random():
         f = R.zero
         for _ in range(6):
             exps = tuple(rng.randrange(4) for _ in range(3))
-            f = f + R.monomial(exps, rng.randrange(17))
+            f = f + R.from_dict({R.code.pack(exps): rng.randrange(17)})
         assert parse_poly(poly_to_string(f), R) == f
 
 
