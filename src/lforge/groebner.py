@@ -38,7 +38,7 @@ from operator import mul
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import rref_mod
+from .linalg import rref_mod, zeros_over
 from .mpoly import MPoly, RingMismatch
 
 
@@ -330,7 +330,7 @@ def macaulay_basis(gens) -> GroebnerBasis:
                         break
         colmons = sorted(cols, reverse=True)
         index = {m: c for c, m in enumerate(colmons)}
-        M = np.zeros((len(polys), len(colmons)), dtype=np.int64)
+        M = zeros_over(ring.field, (len(polys), len(colmons)))
         for r, ((_, off), f) in enumerate(polys):
             M[r, [index[m + off] for m, _ in f.terms]] = [c for _, c in f.terms]
         R, piv = rref_mod(M, ring.field.p)

@@ -415,8 +415,9 @@ def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
     """The columns of V (forms of degree a on monomials_of_degree(a)) times
     a nonzero form f, in zeros_over's dtype.  For each term c*t of f the
     nonzero entries of V go, times c, to the rows of their monomials times
-    t; over F_p the sums are reduced mod p after each term, so they stay
-    below p + (p-1)^2 < 2^63 for every p < 2^31."""
+    t; over F_p the residues are widened to int64 first and the sums
+    reduced mod p after each term, so they stay below p + (p-1)^2 < 2^63
+    for every p < 2^31."""
     ring = f.ring
     p = _modulus(ring.field)
     ts, cs = zip(*f.terms)
@@ -424,7 +425,7 @@ def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
     out = zeros_over(ring.field, (len(ring.monomials_of_degree(b)),
                                   V.shape[1]))
     r, k = np.nonzero(V)
-    vals = V[r, k]
+    vals = V[r, k] if p is None else V[r, k].astype(np.int64)
     for shifted, c in zip(_product_positions(ring, ts, a, b), cs):
         dest = shifted[r]
         acc = out[dest, k] + c * vals

@@ -1,10 +1,15 @@
 """Exact linear algebra over F_p and Q, with one elimination loop for both
 fields.
 
-Mod-p matrices are int64 numpy arrays with entries in [0, p); rational
-matrices are object arrays of Fractions.  The functions named ``*_mod``
-take the modulus p, and p = None means Q, except ``matmul_mod`` and
-``det_mod``, which are mod p only; the ``*_over`` functions take a field.
+Mod-p matrices hold residues in [0, p) in the narrowest unsigned dtype that
+holds p - 1 (``_storage``: uint8 for p <= 251, uint16 for p <= 65521,
+uint32 below 2^31).  Every F_p array the functions here and ``zeros_over``
+return has that dtype, and an operand that already has it is taken to hold
+residues.  Arithmetic on such arrays elsewhere must widen first: an
+unsigned -x, c*x or x + y wraps.  Rational matrices are object arrays of
+Fractions.  The functions named ``*_mod`` take the modulus p, and p = None
+means Q, except ``matmul_mod`` and ``det_mod``, which are mod p only; the
+``*_over`` functions take a field.
 
 ``_eliminate`` is the one Gauss-Jordan loop.  Over Q ``rref_mod`` runs it on
 the whole matrix; ``rank_mod``, ``_kernel_mod`` and ``solve_mod`` read the
@@ -16,14 +21,16 @@ word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35, 2008).
 For each panel an unblocked pass over the rows that hold no pivot yet finds
 the panel's k pivot columns J and pivot rows I.  With A = M[I, J], the new
 pivot rows become X = A^-1 M[I, c0:], and every other row o that is nonzero
-on J is updated as M[o, c0:] -= M[o, J] X in one matrix product, then
-reduced mod p.  The products are taken in float64, whose integers are exact
-below 2^53: a sum of at most w products of entries in [0, p) stays below
-w (p-1)^2, so w = 64 is used when 64 (p-1)^2 < 2^53 (every p below about
-1.18e7, p = 17 among them).  For larger p the panel is one column and the
-products are taken in int64, where a single product (p-1)^2 stays below
-2^62 for p < 2^31: that is the plain unblocked elimination.  A matrix of at
-most w columns is a single panel and goes straight to the unblocked pass.
+on J is updated as M[o, c0:] -= M[o, J] X in one matrix product.  A sum of
+at most w products of residues stays below w (p-1)^2, so the products are
+taken in the narrowest of float32, float64 and int64 whose integers are
+exact that far (``_exact``; below 2^24, 2^53 and 2^63): float32 with
+w = 64 for p <= 509, float64 with w = 64 while 64 (p-1)^2 < 2^53 (every p
+below about 1.18e7), and past that one-column panels in int64, which is
+the plain unblocked elimination.  Each product is cast to the work dtype,
+the narrowest signed one that holds p + w (p-1)^2 (int16 for p = 17),
+subtracted, reduced with % and stored narrow.  A matrix of at most w
+columns is a single panel and goes straight to the unblocked pass.
 """
 
 from __future__ import annotations
@@ -36,27 +43,47 @@ from .fields import PrimeField, RationalField
 
 _PANEL = 64
 # entries of M updated per matrix product: bounds the gathered rows and the
-# product temporary to 2 MB each, whatever the size of M
+# product temporary to 1 MB each, whatever the size of M
 _UPDATE_CELLS = 1 << 18
+# the product dtypes, each with the bound below which its integers are exact
+_EXACT = ((np.float32, 2 ** 24), (np.float64, 2 ** 53), (np.int64, 2 ** 63))
 _fraction = np.frompyfunc(Fraction, 1, 1)
 
 
+def _storage(p):
+    """The narrowest unsigned dtype that holds p - 1."""
+    return np.min_scalar_type(p - 1)
+
+
+def _signed(bound):
+    """The narrowest signed dtype that holds every |x| <= bound."""
+    return np.min_scalar_type(-1 - bound)
+
+
+def _exact(p, w):
+    """The narrowest product dtype in which a residue plus a sum of w
+    products of residues is exact, or None."""
+    return next((t for t, bound in _EXACT if p + w * (p - 1) ** 2 < bound),
+                None)
+
+
 def _as_array(A, p) -> np.ndarray:
-    """A's entries as a fresh 2-D array: int64 in [0, p), or Fractions in an
-    object array when p is None (Q)."""
+    """A's entries as a fresh row-major 2-D array: residues in the storage
+    dtype, reduced in one pass whatever A's dtype and layout, or Fractions
+    in an object array when p is None (Q)."""
+    A = np.asarray(A, dtype=object if p is None else None)
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
     if p is None:
-        M = _fraction(np.asarray(A, dtype=object))
-    else:
-        M = np.asarray(A, dtype=np.int64) % p
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    return M
+        return _fraction(A)
+    return np.remainder(A, p, out=np.empty(A.shape, _storage(p)),
+                        casting="unsafe")
 
 
 def _zeros(shape, p) -> np.ndarray:
     if p is None:
         return np.full(shape, Fraction(0), dtype=object)
-    return np.zeros(shape, dtype=np.int64)
+    return np.zeros(shape, dtype=_storage(p))
 
 
 def _eliminate(M: np.ndarray, p):
@@ -65,19 +92,24 @@ def _eliminate(M: np.ndarray, p):
     columns and, for each pivot row of the result, the row of the input it
     came from.
 
-    Over F_p, entries are reduced mod p only where a step reads them (the
-    pivot column and the pivot row) and once at the end, so each step moves
-    an entry by less than (p-1)^2.  Callers keep the number of steps at most
-    the panel width w, which keeps every entry below p + w (p-1)^2 in
-    absolute value.  Over Q nothing is reduced: the arithmetic is exact."""
+    Over F_p, M holds residues, and the loop runs on a signed copy W that
+    it writes back reduced.  Entries of W are reduced mod p only where a
+    step reads them (the pivot column and the pivot row) and once at the
+    end, so each step moves an entry by less than (p-1)^2.  There are at
+    most s = min(rows, cols) steps (callers keep s at most the panel
+    width), so every entry stays below p + s (p-1)^2 in absolute value,
+    which W's dtype holds.  Over Q nothing is reduced: the arithmetic is
+    exact."""
     rows, cols = M.shape
+    W = M if p is None else M.astype(_signed(p + min(rows, cols)
+                                             * (p - 1) ** 2))
     order = np.arange(rows)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = M[:, c]
+        col = W[:, c]
         if p is not None:
             col %= p
         nz = np.nonzero(col[r:])[0]
@@ -85,10 +117,10 @@ def _eliminate(M: np.ndarray, p):
             continue
         i = r + int(nz[0])
         if i != r:
-            M[[r, i]] = M[[i, r]]
+            W[[r, i]] = W[[i, r]]
             order[[r, i]] = order[[i, r]]
         # the pivot row is zero (mod p) left of c, so the update starts at c
-        row = M[r, c:]
+        row = W[r, c:]
         if p is None:
             row *= Fraction(1) / row[0]
         else:
@@ -98,11 +130,12 @@ def _eliminate(M: np.ndarray, p):
         other = np.nonzero(col)[0]
         other = other[other != r]
         if other.size:
-            M[other, c:] -= np.outer(col[other], row)
+            W[other, c:] -= np.outer(col[other], row)
         pivots.append(c)
         r += 1
     if p is not None:
-        M %= p
+        W %= p
+        M[...] = W
     return pivots, order[:r]
 
 
@@ -114,35 +147,38 @@ def _mul(A: np.ndarray, B: np.ndarray, dtype) -> np.ndarray:
 def matmul_mod(A, B, p: int) -> np.ndarray:
     """A @ B mod p, exact for every p < 2^31.
 
-    The inner dimension is taken in slices of width w, each slice's product
-    reduced mod p before the next is added: float64 slices with
-    w (p-1)^2 < 2^53, the rule rref_mod uses, while p < 9.4e7, and int64
-    slices with w (p-1)^2 < 2^63 above that.  For p = 17 the whole product
-    is one float64 slice."""
-    A, B = _as_array(A, p), _as_array(B, p)
-    w, dtype = (2 ** 53 - 1) // (p - 1) ** 2, np.float64
-    if w == 0:
-        w, dtype = (2 ** 63 - 1) // (p - 1) ** 2, np.int64
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, A.shape[1], w):
-        out += _mul(A[:, s:s + w], B[s:s + w], dtype).astype(np.int64) % p
+    An operand of the storage dtype goes into the product as it is, any
+    other is reduced into it first.  The inner dimension n is taken in
+    slices of width w, each slice's product cast to the work dtype and
+    reduced mod p before the next is added: one float32 slice while
+    p + n (p-1)^2 < 2^24 (n up to 65535 for p = 17), else float64 slices
+    with w (p-1)^2 < 2^53 while p < 9.4e7, and int64 slices with
+    w (p-1)^2 < 2^63 above that."""
+    store = _storage(p)
+    A, B = [X if getattr(X, "dtype", None) == store and X.ndim == 2
+            else _as_array(X, p) for X in (A, B)]
+    n, q = A.shape[1], (p - 1) ** 2
+    w = max(1, min(n, (2 ** 53 - p) // q or (2 ** 63 - p) // q))
+    dtype, work = _exact(p, w), _signed(p + w * q)
+    out = _mul(A[:, :w], B[:w], dtype).astype(work)
+    for s in range(w, n, w):
         out %= p
-    return out
+        out += _mul(A[:, s:s + w], B[s:s + w], dtype).astype(work)
+    return _as_array(out, p)
 
 
 def rref_mod(A, p):
     """Reduced row echelon form over F_p, or over Q when p is None.
     Returns (R, pivot_columns); R has the pivot rows first, then the zero
     rows."""
-    # a fresh array, row-major even for a transposed input
-    M = np.ascontiguousarray(_as_array(A, p))
+    M = _as_array(A, p)
     if p is None:
         return M, _eliminate(M, None)[0]
     rows, cols = M.shape
-    w = _PANEL if _PANEL * (p - 1) ** 2 < 2 ** 53 else 1
+    w = _PANEL if _exact(p, _PANEL) in (np.float32, np.float64) else 1
     if cols <= w:
         return M, _eliminate(M, p)[0]
-    dtype = np.float64 if w > 1 else np.int64
+    dtype, work = _exact(p, w), _signed(p + w * (p - 1) ** 2)
     pivots = []
     pivot_rows = []
     free = np.ones(rows, dtype=bool)  # rows holding no pivot yet
@@ -158,21 +194,19 @@ def rref_mod(A, p):
         I = cand[I]
         k = J.size
         # [A | 1] reduces to [1 | A^-1]
-        aug = np.hstack([M[np.ix_(I, J)], np.eye(k, dtype=np.int64)])
+        aug = np.hstack([M[np.ix_(I, J)], np.eye(k, dtype=M.dtype)])
         _eliminate(aug, p)
-        X = _mul(aug[:, k:], M[I, c0:], dtype).astype(np.int64)
-        X %= p
+        X = _as_array(_mul(aug[:, k:], M[I, c0:], dtype).astype(work), p)
         hit = M[:, J].any(axis=1)
         hit[I] = False
         o = np.flatnonzero(hit)
         step = max(1, _UPDATE_CELLS // (cols - c0))
         for s in range(0, o.size, step):
             rs = o[s:s + step]
-            B = M[rs, c0:]
-            np.subtract(B, _mul(M[np.ix_(rs, J)], X, dtype), out=B,
-                        casting="unsafe")
-            B %= p
-            M[rs, c0:] = B
+            U = _mul(M[np.ix_(rs, J)], X, dtype).astype(work)
+            np.subtract(M[rs, c0:], U, out=U)
+            U %= p
+            M[rs, c0:] = U
         M[I, c0:] = X
         free[I] = False
         pivots.extend(J.tolist())
@@ -200,8 +234,9 @@ def _kernel_mod(A, p):
     free = np.flatnonzero(is_free)
     basis = _zeros((cols, free.size), p)
     basis[free, np.arange(free.size)] = 1 if p else Fraction(1)
-    neg = -M[:len(pivots), free]
-    basis[np.asarray(pivots, dtype=np.intp)] = neg if p is None else neg % p
+    R = M[:len(pivots), free]
+    # p - R stays in [1, p], which the storage dtype holds
+    basis[np.asarray(pivots, dtype=np.intp)] = -R if p is None else (p - R) % p
     return basis, free
 
 
@@ -236,10 +271,11 @@ def det_mod(A, p: int) -> int:
     the benchmark's tracer wraps it by name.  It has its own elimination
     loop, which reduces every entry after each step: _eliminate reduces
     lazily, which is exact only for at most w steps (a panel), so over a
-    whole n x n matrix at p near 2^31 its int64 entries would overflow."""
-    M = _as_array(A, p)
-    n = M.shape[0]
-    if M.shape[1] != n:
+    whole n x n matrix at p near 2^31 its int64 entries would overflow.
+    It reads A itself, as int64, not through the narrowing _as_array."""
+    M = np.asarray(A, dtype=np.int64) % p
+    n = len(M)
+    if M.shape != (n, n):
         raise ValueError("determinant of a non-square matrix")
     det = 1
     for c in range(n):
@@ -280,8 +316,8 @@ def zeros_over(field, shape) -> np.ndarray:
 
 
 def matmul_over(field, A, B) -> np.ndarray:
-    """A @ B over the field: int64 in [0, p) over F_p, an object array of
-    Fractions over Q."""
+    """A @ B over the field: residues in the storage dtype over F_p, an
+    object array of Fractions over Q."""
     p = _modulus(field)
     if p is None:
         return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .ideals import (
     Ideal,
     eliminate,
@@ -21,7 +19,7 @@ from .ideals import (
     forms_from_vector,
     saturate_irrelevant,
 )
-from .linalg import matmul_mod, nullspace_mod, solve_mod
+from .linalg import matmul_mod, nullspace_mod, solve_mod, zeros_over
 from .mpoly import MPoly, PolynomialRing, coefficient_vector
 from .rng import as_rng
 from .textio import (
@@ -225,8 +223,8 @@ def euler_constrained_sample(ring: PolynomialRing, n: int, v, degree: int,
     ker = nullspace_mod(form_matrix(P, [degree] * len(pairs),
                                     [degree + 1] * n), p)
     dim = ker.shape[1]
-    draws = np.array([rng.randrange(p) for _ in range(dim)],
-                     dtype=np.int64).reshape(dim, 1)
+    draws = zeros_over(ring.field, (dim, 1))
+    draws[:, 0] = [rng.randrange(p) for _ in range(dim)]
     coeffs = matmul_mod(ker, draws, p)[:, 0]
     M = [[ring.zero] * n for _ in range(n)]
     for (j, k), e in zip(pairs, forms_from_vector(ring, coeffs,
@@ -330,9 +328,9 @@ def _solve_forms(P, rhs, src, tgt):
     M = form_matrix(P, src, tgt)
     if not M.shape[1]:
         return None
-    b = np.concatenate([np.array(coefficient_vector(
-        f, ring.monomials_of_degree(d)), dtype=np.int64) for f, d in zip(rhs, tgt)])
-    x = solve_mod(M, b % p, p)
+    b = [c for f, d in zip(rhs, tgt)
+         for c in coefficient_vector(f, ring.monomials_of_degree(d))]
+    x = solve_mod(M, b, p)
     return None if x is None else forms_from_vector(ring, x, src)
 
 

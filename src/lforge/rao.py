@@ -33,16 +33,13 @@ from .ideals import (
 # rank_mod and rref_mod are unused here but stay bound: the benchmark's own
 # tests assert that its tracer rebinds rao.rank_mod and rao.rref_mod
 from .linalg import matmul_mod, rank_mod, rref_mod  # noqa: F401
+from .linalg import _as_array, zeros_over
 from .mpoly import PolynomialRing
 from .veronese import ProjectionSpec, secant_avoidance
 
 
 class RaoError(ValueError):
     pass
-
-
-def _np(rows):
-    return np.asarray(rows, dtype=np.int64)
 
 
 class RaoModule:
@@ -72,7 +69,7 @@ class RaoModule:
                 raise RaoError(f"expected {nvars} action matrices at grade {k}")
             out = []
             for A in mats:
-                A = _np(A) % self.p
+                A = _as_array(A, self.p)
                 want = (self.dim(k + 1), self.dim(k))
                 if A.shape != want:
                     raise RaoError(
@@ -96,7 +93,7 @@ class RaoModule:
     def _action(self, k: int, j: int):
         if k in self.actions:
             return self.actions[k][j]
-        return np.zeros((self.dim(k + 1), self.dim(k)), dtype=np.int64)
+        return zeros_over(self.field, (self.dim(k + 1), self.dim(k)))
 
     def commutes(self) -> bool:
         for k in self.grades:
@@ -239,7 +236,8 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
         span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
         new = GradedQuotient(mod.field, span).free
         if new.size:
-            gens[k] = np.eye(mod.dim(k), dtype=np.int64)[:, new]
+            gens[k] = zeros_over(mod.field, (mod.dim(k), new.size))
+            gens[k][new, np.arange(new.size)] = 1
     entries = {(0, k): G.shape[1] for k, G in gens.items()}
     complete = True
     free, images = cover_map(

@@ -263,12 +263,13 @@ def gamma_tangent_space(spec: ProjectionSpec):
     # image is a column of E2 (on mons6)
     pos2 = target.monomial_positions(2)
     code = target.code
-    partial6 = np.zeros((56, 6, 28), dtype=np.int64)
+    partial6 = zeros_over(field, (56, 6, 28))
     for col, mon in enumerate(mons3_target):
         for b, a in enumerate(code.unpack(mon)):
             if a:
                 quo = code.divides(code.var(b), mon)
-                partial6[col, b] = a * E2[:, pos2[quo]] % p
+                # widened: a * E2 wraps in uint8 once 3 (p-1) > 255
+                partial6[col, b] = a * E2[:, pos2[quo]].astype(np.int64) % p
     partial6 = partial6.reshape(56, 6 * 28)
 
     q = matmul_mod(w, mult, p).reshape(10, 28)

@@ -746,6 +746,33 @@ def test_multiply_forms_matches_mpoly_products(field, a):
         assert empty.shape == (len(bmons), 2) and not empty.any()
 
 
+@pytest.mark.parametrize("p", [251, 257])
+def test_graded_maps_do_not_wrap_on_narrow_residues(p):
+    # residues of 251 are stored in uint8 and those of 257 in uint16; with
+    # coefficients near p - 1, c * v and the sums of products pass 255 and
+    # 65535, so every map is checked against MPoly products
+    field = GF(p)
+    ring = PolynomialRing(field, ("s", "t", "u"))
+    f = top_coefficient_form(ring, 2)
+    for a in (1, 2):
+        amons = ring.monomials_of_degree(a)
+        bmons = ring.monomials_of_degree(a + 2)
+        M = multiplication_matrix(f, a, a + 2)
+        assert M.T.tolist() == [coefficient_vector(
+            ring.from_dict({m: 1}) * f, bmons) for m in amons]
+        gs = [top_coefficient_form(ring, a, k) for k in range(3)]
+        V = zeros_over(field, (len(amons), len(gs)))
+        for j, g in enumerate(gs):
+            V[:, j] = coefficient_vector(g, amons)
+        assert multiply_forms(f, a, V).T.tolist() == [
+            coefficient_vector(g * f, bmons) for g in gs]
+    forms = [top_coefficient_form(ring, 1, j) for j in range(3)]
+    polys = [top_coefficient_form(ring, e, 1) for e in range(4)]
+    sub = dict(zip(ring.names, forms))
+    assert change_coordinates(polys, forms) == [g.substitute(sub)
+                                                for g in polys]
+
+
 @pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
 def test_cover_map_matches_form_matrix(field):
     # a cover of a free module with generators in degrees 0 and 1, by
@@ -923,6 +950,7 @@ def _section_by_pivots(I, forms):
     rows = [coefficient_vector(f, [ring.code.var(i) for i in range(n)])
             for f in forms]
     R, pivots = rref_mod(rows, _modulus(field))
+    R = R.astype(object)  # Python ints: -R would wrap on narrow residues
     free = [j for j in range(n) if j not in pivots]
     small = PolynomialRing(field, tuple(ring.names[j] for j in free))
     images = {ring.names[j]: small.var(i) for i, j in enumerate(free)}

@@ -17,6 +17,7 @@ from lforge import linalg
 from lforge.fields import GF, QQ
 
 P = 17
+STORAGE = linalg.zeros_over(GF(P), (0, 0)).dtype
 
 
 def rand_matrix(rng, rows, cols, p=P):
@@ -55,8 +56,10 @@ def test_nullspace_is_kernel():
 
 
 def _setdiff_kernel(A, p):
-    """Reference for _kernel_mod: its free columns by np.setdiff1d."""
+    """Reference for _kernel_mod: its free columns by np.setdiff1d, on the
+    RREF widened to int64 (a negated narrow residue would wrap)."""
     M, pivots = linalg.rref_mod(A, p)
+    M = M.astype(np.int64)
     cols = M.shape[1]
     free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((cols, free.size), dtype=np.int64)
@@ -75,7 +78,7 @@ def test_kernel_free_columns_match_setdiff(rows, cols, rank):
     K_ref, free_ref = _setdiff_kernel(A, P)
     assert free.dtype == free_ref.dtype and free.tolist() == free_ref.tolist()
     for N in (K, linalg.nullspace_mod(A, P)):
-        assert N.dtype == K_ref.dtype and N.shape == K_ref.shape
+        assert N.dtype == STORAGE and N.shape == K_ref.shape
         assert (N == K_ref).all()
     assert (K[free] == np.eye(free.size, dtype=np.int64)).all()
 
@@ -98,6 +101,7 @@ def test_solve_matrix_rhs():
         A = rand_matrix(rng, 5, 5)
     B = rand_matrix(rng, 5, 3)
     X = linalg.solve_mod(A, B, P)
+    assert X.dtype == STORAGE
     assert ((A @ X - B) % P == 0).all()
 
 
@@ -116,22 +120,33 @@ def test_det_multiplicative():
         assert dAB == linalg.det_mod(A, P) * linalg.det_mod(B, P) % P
 
 
-def test_det_vs_cofactor_expansion():
-    def cof_det(M):
-        n = len(M)
-        if n == 1:
-            return M[0][0] % P
-        total = 0
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-            s = 1 if j % 2 == 0 else -1
-            total += s * M[0][j] * cof_det(minor)
-        return total % P
+def cof_det(M, p):
+    n = len(M)
+    if n == 1:
+        return M[0][0] % p
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        s = 1 if j % 2 == 0 else -1
+        total += s * M[0][j] * cof_det(minor, p)
+    return total % p
 
+
+def test_det_vs_cofactor_expansion():
     rng = np.random.default_rng(4)
     for _ in range(10):
         A = rand_matrix(rng, 4, 4)
-        assert linalg.det_mod(A, P) == cof_det(A.tolist())
+        assert linalg.det_mod(A, P) == cof_det(A.tolist(), P)
+
+
+def test_det_vs_cofactor_expansion_below_2_31():
+    # a product of two residues of 2^31 - 1 is near 2^62: det_mod's own
+    # int64 loop, not the narrow storage dtype, keeps it exact
+    p = 2**31 - 1
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        A = rand_matrix(rng, 4, 4, p)
+        assert linalg.det_mod(A, p) == cof_det(A.tolist(), p)
 
 
 def test_rank_rectangular_bounds():
@@ -172,7 +187,10 @@ def draw_matrix(rng, rows, cols, p, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([2, 17, 32003, 2**31 - 1]),
+# 251 | 257 and 65521 | 65537 straddle the uint8 and uint16 storage, and
+# 509 | 521 the float32 panel product (64 (p-1)^2 < 2^24)
+@given(p=st.sampled_from([2, 17, 251, 257, 509, 521, 32003, 65521, 65537,
+                          2**31 - 1]),
        rows=st.sampled_from([0, 1, 5, 20, W + 3]),
        cols=st.sampled_from([0, 1, W - 1, W, W + 1, 3 * W + 5]),
        kind=st.sampled_from(["dense", "sparse", "low-rank"]),
@@ -181,11 +199,18 @@ def draw_matrix(rng, rows, cols, p, kind):
 @example(p=17, rows=7, cols=0, kind="dense", seed=0)
 @example(p=2**31 - 1, rows=20, cols=3 * W + 5, kind="dense", seed=1)
 @example(p=17, rows=W + 3, cols=3 * W + 5, kind="sparse", seed=2)
+@example(p=251, rows=W + 3, cols=3 * W + 5, kind="dense", seed=3)
+@example(p=257, rows=W + 3, cols=3 * W + 5, kind="low-rank", seed=4)
+@example(p=509, rows=W + 3, cols=3 * W + 5, kind="dense", seed=5)
+@example(p=521, rows=W + 3, cols=3 * W + 5, kind="dense", seed=6)
+@example(p=65521, rows=20, cols=3 * W + 5, kind="dense", seed=7)
+@example(p=65537, rows=20, cols=3 * W + 5, kind="low-rank", seed=8)
 def test_rref_rank_nullspace_match_sympy(p, rows, cols, kind, seed):
     A = draw_matrix(np.random.default_rng(seed), rows, cols, p, kind)
     R_ref, piv_ref = sympy_rref(A, p)
     R, pivots = linalg.rref_mod(A, p)
-    assert R.dtype == np.int64 and R.shape == (rows, cols)
+    assert R.dtype == linalg.zeros_over(GF(p), (0, 0)).dtype
+    assert R.shape == (rows, cols)
     assert pivots == piv_ref
     assert (R == R_ref).all()
     assert linalg.rank_mod(A, p) == len(piv_ref)
@@ -282,7 +307,8 @@ def test_qq_rank_kernel_solve_match_sympy(rows, cols, k, consistent, seed):
         assert (A @ x == b).all()
 
 
-@pytest.mark.parametrize("p", [2, 17, 32003, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 17, 251, 257, 32003, 65521, 65537,
+                               2**31 - 1])
 def test_matmul_mod_exact_at_largest_residues(p):
     # entries in [p-8, p): at p = 2^31 - 1 an int64 sum of three products
     # overflows
@@ -291,8 +317,9 @@ def test_matmul_mod_exact_at_largest_residues(p):
     B = rng.integers(max(0, p - 8), p, size=(37, 6), dtype=np.int64)
     want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p
              for col in B.T] for row in A]
-    assert linalg.matmul_mod(A, B, p).tolist() == want
-    assert linalg.matmul_over(GF(p), A, B).tolist() == want
+    for C in (linalg.matmul_mod(A, B, p), linalg.matmul_over(GF(p), A, B)):
+        assert C.dtype == linalg.zeros_over(GF(p), (0, 0)).dtype
+        assert C.tolist() == want
 
 
 # -- dispatch ---------------------------------------------------------
@@ -303,13 +330,16 @@ def test_dispatch():
     assert linalg.rank_over(GF(17), A) == 1
     assert linalg.rank_over(QQ, A) == 1
     ns = linalg.nullspace_over(GF(17), A)
-    assert ns.shape == (2, 1) and ns.dtype == np.int64
+    assert ns.shape == (2, 1) and ns.dtype == STORAGE
     assert linalg.solve_over(QQ, [[2]], [3]).tolist() == [Fraction(3, 2)]
     half = Fraction(1, 2)
     product = linalg.matmul_over(QQ, [[half, 1]], [[2], [half]])
     assert product.tolist() == [[Fraction(3, 2)]]
     assert linalg.zeros_over(QQ, (1, 2)).tolist() == [[0, 0]]
-    assert linalg.zeros_over(GF(17), (2, 1)).dtype == np.int64
+    # the narrowest unsigned dtype that holds p - 1
+    assert [linalg.zeros_over(GF(p), (2, 1)).dtype
+            for p in (17, 251, 257, 65521, 65537, 2**31 - 1)] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.uint32, np.uint32]
     with pytest.raises(TypeError):
         linalg.rank_over(object(), A)
 
@@ -342,22 +372,16 @@ RAW_PRODUCTS_ALLOWED = {
 RAW_PRODUCT_CALLS = {"dot", "matmul", "tensordot"}
 
 
-def raw_products(path):
-    """(module, enclosing function, line) of every @, np.dot, np.matmul and
-    np.tensordot in one source file."""
+def scan(path, is_hit):
+    """(module, enclosing function, line) of every AST node of one source
+    file that is_hit accepts."""
     module = path.stem
     found = []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        raw = (isinstance(node, (ast.BinOp, ast.AugAssign))
-               and isinstance(node.op, ast.MatMult))
-        raw |= (isinstance(node, ast.Attribute)
-                and node.attr in RAW_PRODUCT_CALLS
-                and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy"))
-        if raw:
+        if is_hit(node):
             found.append((module, scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
@@ -366,10 +390,55 @@ def raw_products(path):
     return found
 
 
+def is_numpy_attribute(node, names):
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy"))
+
+
+def is_raw_product(node):
+    """An @, np.dot, np.matmul or np.tensordot."""
+    return ((isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult))
+            or is_numpy_attribute(node, RAW_PRODUCT_CALLS))
+
+
+def outside_linalg(is_hit):
+    return [hit for path in sorted(Path(lforge.__file__).parent.glob("*.py"))
+            if path.name != "linalg.py" for hit in scan(path, is_hit)]
+
+
 def test_no_raw_matrix_products_outside_linalg():
     # an int64 product of residues overflows once its sum of products
     # passes 2^63; matmul_mod is the exact one
-    found = [hit for path in sorted(Path(lforge.__file__).parent.glob("*.py"))
-             if path.name != "linalg.py" for hit in raw_products(path)]
+    found = outside_linalg(is_raw_product)
     assert [h for h in found if h[:2] not in RAW_PRODUCTS_ALLOWED] == []
     assert {h[:2] for h in found} == RAW_PRODUCTS_ALLOWED
+
+
+# (module, function) pairs allowed to name int64, with the reason: every
+# F_p matrix is born in zeros_over's narrow storage dtype, and a residue
+# array is widened only for arithmetic that would wrap there
+INT64_ALLOWED = {
+    # V's residues widened: c * v plus the partial sum wraps in uint8
+    ("ideals", "multiply_forms"),
+    # E2's residues widened: a * E2 wraps in uint8 once 3 (p-1) > 255
+    ("veronese", "gamma_tangent_space"),
+    # snf's own Kronecker weights 2^t mod p, not an F_p matrix
+    ("snf", "mul"),
+    # snf's coefficient arrays: the narrowest signed dtype that holds p^2
+    ("snf", "smith_normal_form"),
+}
+
+
+def is_int64(node):
+    """np.int64, or int64 named by a dtype string."""
+    return (is_numpy_attribute(node, {"int64"})
+            or (isinstance(node, ast.Constant)
+                and node.value in ("int64", "i8", "<i8")))
+
+
+def test_no_int64_outside_linalg():
+    found = outside_linalg(is_int64)
+    assert [h for h in found if h[:2] not in INT64_ALLOWED] == []
+    assert {h[:2] for h in found} == INT64_ALLOWED

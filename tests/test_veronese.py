@@ -235,8 +235,9 @@ def _det_gradient_rank1(M, p):
     ker = nullspace_mod(A, p)
     if ker.shape[1] != 1:
         raise ValueError("matrix does not have corank 1")
-    u = ker[:, 0]
-    w = nullspace_mod(A.T, p)[:, 0]
+    # widened: products of the narrow residues would wrap
+    u = ker[:, 0].astype(np.int64)
+    w = nullspace_mod(A.T, p)[:, 0].astype(np.int64)
     j = int(np.nonzero(u)[0][0])
     k = int(np.nonzero(w)[0][0])
     # adj(M)[j][k] = (-1)^(j+k) * det(M with row k and column j removed)
@@ -284,8 +285,10 @@ def _cofactor_codimension(spec):
         for b, e in enumerate(code.unpack(mon)):
             if e:
                 quo = code.divides(code.var(b), mon)
-                partial[b, :, col] = e * E2[:, pos2[quo]] % p
-    dL = [matmul_mod(multiplication_matrix(v, 6, 9), partial[b], p)
+                partial[b, :, col] = e * E2[:, pos2[quo]].astype(np.int64) % p
+    # widened, like u and w: w @ D @ u would wrap on narrow residues
+    dL = [matmul_mod(multiplication_matrix(v, 6, 9), partial[b],
+                     p).astype(np.int64)
           for v in spec.forms for b in range(6)]
     gradients = []
     for i in range(56):
