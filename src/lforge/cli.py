@@ -102,7 +102,7 @@ def _cmd_link(args) -> int:
     # raises RingMismatch unless the fields agree
     ci = Ideal(ring, [ring.convert(f) for f in ci_polys])
     res = link(I, ci, args.seed).residual
-    for g in res.gens:
+    for g in res.groebner().basis:
         print(poly_to_string(g))
     dim, degree = res.dim_degree()
     print(f"# dim {dim} degree {degree}", file=sys.stderr)

@@ -2,12 +2,12 @@
 elimination and sugar selection, a degree-by-degree Macaulay-matrix
 algorithm for homogeneous ideals over F_p, and normal forms.
 
-Routing.  ``groebner_basis`` is the one entry point.  It sends a call to
-``macaulay_basis`` when the field is a prime field and every generator is
-homogeneous; every other call (the rationals, inhomogeneous input such as
-the t-trick of ``intersect`` and ``eliminate``) goes to ``buchberger``, which
-is also the test oracle.  The input alone picks the engine.  A reduced basis
-is unique, so both give the same basis.
+Routing.  ``groebner_basis`` is the one entry point, and the input alone
+picks the engine: homogeneous generators over a prime field go to
+``macaulay_basis``, all else to ``buchberger``.  Over F_p no ideal
+operation or experiment has inhomogeneous input, so ``buchberger`` serves
+the rationals, inhomogeneous files given to ``lforge gb`` and the test
+oracles.  A reduced basis is unique, so both give the same basis.
 
 Degree by degree (Lazard, EUROCAL '83; Faugere's F4, JPAA 139, 1999, with
 its normal strategy).  For homogeneous input every S-polynomial and every

@@ -1,7 +1,8 @@
-"""Geometric ideal operations: elimination, intersection, quotient,
-saturation, Hilbert data, minors, singular loci, image ideals, graded pieces,
-graded maps out of free modules (cover_map, its rank-1 case ring_map, and
-kernel_generators) and reducedness of zero-dimensional schemes.
+"""Geometric ideal operations: elimination, intersection and quotient (graded
+kernels certified by their Hilbert series), saturation, Hilbert data,
+minors, singular loci, image ideals, graded pieces, graded maps out of free
+modules (cover_map, its rank-1 case ring_map, and kernel_generators) and
+reducedness of zero-dimensional schemes.
 
 Ideals are value-semantic: operations build new Ideal objects and caches hang
 off each instance.
@@ -10,11 +11,12 @@ off each instance.
 from __future__ import annotations
 
 from itertools import combinations, count
+from math import comb
 
 import numpy as np
 
 from .groebner import GroebnerBasis, groebner_basis, normal_form
-from .hilbert import HilbertData
+from .hilbert import HilbertData, _poly_add, _poly_trim
 from .linalg import (
     _kernel_mod,
     _modulus,
@@ -102,10 +104,6 @@ class Ideal:
 
     def graded_piece_dim(self, e: int) -> int:
         """dim of the degree-e slice of the ideal itself (not saturated)."""
-        from math import comb
-
-        if not self.is_homogeneous():
-            raise ValueError("graded piece of an inhomogeneous ideal")
         n = self.ring.nvars
         return comb(e + n - 1, n - 1) - self.hilbert().hf(e)
 
@@ -129,53 +127,71 @@ def eliminate(I: Ideal, k: int) -> Ideal:
                          if not any(unpack(g.lm)[:k])])
 
 
-def _aux_name(names):
-    base = "t_aux"
-    while base in names:
-        base += "_"
-    return base
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via t·I + (1−t)·J with t eliminated."""
+    """I ∩ J: the graded kernel of S -> S/I ⊕ S/J, with
+    HS(S/(I ∩ J)) = HS(S/I) + HS(S/J) - HS(S/(I + J))."""
     ring = I.ring
     if J.ring is not ring:
         raise ValueError("intersection across different rings")
     if I.is_zero_ideal() or J.is_zero_ideal():
         return Ideal(ring, [])
-    t_name = _aux_name(ring.names)
-    big = PolynomialRing(ring.field, (t_name,) + ring.names, TermOrder.block(1))
-    t = big.var(0)
-    gens = [t * big.convert(f) for f in I.gens]
-    gens += [(big.one - t) * big.convert(g) for g in J.gens]
-    E = eliminate(Ideal(big, gens), 1)
-    return Ideal(ring, [ring.convert(g) for g in E.gens])
+    return _graded_kernel([(I, ring.one), (J, ring.one)], I + J, 0)
 
 
 def quotient(I: Ideal, J: Ideal) -> Ideal:
-    """Ideal quotient I : J = ∩_{g ∈ gens(J)} (I : g)."""
+    """I : J = ∩_{g ∈ gens(J)} (I : g); I : g is the graded kernel of
+    S -> (S/I)(d), 1 -> g, d = deg g, whose series is (HS(S/I) -
+    HS(S/(I + (g)))) / t^d by 0 -> S/(I : g)(-d) -> S/I -> S/(I + (g)) -> 0."""
     ring = I.ring
     if J.is_zero_ideal():
         raise ValueError("quotient by the zero ideal")
+    if I.is_zero_ideal():
+        return Ideal(ring, [])
     result = None
     for g in J.gens:
-        K = intersect(I, Ideal(ring, [g]))
-        Q = Ideal(ring, [h.exact_div(g) for h in K.gens])
+        Q = _graded_kernel([(I, g)], I + Ideal(ring, [g]), g.degree())
         result = Q if result is None else intersect(result, Q)
     return result
 
 
-def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """I : J^∞ by iterating the quotient to a fixed point.  Test oracle for
-    saturate_irrelevant (test_ideals.py)."""
-    if J.is_zero_ideal():
-        raise ValueError("saturation by the zero ideal")
-    cur = I
-    while True:
-        nxt = quotient(cur, J)
-        if nxt == cur:
-            return cur
-        cur = nxt
+def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
+    """The kernel K of S -> ⊕_i (S/A_i)(deg f_i), 1 -> (f_i), which is
+    ∩_i (A_i : f_i), for pairs (A_i, f_i) of a nonzero ideal and a form, when
+    HS(S/K) = (Σ_i HS(S/A_i) - HS(S/B)) / t^d (as for the colon and the
+    intersection above); B's Hilbert data need homogeneous input.  One
+    kernel_generators scan of the rank-1 free module, whose map in degree e
+    stacks the coordinates in (S/A_i)_{e + deg f_i} (GradedQuotient of
+    graded_piece) of f_i times the monomials of degree e.  The ideal J of
+    the generators through degree e lies in K, so J = K once S/J has the
+    series of S/K, checked after each degree that adds generators; J keeps
+    its Hilbert data.  A quotient past CELL_BUDGET raises CellBudgetError."""
+    ring, n = B.ring, B.ring.nvars
+    num = [-c for c in B.hilbert().numerator]
+    for A, _ in blocks:
+        num = _poly_add(num, A.hilbert().numerator)
+    target = _poly_trim(num)[d:]
+
+    def stacked():
+        for e in count():
+            rows = []
+            for A, f in blocks:
+                k = e + f.degree()
+                if comb(k + n - 1, n - 1) * sum(
+                        comb(k - g.degree() + n - 1, n - 1)
+                        for g in A.gens if g.degree() <= k) > CELL_BUDGET:
+                    raise CellBudgetError(f"degree {k} passes the cell budget")
+                rows.append(GradedQuotient(ring.field, graded_piece(
+                    A.gens, k)).coordinates(multiplication_matrix(f, e, k)))
+            yield e, np.vstack(rows)
+
+    gens = []
+    for e, G, _ in kernel_generators(FreeModule(ring, [0]), stacked(), None):
+        if G.shape[1]:
+            mons = ring.monomials_of_degree(e)
+            gens.extend(from_coefficient_vector(ring, mons, v) for v in G.T)
+            J = Ideal(ring, gens)
+            if J.hilbert().numerator == target:
+                return J
 
 
 def _divide_out_last_variable(gens, ring):
@@ -624,12 +640,13 @@ def ring_map(forms, target: PolynomialRing):
                      dim, mul)
 
 
-def kernel_generators(free: FreeModule, images, hi: int):
+def kernel_generators(free: FreeModule, images, hi: int | None):
     """Minimal generators of the kernel of a graded map from free, where
     ``images`` yields its matrices (t, A_t) in increasing degree from the
     lowest generator degree (a cover_map stream).  Yields (t, G_t,
     dim ker A_t) for each degree t through hi, G_t the generators of
-    degree t as columns (possibly none), and reads no degree past hi.
+    degree t as columns (possibly none), and reads no degree past hi; with
+    hi None it reads on until the caller stops.
     Raises CellBudgetError when A_t or the span below would have more than
     CELL_BUDGET cells; the degrees yielded before it stand.
 
@@ -654,8 +671,10 @@ def kernel_generators(free: FreeModule, images, hi: int):
     p = _modulus(free.ring.field)
     nvars = free.ring.nvars
     K = None
+    lo = min(free.gen_degrees)
     # the range comes first, so zip stops before reading a degree past hi
-    for t, (_, A) in zip(range(min(free.gen_degrees), hi + 1), images):
+    for t, (_, A) in zip(count(lo) if hi is None else range(lo, hi + 1),
+                         images):
         prev, (K, coords) = K, _kernel_mod(A, p)
         n = coords.size
         fresh = np.ones(n, dtype=bool)
@@ -710,20 +729,6 @@ def change_coordinates(polys, forms):
             images[k] = MPoly(source, tuple(zip(
                 [smons[r] for r in nz.tolist()], col[nz].tolist())))
     return images
-
-
-def _image_by_elimination(forms, target: PolynomialRing) -> Ideal:
-    """Test oracle for image_ideal: the same kernel by eliminating the
-    source variables from the graph ideal (y_i - forms[i])."""
-    source = forms[0].ring
-    field = source.field
-    if set(source.names) & set(target.names):
-        raise ValueError("source and target variable names must not clash")
-    k = source.nvars
-    big = PolynomialRing(field, source.names + target.names, TermOrder.block(k))
-    gens = [big.var(k + i) - big.convert(f) for i, f in enumerate(forms)]
-    E = eliminate(Ideal(big, gens), k)
-    return Ideal(target, [target.convert(g) for g in E.gens])
 
 
 # -- zero-dimensional schemes -----------------------------------------

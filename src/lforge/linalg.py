@@ -45,6 +45,8 @@ _PANEL = 64
 # entries of M updated per matrix product: bounds the gathered rows and the
 # product temporary to 1 MB each, whatever the size of M
 _UPDATE_CELLS = 1 << 18
+# cells of A that matmul_mod casts to the product dtype at once (64 MB float32)
+_PRODUCT_CELLS = 1 << 24
 # the product dtypes, each with the bound below which its integers are exact
 _EXACT = ((np.float32, 2 ** 24), (np.float64, 2 ** 53), (np.int64, 2 ** 63))
 _fraction = np.frompyfunc(Fraction, 1, 1)
@@ -148,23 +150,28 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
     """A @ B mod p, exact for every p < 2^31.
 
     An operand of the storage dtype goes into the product as it is, any
-    other is reduced into it first.  The inner dimension n is taken in
-    slices of width w, each slice's product cast to the work dtype and
-    reduced mod p before the next is added: one float32 slice while
-    p + n (p-1)^2 < 2^24 (n up to 65535 for p = 17), else float64 slices
-    with w (p-1)^2 < 2^53 while p < 9.4e7, and int64 slices with
-    w (p-1)^2 < 2^63 above that."""
+    other is reduced into it first.  A goes in row slices of at most
+    _PRODUCT_CELLS cells, and n, its width, in slices of width w, each
+    slice's product cast to the work dtype and reduced mod p before the
+    next is added: one float32 slice while p + n (p-1)^2 < 2^24 (n up to
+    65535 for p = 17), else float64 slices with w (p-1)^2 < 2^53 while
+    p < 9.4e7, and int64 slices with w (p-1)^2 < 2^63 above that."""
     store = _storage(p)
     A, B = [X if getattr(X, "dtype", None) == store and X.ndim == 2
             else _as_array(X, p) for X in (A, B)]
-    n, q = A.shape[1], (p - 1) ** 2
+    (m, n), q = A.shape, (p - 1) ** 2
     w = max(1, min(n, (2 ** 53 - p) // q or (2 ** 63 - p) // q))
     dtype, work = _exact(p, w), _signed(p + w * q)
-    out = _mul(A[:, :w], B[:w], dtype).astype(work)
-    for s in range(w, n, w):
-        out %= p
-        out += _mul(A[:, s:s + w], B[s:s + w], dtype).astype(work)
-    return _as_array(out, p)
+    out = np.empty((m, B.shape[1]), store)
+    step = max(1, _PRODUCT_CELLS // max(1, n))
+    for r in range(0, m, step):
+        rows = A[r:r + step]
+        acc = _mul(rows[:, :w], B[:w], dtype).astype(work)
+        for s in range(w, n, w):
+            acc %= p
+            acc += _mul(rows[:, s:s + w], B[s:s + w], dtype).astype(work)
+        np.remainder(acc, p, out=out[r:r + step], casting="unsafe")
+    return out
 
 
 def rref_mod(A, p):
@@ -235,8 +242,11 @@ def _kernel_mod(A, p):
     basis = _zeros((cols, free.size), p)
     basis[free, np.arange(free.size)] = 1 if p else Fraction(1)
     R = M[:len(pivots), free]
-    # p - R stays in [1, p], which the storage dtype holds
-    basis[np.asarray(pivots, dtype=np.intp)] = -R if p is None else (p - R) % p
+    # -R in place over F_p: p - R lies in [1, p], which R's dtype holds
+    if p is not None:
+        np.subtract(p, R, out=R)
+        R %= p
+    basis[np.asarray(pivots, dtype=np.intp)] = R if p else -R
     return basis, free
 
 

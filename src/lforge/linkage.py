@@ -69,10 +69,10 @@ def residual_quotient(ci: Ideal, I: Ideal, seed_or_rng=0) -> Ideal:
     4. so if deg Q = deg ci - deg I, the lengths at each P, which are at
        most those of ci : I by 1, are equal: Q_P = (ci : I)_P, and by 2
        each ideal is the intersection of its P-primary components.
-    The proof takes the colons as exact: a wrong colon of the right degree,
-    say with an extra lower-dimensional component, would pass.  The tests
-    keep the membership oracle Q·I ⊆ ci; the report hashes pin the chains.
-    """
+    The proof takes the colons as exact, and each carries its own
+    certificate: `quotient` stops at the Hilbert series of S/(ci : f) read
+    off ci + (f), `intersect` likewise.  The tests compare Q with the
+    t-trick and keep the membership oracle Q·I ⊆ ci."""
     rng = as_rng(seed_or_rng)
     d = max(g.degree() for g in I.gens)
     Q = None

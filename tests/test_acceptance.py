@@ -166,7 +166,7 @@ def test_pencil_singular_locus(d9_special_report):
 
 
 @pytest.mark.slow
-def test_bilinkage_chain_degree18():
+def test_bilinkage_chain_degree18(no_fp_buchberger):
     rep = run_experiment("d9-bilinkage-18", allow_long=True)
     by = {a["label"]: a for a in rep.assertions}
     assert by["intermediate degree 27"]["ok"]
@@ -298,7 +298,7 @@ def test_generic_cubic_singular_curve():
 
 
 @pytest.mark.slow
-def test_t8_chain_to_degree17():
+def test_t8_chain_to_degree17(no_fp_buchberger):
     rep = run_experiment("t8-bilinkage-17", allow_long=True)
     by = {a["label"]: a for a in rep.assertions}
     assert by["three independent cubics"]["ok"]

@@ -147,8 +147,8 @@ def test_gb_missing_file(capsys):
 
 
 @pytest.mark.parametrize("field, line", [
-    ("GF(17)", "7*y\n7*x\n"),
-    ("QQ", "-1/3*y\n-1/3*x\n"),
+    ("GF(17)", "y\nx\n"),
+    ("QQ", "y\nx\n"),
 ], ids=["gf17", "qq"])
 def test_link_subcommand(tmp_path, capsys, field, line):
     a = tmp_path / "ideal.txt"
@@ -157,9 +157,10 @@ def test_link_subcommand(tmp_path, capsys, field, line):
     b.write_text(CI_22.replace("GF(17)", field))
     assert main(["link", str(a), str(b)]) == EXIT_PASS
     captured = capsys.readouterr()
-    # residual of the twisted cubic in the (2,2) CI is a line
+    # residual of the twisted cubic in the (2,2) CI is a line, printed as
+    # its reduced Groebner basis
     assert "dim 1 degree 1" in captured.err
-    assert captured.out.endswith(line)
+    assert captured.out == line
 
 
 @pytest.mark.parametrize("header, want", [

@@ -12,7 +12,6 @@ from lforge.ideals import (
     FreeModule,
     GradedQuotient,
     Ideal,
-    _image_by_elimination,
     change_coordinates,
     cover_map,
     eliminate,
@@ -29,7 +28,6 @@ from lforge.ideals import (
     multiply_forms,
     quotient,
     ring_map,
-    saturate,
     saturate_irrelevant,
     singular_locus,
     zero_dim_reduced_check,
@@ -51,6 +49,12 @@ from lforge.orders import TermOrder
 from lforge.rng import Rng
 from lforge.textio import parse_poly
 from lforge.unipoly import UniPoly
+from oracles import (
+    image_by_elimination,
+    intersect_by_elimination,
+    quotient_by_elimination,
+    saturate,
+)
 
 F17 = GF(17)
 R3 = PolynomialRing(F17, ("x", "y", "z"))
@@ -136,6 +140,70 @@ def test_quotient_properties():
         for q in Q.gens:
             for j in J.gens:
                 assert I.contains(q * j)
+
+
+def test_quotient_generators_may_skip_a_degree():
+    # the colon has generators in degrees 1 and 3 and none in degree 2: the
+    # scan goes on past the degree that adds nothing
+    Q = quotient(Ideal(R3, [x * y, x * z**3]), Ideal(R3, [x]))
+    assert Q == Ideal(R3, [y, z**3])
+
+
+def _oracle_cases(field, seed):
+    """(I, J) in three variables: I = (x f1, x f2, g) with a cubic g, so
+    that I : x holds f1 and f2, and J = (x, l, q) with l linear and q a
+    quadric."""
+    R = PolynomialRing(field, ("x", "y", "z"))
+    X = R.var(0)
+    rng = Rng(seed)
+    f1, f2 = (R.random_form(d, rng.fork(d)) for d in (1, 2))
+    I = Ideal(R, [X * f1, X * f2, R.random_form(3, rng.fork(3))])
+    J = Ideal(R, [X, R.random_form(1, rng.fork(4)),
+                  R.random_form(2, rng.fork(5))])
+    return I, J
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+@pytest.mark.parametrize("seed", range(3))
+def test_intersect_and_quotient_match_the_t_trick(field, seed):
+    I, J = _oracle_cases(field, seed)
+    K = intersect(I, J)
+    assert K == intersect_by_elimination(I, J)
+    assert K.hilbert().numerator == Ideal(I.ring, K.gens).hilbert().numerator
+    Q = quotient(I, J)
+    assert Q == quotient_by_elimination(I, J)
+    assert Q != I
+    for g in J.gens:
+        P = Ideal(I.ring, [g])
+        assert quotient(I, P) == quotient_by_elimination(I, P)
+
+
+@pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
+def test_intersect_and_quotient_with_the_unit_and_zero_ideals(field):
+    R = PolynomialRing(field, ("x", "y", "z"))
+    X, Y, _ = R.gens()
+    I, unit = Ideal(R, [X * Y]), Ideal(R, [R.one])
+    assert intersect(I, unit) == I
+    assert quotient(I, Ideal(R, [X * Y])) == unit
+    assert quotient(unit, I) == unit
+    assert quotient(Ideal(R, []), I).is_zero_ideal()
+
+
+def test_intersect_and_quotient_refuse_inhomogeneous_input():
+    hom, inhom = Ideal(R3, [x * y]), Ideal(R3, [x * y + z])
+    for op in (intersect, quotient):
+        with pytest.raises(ValueError, match="homogeneous"):
+            op(hom, inhom)
+        with pytest.raises(ValueError, match="homogeneous"):
+            op(inhom, hom)
+
+
+def test_quotient_past_the_cell_budget_raises(monkeypatch):
+    # the span of (xy, xz^3) in degree 4, where z^3 is found, has 15 x 7
+    # cells
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 104)
+    with pytest.raises(ideals.CellBudgetError, match="degree 4"):
+        quotient(Ideal(R3, [x * y, x * z**3]), Ideal(R3, [x]))
 
 
 def test_saturate_fixed_point():
@@ -360,7 +428,8 @@ def test_graded_piece_dim():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_saturate_irrelevant_fallback_on_all_rational_points(monkeypatch, p):
+def test_saturate_irrelevant_fallback_on_all_rational_points(
+        monkeypatch, no_fp_buchberger, p):
     # I_pts is the ideal of all p^2 + p + 1 rational points of P^2 and
     # I = m * I_pts.  Every linear form vanishes at a rational point, so each
     # drawn I : l^oo loses a point and fails the Hilbert polynomial check;
@@ -447,7 +516,7 @@ def test_image_ideal_conic_both_methods():
     X, Y, Z = T.gens()
     assert res.ideal == Ideal(T, [X * Z - Y * Y])
     assert res.h0 == {1: 0, 2: 1, 3: 3}
-    assert _image_by_elimination(forms, T) == res.ideal
+    assert image_by_elimination(forms, T) == res.ideal
 
 
 def test_image_ideal_conic_over_qq():
@@ -457,7 +526,7 @@ def test_image_ideal_conic_over_qq():
     forms = [s**2, 2 * s * t, t**2]
     res = image_ideal(forms, T, bound=3)
     assert res.h0 == {1: 0, 2: 1, 3: 3}
-    assert res.ideal == _image_by_elimination(forms, T)
+    assert res.ideal == image_by_elimination(forms, T)
     X, Y, Z = T.gens()
     assert res.ideal == Ideal(T, [4 * X * Z - Y * Y])
 

@@ -16,6 +16,7 @@ from lforge.linkage import (
 from lforge.mpoly import PolynomialRing
 from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec, project
+from oracles import quotient_by_elimination
 
 F17 = GF(17)
 
@@ -203,7 +204,7 @@ def test_residual_quotient_matches_plain_quotient(monkeypatch, case, seed,
     ci, I = case()
     calls = _count_draws(monkeypatch)
     Q = residual_quotient(ci, I, seed)
-    assert Q == quotient(ci, I)
+    assert Q == quotient(ci, I) == quotient_by_elimination(ci, I)
     # the membership oracle the degree identity replaced: Q * I lies in ci
     assert all(ci.contains(q * g) for q in Q.gens for g in I.gens)
     if draws is None:
@@ -217,8 +218,28 @@ def test_residual_quotient_falls_back_after_every_draw(monkeypatch):
     ci, I = _double_point_link()
     x, y, _ = I.ring.gens()
     calls = _count_draws(monkeypatch, lambda I, d, rng: x + y)
-    assert residual_quotient(ci, I, 0) == quotient(ci, I)
+    assert residual_quotient(ci, I, 0) == quotient_by_elimination(ci, I)
     assert len(calls) == 2 * linkage._MAX_REDRAWS
+
+
+@pytest.mark.parametrize("case, seed", [
+    pytest.param(_twisted_cubic_link, 9, id="twisted-cubic"),
+    pytest.param(_double_point_link, 0, id="double-point"),
+    *[pytest.param(partial(_small_link, s), s, id=f"small-{s}")
+      for s in range(20)],
+])
+def test_link_needs_no_buchberger_over_fp(no_fp_buchberger, case, seed):
+    ci, I = case()
+    step = link(I, ci, seed)
+    assert step.deg_in + step.deg_out == step.as_dict()["deg_ci"]
+
+
+def test_link_falls_back_without_buchberger_over_fp(monkeypatch,
+                                                      no_fp_buchberger):
+    ci, I = _double_point_link()
+    x, y, _ = I.ring.gens()
+    _count_draws(monkeypatch, lambda I, d, rng: x + y)
+    assert link(I, ci, 0).residual == Ideal(I.ring, [x * x, x * y, y * y])
 
 
 def test_link_rejects_a_residual_that_fails_the_degree_identity(
@@ -305,3 +326,25 @@ def test_bilink_degree18_seed_independence(d9):
         H = rep.final.hilbert()
         tables.append([H.hf(e) for e in range(8)])
     assert tables[0] == tables[1] == tables[2]
+
+
+class _FirstColon(Exception):
+    pass
+
+
+@pytest.mark.slow
+def test_first_d9_link_colon_matches_the_t_trick(monkeypatch, d9):
+    # the first colon ci : (f) of the degree-18 chain at seed 11, taken as
+    # residual_quotient asks for it
+    I_D9, cubics = d9
+    colons = []
+
+    def first(A, B):
+        colons.append((A, B))
+        raise _FirstColon
+
+    monkeypatch.setattr(linkage, "quotient", first)
+    with pytest.raises(_FirstColon):
+        bilink_degree18(I_D9, cubics[0], cubics[1], 4, 11)
+    ci, f = colons[0]
+    assert quotient(ci, f) == quotient_by_elimination(ci, f)

@@ -1,7 +1,8 @@
 """The report content hashes pinned in perfbench/pins.json, reproduced in
 tier-1: a change that moves a report fails here, not only in the
 benchmark.  The file is read, never written, so a re-pin there is followed
-here."""
+here.  These runs are also the guard that no F_17 experiment but ln-snf
+reaches Buchberger over F_p (the ``no_fp_buchberger`` fixture)."""
 
 import json
 import pathlib
@@ -25,7 +26,7 @@ def pins():
 @pytest.mark.parametrize(
     "name,seed", [(name, None) for name in SUITE]
     + [("d9-special", 1), ("d9-special", 3)])
-def test_report_matches_pin(pins, name, seed):
+def test_report_matches_pin(pins, name, seed, no_fp_buchberger):
     label = name if seed is None else f"{name}/seed={seed}"
     report = run_experiment(name, seed=seed, field="gf17", allow_long=False)
     assert report.content_hash() == pins[label]
