@@ -1,6 +1,8 @@
 """Geometric ideal operations: elimination, intersection and quotient (graded
 kernels certified by their Hilbert series), saturation, Hilbert data,
-minors, singular loci, image ideals, graded pieces, graded maps out of free
+minors, singular loci, image ideals, matrices of forms (form_matrix, the
+one builder of graded coefficient matrices: spans of graded pieces,
+multiplication maps and coefficient columns), graded maps out of free
 modules (cover_map, its rank-1 case ring_map, and kernel_generators) and
 reducedness of zero-dimensional schemes.
 
@@ -160,12 +162,13 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
     HS(S/K) = (Σ_i HS(S/A_i) - HS(S/B)) / t^d (as for the colon and the
     intersection above); B's Hilbert data need homogeneous input.  One
     kernel_generators scan of the rank-1 free module, whose map in degree e
-    stacks the coordinates in (S/A_i)_{e + deg f_i} (GradedQuotient of
-    graded_piece) of f_i times the monomials of degree e.  The ideal J of
-    the generators through degree e lies in K, so J = K once S/J has the
-    series of S/K, checked after each degree that adds generators; J keeps
-    its Hilbert data.  A quotient past CELL_BUDGET raises CellBudgetError."""
-    ring, n = B.ring, B.ring.nvars
+    stacks the coordinates in (S/A_i)_{e + deg f_i} (GradedQuotient of the
+    span of A_i's generators times monomials, one form_matrix row) of f_i
+    times the monomials of degree e.  The ideal J of the generators through
+    degree e lies in K, so J = K once S/J has the series of S/K, checked
+    after each degree that adds generators; J keeps its Hilbert data.  A
+    span past CELL_BUDGET raises CellBudgetError from form_matrix."""
+    ring = B.ring
     num = [-c for c in B.hilbert().numerator]
     for A, _ in blocks:
         num = _poly_add(num, A.hilbert().numerator)
@@ -176,12 +179,10 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
             rows = []
             for A, f in blocks:
                 k = e + f.degree()
-                if comb(k + n - 1, n - 1) * sum(
-                        comb(k - g.degree() + n - 1, n - 1)
-                        for g in A.gens if g.degree() <= k) > CELL_BUDGET:
-                    raise CellBudgetError(f"degree {k} passes the cell budget")
-                rows.append(GradedQuotient(ring.field, graded_piece(
-                    A.gens, k)).coordinates(multiplication_matrix(f, e, k)))
+                # the span is not held while suspended
+                rows.append(GradedQuotient(ring.field, form_matrix(
+                    [A.gens], [k - g.degree() for g in A.gens], [k])
+                ).coordinates(multiplication_matrix(f, e, k)))
             yield e, np.vstack(rows)
 
     gens = []
@@ -414,17 +415,8 @@ def _product_positions(ring: PolynomialRing, ts, a: int, b: int):
 
 def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
     """The matrix of v -> f*v from forms of degree a to forms of degree b:
-    rows follow monomials_of_degree(b), columns monomials_of_degree(a), in
-    zeros_over's dtype.  A zero f gives zeros; a term of f of any degree
-    other than b - a raises ValueError."""
-    ring = f.ring
-    n = len(ring.monomials_of_degree(a))
-    M = zeros_over(ring.field, (len(ring.monomials_of_degree(b)), n))
-    if f:
-        ts, cs = zip(*f.terms)
-        M[_product_positions(ring, ts, a, b), np.arange(n)] = \
-            np.array(cs)[:, None]
-    return M
+    form_matrix's 1 x 1 case."""
+    return form_matrix([[f]], [a], [b])
 
 
 def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
@@ -452,12 +444,29 @@ def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
 def form_matrix(P, src, tgt) -> np.ndarray:
     """The matrix of s -> P s, from vectors of forms of degrees src to
     vectors of forms of degrees tgt, on the coordinates forms_from_vector
-    reads: block (i, j) is multiplication_matrix(P[i][j], src[j], tgt[i]).
-    Every entry of P is a polynomial (possibly zero) of one ring; a negative
-    degree has no monomials."""
-    return np.vstack([np.hstack([multiplication_matrix(f, a, b)
-                                 for f, a in zip(row, src)])
-                      for row, b in zip(P, tgt)])
+    reads, in zeros_over's dtype: block (i, j) has rows
+    monomials_of_degree(tgt[i]) and columns monomials_of_degree(src[j]),
+    and its column m holds the coefficients of P[i][j] * m.  Every entry of
+    P is a polynomial (possibly zero) of one ring; a negative degree has no
+    monomials.  A term of a nonzero entry of any degree other than
+    tgt[i] - src[j] raises ValueError (unless block (i, j) has no columns),
+    and a matrix of more than CELL_BUDGET cells raises CellBudgetError
+    before it is allocated."""
+    ring = P[0][0].ring
+    rows = np.cumsum([0] + [len(ring.monomials_of_degree(b)) for b in tgt])
+    cols = np.cumsum([0] + [len(ring.monomials_of_degree(a)) for a in src])
+    if rows[-1] * cols[-1] > CELL_BUDGET:
+        raise CellBudgetError(f"a matrix of forms of degree {max(tgt)} "
+                              f"passes the budget {CELL_BUDGET}")
+    M = zeros_over(ring.field, (rows[-1], cols[-1]))
+    for i, b in enumerate(tgt):
+        for j, a in enumerate(src):
+            if P[i][j]:
+                ts, cs = zip(*P[i][j].terms)
+                block = M[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+                block[_product_positions(ring, ts, a, b),
+                      np.arange(block.shape[1])] = np.array(cs)[:, None]
+    return M
 
 
 def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
@@ -469,20 +478,6 @@ def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
         out.append(from_coefficient_vector(ring, mons, x[k:k + len(mons)]))
         k += len(mons)
     return out
-
-
-def graded_piece(gens, k: int) -> np.ndarray:
-    """Columns g*m on monomials_of_degree(k), for every homogeneous
-    generator g of degree at most k and every monomial m of degree
-    k - deg(g), in generator order and then monomial order: together they
-    span the degree-k piece of the ideal the generators generate."""
-    ring = gens[0].ring
-    blocks = [zeros_over(ring.field, (len(ring.monomials_of_degree(k)), 0))]
-    for g in gens:
-        dg = ring.code.deg(g.lm)
-        if dg <= k:
-            blocks.append(multiplication_matrix(g, k - dg, k))
-    return np.hstack(blocks)
 
 
 class GradedQuotient:
@@ -695,11 +690,12 @@ def change_coordinates(polys, forms):
     """The homogeneous polynomials polys with the i-th variable of their ring
     replaced by forms[i]: one form per variable, all of one degree d
     (linear forms for a change of coordinates).  The polynomials of each
-    degree e are the columns of one coefficient matrix on the monomials of
-    degree e; one product of the degree-e matrix of ring_map(forms, ...)
-    with it gives the coefficients of all their images on the monomials of
-    degree d*e, so their terms come out sorted.  Degrees go in increasing
-    order, and only the current one of the map is kept."""
+    degree e, the form_matrix of their row from degree 0 (ValueError for an
+    inhomogeneous one); one product of the degree-e matrix of
+    ring_map(forms, ...) with it gives the coefficients of all their images
+    on the monomials of degree d*e, so their terms come out sorted.
+    Degrees go in increasing order, and only the current one of the map is
+    kept."""
     polys = list(polys)
     if not polys:
         return []
@@ -713,15 +709,7 @@ def change_coordinates(polys, forms):
     images = [source.zero] * len(polys)
     _, maps = ring_map(forms, ring)
     for e, ks in sorted(by_degree.items()):
-        pos = ring.monomial_positions(e)
-        C = zeros_over(field, (len(pos), len(ks)))
-        for c, k in enumerate(ks):
-            try:
-                C[[pos[m] for m, _ in polys[k].terms], c] = [
-                    a for _, a in polys[k].terms]
-            except KeyError:
-                raise ValueError("change of coordinates of an "
-                                 "inhomogeneous polynomial") from None
+        C = form_matrix([[polys[k] for k in ks]], [0] * len(ks), [e])
         smons = source.monomials_of_degree(d * e)
         M = matmul_over(field, next(A for t, A in maps if t == e), C)
         for k, col in zip(ks, M.T):
@@ -744,9 +732,9 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     status "inconclusive" and never claims reducedness.
 
     The slices are quotients of the spans of the generators' monomial
-    multiples (graded_piece), and the matrices of the operator are quotient
-    coordinates, which are normal forms: beyond the Hilbert data of I the
-    check needs no Groebner basis.
+    multiples (one form_matrix row), and the matrices of the operator are
+    quotient coordinates, which are normal forms: beyond the Hilbert data of
+    I the check needs no Groebner basis.
     """
     H = I.hilbert()
     if H.dim != 0:
@@ -760,8 +748,8 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     ring = I.ring
     field = ring.field
     rng = as_rng(seed)
-    Qe = GradedQuotient(field, graded_piece(I.gens, e))
-    Qe1 = GradedQuotient(field, graded_piece(I.gens, e + 1))
+    Qe, Qe1 = (GradedQuotient(field, form_matrix(
+        [I.gens], [k - g.degree() for g in I.gens], [k])) for k in (e, e + 1))
     if len(Qe.free) != deg or len(Qe1.free) != deg:
         # the generators disagree with the Hilbert data
         return {"reduced": False, "degree": deg, "status": "inconclusive"}
@@ -777,7 +765,7 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
             continue
         A1 = mult_matrix(l1)
         T = solve_over(field, A0, A1)
-        mp = _matrix_minpoly(field, T, rng.fork(1000 + attempt))
+        mp = _matrix_minpoly(field, T)
         squarefree = (
             mp.degree >= 1
             and poly_gcd(mp, mp.derivative()).degree == 0
@@ -792,41 +780,20 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     return {"reduced": False, "degree": deg, "status": "inconclusive"}
 
 
-def _matrix_minpoly(field, T, rng) -> UniPoly:
-    """Minimal polynomial as the lcm of the minimal polynomials of random
-    vectors; stops when two fresh vectors in a row add nothing.
-
-    The minimal polynomial of v is the first kernel vector of the Krylov
-    matrix [v, Tv, ..., T^n v]: that vector belongs to the first column
-    that depends on the columns before it.  Each column is one product by
-    T over the field (matmul_over)."""
+def _matrix_minpoly(field, T) -> UniPoly:
+    """The minimal polynomial of the n x n matrix T: the first kernel
+    vector of the n^2 x (n + 1) matrix whose columns are vec(T^0), ...,
+    vec(T^n).  The kernel has K[free] = I, so that vector is monic and of
+    degree the first free column, the first power of T that depends on the
+    powers before it."""
     n = len(T)
-    mp = UniPoly.one(field)
-    stable = 0
-    for _ in range(n + 4):
-        if mp.degree >= n:
-            break
-        krylov = zeros_over(field, (n, n + 1))
-        krylov[:, 0] = [field.random(rng) for _ in range(n)]
-        for i in range(n):
-            krylov[:, [i + 1]] = matmul_over(field, T, krylov[:, [i]])
-        ker = nullspace_over(field, krylov)
-        new = _poly_lcm(mp, UniPoly(field, ker[:, 0]))
-        if new == mp:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-            mp = new
-    return mp
-
-
-def _poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    if a.is_zero() or b.is_zero():
-        return UniPoly.zero(a.field, a.var)
-    g = poly_gcd(a, b)
-    return (a * b).exact_div(g).monic()
+    powers = zeros_over(field, (n * n, n + 1))
+    P = zeros_over(field, (n, n))
+    np.fill_diagonal(P, field.one)
+    for i in range(n + 1):
+        powers[:, i] = P.reshape(-1)
+        P = matmul_over(field, P, T)
+    return UniPoly(field, nullspace_over(field, powers)[:, 0])
 
 
 # -- linear sections --------------------------------------------------

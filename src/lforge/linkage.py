@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 
-from .ideals import Ideal, graded_piece, intersect, quotient
+from .ideals import Ideal, form_matrix, intersect, quotient
 from .linalg import matmul_over
 from .mpoly import MPoly, from_coefficient_vector
 from .rng import as_rng
@@ -120,15 +120,16 @@ def link(I: Ideal, ci: Ideal, seed_or_rng=0) -> LinkStep:
 
 def random_slice_element(I: Ideal, d: int, seed_or_rng) -> MPoly:
     """Seeded random element of the degree-d slice of I: a random coefficient
-    combination, one draw per column, of the columns of
-    graded_piece(I.gens, d) (a spanning set of the slice, so the sample is a
-    random element of the whole slice)."""
+    combination, one draw per column, of the columns of the form_matrix of
+    I's generators into degree d (the products g * m, generator by generator
+    and then monomial by monomial: a spanning set of the slice, so the
+    sample is a random element of the whole slice)."""
     rng = as_rng(seed_or_rng)
     ring = I.ring
     field = ring.field
-    if all(ring.code.deg(g.lm) > d for g in I.gens):
+    if all(g.degree() > d for g in I.gens):
         raise LinkageError(f"no generators of degree <= {d}")
-    P = graded_piece(I.gens, d)
+    P = form_matrix([I.gens], [d - g.degree() for g in I.gens], [d])
     coeffs = [[field.random(rng)] for _ in range(P.shape[1])]
     out = from_coefficient_vector(ring, ring.monomials_of_degree(d),
                                   matmul_over(field, P, coeffs)[:, 0])

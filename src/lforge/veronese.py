@@ -17,10 +17,10 @@ from . import fixtures
 from .ideals import (
     Ideal,
     ImageComputation,
+    form_matrix,
     image_ideal,
     linear_section_reduce,
     minors_ideal,
-    multiplication_matrix,
     ring_map,
     singular_locus,
 )
@@ -256,7 +256,7 @@ def gamma_tangent_space(spec: ProjectionSpec):
     mons3_target = target.monomials_of_degree(3)
 
     # mult-by-v_a matrices, side by side: degree-6 coefficients -> degree-9
-    mult = np.hstack([multiplication_matrix(v, 6, 9) for v in spec.forms])
+    mult = form_matrix([spec.forms], [6] * 10, [9])
 
     # partial of each target cubic monomial by each target variable,
     # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose

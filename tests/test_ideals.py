@@ -17,7 +17,6 @@ from lforge.ideals import (
     eliminate,
     form_matrix,
     forms_from_vector,
-    graded_piece,
     image_ideal,
     intersect,
     jacobian,
@@ -34,6 +33,7 @@ from lforge.ideals import (
 )
 from lforge.linalg import (
     _modulus,
+    matmul_over,
     nullspace_over,
     rank_over,
     rref_mod,
@@ -48,7 +48,7 @@ from lforge.mpoly import (
 from lforge.orders import TermOrder
 from lforge.rng import Rng
 from lforge.textio import parse_poly
-from lforge.unipoly import UniPoly
+from lforge.unipoly import UniPoly, gcd as poly_gcd
 from oracles import (
     image_by_elimination,
     intersect_by_elimination,
@@ -531,9 +531,16 @@ def test_image_ideal_conic_over_qq():
     assert res.ideal == Ideal(T, [4 * X * Z - Y * Y])
 
 
+def span(gens, k):
+    """The products g * m of each generator with the monomials of degree
+    k - deg g, generator by generator: the degree-k piece of the ideal, as
+    one row of form_matrix."""
+    return form_matrix([gens], [k - g.degree() for g in gens], [k])
+
+
 def greedy_image_generators(field, forms, target, bound):
     """Reference for image_ideal: in each degree, keep a kernel vector of
-    the evaluation map when it raises the rank of graded_piece of the
+    the evaluation map when it raises the rank of the span of the
     generators kept so far and of the vectors kept before it, one rank
     computation per vector."""
     _, images = ring_map(forms, target)
@@ -541,7 +548,7 @@ def greedy_image_generators(field, forms, target, bound):
     for e, A in islice(images, 1, bound + 1):
         ker = nullspace_over(field, A)
         h0[e] = ker.shape[1]
-        kept = [list(c) for c in graded_piece(gens, e).T] if gens else []
+        kept = [list(c) for c in span(gens, e).T] if gens else []
         rank = rank_over(field, kept) if kept else 0
         for v in ker.T:
             r = rank_over(field, kept + [list(v)])
@@ -673,29 +680,33 @@ def test_zero_dim_reduced_check_over_qq():
     assert double["reduced"] is False
 
 
-def _object_krylov_minpoly(field, T, rng):
-    """Reference for _matrix_minpoly: its Krylov loop on an object array,
-    one T.dot on Python numbers and one field.of per entry."""
+def _krylov_lcm_minpoly(field, T, rng):
+    """A divisor of the minimal polynomial of T: the lcm of the minimal
+    polynomials of random vectors v, each the first kernel vector of the
+    Krylov matrix [v, Tv, ..., T^n v] on an object array, one T.dot on
+    Python numbers and one field.of per entry."""
     n = len(T)
     T = np.array(T, dtype=object)
     mp = UniPoly.one(field)
-    stable = 0
-    for _ in range(n + 4):
-        if mp.degree >= n:
-            break
+    for _ in range(3):
         krylov = [[field.random(rng) for _ in range(n)]]
         for _ in range(n):
             krylov.append([field.of(x) for x in T.dot(krylov[-1])])
         ker = nullspace_over(field, list(zip(*krylov)))
-        new = ideals._poly_lcm(mp, UniPoly(field, ker[:, 0]))
-        if new == mp:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-            mp = new
+        v = UniPoly(field, ker[:, 0])
+        mp = (mp * v).exact_div(poly_gcd(mp, v)).monic()
     return mp
+
+
+def _evaluate_at(field, mp, T):
+    """mp(T), by Horner's rule through matmul_over."""
+    n = len(T)
+    out = zeros_over(field, (n, n))
+    for c in reversed(mp.coeffs):
+        out = matmul_over(field, out, T)
+        out[np.arange(n), np.arange(n)] = [field.add(a, c)
+                                          for a in out.diagonal().tolist()]
+    return out
 
 
 def _operator(field, kind, n, rng):
@@ -718,14 +729,18 @@ def _operator(field, kind, n, rng):
 @pytest.mark.parametrize("kind", ["dense", "twice", "jordan", "scalar"])
 @pytest.mark.parametrize("seed", range(4))
 def test_matrix_minpoly_matches_object_krylov_loop(field, n, kind, seed):
+    # mp(T) = 0 and mp is monic, so mp is divisible by the minimal
+    # polynomial; every vector's minimal polynomial divides that one
     T = _operator(field, kind, n, Rng(seed))
-    r_new, r_ref = Rng(100 + seed), Rng(100 + seed)
-    mp = ideals._matrix_minpoly(field, T, r_new)
-    assert mp == _object_krylov_minpoly(field, T, r_ref)
-    # the same draws: both streams end in the same state
-    assert r_new.state == r_ref.state
+    mp = ideals._matrix_minpoly(field, T)
+    assert not _evaluate_at(field, mp, T).any()
+    assert mp.lc == field.one
+    ref = _krylov_lcm_minpoly(field, T, Rng(100 + seed))
+    assert mp.divmod(ref)[1].is_zero()
     if kind == "scalar":
         assert mp.degree == 1
+    if kind == "jordan":
+        assert mp.degree == n
 
 
 @pytest.mark.xfail(
@@ -934,6 +949,61 @@ def test_multiplication_matrix_matches_mul_term(field):
             multiplication_matrix(f, a, b)
 
 
+@pytest.mark.parametrize("field", [F17, QQ, GF(251)],
+                         ids=["gf17", "qq", "gf251"])
+def test_form_matrix_blocks_are_multiplication_matrices(field):
+    # a 2 x 3 matrix of forms with a zero entry, an entry of degree above
+    # its target (a negative source degree: no columns) and, over GF(251),
+    # residues near p that a narrow dtype must hold
+    ring = PolynomialRing(field, ("s", "t", "u"))
+    rng = Rng(7)
+    P = [[ring.random_form(2, rng), ring.zero, ring.random_form(4, rng)],
+         [ring.random_form(3, rng), -ring.random_form(2, rng),
+          ring.random_form(5, rng)]]
+    src, tgt = [1, 2, -1], [3, 4]
+    M = form_matrix(P, src, tgt)
+    assert M.dtype == zeros_over(field, (0, 0)).dtype
+    rows = np.cumsum([0] + [len(ring.monomials_of_degree(b)) for b in tgt])
+    cols = np.cumsum([0] + [len(ring.monomials_of_degree(a)) for a in src])
+    assert M.shape == (rows[-1], cols[-1]) == (25, 9)
+    for i, b in enumerate(tgt):
+        for j, a in enumerate(src):
+            block = M[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+            basis = ring.monomials_of_degree(b)
+            want = [coefficient_vector(P[i][j].mul_term(m, field.one), basis)
+                    for m in ring.monomials_of_degree(a)]
+            assert block.T.tolist() == want
+            assert block.tolist() == \
+                multiplication_matrix(P[i][j], a, b).tolist()
+    # the span of a graded piece: a generator above k adds no columns
+    gens = [P[0][0], P[1][0], P[0][2]]
+    piece = form_matrix([gens], [3 - g.degree() for g in gens], [3])
+    assert piece.tolist() == np.hstack([multiplication_matrix(g, 3 - d, 3)
+                                        for g, d in zip(gens, (2, 3))
+                                        ]).tolist()
+
+
+def test_form_matrix_refuses_past_the_budget_before_allocating(monkeypatch):
+    built = []
+
+    def zeros(field, shape):
+        built.append(tuple(int(k) for k in shape))
+        return zeros_over(field, shape)
+
+    monkeypatch.setattr(ideals, "zeros_over", zeros)
+    gens = [x * y, x * z**3]
+    # degree 4 in three variables: 15 rows, 6 + 1 columns
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 105)
+    assert form_matrix([gens], [2, 0], [4]).shape == (15, 7)
+    assert built == [(15, 7)]
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 104)
+    with pytest.raises(ideals.CellBudgetError, match="degree 4"):
+        form_matrix([gens], [2, 0], [4])
+    with pytest.raises(ideals.CellBudgetError, match="degree 4"):
+        multiplication_matrix(x, 3, 4)
+    assert built == [(15, 7)]
+
+
 def cusp():
     return singular_locus(Ideal(R3, [z * y**2 - x**3]), 1)
 
@@ -958,7 +1028,7 @@ GRADED_CASES = {
 def test_graded_piece_rank_is_the_graded_piece_dim(case):
     I = GRADED_CASES[case]()
     for k in range(6):
-        P = graded_piece(I.gens, k)
+        P = span(I.gens, k)
         assert P.shape[0] == len(I.ring.monomials_of_degree(k))
         assert rank_over(I.ring.field, P) == I.graded_piece_dim(k)
 
@@ -970,7 +1040,7 @@ def test_quotient_coordinates_are_normal_forms(case):
     G = list(I.groebner())
     ell = ring.random_form(1, Rng(4))
     for e in range(5):
-        Q = GradedQuotient(field, graded_piece(I.gens, e + 1))
+        Q = GradedQuotient(field, span(I.gens, e + 1))
         standard = [ring.monomials_of_degree(e + 1)[c] for c in Q.free]
         coords = Q.coordinates(multiplication_matrix(ell, e, e + 1))
         for m, col in zip(ring.monomials_of_degree(e), coords.T.tolist()):
