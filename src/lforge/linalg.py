@@ -18,19 +18,20 @@ rank, a kernel basis and a solution off the RREF for both fields.
 Over F_p, ``rref_mod`` is a blocked Gauss-Jordan elimination over column
 panels of width w (Dumas, Giorgi & Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35, 2008).
-For each panel an unblocked pass over the rows that hold no pivot yet finds
-the panel's k pivot columns J and pivot rows I.  With A = M[I, J], the new
-pivot rows become X = A^-1 M[I, c0:], and every other row o that is nonzero
-on J is updated as M[o, c0:] -= M[o, J] X in one matrix product.  A sum of
-at most w products of residues stays below w (p-1)^2, so the products are
-taken in the narrowest of float32, float64 and int64 whose integers are
-exact that far (``_exact``; below 2^24, 2^53 and 2^63): float32 with
-w = 64 for p <= 509, float64 with w = 64 while 64 (p-1)^2 < 2^53 (every p
-below about 1.18e7), and past that one-column panels in int64, which is
-the plain unblocked elimination.  Each product is cast to the work dtype,
-the narrowest signed one that holds p + w (p-1)^2 (int16 for p = 17),
-subtracted, reduced with % and stored narrow.  A matrix of at most w
-columns is a single panel and goes straight to the unblocked pass.
+For each panel one unblocked pass over the rows that hold no pivot yet
+finds the panel's pivot columns J, pivot rows I and A^-1 for A = M[I, J].
+The new pivot rows become X = A^-1 M[I, c0:], and every other row o that
+is nonzero on J is updated as M[o, c0:] -= M[o, J] X in one matrix
+product.  A sum of at most w products of residues stays below w (p-1)^2,
+so the products are taken in the narrowest of float32, float64 and int64
+whose integers are exact that far (``_exact``; below 2^24, 2^53 and 2^63):
+float32 with w = 64 for p <= 509, float64 with w = 64 while
+64 (p-1)^2 < 2^53 (every p below about 1.18e7), and past that one-column
+panels in int64, which is the plain unblocked elimination.  Each product
+is cast to the work dtype, the narrowest signed one that holds
+p + w (p-1)^2 (int16 for p = 17), subtracted, reduced with % and stored
+narrow.  A matrix of at most w columns is a single panel and goes straight
+to the unblocked pass.  At the end the pivot rows move to the top in place.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ _PANEL = 64
 # entries of M updated per matrix product: bounds the gathered rows and the
 # product temporary to 1 MB each, whatever the size of M
 _UPDATE_CELLS = 1 << 18
-# cells of A that matmul_mod casts to the product dtype at once (64 MB float32)
-_PRODUCT_CELLS = 1 << 24
+# cells of A that matmul_mod casts to the product dtype at once (4 MB float32)
+# unless B, cast whole, is larger
+_PRODUCT_CELLS = 1 << 20
 # the product dtypes, each with the bound below which its integers are exact
 _EXACT = ((np.float32, 2 ** 24), (np.float64, 2 ** 53), (np.int64, 2 ** 63))
 _fraction = np.frompyfunc(Fraction, 1, 1)
@@ -88,23 +90,29 @@ def _zeros(shape, p) -> np.ndarray:
     return np.zeros(shape, dtype=_storage(p))
 
 
-def _eliminate(M: np.ndarray, p):
+def _eliminate(M: np.ndarray, p, inverse=False):
     """Unblocked Gauss-Jordan elimination of M in place, over F_p, or over Q
     when p is None and M is an object array of Fractions.  Returns the pivot
-    columns and, for each pivot row of the result, the row of the input it
-    came from.
+    columns, for each pivot row of the result the row of the input it came
+    from, and the pivot rows' trackers: with ``inverse`` (F_p only) A^-1, A
+    the input at those rows and the pivot columns, else an empty block.
 
     Over F_p, M holds residues, and the loop runs on a signed copy W that
     it writes back reduced.  Entries of W are reduced mod p only where a
     step reads them (the pivot column and the pivot row) and once at the
-    end, so each step moves an entry by less than (p-1)^2.  There are at
-    most s = min(rows, cols) steps (callers keep s at most the panel
-    width), so every entry stays below p + s (p-1)^2 in absolute value,
-    which W's dtype holds.  Over Q nothing is reduced: the arithmetic is
-    exact."""
+    end, so each of the at most s = min(rows, cols) steps (callers keep s
+    at most the panel width) moves an entry by less than (p-1)^2, and W's
+    dtype holds p + s (p-1)^2.  Over Q nothing is reduced.  For A^-1, W
+    carries s tracker columns, zero at the start, and the row swapped in
+    as pivot r gets 1 in tracker column r.  A pivot row only ever has pivot
+    rows added to it, so the pivot rows' trackers end as A^-1.  Trackers
+    obey the same bound, and step r updates them only through column r,
+    as the ones past it are still zero."""
     rows, cols = M.shape
-    W = M if p is None else M.astype(_signed(p + min(rows, cols)
-                                             * (p - 1) ** 2))
+    s = min(rows, cols)
+    W = M if p is None else M.astype(_signed(p + s * (p - 1) ** 2))
+    if inverse:
+        W = np.hstack([W, np.zeros((rows, s), W.dtype)])
     order = np.arange(rows)
     pivots = []
     r = 0
@@ -121,8 +129,10 @@ def _eliminate(M: np.ndarray, p):
         if i != r:
             W[[r, i]] = W[[i, r]]
             order[[r, i]] = order[[i, r]]
-        # the pivot row is zero (mod p) left of c, so the update starts at c
-        row = W[r, c:]
+        if inverse:
+            W[r, cols + r] = 1
+        # the pivot row is zero (mod p) left of c and past tracker column r
+        row = W[r, c:cols + r + 1]
         if p is None:
             row *= Fraction(1) / row[0]
         else:
@@ -132,13 +142,13 @@ def _eliminate(M: np.ndarray, p):
         other = np.nonzero(col)[0]
         other = other[other != r]
         if other.size:
-            W[other, c:] -= np.outer(col[other], row)
+            W[other, c:cols + r + 1] -= np.outer(col[other], row)
         pivots.append(c)
         r += 1
     if p is not None:
         W %= p
-        M[...] = W
-    return pivots, order[:r]
+        M[...] = W[:, :cols]
+    return pivots, order[:r], W[:r, cols:cols + r]
 
 
 def _mul(A: np.ndarray, B: np.ndarray, dtype) -> np.ndarray:
@@ -150,20 +160,23 @@ def matmul_mod(A, B, p: int) -> np.ndarray:
     """A @ B mod p, exact for every p < 2^31.
 
     An operand of the storage dtype goes into the product as it is, any
-    other is reduced into it first.  A goes in row slices of at most
-    _PRODUCT_CELLS cells, and n, its width, in slices of width w, each
-    slice's product cast to the work dtype and reduced mod p before the
-    next is added: one float32 slice while p + n (p-1)^2 < 2^24 (n up to
-    65535 for p = 17), else float64 slices with w (p-1)^2 < 2^53 while
-    p < 9.4e7, and int64 slices with w (p-1)^2 < 2^63 above that."""
+    other is reduced into it first.  B is cast to the product dtype whole,
+    A in row slices of at most _PRODUCT_CELLS cells (or B's size, if
+    larger), and n, A's width, in slices of width w, each slice's product
+    cast to the work dtype and reduced mod p before the next is added:
+    one float32 slice while p + n (p-1)^2 < 2^24 (n up to 65535 for
+    p = 17), else float64 slices with w (p-1)^2 < 2^53 while p < 9.4e7,
+    and int64 slices with w (p-1)^2 < 2^63 above that."""
     store = _storage(p)
     A, B = [X if getattr(X, "dtype", None) == store and X.ndim == 2
             else _as_array(X, p) for X in (A, B)]
     (m, n), q = A.shape, (p - 1) ** 2
     w = max(1, min(n, (2 ** 53 - p) // q or (2 ** 63 - p) // q))
     dtype, work = _exact(p, w), _signed(p + w * q)
+    B = B.astype(dtype)  # once, not once per row slice of A
     out = np.empty((m, B.shape[1]), store)
-    step = max(1, _PRODUCT_CELLS // max(1, n))
+    # each row slice's products read all of B: no slice is smaller than B
+    step = max(1, max(_PRODUCT_CELLS, B.size) // max(1, n))
     for r in range(0, m, step):
         rows = A[r:r + step]
         acc = _mul(rows[:, :w], B[:w], dtype).astype(work)
@@ -179,11 +192,9 @@ def rref_mod(A, p):
     Returns (R, pivot_columns); R has the pivot rows first, then the zero
     rows."""
     M = _as_array(A, p)
-    if p is None:
-        return M, _eliminate(M, None)[0]
     rows, cols = M.shape
-    w = _PANEL if _exact(p, _PANEL) in (np.float32, np.float64) else 1
-    if cols <= w:
+    w = _PANEL if p and _exact(p, _PANEL) in (np.float32, np.float64) else 1
+    if p is None or cols <= w:
         return M, _eliminate(M, p)[0]
     dtype, work = _exact(p, w), _signed(p + w * (p - 1) ** 2)
     pivots = []
@@ -196,14 +207,10 @@ def rref_mod(A, p):
         cand = np.flatnonzero(free & M[:, c0:c0 + w].any(axis=1))
         if cand.size == 0:
             continue
-        J, I = _eliminate(M[cand, c0:c0 + w], p)
+        J, I, inv = _eliminate(M[cand, c0:c0 + w], p, inverse=True)
         J = np.asarray(J) + c0
         I = cand[I]
-        k = J.size
-        # [A | 1] reduces to [1 | A^-1]
-        aug = np.hstack([M[np.ix_(I, J)], np.eye(k, dtype=M.dtype)])
-        _eliminate(aug, p)
-        X = _as_array(_mul(aug[:, k:], M[I, c0:], dtype).astype(work), p)
+        X = _as_array(_mul(inv, M[I, c0:], dtype).astype(work), p)
         hit = M[:, J].any(axis=1)
         hit[I] = False
         o = np.flatnonzero(hit)
@@ -218,8 +225,14 @@ def rref_mod(A, p):
         free[I] = False
         pivots.extend(J.tolist())
         pivot_rows.extend(I.tolist())
-    # rows without a pivot are zero by now
-    return M[pivot_rows + np.flatnonzero(free).tolist()], pivots
+    # rows without a pivot are zero by now: move the pivot rows on top in
+    # column slabs, not through a copy of M, and zero those left below
+    I, r = np.asarray(pivot_rows, dtype=np.intp), len(pivot_rows)
+    step = max(1, _UPDATE_CELLS // max(1, r))
+    for c in range(0, cols, step):
+        M[:r, c:c + step] = M[I, c:c + step]
+    M[I[I >= r]] = 0
+    return M, pivots
 
 
 def rank_mod(A, p) -> int:
@@ -239,13 +252,14 @@ def _kernel_mod(A, p):
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = _zeros((cols, free.size), p)
-    basis[free, np.arange(free.size)] = 1 if p else Fraction(1)
     R = M[:len(pivots), free]
+    del M  # before K is allocated
     # -R in place over F_p: p - R lies in [1, p], which R's dtype holds
     if p is not None:
         np.subtract(p, R, out=R)
         R %= p
+    basis = _zeros((cols, free.size), p)
+    basis[free, np.arange(free.size)] = 1 if p else Fraction(1)
     basis[np.asarray(pivots, dtype=np.intp)] = R if p else -R
     return basis, free
 

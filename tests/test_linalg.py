@@ -236,6 +236,53 @@ def test_rref_pinned_sparse_matrix():
         "c57ea08c4eb3d94c814d716e6969a39a2efc4b40b18c7b47f7ce65f3be5cd80d")
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 17, 251, 257, 509, 521, 65537, 2**31 - 1]),
+       rows=st.sampled_from([1, 5, W, 4 * W]),
+       kind=st.sampled_from(["dense", "sparse", "low-rank"]),
+       seed=st.integers(0, 2**32 - 1))
+# tall dense panels: every later pivot row was updated by the earlier ones
+@example(p=17, rows=4 * W, kind="dense", seed=0)
+@example(p=509, rows=4 * W, kind="dense", seed=1)
+@example(p=65537, rows=4 * W, kind="sparse", seed=2)
+def test_panel_pass_inverse(p, rows, kind, seed):
+    # one panel as rref_mod hands it over: rref_mod's panel width, which is
+    # one column at p = 2^31 - 1
+    w = 1 if p == 2**31 - 1 else W
+    A = draw_matrix(np.random.default_rng(seed), rows, w, p, kind)
+    M = linalg._as_array(A, p)
+    J, I, inv = linalg._eliminate(M, p, inverse=True)
+    # the same pass as without the inverse
+    M_ref = linalg._as_array(A, p)
+    J_ref, I_ref, empty = linalg._eliminate(M_ref, p)
+    assert empty.shape == (len(J_ref), 0)
+    assert J == J_ref and I.tolist() == I_ref.tolist()
+    assert (M == M_ref).all()
+    # A^-1, with its columns in the order of the pivot rows I
+    k = len(J)
+    assert inv.shape == (k, k)
+    assert (linalg.matmul_mod(inv, A[np.ix_(I, J)], p)
+            == np.eye(k, dtype=np.int64)).all()
+
+
+def test_rref_one_elimination_pass_per_panel(monkeypatch):
+    # panels 0, 2 and 3 hold pivots and panel 1 is zero: one pass each
+    A = rand_matrix(np.random.default_rng(8), 3 * W + 10, 3 * W + 5)
+    A[:, W:2 * W] = 0
+    passes = []
+    eliminate = linalg._eliminate
+
+    def counted(M, p, *args, **kwargs):
+        passes.append(M.shape)
+        return eliminate(M, p, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    R, pivots = linalg.rref_mod(A, P)
+    assert [shape[1] for shape in passes] == [W, W, 5]
+    assert pivots == list(range(W)) + list(range(2 * W, 3 * W + 5))
+    assert (R == sympy_rref(A, P)[0]).all()
+
+
 # -- rationals --------------------------------------------------------
 
 
@@ -320,6 +367,30 @@ def test_matmul_mod_exact_at_largest_residues(p):
     for C in (linalg.matmul_mod(A, B, p), linalg.matmul_over(GF(p), A, B)):
         assert C.dtype == linalg.zeros_over(GF(p), (0, 0)).dtype
         assert C.tolist() == want
+
+
+@pytest.mark.parametrize("p", [17, 65537, 2**31 - 1])
+def test_matmul_mod_row_slices(monkeypatch, p):
+    # A goes in row slices of B's size (222 cells: six rows of A), not in
+    # slices of _PRODUCT_CELLS
+    rng = np.random.default_rng(p % 1000)
+    A = rng.integers(0, p, size=(50, 37), dtype=np.int64)
+    B = rng.integers(0, p, size=(37, 6), dtype=np.int64)
+    whole = linalg.matmul_mod(A, B, p)
+    monkeypatch.setattr(linalg, "_PRODUCT_CELLS", 64)
+    casts = []
+    mul = linalg._mul
+
+    def counted(X, Y, dtype):
+        casts.append(X.shape[0])
+        return mul(X, Y, dtype)
+
+    monkeypatch.setattr(linalg, "_mul", counted)
+    assert (linalg.matmul_mod(A, B, p) == whole).all()
+    # eight slices of six rows and one of two
+    assert sorted(set(casts)) == [2, 6]
+    assert whole.tolist() == [[sum(int(a) * int(b) for a, b in zip(row, col))
+                               % p for col in B.T] for row in A]
 
 
 # -- dispatch ---------------------------------------------------------
