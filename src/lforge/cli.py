@@ -78,9 +78,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_list(args) -> int:
     for name in sorted(REGISTRY):
-        entry = REGISTRY[name]
-        tag = " [long]" if entry["long"] else ""
-        print(f"{name}{tag}: {entry['doc']}")
+        print(f"{name}: {REGISTRY[name]['doc']}")
     return EXIT_PASS
 
 

@@ -2,9 +2,10 @@
 
 Every scripted verification in the workbench is one named experiment: a
 deterministic pipeline keyed by (name, seed, field) that records numbered
-results and PASS/FAIL assertions into a Report.  Long-running experiments
-refuse to start without an explicit allow-long flag and exit with a
-distinct status, so default runs stay within laptop budgets.
+results and PASS/FAIL assertions into a Report.  Rational arithmetic, far
+slower on these pipelines, refuses to start without an explicit allow-long
+flag and exits with a distinct status, so default runs stay within laptop
+budgets.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ExperimentError(ValueError):
 
 
 class BudgetRefused(ExperimentError):
-    """Raised when a long experiment is started without allow_long."""
+    """Raised when --field qq is asked for without allow_long."""
 
 
 class Report:
@@ -164,11 +165,10 @@ REGISTRY = {}
 FIELDS = {"gf17": GF(17), "qq": QQ}
 
 
-def experiment(name: str, long: bool = False, doc: str = "", seed: int = 0,
+def experiment(name: str, doc: str = "", seed: int = 0,
                fields=("gf17", "qq")):
     def wrap(fn):
-        REGISTRY[name] = {"fn": fn, "long": long, "seed": seed,
-                          "fields": fields,
+        REGISTRY[name] = {"fn": fn, "seed": seed, "fields": fields,
                           "doc": doc or (fn.__doc__ or "").strip()}
         return fn
     return wrap
@@ -182,10 +182,6 @@ def run_experiment(name: str, seed: int | None = None, field: str = "gf17",
     entry = REGISTRY[name]
     if seed is None:
         seed = entry["seed"]
-    if entry["long"] and not allow_long:
-        raise BudgetRefused(
-            f"{name} may run for a long time (tens of minutes or more); "
-            f"re-run with --allow-long to proceed")
     if field not in FIELDS:
         raise ExperimentError(f"unknown field {field!r} (gf17 or qq)")
     F = FIELDS[field]
@@ -308,7 +304,7 @@ def _d9_secant(report: Report, ctx: Context):
     report.check("special plane avoids Sec(V8)", cert8["empty"])
 
 
-@experiment("d9-bilinkage-18", long=True, seed=11, fields=("gf17",),
+@experiment("d9-bilinkage-18", seed=11, fields=("gf17",),
             doc="double link of the degree-9 surface through its cubic "
                 "pencil down to a degree-18 surface; its intersection "
                 "with the original is the pencil's singular locus")
@@ -451,7 +447,7 @@ def _unique_cubic(report: Report, ctx: Context):
     report.check("the curve is non-degenerate", out["nondegenerate"])
 
 
-@experiment("t8-bilinkage-17", long=True, seed=13,
+@experiment("t8-bilinkage-17", seed=13,
             doc="the quadric-Veronese threefold: special plane gives three "
                 "cubics, then two links reach degree 17")
 def _t8(report: Report, ctx: Context):

@@ -15,15 +15,16 @@ reduction stays homogeneous, so the basis is completed one degree at a time:
 once the pairs and generators of degree below d are done, the elements found
 so far are the elements of the reduced basis of degree below d, and nothing
 later changes them, since no leading monomial of degree d or more divides a
-monomial of lower degree.  Degree d is one Macaulay matrix: both halves
-(l/lm_i) g_i and (l/lm_j) g_j of every pair of degree d = deg l, the
-generators of degree d, and, for every other column monomial m that an
-earlier leading monomial lm divides, one reducer (m/lm) g (symbolic
-preprocessing).  Its columns run in descending monomial order, and one
-``rref_mod`` reduces it.  A pivot whose monomial no earlier leading monomial
-divides is a new leading monomial, and its row is already the monic, fully
-reduced basis element: every column of the row that an earlier leading
-monomial divides, or that is another pivot, has been cleared.
+monomial of lower degree.  The rows of degree d are both halves
+(l/lm_i) g_i and (l/lm_j) g_j of every pair of degree d = deg l and the
+generators of degree d.  ``symbolic_preprocessing`` gives them one reducer
+(m/lm) g for every column m that an earlier leading monomial lm divides, and
+``reduce_rows`` takes their coordinates on the other columns modulo the
+reducers (the split of Faugere & Lachartre, PASCO 2010); one ``rref_mod`` of
+that remainder ends the degree.  No earlier leading monomial divides its
+columns, so each pivot is a new leading monomial, and its row is already the
+monic, fully reduced basis element.  The graded colon of ``ideals`` reduces
+its rows against a complete basis with the same two routines.
 
 Determinism: pair selection is by (sugar degree, packed lcm, indices); all
 container iteration is over sorted structures, so identical inputs give
@@ -38,7 +39,7 @@ from operator import mul
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import rref_mod, zeros_over
+from .linalg import _modulus, reduce_mod, rref_mod, zeros_over
 from .mpoly import MPoly, RingMismatch
 
 
@@ -243,22 +244,16 @@ def buchberger(gens) -> GroebnerBasis:
             continue
         add_element(h.monic(), max(sugar, h.degree()))
 
-    basis = _interreduce(reducers, ring)
-    return GroebnerBasis(basis, ring)
+    return GroebnerBasis(_interreduce(reducers), ring)
 
 
-def _interreduce(polys, ring):
-    # minimalize by leading monomials
-    by_lm = {f.lm: f for f in polys}
-    keep = [by_lm[m] for m in minimalize_monomials(by_lm, ring.code)]
-    # tail-reduce each against the others
-    out = []
-    for i, f in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(f, others)
-        out.append(r.monic())
-    out.sort(key=lambda f: f.lm)
-    return out
+def _interreduce(polys):
+    """Each of polys tail-reduced against the others, ascending.  No leading
+    monomial of polys divides another: each was reduced against those before
+    it, and each that a later one divides was dropped (_Pairs.redundant)."""
+    out = [normal_form(f, polys[:i] + polys[i + 1:]).monic()
+           for i, f in enumerate(polys)]
+    return sorted(out, key=lambda f: f.lm)
 
 
 def _by_degree(gens):
@@ -288,77 +283,80 @@ def macaulay_basis(gens) -> GroebnerBasis:
         if by_degree is None or not isinstance(ring.field, PrimeField):
             raise ValueError(
                 "macaulay_basis needs homogeneous generators over F_p")
-    code = ring.code
-    K0, GUARD = code.K0, code.GUARD
     G: list[MPoly] = []
     # pairs maps (i, j) to (degree, lcm); P.redundant stays empty (see the
     # module docstring)
-    P = _Pairs(code)
+    P = _Pairs(ring.code)
     lms, pairs = P.lms, P.pairs
     while pairs or by_degree:
         d = min([s for s, _ in pairs.values()] + list(by_degree))
-        # rows are ((element index, monomial offset), polynomial); a half
-        # shared by two pairs is one row
-        rows = {}
-        covered = set()  # columns that an earlier leading monomial divides
+        # a half shared by two pairs is one row
+        halves = {}
         for key in sorted(k for k, (s, _) in pairs.items() if s == d):
             _, l = pairs.pop(key)
-            covered.add(l)
             for i in key:
-                rows[i, l - lms[i]] = G[i]
-        polys = list(rows.items()) + [((None, 0), g)
-                                      for g in by_degree.pop(d, [])]
-        # symbolic preprocessing: one reducer for every other column that an
-        # earlier leading monomial divides; polys grows while it is scanned
-        cols = set()
-        k = 0
-        while k < len(polys):
-            (_, off), f = polys[k]
-            k += 1
-            for m, _ in f.terms:
-                m += off
-                if m in cols:
-                    continue
-                cols.add(m)
-                if m in covered:
-                    continue
-                for i, lm in enumerate(lms):
-                    q = m - lm + K0
-                    if q >= 0 and not q & GUARD:
-                        covered.add(m)
-                        polys.append(((i, m - lm), G[i]))
-                        break
-        colmons = sorted(cols, reverse=True)
-        index = {m: c for c, m in enumerate(colmons)}
-        M = zeros_over(ring.field, (len(polys), len(colmons)))
-        for r, ((_, off), f) in enumerate(polys):
-            M[r, [index[m + off] for m, _ in f.terms]] = [c for _, c in f.terms]
-        R, piv = rref_mod(M, ring.field.p)
-        del M  # one degree's matrix alive at a time
-        lead = [colmons[c] for c in piv]
-        fresh = set(minimalize_monomials(lms + lead, code)).difference(lms)
-        for r, m in enumerate(lead):
-            if m in fresh:
-                nz = np.flatnonzero(R[r])
-                h = MPoly(ring, tuple(zip([colmons[c] for c in nz.tolist()],
-                                          R[r, nz].tolist())))
-                P.add(m, d)
-                G.append(h)
-        del R
+                halves[i, l - lms[i]] = G[i]
+        rows = [(off, f) for (_, off), f in halves.items()]
+        rows += [(0, g) for g in by_degree.pop(d, [])]
+        reducers, pivots, rest = symbolic_preprocessing(rows, G)
+        R, piv = rref_mod(reduce_rows(rows, reducers, pivots + rest),
+                          ring.field.p)
+        for r, c in enumerate(piv):
+            nz = np.flatnonzero(R[r])
+            P.add(rest[c], d)
+            G.append(MPoly(ring, tuple(zip([rest[k] for k in nz.tolist()],
+                                           R[r, nz].tolist()))))
+        del R  # one degree's matrices alive at a time
     return GroebnerBasis(sorted(G, key=lambda f: f.lm), ring)
 
 
-def minimalize_monomials(mons, code):
-    """The monomials that no other one divides, ascending.  A divisor is
-    never larger in a term order, so one ascending pass suffices."""
-    K0, GUARD = code.K0, code.GUARD
-    out = []
-    keys = []
-    for m in sorted(set(mons)):
-        if all((q := m - k) < 0 or q & GUARD for k in keys):
-            out.append(m)
-            keys.append(m - K0)
-    return out
+def symbolic_preprocessing(rows, G):
+    """The reducers of the rows (off, f), f times the monomial u with
+    off = u - K0, against G, monic with distinct leading monomials: for
+    every column m (a monomial of a row or of a reducer) that a leading
+    monomial of G divides, one reducer (m/lm) g, for the first g in G whose
+    leading monomial lm divides m.  Returns the reducers as (off, g), their
+    leading monomials (the pivots) and the other columns, both descending."""
+    K0, GUARD = rows[0][1].ring.code.K0, rows[0][1].ring.code.GUARD
+    lms = [g.lm for g in G]
+    polys = list(rows)  # grows while it is scanned
+    found = {}
+    cols = set()
+    for off, f in polys:
+        for m, _ in f.terms:
+            m += off
+            if m in cols:
+                continue
+            cols.add(m)
+            for g, lm in zip(G, lms):
+                q = m - lm + K0
+                if q >= 0 and not q & GUARD:
+                    found[m] = (m - lm, g)
+                    polys.append(found[m])
+                    break
+    pivots = sorted(found, reverse=True)
+    return ([found[m] for m in pivots], pivots,
+            sorted(cols.difference(found), reverse=True))
+
+
+def reduce_rows(rows, reducers, cols):
+    """The coordinates of the rows (off, f) modulo the reducers that
+    ``symbolic_preprocessing`` gave them, on the columns cols (the pivots,
+    then the rest) past the pivots: ``reduce_mod`` of the two coefficient
+    matrices, as the monic reducers are unit upper triangular on the
+    pivots."""
+    field = rows[0][1].ring.field
+    index = {m: c for c, m in enumerate(cols)}
+    R, T = (zeros_over(field, (len(x), len(cols))) for x in (reducers, rows))
+    for M, x in ((R, reducers), (T, rows)):
+        groups = {}  # one array write per polynomial
+        for r, (off, f) in enumerate(x):
+            groups.setdefault(id(f), (f, []))[1].append((r, off))
+        for f, at in groups.values():
+            ts, cs = zip(*f.terms)
+            M[[[r] for r, _ in at],
+              [[index[t + off] for t in ts] for _, off in at]] = cs
+    return reduce_mod(R, T, _modulus(field))
 
 
 def spair_audit(G: GroebnerBasis) -> bool:

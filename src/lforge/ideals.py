@@ -18,6 +18,7 @@ from math import comb
 import numpy as np
 
 from .groebner import GroebnerBasis, groebner_basis, normal_form
+from .groebner import reduce_rows, symbolic_preprocessing
 from .hilbert import HilbertData, _poly_add, _poly_trim
 from .linalg import (
     _kernel_mod,
@@ -162,13 +163,16 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
     HS(S/K) = (Σ_i HS(S/A_i) - HS(S/B)) / t^d (as for the colon and the
     intersection above); B's Hilbert data need homogeneous input.  One
     kernel_generators scan of the rank-1 free module, whose map in degree e
-    stacks the coordinates in (S/A_i)_{e + deg f_i} (GradedQuotient of the
-    span of A_i's generators times monomials, one form_matrix row) of f_i
-    times the monomials of degree e.  The ideal J of the generators through
-    degree e lies in K, so J = K once S/J has the series of S/K, checked
-    after each degree that adds generators; J keeps its Hilbert data.  A
-    span past CELL_BUDGET raises CellBudgetError from form_matrix."""
+    stacks the coordinates in (S/A_i)_{e + deg f_i} of f_i times the
+    monomials of degree e: their normal forms modulo A_i's reduced basis, on
+    the standard monomials they reach (groebner.symbolic_preprocessing and
+    reduce_rows, the reduction macaulay_basis makes; no span of A_i's
+    generators is built).  The ideal J of the generators through degree e
+    lies in K, so J = K once S/J has the series of S/K, checked after each
+    degree that adds generators; J keeps its Hilbert data.  Matrices past
+    CELL_BUDGET raise CellBudgetError before they are built."""
     ring = B.ring
+    K0 = ring.code.K0
     num = [-c for c in B.hilbert().numerator]
     for A, _ in blocks:
         num = _poly_add(num, A.hilbert().numerator)
@@ -176,14 +180,18 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
 
     def stacked():
         for e in count():
-            rows = []
+            coords = []
             for A, f in blocks:
-                k = e + f.degree()
-                # the span is not held while suspended
-                rows.append(GradedQuotient(ring.field, form_matrix(
-                    [A.gens], [k - g.degree() for g in A.gens], [k])
-                ).coordinates(multiplication_matrix(f, e, k)))
-            yield e, np.vstack(rows)
+                rows = [(m - K0, f) for m in ring.monomials_of_degree(e)]
+                reducers, pivots, rest = symbolic_preprocessing(
+                    rows, A.groebner().basis)
+                if (len(rows) + len(reducers)) * (len(pivots) + len(rest)
+                                                  ) > CELL_BUDGET:
+                    raise CellBudgetError(
+                        f"the colon in degree {e + f.degree()} passes the "
+                        f"budget {CELL_BUDGET}")
+                coords.append(reduce_rows(rows, reducers, pivots + rest).T)
+            yield e, np.vstack(coords)
 
     gens = []
     for e, G, _ in kernel_generators(FreeModule(ring, [0]), stacked(), None):
@@ -480,26 +488,6 @@ def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
     return out
 
 
-class GradedQuotient:
-    """Forms of degree k modulo the span of the columns of a matrix on
-    monomials_of_degree(k), from one kernel (K, free) = _kernel_mod(span^T).
-
-    Its free columns are the standard monomials, and the class of a vector
-    x has coordinates K^T x = x[free] - R[:, free]^T x[pivots] on them, R
-    the reduced row echelon form of span^T.  With the columns in descending
-    monomial order the pivots of the span of I_k are the leading monomials
-    LT(I)_k and the rows of R are reduced basis elements, so these
-    coordinates are normal forms modulo a reduced Groebner basis."""
-
-    def __init__(self, field, span):
-        self.field = field
-        self._K, self.free = _kernel_mod(span.T, _modulus(field))
-
-    def coordinates(self, X) -> np.ndarray:
-        """Coordinates of the classes of the columns of X, one column each."""
-        return matmul_over(self.field, self._K.T, X)
-
-
 # the largest matrix (in cells) a cover_map degree or a kernel_generators
 # step may build; past it the scan stops and reports itself incomplete
 CELL_BUDGET = 250_000_000
@@ -732,9 +720,10 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     status "inconclusive" and never claims reducedness.
 
     The slices are quotients of the spans of the generators' monomial
-    multiples (one form_matrix row), and the matrices of the operator are
-    quotient coordinates, which are normal forms: beyond the Hilbert data of
-    I the check needs no Groebner basis.
+    multiples (one form_matrix row), each the kernel (K, free) of the span's
+    transpose: the free columns are the standard monomials, and K^T gives
+    the coordinates of the operator's matrices, which are normal forms.
+    Beyond the Hilbert data of I the check needs no Groebner basis.
     """
     H = I.hilbert()
     if H.dim != 0:
@@ -748,14 +737,16 @@ def zero_dim_reduced_check(I: Ideal, seed=0) -> dict:
     ring = I.ring
     field = ring.field
     rng = as_rng(seed)
-    Qe, Qe1 = (GradedQuotient(field, form_matrix(
-        [I.gens], [k - g.degree() for g in I.gens], [k])) for k in (e, e + 1))
-    if len(Qe.free) != deg or len(Qe1.free) != deg:
+    (_, free), (K, free1) = (_kernel_mod(form_matrix(
+        [I.gens], [k - g.degree() for g in I.gens], [k]).T, _modulus(field))
+        for k in (e, e + 1))
+    if len(free) != deg or len(free1) != deg:
         # the generators disagree with the Hilbert data
         return {"reduced": False, "degree": deg, "status": "inconclusive"}
 
     def mult_matrix(ell):
-        return Qe1.coordinates(multiplication_matrix(ell, e, e + 1)[:, Qe.free])
+        return matmul_over(field, K.T,
+                           multiplication_matrix(ell, e, e + 1)[:, free])
 
     for attempt in range(5):
         l0 = ring.random_form(1, rng.fork(2 * attempt))

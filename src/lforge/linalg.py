@@ -32,6 +32,11 @@ is cast to the work dtype, the narrowest signed one that holds
 p + w (p-1)^2 (int16 for p = 17), subtracted, reduced with % and stored
 narrow.  A matrix of at most w columns is a single panel and goes straight
 to the unblocked pass.  At the end the pivot rows move to the top in place.
+
+``reduce_mod`` reduces rows modulo reducers that are unit upper triangular
+on their leading columns, and eliminates no reducer (the split of Faugere &
+Lachartre, PASCO 2010): ``groebner.reduce_rows`` gives it the Macaulay
+matrices of ``macaulay_basis`` and of the colon.
 """
 
 from __future__ import annotations
@@ -235,6 +240,35 @@ def rref_mod(A, p):
     return M, pivots
 
 
+def reduce_mod(R, T, p):
+    """The rows of T modulo those of R, over F_p, or over Q when p is None,
+    for R = [A | B] with A, its first r = len(R) columns, unit upper
+    triangular: the coordinates D - (C A^-1) B of the rows of T = [C | D]
+    on the columns past r.  T, a result of ``_as_array`` or ``zeros_over``,
+    is overwritten, and the result is a copy of its columns past r, which
+    does not hold the rest of T alive.
+
+    One left-looking pass over column blocks J: T_J -= X R_<J,J, X the
+    columns of T passed before J (one ``matmul_mod``), then on A's columns
+    X_J = T_J A_JJ^-1 (from the unblocked ``_eliminate``), so X = C A^-1.
+    A's blocks are w columns wide, w as in ``rref_mod`` (w = 1, A_JJ = 1,
+    over Q and for p past the float products), and B's fill _PRODUCT_CELLS:
+    A, B and X are only ever copied and cast a block at a time."""
+    r, cols = R.shape
+    w = _PANEL if p and _exact(p, _PANEL) in (np.float32, np.float64) else 1
+    starts = [*range(0, r, w),
+              *range(r, cols, max(w, _PRODUCT_CELLS // max(1, r)))]
+    for j0, j1 in zip(starts, starts[1:] + [cols]):
+        if k := min(j0, r):
+            X, S = T[:, :k], R[:k, j0:j1]
+            U = X @ S if p is None else matmul_mod(X, S, p).astype(_signed(p))
+            T[:, j0:j1] = _as_array(T[:, j0:j1] - U, p)
+        if j0 < r and w > 1:
+            inv = _eliminate(R[j0:j1, j0:j1].copy(), p, inverse=True)[2]
+            T[:, j0:j1] = matmul_mod(T[:, j0:j1], inv, p)
+    return T[:, r:].copy()
+
+
 def rank_mod(A, p) -> int:
     """Rank over F_p, or over Q when p is None."""
     return len(rref_mod(A, p)[1])
@@ -246,7 +280,8 @@ def _kernel_mod(A, p):
     in increasing order, with K[free] = I.  A kernel vector x satisfies
     x[pivots] = -R x[free], so it is determined by its free coordinates:
     x = K x[free].  The one kernel builder, behind nullspace_mod, the
-    syzygy resolver, ideals.GradedQuotient and ideals.linear_section_reduce."""
+    syzygy resolver, the graded quotients of rao and zero_dim_reduced_check
+    (on a span^T) and ideals.linear_section_reduce."""
     M, pivots = rref_mod(A, p)
     cols = M.shape[1]
     is_free = np.ones(cols, dtype=bool)

@@ -23,7 +23,6 @@ from .fields import PrimeField
 from .hilbert import HilbertData
 from .ideals import (
     CellBudgetError,
-    GradedQuotient,
     Ideal,
     cover_map,
     kernel_generators,
@@ -32,7 +31,7 @@ from .ideals import (
 )
 # rank_mod and rref_mod are unused here but stay bound: the benchmark's own
 # tests assert that its tracer rebinds rao.rank_mod and rao.rref_mod
-from .linalg import matmul_mod, rank_mod, rref_mod  # noqa: F401
+from .linalg import _kernel_mod, matmul_mod, rank_mod, rref_mod  # noqa: F401
 from .linalg import _as_array, zeros_over
 from .mpoly import PolynomialRing
 from .veronese import ProjectionSpec, secant_avoidance
@@ -134,12 +133,14 @@ class RaoModule:
         composed = spec.composed_forms()
         d = composed[0].degree()
         _, images = ring_map(composed, spec.target_ring)
-        quotients = [GradedQuotient(field, A)
-                     for _, A in islice(images, kmax + 1)]
-        dims = {k: len(Q.free) for k, Q in enumerate(quotients)}
+        # grade k is (K, free) of A_k^T: the standard monomials and the
+        # coordinates K^T on them
+        grades = [_kernel_mod(A.T, field.p)
+                  for _, A in islice(images, kmax + 1)]
+        dims = {k: len(free) for k, (_, free) in enumerate(grades)}
         actions = {
-            k: [quotients[k + 1].coordinates(multiplication_matrix(
-                    f, k * d, (k + 1) * d)[:, quotients[k].free])
+            k: [matmul_mod(grades[k + 1][0].T, multiplication_matrix(
+                    f, k * d, (k + 1) * d)[:, grades[k][1]], field.p)
                 for f in composed]
             for k in range(kmax)}
         return cls(field, spec.ncols, dims, actions, shift=2)
@@ -234,7 +235,7 @@ def _resolve(mod: RaoModule, hom_bound: int, deg_bound: int) -> BettiTable:
     gens = {}
     for k in mod.grades:
         span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
-        new = GradedQuotient(mod.field, span).free
+        new = _kernel_mod(span.T, mod.p)[1]
         if new.size:
             gens[k] = zeros_over(mod.field, (mod.dim(k), new.size))
             gens[k][new, np.arange(new.size)] = 1

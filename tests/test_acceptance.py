@@ -162,12 +162,11 @@ def test_pencil_singular_locus(d9_special_report):
     assert _normalize(Q_OFF_SURFACE) not in images
 
 
-# -- 4. bilinkage chain to degree 18 (long) ------------------------------
+# -- 4. bilinkage chain to degree 18 --------------------------------------
 
 
-@pytest.mark.slow
 def test_bilinkage_chain_degree18(no_fp_buchberger):
-    rep = run_experiment("d9-bilinkage-18", allow_long=True)
+    rep = run_experiment("d9-bilinkage-18")
     by = {a["label"]: a for a in rep.assertions}
     assert by["intermediate degree 27"]["ok"]
     assert by["final surface has degree 18"]["ok"]
@@ -294,12 +293,11 @@ def test_generic_cubic_singular_curve():
     assert rep.results["sing_dim_degree"] == [1, 6]
 
 
-# -- 9. degree-8 threefold chain (long, stretch) -------------------------
+# -- 9. degree-8 threefold chain (stretch) -------------------------------
 
 
-@pytest.mark.slow
 def test_t8_chain_to_degree17(no_fp_buchberger):
-    rep = run_experiment("t8-bilinkage-17", allow_long=True)
+    rep = run_experiment("t8-bilinkage-17")
     by = {a["label"]: a for a in rep.assertions}
     assert by["three independent cubics"]["ok"]
     assert by["generic projection has no cubics and 45 quartics"]["ok"]

@@ -61,11 +61,6 @@ def test_run_unknown_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_run_long_refused(capsys):
-    assert main(["run", "t8-bilinkage-17"]) == EXIT_REFUSED
-    assert "allow-long" in capsys.readouterr().err
-
-
 def test_run_qq_refused():
     assert main(["run", "gamma-tangent", "--field", "qq"]) == EXIT_REFUSED
 
@@ -111,7 +106,6 @@ def test_list_names_every_experiment(capsys):
     out = capsys.readouterr().out
     for name in ("d9-special", "ln-snf", "t8-bilinkage-17"):
         assert name in out
-    assert "[long]" in out
 
 
 def test_gb_subcommand(tmp_path, capsys):

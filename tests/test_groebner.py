@@ -10,7 +10,6 @@ from lforge.groebner import (
     buchberger,
     groebner_basis,
     macaulay_basis,
-    minimalize_monomials,
     normal_form,
     s_polynomial,
     spair_audit,
@@ -171,22 +170,6 @@ def test_lt_ideal_minimal():
         for j, b in enumerate(mons):
             if i != j:
                 assert code.divides(a, b) is None
-
-
-def test_minimalize_monomials_random():
-    rng = Rng(5)
-    code = R3.code
-    for _ in range(20):
-        mons = [code.pack(tuple(rng.randrange(4) for _ in range(3)))
-                for _ in range(8)]
-        mins = minimalize_monomials(mons, code)
-        # every input divisible by some kept one; kept ones pairwise incomparable
-        for m in mons:
-            assert any(code.divides(o, m) is not None for o in mins)
-        for i, a in enumerate(mins):
-            for j, b in enumerate(mins):
-                if i != j:
-                    assert code.divides(a, b) is None
 
 
 def test_reduced_basis_invariant_checked():

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from lforge import ideals
 from lforge.fields import GF, QQ
-from lforge.groebner import groebner_basis, normal_form
+from lforge.groebner import (
+    groebner_basis,
+    normal_form,
+    reduce_rows,
+    symbolic_preprocessing,
+)
 from lforge.ideals import (
     FreeModule,
-    GradedQuotient,
     Ideal,
     change_coordinates,
     cover_map,
@@ -32,6 +36,7 @@ from lforge.ideals import (
     zero_dim_reduced_check,
 )
 from lforge.linalg import (
+    _kernel_mod,
     _modulus,
     matmul_over,
     nullspace_over,
@@ -199,11 +204,33 @@ def test_intersect_and_quotient_refuse_inhomogeneous_input():
 
 
 def test_quotient_past_the_cell_budget_raises(monkeypatch):
-    # the span of (xy, xz^3) in degree 4, where z^3 is found, has 15 x 7
-    # cells
+    # (xy, xz^3) : x reduces x m, m of degree 3, in degree 4, where z^3 is
+    # found: 10 rows and 7 reducers on 10 columns, 170 cells; degree 3 has
+    # 6 rows and 3 reducers on 6 columns, 54 cells
     monkeypatch.setattr(ideals, "CELL_BUDGET", 104)
     with pytest.raises(ideals.CellBudgetError, match="degree 4"):
         quotient(Ideal(R3, [x * y, x * z**3]), Ideal(R3, [x]))
+
+
+def test_quotient_builds_no_span_of_the_ideal(monkeypatch):
+    # the colon reduces x m against the basis of (xy, xz^3): no form_matrix
+    # span of its generators, and no kernel but kernel_generators' one of
+    # the degree-e map, whose columns are the monomials of degree e
+    def refused(*args):
+        raise AssertionError("form_matrix inside the colon")
+
+    widths = []
+
+    def kernel(A, p):
+        widths.append(np.shape(A)[1])
+        return _kernel_mod(A, p)
+
+    monkeypatch.setattr(ideals, "form_matrix", refused)
+    monkeypatch.setattr(ideals, "_kernel_mod", kernel)
+    I = Ideal(R3, [x * y, x * z**3])
+    assert quotient(I, Ideal(R3, [x])) == Ideal(R3, [y, z**3])
+    assert widths == [len(R3.monomials_of_degree(e))
+                      for e in range(len(widths))]
 
 
 def test_saturate_fixed_point():
@@ -1035,18 +1062,20 @@ def test_graded_piece_rank_is_the_graded_piece_dim(case):
 
 @pytest.mark.parametrize("case", sorted(GRADED_CASES))
 def test_quotient_coordinates_are_normal_forms(case):
+    # the colon's rows ell m, reduced against the ideal's basis
     I = GRADED_CASES[case]()
     ring, field = I.ring, I.ring.field
     G = list(I.groebner())
     ell = ring.random_form(1, Rng(4))
     for e in range(5):
-        Q = GradedQuotient(field, span(I.gens, e + 1))
-        standard = [ring.monomials_of_degree(e + 1)[c] for c in Q.free]
-        coords = Q.coordinates(multiplication_matrix(ell, e, e + 1))
-        for m, col in zip(ring.monomials_of_degree(e), coords.T.tolist()):
+        mons = ring.monomials_of_degree(e)
+        rows = [(m - ring.code.K0, ell) for m in mons]
+        reducers, pivots, rest = symbolic_preprocessing(rows, G)
+        coords = reduce_rows(rows, reducers, pivots + rest)
+        for m, row in zip(mons, coords.tolist()):
             nf = normal_form(ell.mul_term(m, field.one), G)
-            # raises unless the normal form lives on the free columns
-            assert col == coefficient_vector(nf, standard)
+            # raises unless the normal form lives on the remaining columns
+            assert row == coefficient_vector(nf, rest)
 
 
 def _random_span(field, rng, n, rank, cols):
@@ -1062,8 +1091,9 @@ def _random_span(field, rng, n, rank, cols):
 @pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])
 @pytest.mark.parametrize("seed", range(4))
 def test_quotient_coordinates_match_the_pivot_formula(field, seed):
-    # the class of x has coordinates (x - R^T x[pivots])[free], R the RREF
-    # of span^T; spans of every rank, the empty span and the full one
+    # (K, free) = _kernel_mod(span^T) gives the class of x the coordinates
+    # K^T x = (x - R^T x[pivots])[free], R the RREF of span^T; spans of
+    # every rank, the empty span and the full one
     rng = Rng(seed)
     p = _modulus(field)
     n = 6 + seed
@@ -1076,9 +1106,9 @@ def test_quotient_coordinates_match_the_pivot_formula(field, seed):
         want = X - R.T @ X[pivots] if pivots else X
         if p is not None:
             want %= p
-        Q = GradedQuotient(field, span)
-        assert Q.free.tolist() == free
-        assert Q.coordinates(X).tolist() == want[free].tolist()
+        K, got = _kernel_mod(span.T, p)
+        assert got.tolist() == free
+        assert matmul_over(field, K.T, X).tolist() == want[free].tolist()
 
 
 def _section_by_pivots(I, forms):

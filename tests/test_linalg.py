@@ -236,6 +236,37 @@ def test_rref_pinned_sparse_matrix():
         "c57ea08c4eb3d94c814d716e6969a39a2efc4b40b18c7b47f7ce65f3be5cd80d")
 
 
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 17, 251, 65537, None]),
+       r=st.sampled_from([0, 1, W - 1, W, W + 1, 2 * W + 1]),
+       rest=st.sampled_from([0, 1, 9]), targets=st.sampled_from([0, 1, 7]),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=None, r=2 * W + 1, rest=9, targets=7, seed=0)
+@example(p=2, r=W, rest=9, targets=7, seed=1)
+@example(p=17, r=2 * W + 1, rest=9, targets=7, seed=2)
+@example(p=251, r=W + 1, rest=1, targets=7, seed=3)
+@example(p=65537, r=2 * W + 1, rest=9, targets=7, seed=4)
+def test_reduce_mod_matches_the_kernel(p, r, rest, targets, seed):
+    # T modulo the rows of R = [A | B], A unit upper triangular, against
+    # the quotient by R's row space that _kernel_mod gives: its free columns
+    # are those past A, and a row t has coordinates t K on them; over Q, A
+    # is sparse, so that the entries of A^-1 stay small
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, density=1.0 if p else 0.1):
+        lo, hi = (0, p) if p else (-2, 3)
+        return rng.integers(lo, hi, size=shape) * (rng.random(shape)
+                                                   < density)
+
+    A = np.triu(draw((r, r)), 1) + np.eye(r, dtype=np.int64)
+    R, T = np.hstack([A, draw((r, rest))]), draw((targets, r + rest))
+    K, free = linalg._kernel_mod(R, p)
+    assert free.tolist() == list(range(r, r + rest))
+    want = T.astype(object) @ K.astype(object)
+    got = linalg.reduce_mod(linalg._as_array(R, p), linalg._as_array(T, p), p)
+    assert got.tolist() == (want % p if p else want).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([2, 17, 251, 257, 509, 521, 65537, 2**31 - 1]),
        rows=st.sampled_from([1, 5, W, 4 * W]),
