@@ -26,6 +26,20 @@ columns, so each pivot is a new leading monomial, and its row is already the
 monic, fully reduced basis element.  The graded colon of ``ideals`` reduces
 its rows against a complete basis with the same two routines.
 
+Monomials by position.  The engine holds its polynomials in a TermTable:
+the exponent rows and coefficients of their terms, and the leading rows.
+A column is a position in the ring's monomials_of_degree(d), and every
+product u t of a row's monomial and a term is located by one gather over
+the ring's index (``PolynomialRing.suffix_positions``), a block of rows at
+a time.  The reducer of column m is the least element whose leading
+monomial divides m, read off the basis's cover array of degree d, which is
+built from degree d - 1's by dividing by each variable; the preprocessing
+scans the columns in waves of array operations, the reducers of one wave's
+new columns giving the next wave's, and ``reduce_rows`` fills each matrix
+with one fancy assignment per block.  New elements come out of
+``rref_mod`` as positions already.  The pair set takes its lcms and both
+criteria on exponent rows.
+
 Determinism: pair selection is by (sugar degree, packed lcm, indices); all
 container iteration is over sorted structures, so identical inputs give
 structurally identical bases.
@@ -34,29 +48,125 @@ structurally identical bases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import mul
 
 import numpy as np
 
 from .fields import PrimeField
 from .linalg import _modulus, reduce_mod, rref_mod, zeros_over
-from .mpoly import MPoly, RingMismatch
+from .mpoly import MPoly, RingMismatch, suffix_sums
+
+
+# the cover of a monomial that no leading monomial divides
+UNCOVERED = np.iinfo(np.intp).max
+
+
+class TermTable:
+    """Polynomials of one ring as rows: the exponent rows (int32) and the
+    coefficients (in ``zeros_over``'s dtype) of each one's terms, in its
+    term order, so that multiples of whole blocks of them are located by
+    ``PolynomialRing.positions``.  Read as a basis, ``cover(d)`` gives,
+    for every monomial of degree d, the least element whose leading
+    monomial divides it."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.polys: list[MPoly] = []
+        self.terms: list[np.ndarray] = []
+        self.coefs: list[np.ndarray] = []
+        self._flat = None
+        self._cover = None  # (degree, cover array of that degree)
+
+    @classmethod
+    def from_polys(cls, ring, polys):
+        """The table of polys, their monomials unpacked in one call."""
+        table = cls(ring)
+        rows = ring.code.unpack_rows([m for f in polys for m, _ in f.terms])
+        dtype = zeros_over(ring.field, 0).dtype
+        k = 0
+        for f in polys:
+            table.append(f, rows[k:k + len(f)],
+                         np.array([c for _, c in f.terms], dtype=dtype))
+            k += len(f)
+        return table
+
+    def __len__(self):
+        return len(self.polys)
+
+    def append(self, f: MPoly, rows, coefs):
+        """Add f, with the exponent rows and coefficients of its terms."""
+        self.polys.append(f)
+        self.terms.append(rows)
+        self.coefs.append(coefs)
+        self._flat = None
+        if self._cover is not None and rows[0].sum() < self._cover[0]:
+            self._cover = None  # the kept cover misses f
+
+    def flat(self):
+        """(suffixes, coefs, start, length, lead): the suffix sums
+        (mpoly.suffix_sums) and coefficients of all terms, one polynomial
+        after the other, where each polynomial's terms start and how many,
+        and the exponent rows of the leading monomials."""
+        if self._flat is None:
+            length = np.array([len(t) for t in self.terms], dtype=np.intp)
+            rows = (np.concatenate(self.terms) if self.terms
+                    else np.zeros((0, self.ring.nvars), dtype=np.int32))
+            start = np.cumsum(length) - length
+            self._flat = (suffix_sums(rows),
+                          np.concatenate(self.coefs) if self.coefs
+                          else zeros_over(self.ring.field, 0),
+                          start, length, rows[start])
+        return self._flat
+
+    @property
+    def lead(self) -> np.ndarray:
+        """The exponent rows of the leading monomials."""
+        return self.flat()[4]
+
+    def cover(self, d: int) -> np.ndarray:
+        """For each monomial of degree d, the least i whose leading monomial
+        divides it, or UNCOVERED.  Built from degree d - 1's array: lm_i
+        divides m of degree d iff lm_i = m or lm_i divides some m / x_j.
+        The last degree's array is kept, and the leading monomials of its
+        degree are entered again when it is extended, so elements appended
+        in that degree are covered."""
+        ring, lead = self.ring, self.lead
+        degs = lead.sum(axis=1)
+        if self._cover is not None and self._cover[0] <= d:
+            c, cover = self._cover
+        else:
+            c = min(d, int(degs.min(initial=d)))
+            cover = np.full(len(ring.exponents(c)), UNCOVERED)
+        while True:
+            np.minimum.at(cover, ring.positions(lead[degs == c], c),
+                          np.flatnonzero(degs == c))
+            if c == d:
+                break
+            c += 1
+            # a missing quotient (-1) reads the appended UNCOVERED
+            cover = np.append(cover, UNCOVERED)[
+                ring.quotient_positions(c)].min(axis=1)
+        self._cover = (d, cover)
+        return cover
 
 
 class GroebnerBasis:
-    __slots__ = ("basis", "ring")
+    """A reduced Groebner basis: ``basis`` sorted by leading monomial, and
+    ``lead``, the exponent rows of the leading monomials, unpacked in one
+    call."""
+
+    __slots__ = ("basis", "ring", "lead")
 
     def __init__(self, basis, ring):
         self.basis = tuple(basis)
         self.ring = ring
-        lms = [g.lm for g in self.basis]
-        code = ring.code
-        for i, a in enumerate(lms):
-            for j, b in enumerate(lms):
-                if i != j and code.divides(a, b) is not None:
-                    raise ValueError(
-                        "reduced basis has a leading monomial dividing another"
-                    )
+        self.lead = lead = ring.code.unpack_rows([g.lm for g in self.basis])
+        divides = (lead[:, None, :] >= lead[None, :, :]).all(axis=2)
+        np.fill_diagonal(divides, False)
+        if divides.any():
+            raise ValueError(
+                "reduced basis has a leading monomial dividing another")
 
     def __iter__(self):
         return iter(self.basis)
@@ -151,10 +261,11 @@ class _Pairs:
     lms[i] and sugars[i] are the leading monomial and sugar of element i,
     pairs maps (i, j) to (sugar, lcm), and redundant holds the indices of
     elements whose leading monomial a later one divides.  Each leading
-    monomial is unpacked once, when it is added: a packed monomial is
-    K0 + sum_k e_k (var(k) - K0), affine in its exponents e, so an lcm is
-    that sum over the larger exponents, and a support bitmask decides the
-    product criterion."""
+    monomial is unpacked once, when it is added, and the lcms and both
+    criteria are taken on exponent rows, all pairs of the newcomer at
+    once; a packed lcm is K0 + sum_k e_k (var(k) - K0), affine in its
+    exponents e.  The keys of the pairs are also kept as an array, with
+    those popped since it was last rebuilt, for the pruning step."""
 
     def __init__(self, code):
         self.code = code
@@ -162,57 +273,56 @@ class _Pairs:
         self.sugars: list[int] = []
         self.redundant: set[int] = set()
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self._exps: list[tuple] = []
-        self._supports: list[int] = []
+        self.exps = np.zeros((0, code.nvars), dtype=np.int32)
+        self._keys = np.zeros((0, 2), dtype=np.intp)
         self._steps = [code.var(k) - code.K0 for k in range(code.nvars)]
 
     def add(self, lmh: int, sugar: int):
         """Update the pairs for a new element with leading monomial lmh and
         the given sugar, which gets index len(lms)."""
-        code, lms, redundant, pairs = (self.code, self.lms, self.redundant,
-                                       self.pairs)
-        deg = code.deg
-        t = len(lms)
-        eh = code.unpack(lmh)
-        support = sum(1 << k for k, a in enumerate(eh) if a)
-        K0, GUARD, steps = code.K0, code.GUARD, self._steps
-        lcms = [K0 + sum(map(mul, map(max, ea, eh), steps))
-                for ea in self._exps]
-        cand = [(i, lcms[i]) for i in range(t) if i not in redundant]
-        kept = []
-        for i, l in cand:
-            if not self._supports[i] & support:
-                continue  # Buchberger product criterion
-            dominated = False
-            for j, lj in cand:
-                if j == i:
-                    continue
-                if lj != l and (q := l - lj + K0) >= 0 and not q & GUARD:
-                    dominated = True  # lj divides l
-                    break
-                if lj == l and j < i:
-                    dominated = True  # keep only the least index per lcm
-                    break
-            if not dominated:
-                kept.append((i, l))
+        pairs, E = self.pairs, self.exps
+        t = len(self.lms)
+        eh = np.array(self.code.unpack(lmh), dtype=np.int32)
+        L = np.maximum(E, eh)  # lcm(lm_i, lmh), one row per i
+        live = np.ones(t, dtype=bool)
+        live[list(self.redundant)] = False
+        cand = np.flatnonzero(live)
+        # the product criterion, then the chain criterion among all
+        # candidates: a strict divisor, or the same lcm at a lower index,
+        # drops a pair
+        rest = cand[((E[cand] > 0) & (eh > 0)).any(axis=1)]
+        A, C = L[rest], L[cand]
+        div = (A[:, None, :] >= C[None, :, :]).all(axis=2)  # C[b] | A[a]
+        same = div & (A[:, None, :] == C[None, :, :]).all(axis=2)
+        dominated = ((div & ~same).any(axis=1)
+                     | (same & (cand < rest[:, None])).any(axis=1))
+        kept = rest[~dominated]
         # prune old pairs strictly dominated by the newcomer
-        for (i, j), (s, l) in list(pairs.items()):
-            if ((q := l - lmh + K0) >= 0 and not q & GUARD
-                    and lcms[i] != l and lcms[j] != l):
-                del pairs[(i, j)]
-        for i, l in kept:
-            s = max(
-                self.sugars[i] + deg(l) - deg(lms[i]),
-                sugar + deg(l) - deg(lmh),
-            )
-            pairs[(i, t)] = (s, l)
-        for i in range(t):
-            if i not in redundant and code.divides(lmh, lms[i]) is not None:
-                redundant.add(i)
-        lms.append(lmh)
+        if pairs:
+            if len(self._keys) > 2 * len(pairs):
+                self._keys = np.fromiter(chain.from_iterable(pairs),
+                                         dtype=np.intp,
+                                         count=2 * len(pairs)).reshape(-1, 2)
+            i, j = self._keys.T
+            Lij = np.maximum(E[i], E[j])
+            drop = ((Lij >= eh).all(axis=1) & (L[i] != Lij).any(axis=1)
+                    & (L[j] != Lij).any(axis=1))
+            for key in self._keys[drop].tolist():
+                pairs.pop(tuple(key), None)
+        degs, dh = L.sum(axis=1).tolist(), int(eh.sum())
+        lead_degs = E.sum(axis=1).tolist()
+        K0, steps = self.code.K0, self._steps
+        for i in kept.tolist():
+            s = max(self.sugars[i] + degs[i] - lead_degs[i],
+                    sugar + degs[i] - dh)
+            pairs[(i, t)] = (s, K0 + sum(map(mul, L[i].tolist(), steps)))
+        self._keys = np.vstack([self._keys, np.column_stack(
+            [kept, np.full(len(kept), t)])])
+        self.redundant.update(
+            cand[(E[cand] >= eh).all(axis=1)].tolist())
+        self.lms.append(lmh)
         self.sugars.append(sugar)
-        self._exps.append(eh)
-        self._supports.append(support)
+        self.exps = np.vstack([E, eh])
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -283,80 +393,126 @@ def macaulay_basis(gens) -> GroebnerBasis:
         if by_degree is None or not isinstance(ring.field, PrimeField):
             raise ValueError(
                 "macaulay_basis needs homogeneous generators over F_p")
-    G: list[MPoly] = []
+    B = TermTable(ring)
     # pairs maps (i, j) to (degree, lcm); P.redundant stays empty (see the
     # module docstring)
     P = _Pairs(ring.code)
-    lms, pairs = P.lms, P.pairs
+    pairs = P.pairs
     while pairs or by_degree:
         d = min([s for s, _ in pairs.values()] + list(by_degree))
-        # a half shared by two pairs is one row
+        # a half shared by two pairs is one row: (i, lcm) -> the pair
         halves = {}
         for key in sorted(k for k, (s, _) in pairs.items() if s == d):
             _, l = pairs.pop(key)
             for i in key:
-                halves[i, l - lms[i]] = G[i]
-        rows = [(off, f) for (_, off), f in halves.items()]
-        rows += [(0, g) for g in by_degree.pop(d, [])]
-        reducers, pivots, rest = symbolic_preprocessing(rows, G)
-        R, piv = rref_mod(reduce_rows(rows, reducers, pivots + rest),
+                halves.setdefault((i, l), key)
+        ids = np.array([i for i, _ in halves], dtype=np.intp)
+        ij = np.array(list(halves.values()), dtype=np.intp).reshape(-1, 2)
+        lcms = np.maximum(P.exps[ij[:, 0]], P.exps[ij[:, 1]])
+        rows = [((lcms - P.exps[ids]).astype(np.int32), ids, B)]
+        if d in by_degree:
+            X = TermTable.from_polys(ring, by_degree.pop(d))
+            rows.append((np.zeros((len(X), ring.nvars), dtype=np.int32),
+                         np.arange(len(X)), X))
+        pivots, rest = symbolic_preprocessing(rows, B, d)
+        R, piv = rref_mod(reduce_rows(rows, B, pivots, rest, d),
                           ring.field.p)
-        for r, c in enumerate(piv):
-            nz = np.flatnonzero(R[r])
-            P.add(rest[c], d)
-            G.append(MPoly(ring, tuple(zip([rest[k] for k in nz.tolist()],
-                                           R[r, nz].tolist()))))
+        # the pivot rows' terms, row by row; each column is packed once
+        r, c = np.nonzero(R[:len(piv)])
+        coefs = R[r, c]
         del R  # one degree's matrices alive at a time
-    return GroebnerBasis(sorted(G, key=lambda f: f.lm), ring)
+        E = ring.exponents(d)[rest]
+        mons = ring.code.pack_rows(E) if len(piv) else []
+        c, cs = c.tolist(), coefs.tolist()
+        ends = np.cumsum(np.bincount(r, minlength=len(piv))).tolist()
+        for a, b in zip([0] + ends, ends):
+            f = MPoly(ring, tuple(zip([mons[k] for k in c[a:b]], cs[a:b])))
+            P.add(f.lm, d)
+            B.append(f, E[c[a:b]], coefs[a:b])
+    return GroebnerBasis(sorted(B.polys, key=lambda f: f.lm), ring)
 
 
-def symbolic_preprocessing(rows, G):
-    """The reducers of the rows (off, f), f times the monomial u with
-    off = u - K0, against G, monic with distinct leading monomials: for
-    every column m (a monomial of a row or of a reducer) that a leading
-    monomial of G divides, one reducer (m/lm) g, for the first g in G whose
-    leading monomial lm divides m.  Returns the reducers as (off, g), their
-    leading monomials (the pivots) and the other columns, both descending."""
-    K0, GUARD = rows[0][1].ring.code.K0, rows[0][1].ring.code.GUARD
-    lms = [g.lm for g in G]
-    polys = list(rows)  # grows while it is scanned
-    found = {}
-    cols = set()
-    for off, f in polys:
-        for m, _ in f.terms:
-            m += off
-            if m in cols:
+def _products(rows, d):
+    """For row sets (U, ids, table), row r of a set being the polynomial
+    table.polys[ids[r]] times the monomial of exponent row U[r], of degree
+    d: blocks (r, at, c), each term of each row of a block of rows, r the
+    row's index counted across the sets, at its position in
+    monomials_of_degree(d) and c its coefficient.  A block holds about
+    _BLOCK terms, so the exponent rows and ranks stay small."""
+    top = 0
+    for U, ids, table in rows:
+        S, C, start, length, _ = table.flat()
+        SU = suffix_sums(U)  # the suffix sums of a product add up
+        lens = length[ids]
+        ends = np.cumsum(lens)
+        cuts = [0, *np.searchsorted(ends, range(_BLOCK, int(ends[-1]) if
+                                                len(ends) else 0, _BLOCK),
+                                    side="right").tolist(), len(ids)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:
                 continue
-            cols.add(m)
-            for g, lm in zip(G, lms):
-                q = m - lm + K0
-                if q >= 0 and not q & GUARD:
-                    found[m] = (m - lm, g)
-                    polys.append(found[m])
-                    break
-    pivots = sorted(found, reverse=True)
-    return ([found[m] for m in pivots], pivots,
-            sorted(cols.difference(found), reverse=True))
+            first = ends[lo:hi] - lens[lo:hi]
+            t = (np.arange(first[0], ends[hi - 1])
+                 + np.repeat(start[ids[lo:hi]] - first, lens[lo:hi]))
+            s = np.repeat(SU[:, lo:hi], lens[lo:hi], axis=1)
+            s += S.take(t, axis=1)
+            yield (top + np.repeat(np.arange(lo, hi), lens[lo:hi]),
+                   table.ring.suffix_positions(s, d), C.take(t))
+        top += len(ids)
 
 
-def reduce_rows(rows, reducers, cols):
-    """The coordinates of the rows (off, f) modulo the reducers that
-    ``symbolic_preprocessing`` gave them, on the columns cols (the pivots,
-    then the rest) past the pivots: ``reduce_mod`` of the two coefficient
-    matrices, as the monic reducers are unit upper triangular on the
-    pivots."""
-    field = rows[0][1].ring.field
-    index = {m: c for c, m in enumerate(cols)}
-    R, T = (zeros_over(field, (len(x), len(cols))) for x in (reducers, rows))
-    for M, x in ((R, reducers), (T, rows)):
-        groups = {}  # one array write per polynomial
-        for r, (off, f) in enumerate(x):
-            groups.setdefault(id(f), (f, []))[1].append((r, off))
-        for f, at in groups.values():
-            ts, cs = zip(*f.terms)
-            M[[[r] for r, _ in at],
-              [[index[t + off] for t in ts] for _, off in at]] = cs
-    return reduce_mod(R, T, _modulus(field))
+# terms per block of _products
+_BLOCK = 1 << 15
+
+
+def symbolic_preprocessing(rows, basis: TermTable, d: int):
+    """The columns of the row sets rows (see _products), of degree d,
+    against the basis: every monomial of a row or of a reducer, each
+    reducer being (m / lm) g for a column m that a leading monomial lm of
+    the basis divides, g = basis.cover(d)[m], the least such element.  The
+    columns are scanned in waves: the reducers of one wave's new columns
+    give the next wave's.  Returns (pivots, rest), the positions in
+    monomials_of_degree(d) of the reducers' leading monomials and of the
+    other columns, both ascending (descending in the order)."""
+    ring = basis.ring
+    cover = basis.cover(d)
+    E, lead = ring.exponents(d), basis.lead
+    seen = np.zeros(len(cover), dtype=bool)
+    while True:
+        fresh = np.zeros_like(seen)
+        for _, at, _ in _products(rows, d):
+            fresh[at] = True
+        fresh &= ~seen
+        if not fresh.any():
+            break
+        seen |= fresh
+        new = np.flatnonzero(fresh)
+        new = new[cover[new] != UNCOVERED]
+        rows = [(E[new] - lead[cover[new]], cover[new], basis)]
+    covered = cover != UNCOVERED
+    return np.flatnonzero(seen & covered), np.flatnonzero(seen & ~covered)
+
+
+def reduce_rows(rows, basis: TermTable, pivots, rest, d: int):
+    """The coordinates of the row sets rows modulo their reducers (see
+    symbolic_preprocessing, whose pivots and rest these are) on the columns
+    rest: ``reduce_mod`` of the two coefficient matrices, as the monic
+    reducers are unit upper triangular on the pivots.  Each block of
+    _products is one fancy assignment."""
+    ring = basis.ring
+    g = basis.cover(d)[pivots]
+    reducers = [(ring.exponents(d)[pivots] - basis.lead[g], g, basis)]
+    column = np.empty(len(ring.exponents(d)), dtype=np.intp)
+    column[pivots] = np.arange(len(pivots))
+    column[rest] = np.arange(len(pivots), len(pivots) + len(rest))
+    ncols = len(pivots) + len(rest)
+    M = []
+    for sets in (reducers, rows):
+        M.append(zeros_over(ring.field, (sum(len(x[1]) for x in sets),
+                                         ncols)))
+        for r, at, c in _products(sets, d):
+            M[-1][r, column[at]] = c
+    return reduce_mod(M[0], M[1], _modulus(ring.field))
 
 
 def spair_audit(G: GroebnerBasis) -> bool:

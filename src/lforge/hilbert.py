@@ -14,13 +14,28 @@ from __future__ import annotations
 
 from math import comb
 
+# _minimalize packs an exponent tuple into slots of _SLOT bits, the top bit
+# of each a guard: exponents stay below it, as EXP_CAP = 2^16 < 2^(_SLOT - 1)
+_SLOT = 20
+
 
 def _minimalize(gens):
+    """The minimal ones among the exponent tuples gens, sorted by (degree,
+    tuple).  m divides g iff no slot of (g | guards) - m borrows, that is,
+    iff every guard bit survives the one subtraction."""
     gens = sorted(set(gens), key=lambda g: (sum(g), g))
-    out = []
+    if not gens:
+        return []
+    guard = sum(1 << (_SLOT * k + _SLOT - 1) for k in range(len(gens[0])))
+    out, packed = [], []
     for g in gens:
-        if not any(all(x >= y for x, y in zip(g, m)) for m in out):
+        pg = sum(e << (_SLOT * k) for k, e in enumerate(g)) | guard
+        for m in packed:
+            if (pg - m) & guard == guard:
+                break
+        else:
             out.append(g)
+            packed.append(pg & ~guard)
     return out
 
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .groebner import GroebnerBasis, groebner_basis, normal_form
+from .groebner import GroebnerBasis, TermTable, groebner_basis, normal_form
 from .groebner import reduce_rows, symbolic_preprocessing
 from .hilbert import HilbertData, _poly_add, _poly_trim
 from .linalg import (
@@ -98,7 +98,7 @@ class Ideal:
         if self._hilbert is None:
             if not self.is_homogeneous():
                 raise ValueError("Hilbert data needs a homogeneous ideal")
-            self._hilbert = _basis_hilbert(self.groebner(), self.ring)
+            self._hilbert = _basis_hilbert(self.groebner().lead)
         return self._hilbert
 
     def dim_degree(self):
@@ -122,12 +122,12 @@ def eliminate(I: Ideal, k: int) -> Ideal:
     if k >= ring.nvars:
         raise ValueError("cannot eliminate every variable")
     G = I.groebner(TermOrder.block(k))
-    unpack = G.ring.code.unpack
     small = PolynomialRing(ring.field, ring.names[k:])
     # under the block order g is free of the first k variables iff its
     # leading monomial is
-    return Ideal(small, [small.convert(g) for g in G
-                         if not any(unpack(g.lm)[:k])])
+    free = ~G.lead[:, :k].any(axis=1)
+    return Ideal(small, [small.convert(g) for g, keep in zip(G, free)
+                         if keep])
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -166,31 +166,34 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
     stacks the coordinates in (S/A_i)_{e + deg f_i} of f_i times the
     monomials of degree e: their normal forms modulo A_i's reduced basis, on
     the standard monomials they reach (groebner.symbolic_preprocessing and
-    reduce_rows, the reduction macaulay_basis makes; no span of A_i's
-    generators is built).  The ideal J of the generators through degree e
-    lies in K, so J = K once S/J has the series of S/K, checked after each
-    degree that adds generators; J keeps its Hilbert data.  Matrices past
-    CELL_BUDGET raise CellBudgetError before they are built."""
+    reduce_rows on a TermTable of the basis, the reduction macaulay_basis
+    makes; no span of A_i's generators is built).  The ideal J of the
+    generators through degree e lies in K, so J = K once S/J has the series
+    of S/K, checked after each degree that adds generators; J keeps its
+    Hilbert data.  Matrices past CELL_BUDGET raise CellBudgetError before
+    they are built."""
     ring = B.ring
-    K0 = ring.code.K0
     num = [-c for c in B.hilbert().numerator]
     for A, _ in blocks:
         num = _poly_add(num, A.hilbert().numerator)
     target = _poly_trim(num)[d:]
 
     def stacked():
+        tables = [(TermTable.from_polys(ring, A.groebner().basis),
+                   TermTable.from_polys(ring, [f]), f.degree())
+                  for A, f in blocks]
         for e in count():
+            U = ring.exponents(e)
             coords = []
-            for A, f in blocks:
-                rows = [(m - K0, f) for m in ring.monomials_of_degree(e)]
-                reducers, pivots, rest = symbolic_preprocessing(
-                    rows, A.groebner().basis)
-                if (len(rows) + len(reducers)) * (len(pivots) + len(rest)
-                                                  ) > CELL_BUDGET:
+            for basis, X, k in tables:
+                rows = [(U, np.zeros(len(U), dtype=np.intp), X)]
+                pivots, rest = symbolic_preprocessing(rows, basis, e + k)
+                if (len(U) + len(pivots)) * (len(pivots) + len(rest)
+                                             ) > CELL_BUDGET:
                     raise CellBudgetError(
-                        f"the colon in degree {e + f.degree()} passes the "
+                        f"the colon in degree {e + k} passes the "
                         f"budget {CELL_BUDGET}")
-                coords.append(reduce_rows(rows, reducers, pivots + rest).T)
+                coords.append(reduce_rows(rows, basis, pivots, rest, e + k).T)
             yield e, np.vstack(coords)
 
     gens = []
@@ -203,21 +206,21 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
                 return J
 
 
-def _divide_out_last_variable(gens, ring):
-    """From a grevlex reduced basis of a homogeneous ideal I, divide each
+def _divide_out_last_variable(G: GroebnerBasis):
+    """From a grevlex reduced basis G of a homogeneous ideal I, divide each
     element by its largest last-variable power: a basis of I : x_last^∞
     (Bayer's trick).
 
     For a homogeneous g under grevlex, the leading monomial carries the least
     power of the last variable among g's terms: all terms have one degree,
     and at equal degree grevlex compares that exponent first, the smaller
-    one winning.  So the power k to divide out is read off g.lm alone,
-    x_last^k divides every term, and dividing by one monomial keeps the
-    term order."""
+    one winning.  So the power k to divide out is read off g's leading
+    exponent row alone, x_last^k divides every term, and dividing by one
+    monomial keeps the term order."""
+    ring = G.ring
     code = ring.code
     out = []
-    for g in gens:
-        k = code.unpack(g.lm)[-1]
+    for g, k in zip(G, G.lead[:, -1].tolist()):
         if k:
             xk = code.pack((0,) * (ring.nvars - 1) + (k,))
             g = MPoly(ring, tuple((code.divides(xk, m), c)
@@ -231,11 +234,10 @@ def _hp_signature(H: HilbertData):
     return tuple(H.hilbert_polynomial_value(e) for e in range(H.n + 1))
 
 
-def _basis_hilbert(basis, ring) -> HilbertData:
+def _basis_hilbert(lead) -> HilbertData:
     """Hilbert data of the ideal a homogeneous Groebner basis generates,
-    read from its leading monomials."""
-    return HilbertData.from_exponents(
-        [ring.code.unpack(g.lm) for g in basis], ring.nvars)
+    read from the exponent rows lead of its leading monomials."""
+    return HilbertData.from_exponents(lead.tolist(), lead.shape[1])
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:
@@ -279,10 +281,11 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
         G = groebner_basis(change_coordinates(I.gens, fwd),
                            TermOrder.grevlex())
         if I._hilbert is None:
-            I._hilbert = _basis_hilbert(G, G.ring)
-        out = _divide_out_last_variable(list(G), G.ring)
-        J = Ideal(ring, change_coordinates(out, bwd))
-        J._hilbert = _basis_hilbert(out, G.ring)
+            I._hilbert = _basis_hilbert(G.lead)
+        J = Ideal(ring, change_coordinates(_divide_out_last_variable(G), bwd))
+        lead = G.lead.copy()
+        lead[:, -1] = 0
+        J._hilbert = _basis_hilbert(lead)
         return J, _hp_signature(J._hilbert) == _hp_signature(I._hilbert)
 
     for attempt in range(5):
@@ -407,18 +410,15 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     return ImageComputation(Ideal(target, gens), h0)
 
 
-def _product_positions(ring: PolynomialRing, ts, a: int, b: int):
-    """Index of m*t in ring.monomials_of_degree(b), one row per monomial t
-    in ts and one column per m in ring.monomials_of_degree(a); ValueError
-    unless every t has degree b - a."""
-    pos = ring.monomial_positions(b)
-    mons = ring.monomials_of_degree(a)
-    try:
-        flat = [pos[m + off] for off in [t - ring.code.K0 for t in ts]
-                for m in mons]
-    except KeyError:
-        raise ValueError(f"a term of degree other than {b - a}") from None
-    return np.array(flat, dtype=np.intp).reshape(len(ts), len(mons))
+def _product_positions(ring: PolynomialRing, T, a: int, b: int):
+    """Index of m*t in ring.monomials_of_degree(b), one row per exponent
+    row t of T and one column per m in ring.monomials_of_degree(a), one
+    gather over the ring's index; ValueError unless every t has degree
+    b - a (or there is no m)."""
+    E = ring.exponents(a)
+    if len(E) and (T.sum(axis=1) != b - a).any():
+        raise ValueError(f"a term of degree other than {b - a}")
+    return ring.positions(T[:, None, :] + E, b)
 
 
 def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
@@ -438,11 +438,12 @@ def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
     p = _modulus(ring.field)
     ts, cs = zip(*f.terms)
     b = a + ring.code.deg(ts[0])
-    out = zeros_over(ring.field, (len(ring.monomials_of_degree(b)),
+    out = zeros_over(ring.field, (len(ring.exponents(b)),
                                   V.shape[1]))
     r, k = np.nonzero(V)
     vals = V[r, k] if p is None else V[r, k].astype(np.int64)
-    for shifted, c in zip(_product_positions(ring, ts, a, b), cs):
+    for shifted, c in zip(_product_positions(
+            ring, ring.code.unpack_rows(ts), a, b), cs):
         dest = shifted[r]
         acc = out[dest, k] + c * vals
         out[dest, k] = acc if p is None else acc % p
@@ -461,20 +462,40 @@ def form_matrix(P, src, tgt) -> np.ndarray:
     and a matrix of more than CELL_BUDGET cells raises CellBudgetError
     before it is allocated."""
     ring = P[0][0].ring
-    rows = np.cumsum([0] + [len(ring.monomials_of_degree(b)) for b in tgt])
-    cols = np.cumsum([0] + [len(ring.monomials_of_degree(a)) for a in src])
+    rows = np.cumsum([0] + [len(ring.exponents(b)) for b in tgt])
+    cols = np.cumsum([0] + [len(ring.exponents(a)) for a in src])
     if rows[-1] * cols[-1] > CELL_BUDGET:
         raise CellBudgetError(f"a matrix of forms of degree {max(tgt)} "
                               f"passes the budget {CELL_BUDGET}")
     M = zeros_over(ring.field, (rows[-1], cols[-1]))
+    # the entries by (source, target) degree, placed in batches of about
+    # _BATCH cells: one unpack, one gather and one write per batch
+    groups: dict[tuple, list] = {}
     for i, b in enumerate(tgt):
         for j, a in enumerate(src):
             if P[i][j]:
-                ts, cs = zip(*P[i][j].terms)
-                block = M[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
-                block[_product_positions(ring, ts, a, b),
-                      np.arange(block.shape[1])] = np.array(cs)[:, None]
+                groups.setdefault((a, b), []).append((rows[i], cols[j],
+                                                      P[i][j]))
+    for (a, b), entries in groups.items():
+        width, batch, cells = len(ring.exponents(a)), [], 0
+        for k, entry in enumerate(entries):
+            batch.append(entry)
+            cells += len(entry[2]) * width
+            if cells < _BATCH and k + 1 < len(entries):
+                continue
+            lens = [len(f) for _, _, f in batch]
+            at = _product_positions(ring, ring.code.unpack_rows(
+                [m for _, _, f in batch for m, _ in f.terms]), a, b)
+            r0 = np.repeat([r for r, _, _ in batch], lens)[:, None]
+            c0 = np.repeat([c for _, c, _ in batch], lens)[:, None]
+            M[r0 + at, c0 + np.arange(width)] = np.array(
+                [c for _, _, f in batch for _, c in f.terms])[:, None]
+            batch, cells = [], 0
     return M
+
+
+# cells of form_matrix placed per batch
+_BATCH = 1 << 18
 
 
 def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
@@ -501,45 +522,36 @@ class FreeModule:
     """Graded free module over a polynomial ring with generators of the given
     degrees.  Its degree-t basis is the pairs (i, m), m a monomial of degree
     t - deg(generator i), generator by generator and then in the order of
-    monomials_of_degree; multiplication by a variable maps basis elements to
-    basis elements."""
+    monomials_of_degree, so generator i's block starts at offsets(t)[i];
+    multiplication by a variable maps basis elements to basis elements, and
+    ``var_map`` finds their positions with the ring's index."""
 
     def __init__(self, ring: PolynomialRing, gen_degrees):
         self.ring = ring
         self.gen_degrees = list(gen_degrees)
-        self._basis = {}
-        self._pos = {}
         self._var_maps = {}
 
-    def basis(self, t: int):
-        if t not in self._basis:
-            out = []
-            for i, a in enumerate(self.gen_degrees):
-                if t >= a:
-                    out.extend((i, m)
-                               for m in self.ring.monomials_of_degree(t - a))
-            self._basis[t] = out
-            self._pos[t] = {bm: idx for idx, bm in enumerate(out)}
-        return self._basis[t]
-
-    def positions(self, t: int) -> dict:
-        """Index of each basis element of degree t in basis(t)."""
-        self.basis(t)
-        return self._pos[t]
+    def offsets(self, t: int) -> np.ndarray:
+        """Where each generator's block starts in degree t, then the
+        dimension."""
+        return np.cumsum([0] + [len(self.ring.exponents(t - a))
+                                for a in self.gen_degrees])
 
     def dim(self, t: int) -> int:
-        return len(self.basis(t))
+        return int(self.offsets(t)[-1])
 
     def var_map(self, t: int, j: int) -> np.ndarray:
         """Index array: position of x_j * (basis element of degree t)
         inside the degree-(t+1) basis."""
         if (t, j) not in self._var_maps:
-            code = self.ring.code
-            v = code.var(j)
-            pos = self.positions(t + 1)
-            self._var_maps[t, j] = np.array(
-                [pos[(i, code.mul(m, v))] for i, m in self.basis(t)],
-                dtype=np.intp)
+            ring, up = self.ring, self.offsets(t + 1)
+            unit = np.eye(ring.nvars, dtype=np.int32)[j]
+            shifted = {a: ring.positions(ring.exponents(t - a) + unit,
+                                         t + 1 - a)
+                       for a in set(self.gen_degrees)}
+            self._var_maps[t, j] = np.concatenate(
+                [up[i] + shifted[a] for i, a in enumerate(self.gen_degrees)]
+                ).astype(np.intp)
         return self._var_maps[t, j]
 
     def mul_vectors(self, t: int, j: int, V: np.ndarray) -> np.ndarray:
@@ -561,15 +573,20 @@ def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
     a generator is x_j times that of m / x_j, x_j the first variable of m,
     so each degree takes one mul per first variable on the degree before
     it, and the generator lets go of that degree before it yields the new
-    one.  It raises CellBudgetError instead of building a matrix of more
-    than CELL_BUDGET cells."""
+    one; the first variables and the positions of the m / x_j are gathers
+    over the ring's index (PolynomialRing.quotient_positions).  It raises
+    CellBudgetError instead of building a matrix of more than CELL_BUDGET
+    cells."""
     degrees = sorted(gens)
     free = FreeModule(ring, [t for t in degrees
                              for _ in range(gens[t].shape[1])])
-    gen_vecs = [gens[t][:, c] for t in degrees
-                for c in range(gens[t].shape[1])]
-    code = ring.code
-    xs = [code.var(j) for j in range(ring.nvars)]
+
+    def first_parents(k):
+        """The first variable j of each monomial m of degree k >= 1 and the
+        position of m / x_j in degree k - 1."""
+        first = (ring.exponents(k) > 0).argmax(axis=1)
+        return first, ring.quotient_positions(k)[np.arange(len(first)),
+                                                  first]
 
     def images():
         A = None
@@ -579,18 +596,27 @@ def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
                                       f"passes the budget {CELL_BUDGET}")
             below = A
             A = zeros_over(ring.field, (target_dim(t), free.dim(t)))
-            groups: dict[int, tuple[list, list]] = {}
-            for idx, (i, m) in enumerate(free.basis(t)):
-                if m == code.one:
-                    A[:, idx] = gen_vecs[i]
-                    continue
-                j = next(j for j, e in enumerate(code.unpack(m)) if e)
-                cols, parents = groups.setdefault(j, ([], []))
-                cols.append(idx)
-                parents.append(
-                    free.positions(t - 1)[(i, code.divides(xs[j], m))])
-            for j, (cols, parents) in groups.items():
-                A[:, cols] = mul(t - 1, j, below[:, parents])
+            at, down = free.offsets(t), free.offsets(t - 1)
+            if t in gens:  # the generators of degree t, in order
+                A[:, at[free.gen_degrees.index(t)] + np.arange(
+                    gens[t].shape[1])] = gens[t]
+            split = {a: first_parents(t - a)
+                     for a in set(free.gen_degrees) if a < t}
+            firsts, cols, parents = [], [], []
+            for i, a in enumerate(free.gen_degrees):
+                if a < t:
+                    first, parent = split[a]
+                    firsts.append(first)
+                    cols.append(at[i] + np.arange(len(first)))
+                    parents.append(down[i] + parent)
+            if firsts:
+                firsts, cols, parents = map(np.concatenate,
+                                            (firsts, cols, parents))
+                for j in range(ring.nvars):
+                    mine = firsts == j
+                    if mine.any():
+                        A[:, cols[mine]] = mul(t - 1, j,
+                                               below[:, parents[mine]])
             # not held while suspended: the caller may drop degree t - 1
             below = None
             yield t, A
@@ -612,7 +638,7 @@ def ring_map(forms, target: PolynomialRing):
         raise ValueError("forms of different degrees")
 
     def dim(t):
-        return len(source.monomials_of_degree(d * t))
+        return len(source.exponents(d * t))
 
     def mul(t, i, V):
         if forms[i]:

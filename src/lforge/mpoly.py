@@ -8,12 +8,31 @@ Polynomials from different rings never combine.
 PolynomialRing.dot is the one sum-of-products kernel, and a product is its
 one-term case: products are added into one dict of unreduced sums (ints over
 F_p, Fractions over Q), which from_dict maps into the field and sorts once.
+
+Monomials by position.  For each degree d the ring keeps, once asked, one
+index of monomials_of_degree(d): its exponent rows (``exponents``), taken
+from the exponent_vectors enumeration that gives the monomials, and the
+permutation perm_d that the packed-int sort applies to that enumeration.
+The enumeration's own rank of an exponent row e is
+
+    lexrank(e) = sum_{k < n-1} C(s_k + n - k - 2, n - k - 1),
+    s_k = e_{k+1} + ... + e_{n-1} = d - e_0 - ... - e_k,
+
+so the position of e in monomials_of_degree(d) is perm_d[lexrank(e)]
+(``positions``): one table lookup per variable and one gather, over whole
+arrays of rows, with no dict and no radix.  The suffix sums s_k add under
+multiplication, so the positions of the products of two blocks of
+monomials need only their suffix sums (``suffix_sums``,
+``suffix_positions``).  Packed ints stay the representation of an MPoly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
+
+import numpy as np
 
 from .fields import FieldError
 from .orders import MonomialCode, TermOrder
@@ -42,8 +61,9 @@ class PolynomialRing:
         self._index = {n: i for i, n in enumerate(names)}
         if len(self._index) != len(names):
             raise ValueError("duplicate variable names")
-        self._mon_cache: dict[int, list[int]] = {}
-        self._pos_cache: dict[int, dict[int, int]] = {}
+        # degree -> (exponent rows, perm, rank table), and the monomials
+        self._degrees: dict[int, tuple] = {}
+        self._monomials: dict[int, list[int]] = {}
         cls._cache[key] = self
         return self
 
@@ -116,21 +136,61 @@ class PolynomialRing:
 
     # -- monomial enumeration -----------------------------------------
 
-    def monomials_of_degree(self, d: int) -> list[int]:
-        """All packed monomials of total degree d, descending in the order."""
-        if d not in self._mon_cache:
-            pack = self.code.pack
-            mons = [pack(e) for e in exponent_vectors(self.nvars, d)]
-            mons.sort(reverse=True)
-            self._mon_cache[d] = mons
-        return self._mon_cache[d]
+    def _degree(self, d: int) -> tuple:
+        """The index of degree d (see the module docstring), built once:
+        (exponent rows, perm_d, rank table)."""
+        if d not in self._degrees:
+            n = self.nvars
+            rows = exponent_vectors(n, d)
+            order = self.code.sort_rows(rows)
+            perm = np.empty(len(rows), dtype=np.int32)
+            perm[order] = np.arange(len(rows))
+            # rank[k, s] = C(s + n - k - 2, n - k - 1), s = 0..d
+            top = max(d, 0) + 1
+            rank = np.array([[comb(s + n - k - 2, n - k - 1)
+                              for s in range(top)] for k in range(n - 1)],
+                            dtype=np.int32).reshape(n - 1, top)
+            self._degrees[d] = (rows[order], perm, rank)
+        return self._degrees[d]
 
-    def monomial_positions(self, d: int) -> dict[int, int]:
-        """Index of each degree-d monomial in monomials_of_degree(d)."""
-        if d not in self._pos_cache:
-            self._pos_cache[d] = {
-                m: i for i, m in enumerate(self.monomials_of_degree(d))}
-        return self._pos_cache[d]
+    def monomials_of_degree(self, d: int) -> list[int]:
+        """All packed monomials of total degree d, descending in the order:
+        the exponent rows of degree d, packed once asked."""
+        if d not in self._monomials:
+            self._monomials[d] = self.code.pack_rows(self.exponents(d))
+        return self._monomials[d]
+
+    def exponents(self, d: int) -> np.ndarray:
+        """The exponent rows of monomials_of_degree(d), in its order (int32,
+        read-only by convention)."""
+        return self._degree(d)[0]
+
+    def positions(self, E, d: int) -> np.ndarray:
+        """The index in monomials_of_degree(d) of every exponent row of E,
+        an int array whose last axis runs over the variables.  Each row
+        must have degree d and no negative entry; nothing checks that."""
+        return self.suffix_positions(suffix_sums(E), d)
+
+    def suffix_positions(self, S, d: int) -> np.ndarray:
+        """positions of the monomials of degree d whose suffix sums are S,
+        as suffix_sums gives them: perm_d of the sum of one rank table
+        lookup per variable."""
+        _, perm, rank = self._degree(d)
+        acc = np.zeros(S.shape[1:], dtype=np.int32)
+        for k in range(self.nvars - 1):
+            acc += rank[k].take(S[k])
+        return perm.take(acc)
+
+    def quotient_positions(self, d: int) -> np.ndarray:
+        """The array Q with Q[m, j] the position of m / x_j in degree d - 1
+        for the m-th monomial of degree d, or -1 where x_j does not divide
+        it."""
+        E = self.exponents(d)
+        m, j = np.nonzero(E)
+        Q = np.full(E.shape, -1, dtype=np.intp)
+        Q[m, j] = self.positions(
+            E[m] - np.eye(self.nvars, dtype=np.int32)[j], d - 1)
+        return Q
 
     def random_form(self, degree: int, seed_or_rng) -> "MPoly":
         """Homogeneous form of the given degree; every monomial gets an
@@ -179,16 +239,31 @@ class PolynomialRing:
         return self.from_dict(d)
 
 
-def exponent_vectors(nvars: int, d: int):
-    """All exponent vectors of length nvars summing to d; none for d < 0."""
+def suffix_sums(E) -> np.ndarray:
+    """The suffix sums of the exponent rows of E (last axis the variables):
+    an int32 array whose row k, one entry per exponent row e, holds
+    e_{k+1} + ... + e_{n-1}, for k < n - 1."""
+    S = np.cumsum(E[..., :0:-1], axis=-1, dtype=np.int32)[..., ::-1]
+    return np.ascontiguousarray(np.moveaxis(S, -1, 0))
+
+
+def exponent_vectors(nvars: int, d: int) -> np.ndarray:
+    """All exponent vectors of length nvars summing to d, as the rows of an
+    int32 array: the first exponent descending, and for each the vectors of
+    the other variables in this order; none for d < 0."""
     if d < 0:
-        return
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in exponent_vectors(nvars - 1, d - first):
-            yield (first,) + rest
+        return np.zeros((0, nvars), dtype=np.int32)
+    # the vectors of the last k variables of every degree s <= d, by
+    # ascending degree; those of k + 1 variables and degree s are
+    # (s - |v|, v) for the v of degree <= s, in that order
+    rows = np.arange(d + 1, dtype=np.int32)[:, None]
+    for k in range(2, nvars + 1):
+        degs = rows.sum(axis=1, dtype=np.int32)
+        rows = np.vstack([
+            np.column_stack([s - degs[:c], rows[:c]])
+            for s in ([d] if k == nvars else range(d + 1))
+            for c in [np.searchsorted(degs, s, side="right")]])
+    return rows if nvars > 1 else rows[d:]
 
 
 class MPoly:

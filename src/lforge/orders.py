@@ -18,6 +18,9 @@ on division and overflow on multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 SLOT_BITS = 25  # 24 value bits + 1 guard bit
 VALUE_BITS = SLOT_BITS - 1
@@ -163,6 +166,58 @@ class MonomialCode:
                 (i,) = missing
                 exps[i] = total - sum(exps[j] for j in vs if j != i)
         return tuple(exps)
+
+    def unpack_rows(self, ms) -> np.ndarray:
+        """unpack of every packed monomial of ms at once: one int32 exponent
+        row per monomial.  Each slot is read from the four little-endian
+        bytes of the monomial that hold it (a slot is 25 bits wide)."""
+        width = self.shifts[0] // 8 + 4
+        raw = np.frombuffer(b"".join(map(int.to_bytes, ms, repeat(width),
+                                         repeat("little"))),
+                            dtype=np.uint8).reshape(-1, width)
+        out = np.empty((len(raw), self.nvars), dtype=np.int32)
+        for (kind, *arg), sh in zip(self.slots, self.shifts):
+            if kind in ("exp", "cexp"):
+                word = raw[:, sh // 8:sh // 8 + 4].copy().view("<u4")[:, 0]
+                v = (word >> (sh % 8)) & SLOT_MAX
+                out[:, arg[0]] = v if kind == "exp" else SLOT_MAX - v
+        return out
+
+    def _slot_values(self, E) -> list:
+        """The slot values of the exponent rows E, most significant first,
+        one array each (a slot value is below 2^24)."""
+        E = np.asarray(E, dtype=np.int32).reshape(-1, self.nvars)
+        out = []
+        for kind, arg in self.slots:
+            if kind == "deg":
+                out.append(E[:, list(arg)].sum(axis=1))
+            elif kind == "wdeg":
+                out.append((E * np.array(arg, dtype=np.int32)).sum(axis=1))
+            else:
+                out.append(E[:, arg] if kind == "exp" else SLOT_MAX - E[:, arg])
+        return out
+
+    def sort_rows(self, E) -> np.ndarray:
+        """The permutation that sorts the exponent rows E descending in the
+        order: packed ints compare as their slot values, most significant
+        first, so it is a lexsort of those."""
+        return np.lexsort(self._slot_values(E)[::-1])[::-1]
+
+    def pack_rows(self, E) -> list[int]:
+        """pack of every exponent row of E at once: each slot value is
+        written into the four little-endian bytes that hold it, and each
+        monomial is read off its bytes."""
+        E = np.asarray(E)
+        if E.size and (E.min() < 0 or E.max() > EXP_CAP):
+            raise ExponentOverflow(f"exponent outside [0, {EXP_CAP}]")
+        width = self.shifts[0] // 8 + 4
+        raw = np.zeros((len(E), width), dtype=np.uint8)
+        for v, sh in zip(self._slot_values(E), self.shifts):
+            word = (v.astype("<u4") << (sh % 8)).view(np.uint8)
+            raw[:, sh // 8:sh // 8 + 4] |= word.reshape(-1, 4)
+        b = raw.tobytes()
+        return [int.from_bytes(b[i:i + width], "little")
+                for i in range(0, len(b), width)]
 
     # -- fast operations ----------------------------------------------
 

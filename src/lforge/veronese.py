@@ -176,14 +176,11 @@ def build_LN(N, field=None) -> PolyMatrix:
     composed = [big.dot(forms, [row[j] for row in entries]) for j in range(6)]
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
     [(_, L)] = islice(ring_map(composed, target)[1], 3, 4)
-    pos9 = {m: r for r, m in enumerate(plane.monomials_of_degree(9))}
-    cols, at = [], []
-    for c, m in enumerate(big.monomials_of_degree(3 * (3 + D))):
-        ex, ey, ez, el, _ = big.code.unpack(m)
-        if ex + ey + ez == 9:
-            cols.append(c)
-            at.append((pos9[plane.code.pack((ex, ey, ez))], el))
-    r, k = np.array(at).T
+    # the rows of L on x^a y^b z^c l^k m^(D-k) with a + b + c = 9 hold the
+    # coefficient of l^k in row x^a y^b z^c of the plane's degree 9
+    E = big.exponents(3 * (3 + D))
+    cols = np.flatnonzero(E[:, :3].sum(axis=1) == 9)
+    r, k = plane.positions(E[cols, :3], 9), E[cols, 3]
     cube = zeros_over(field, (55, 3 * D + 1, 56))
     cube[r, k] = L[cols]
     return PolyMatrix([[UniPoly(field, cube[i, :, j], var) for j in range(56)]
@@ -253,7 +250,6 @@ def gamma_tangent_space(spec: ProjectionSpec):
     if U.shape[1] > 2:
         return 0
     w = nullspace_mod(L.T, p)[:, 0]
-    mons3_target = target.monomials_of_degree(3)
 
     # mult-by-v_a matrices, side by side: degree-6 coefficients -> degree-9
     mult = form_matrix([spec.forms], [6] * 10, [9])
@@ -261,15 +257,13 @@ def gamma_tangent_space(spec: ProjectionSpec):
     # partial of each target cubic monomial by each target variable,
     # evaluated on the composed forms: d(mon)/dy_b = a_b * mon/y_b, whose
     # image is a column of E2 (on mons6)
-    pos2 = target.monomial_positions(2)
-    code = target.code
+    E3 = target.exponents(3)
+    col, b = np.nonzero(E3)
+    quo = target.quotient_positions(3)[col, b]
     partial6 = zeros_over(field, (56, 6, 28))
-    for col, mon in enumerate(mons3_target):
-        for b, a in enumerate(code.unpack(mon)):
-            if a:
-                quo = code.divides(code.var(b), mon)
-                # widened: a * E2 wraps in uint8 once 3 (p-1) > 255
-                partial6[col, b] = a * E2[:, pos2[quo]].astype(np.int64) % p
+    # widened: a * E2 wraps in uint8 once 3 (p-1) > 255
+    partial6[col, b] = (E3[col, b, None] * E2[:, quo].T.astype(np.int64)
+                        % p)
     partial6 = partial6.reshape(56, 6 * 28)
 
     q = matmul_mod(w, mult, p).reshape(10, 28)

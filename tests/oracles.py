@@ -64,3 +64,85 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+# -- the monomial bookkeeping of the graded engine, on packed ints --------
+#
+# These are the loops that groebner and hilbert ran before they moved onto
+# exponent rows and the ring's monomial index; the tests check that the
+# array versions give the same answers.
+
+
+def symbolic_preprocessing_by_loop(rows, G):
+    """The reducers of the rows (off, f), f times the monomial u with
+    off = u - K0, against the list G: for every column m (a monomial of a
+    row or of a reducer) that a leading monomial of G divides, one reducer
+    (m - lm, g), for the first g in G whose leading monomial lm divides m.
+    Returns the reducers, their leading monomials (the pivots) and the
+    other columns, the last two descending."""
+    code = rows[0][1].ring.code
+    K0, GUARD = code.K0, code.GUARD
+    polys = list(rows)  # grows while it is scanned
+    found, cols = {}, set()
+    for off, f in polys:
+        for m, _ in f.terms:
+            m += off
+            if m in cols:
+                continue
+            cols.add(m)
+            for g in G:
+                q = m - g.lm + K0
+                if q >= 0 and not q & GUARD:
+                    found[m] = (m - g.lm, g)
+                    polys.append(found[m])
+                    break
+    pivots = sorted(found, reverse=True)
+    return ([found[m] for m in pivots], pivots,
+            sorted(cols.difference(found), reverse=True))
+
+
+class PackedPairs:
+    """The Gebauer-Moller pair set with every lcm and criterion taken on
+    packed monomials, one pair at a time: the same attributes as
+    groebner._Pairs."""
+
+    def __init__(self, code):
+        self.code = code
+        self.lms, self.sugars = [], []
+        self.redundant = set()
+        self.pairs = {}
+
+    def add(self, lmh, sugar):
+        code, lms, pairs = self.code, self.lms, self.pairs
+        t = len(lms)
+        lcms = [code.lcm(a, lmh) for a in lms]
+        cand = [i for i in range(t) if i not in self.redundant]
+        for i in cand:
+            if code.coprime(lms[i], lmh):
+                continue
+            l = lcms[i]
+            if any((lcms[j] != l and code.divides(lcms[j], l) is not None)
+                   or (lcms[j] == l and j < i) for j in cand if j != i):
+                continue
+            pairs[(i, t)] = (max(self.sugars[i] + code.deg(l)
+                                 - code.deg(lms[i]),
+                                 sugar + code.deg(l) - code.deg(lmh)), l)
+        for (i, j), (_, l) in list(pairs.items()):
+            if (j < t and code.divides(lmh, l) is not None
+                    and lcms[i] != l and lcms[j] != l):
+                del pairs[(i, j)]
+        self.redundant.update(i for i in cand
+                              if code.divides(lmh, lms[i]) is not None)
+        lms.append(lmh)
+        self.sugars.append(sugar)
+
+
+def minimalize_by_tuples(gens):
+    """The minimal exponent tuples of gens, sorted by (degree, tuple), by
+    comparing tuples one variable at a time."""
+    gens = sorted(set(gens), key=lambda g: (sum(g), g))
+    out = []
+    for g in gens:
+        if not any(all(x >= y for x, y in zip(g, m)) for m in out):
+            out.append(g)
+    return out

@@ -17,6 +17,7 @@ from lforge.groebner import (
 from lforge.mpoly import PolynomialRing, coefficient_vector, exponent_vectors
 from lforge.orders import TermOrder
 from lforge.rng import Rng
+from oracles import PackedPairs
 
 F17 = GF(17)
 R3 = PolynomialRing(F17, ("x", "y", "z"))
@@ -208,7 +209,8 @@ def homogeneous_ideals(draw):
                           ORDERS[order](n))
     gens = []
     for _ in range(draw(st.integers(1, 4))):
-        mons = list(exponent_vectors(n, draw(st.integers(1, 3))))
+        mons = [tuple(e) for e in
+                exponent_vectors(n, draw(st.integers(1, 3))).tolist()]
         support = draw(st.lists(st.sampled_from(mons), min_size=2,
                                 max_size=10, unique=True))
         gens.append(ring.from_dict({ring.code.pack(e): draw(
@@ -298,3 +300,27 @@ def test_pair_lcms_are_packed_lcms(order):
         a, b = pairs.lms[i], pairs.lms[j]
         assert l == code.lcm(a, b)
         assert not code.coprime(a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pair_set_is_the_packed_oracle(data):
+    # the same pairs, sugars, lcms and redundant elements as the packed-int
+    # loop after every add, with pairs popped in between as both engines
+    # pop them (which leaves popped keys in the pruning array)
+    order = data.draw(st.sampled_from(sorted(ORDERS)), label="order")
+    n = data.draw(st.integers(2, 5), label="n")
+    code = PolynomialRing(F17, tuple(f"x{i}" for i in range(n)),
+                          ORDERS[order](n)).code
+    P, Q = groebner._Pairs(code), PackedPairs(code)
+    for _ in range(data.draw(st.integers(1, 25))):
+        m = code.pack(tuple(data.draw(st.integers(0, 3)) for _ in range(n)))
+        sugar = code.deg(m) + data.draw(st.integers(0, 2))
+        P.add(m, sugar)
+        Q.add(m, sugar)
+        assert P.pairs == Q.pairs
+        assert P.redundant == Q.redundant
+        for key in data.draw(st.lists(st.sampled_from(sorted(Q.pairs)),
+                                      max_size=3, unique=True)
+                             if Q.pairs else st.just([])):
+            del P.pairs[key], Q.pairs[key]

@@ -28,7 +28,7 @@ def ideals(draw):
     gens = []
     for _ in range(draw(st.integers(2, 4))):
         d = draw(st.integers(2, 3))
-        mons = list(exponent_vectors(n, d))
+        mons = [tuple(e) for e in exponent_vectors(n, d).tolist()]
         support = draw(st.lists(st.sampled_from(mons), min_size=2,
                                 max_size=5, unique=True))
         gens.append({e: draw(st.integers(1, P - 1)) for e in support})
@@ -132,7 +132,7 @@ def test_hilbert_function_matches_sympy_standard_monomials(case):
            for g in sG]
     H = Ideal(ring, [to_lforge(ring, g) for g in gens]).hilbert()
     for e in range(7):
-        standard = [m for m in exponent_vectors(n, e)
+        standard = [m for m in exponent_vectors(n, e).tolist()
                     if not any(all(a >= b for a, b in zip(m, lt))
                                for lt in lts)]
         assert H.hf(e) == len(standard)

@@ -1,6 +1,11 @@
 from math import comb
 
-from lforge.hilbert import HilbertData
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import minimalize_by_tuples
+
+from lforge.hilbert import HilbertData, _minimalize
+from lforge.orders import EXP_CAP
 
 
 def test_zero_ideal():
@@ -90,3 +95,13 @@ def test_minimalization_insensitive():
     a = HilbertData.from_exponents([(1, 0), (2, 0), (1, 1)], 2)
     b = HilbertData.from_exponents([(1, 0)], 2)
     assert a.numerator == b.numerator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, EXP_CAP))
+                for _ in range(n)]), max_size=12)))
+def test_minimalize_is_the_tuple_loop(gens):
+    # the packed subtraction with guard bits against the tuple comparison,
+    # exponents up to EXP_CAP, order and output included
+    assert _minimalize(gens) == minimalize_by_tuples(gens)

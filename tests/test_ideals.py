@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lforge import ideals
 from lforge.fields import GF, QQ
 from lforge.groebner import (
+    TermTable,
     groebner_basis,
     normal_form,
     reduce_rows,
@@ -59,6 +60,7 @@ from oracles import (
     intersect_by_elimination,
     quotient_by_elimination,
     saturate,
+    symbolic_preprocessing_by_loop,
 )
 
 F17 = GF(17)
@@ -376,11 +378,11 @@ def test_divide_out_last_variable_matches_least_power_division(field, seed):
     gens = [f * u * v for u in R.gens() for v in R.gens()] + [g]
     forms = [R.var(i) + sum((R.var(j).scale(field.random(rng))
                              for j in range(i)), R.zero) for i in range(3)]
-    G = list(groebner_basis(change_coordinates(gens, forms)))
+    G = groebner_basis(change_coordinates(gens, forms))
     reference = [_least_power_division(h) for h in G]
     assert any(k for k, _ in reference)
     assert [R.code.unpack(h.lm)[-1] for h in G] == [k for k, _ in reference]
-    assert ideals._divide_out_last_variable(G, R) == [q for _, q in reference]
+    assert ideals._divide_out_last_variable(G) == [q for _, q in reference]
 
 
 LEX = PolynomialRing(F17, ("x", "y", "z", "w"), TermOrder.lex())
@@ -1065,17 +1067,20 @@ def test_quotient_coordinates_are_normal_forms(case):
     # the colon's rows ell m, reduced against the ideal's basis
     I = GRADED_CASES[case]()
     ring, field = I.ring, I.ring.field
-    G = list(I.groebner())
+    G = I.groebner()
     ell = ring.random_form(1, Rng(4))
     for e in range(5):
-        mons = ring.monomials_of_degree(e)
-        rows = [(m - ring.code.K0, ell) for m in mons]
-        reducers, pivots, rest = symbolic_preprocessing(rows, G)
-        coords = reduce_rows(rows, reducers, pivots + rest)
+        mons, U = ring.monomials_of_degree(e), ring.exponents(e)
+        rows = [(U, np.zeros(len(U), dtype=np.intp),
+                 TermTable.from_polys(ring, [ell]))]
+        basis = TermTable.from_polys(ring, list(G))
+        pivots, rest = symbolic_preprocessing(rows, basis, e + 1)
+        coords = reduce_rows(rows, basis, pivots, rest, e + 1)
+        columns = [ring.monomials_of_degree(e + 1)[c] for c in rest]
         for m, row in zip(mons, coords.tolist()):
-            nf = normal_form(ell.mul_term(m, field.one), G)
+            nf = normal_form(ell.mul_term(m, field.one), list(G))
             # raises unless the normal form lives on the remaining columns
-            assert row == coefficient_vector(nf, rest)
+            assert row == coefficient_vector(nf, columns)
 
 
 def _random_span(field, rng, n, rank, cols):
@@ -1086,6 +1091,71 @@ def _random_span(field, rng, n, rank, cols):
         B, dtype=object).reshape(rank, cols)
     out = zeros_over(field, (n, cols))
     return out + (M if field is QQ else M.astype(np.int64) % field.p)
+
+
+def _preprocess_both(rows, G, d):
+    """symbolic_preprocessing of the rows (u, f), f times the monomial u,
+    of degree d, against the list G, next to the packed-int loop; asserts
+    they give the same reducers, pivots and rest."""
+    ring = G[0].ring
+    K0 = ring.code.K0
+    reducers, pivots, rest = symbolic_preprocessing_by_loop(
+        [(u - K0, f) for u, f in rows], G)
+    basis = TermTable.from_polys(ring, G)
+    fs = TermTable.from_polys(ring, [f for _, f in rows])
+    new_pivots, new_rest = symbolic_preprocessing(
+        [(ring.code.unpack_rows([u for u, _ in rows]),
+          np.arange(len(rows)), fs)], basis, d)
+    mons = ring.monomials_of_degree(d)
+    assert [mons[c] for c in new_pivots] == pivots
+    assert [mons[c] for c in new_rest] == rest
+    assert [(m - G[i].lm, G[i]) for m, i in zip(
+        pivots, basis.cover(d)[new_pivots].tolist())] == reducers
+
+
+@pytest.mark.parametrize("case", sorted(GRADED_CASES))
+def test_symbolic_preprocessing_is_the_packed_loop(case):
+    # the colon's rows ell m against the ideal's basis, degree by degree
+    I = GRADED_CASES[case]()
+    ring = I.ring
+    G = list(I.groebner())
+    ell = ring.random_form(1, Rng(4))
+    for e in range(5):
+        _preprocess_both([(m, ell) for m in ring.monomials_of_degree(e)],
+                         G, e + 1)
+
+
+@st.composite
+def preprocessing_inputs(draw):
+    """Over GF(2), GF(17), GF(251) or GF(65537) in 2-4 variables: 1-6
+    homogeneous polynomials G of degrees 1-3, not a basis, whose leading
+    monomials may repeat and divide each other, and 1-6 rows u f of one
+    degree d."""
+    p = draw(st.sampled_from([2, 17, 251, 65537]))
+    n = draw(st.integers(2, 4))
+    ring = PolynomialRing(GF(p), tuple(f"x{i}" for i in range(n)))
+
+    def form(k):
+        support = draw(st.lists(st.sampled_from(ring.monomials_of_degree(k)),
+                                min_size=1, max_size=6, unique=True))
+        return ring.from_dict({m: draw(st.integers(1, p - 1))
+                               for m in support})
+
+    G = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 6)))]
+    G += draw(st.lists(st.sampled_from(G), max_size=2))  # repeated leads
+    d = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, min(3, d)))
+        rows.append((draw(st.sampled_from(ring.monomials_of_degree(d - k))),
+                     form(k)))
+    return rows, G, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(preprocessing_inputs())
+def test_symbolic_preprocessing_on_random_rows(data):
+    _preprocess_both(*data)
 
 
 @pytest.mark.parametrize("field", [F17, QQ], ids=["gf17", "qq"])

@@ -319,8 +319,9 @@ def test_monomials_of_degree():
 def test_exponent_vectors_count():
     from math import comb
 
-    assert len(list(exponent_vectors(4, 3))) == comb(3 + 3, 3)
-    assert list(exponent_vectors(1, 5)) == [(5,)]
+    assert len(exponent_vectors(4, 3)) == comb(3 + 3, 3)
+    assert exponent_vectors(1, 5).tolist() == [[5]]
+    assert exponent_vectors(3, -1).shape == (0, 3)
 
 
 def test_random_form_deterministic_homogeneous():
@@ -398,3 +399,112 @@ def test_ring_axioms_random(s1, s2, s3):
 def test_repr_parse_roundtrip():
     f = x**2 * y - 3 * z + 1
     assert parse_poly(repr(f), R) == f
+
+
+# -- the monomial index ------------------------------------------------
+
+INDEX_ORDERS = [(TermOrder.grevlex(), range(1, 8)), (TermOrder.lex(),
+                range(1, 8)), (TermOrder.block(2), range(3, 8)),
+                (TermOrder.weighted((1, 2, 3, 1)), [4])]
+
+
+def _enumeration(nvars, d):
+    """exponent_vectors' order, one recursive tuple at a time."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in _enumeration(nvars - 1, d - first):
+            yield (first,) + rest
+
+
+def _lexrank(e):
+    """The place of e in _enumeration(len(e), sum(e)), counted directly."""
+    return list(_enumeration(len(e), sum(e))).index(tuple(e))
+
+
+@pytest.mark.parametrize("order, ns", INDEX_ORDERS, ids=str)
+def test_monomial_index_is_the_packed_sort(order, ns):
+    # perm_d[lexrank(E_d)] = arange(N_d): positions of the exponent rows
+    # are their places in monomials_of_degree, which is the packed sort of
+    # the enumeration; and the enumeration is the recursive one
+    for n in ns:
+        ring = PolynomialRing(F17, tuple(f"v{i}" for i in range(n)), order)
+        for d in range(5 if n > 5 else 7):
+            vecs = list(_enumeration(n, d))
+            assert [tuple(e) for e in exponent_vectors(n, d).tolist()] == vecs
+            mons = ring.monomials_of_degree(d)
+            assert mons == sorted(map(ring.code.pack, vecs), reverse=True)
+            E = ring.exponents(d)
+            assert [ring.code.pack(tuple(e)) for e in E.tolist()] == mons
+            assert ring.positions(E, d).tolist() == list(range(len(mons)))
+            _, perm, _ = ring._degree(d)
+            assert [perm[_lexrank(e)] for e in E.tolist()[:20]] == list(
+                range(min(20, len(mons))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_and_quotient_positions_are_packed_lookups(data):
+    order, ns = data.draw(st.sampled_from(INDEX_ORDERS), label="order")
+    n = data.draw(st.sampled_from(list(ns)), label="n")
+    ring = PolynomialRing(F17, tuple(f"v{i}" for i in range(n)), order)
+    code = ring.code
+    a, c = (data.draw(st.integers(0, 3 if n > 5 else 5)) for _ in range(2))
+    at = {m: i for i, m in enumerate(ring.monomials_of_degree(a + c))}
+    us = data.draw(st.lists(st.sampled_from(ring.monomials_of_degree(a)),
+                            min_size=1, max_size=6))
+    ts = data.draw(st.lists(st.sampled_from(ring.monomials_of_degree(c)),
+                            min_size=1, max_size=6))
+    U, T = code.unpack_rows(us), code.unpack_rows(ts)
+    assert U.tolist() == [list(code.unpack(u)) for u in us]
+    assert ring.positions(U[:, None, :] + T[None], a + c).tolist() == [
+        [at[code.mul(u, t)] for t in ts] for u in us]
+    # the quotients m / x_j of every monomial of degree a + c
+    below = {m: i for i, m in enumerate(ring.monomials_of_degree(a + c - 1))}
+    Q = ring.quotient_positions(a + c)
+    for m, row in zip(ring.monomials_of_degree(a + c), Q.tolist()):
+        assert row == [below.get(code.divides(code.var(j), m), -1)
+                       for j in range(n)]
+
+
+def test_pack_rows_is_pack():
+    for order, ns in INDEX_ORDERS:
+        for n in ns:
+            code = PolynomialRing(F17, tuple(f"v{i}" for i in range(n)),
+                                  order).code
+            rows = [(0,) * n, (2**16,) + (0,) * (n - 1),
+                    tuple(range(n)), tuple(range(n, 0, -1))]
+            assert code.pack_rows(rows) == [code.pack(e) for e in rows]
+            assert code.unpack_rows(code.pack_rows(rows)).tolist() == [
+                list(e) for e in rows]
+            with pytest.raises(OverflowError):
+                code.pack_rows([(2**16 + 1,) + (0,) * (n - 1)])
+
+
+def test_graded_layer_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, a lazy import that a timed
+    # pass would pay; the graded layer uses masks and sorts instead
+    import os
+    import subprocess
+    import sys
+
+    import lforge
+    src = os.path.dirname(os.path.dirname(lforge.__file__))
+    script = (
+        "import sys\n"
+        "from lforge.fields import GF\n"
+        "from lforge.groebner import groebner_basis\n"
+        "from lforge.ideals import Ideal, kernel_generators, ring_map\n"
+        "from lforge.mpoly import PolynomialRing\n"
+        "R = PolynomialRing(GF(17), ('x', 'y', 'z'))\n"
+        "x, y, z = R.gens()\n"
+        "groebner_basis([x**2 - y*z, y**3 - x*z**2, x*y*z])\n"
+        "S = PolynomialRing(GF(17), ('a', 'b', 'c', 'd'))\n"
+        "list(kernel_generators(*ring_map([x**2, x*y, y*z, z**2], S), 3))\n"
+        "Ideal(R, [x**2 - y*z, y**3 - x*z**2]).hilbert()\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -277,15 +277,16 @@ def _cofactor_codimension(spec):
     target = spec.target_ring
     code = target.code
     (_, E2), (_, L) = islice(ring_map(spec.composed_forms(), target)[1], 2, 4)
-    pos2 = target.monomial_positions(2)
     # dL/dN[a, b] = mult_a @ partial[b]: column m of partial[b] is the image
-    # of d(m)/dy_b, a quadric, and mult_a multiplies by the cubic v_a
+    # of d(m)/dy_b, a quadric, and mult_a multiplies by the cubic v_a; the
+    # quadric m / y_b is found by its exponent row, with the ring's index
     partial = np.zeros((6, 28, 56), dtype=np.int64)
     for col, mon in enumerate(target.monomials_of_degree(3)):
         for b, e in enumerate(code.unpack(mon)):
             if e:
-                quo = code.divides(code.var(b), mon)
-                partial[b, :, col] = e * E2[:, pos2[quo]].astype(np.int64) % p
+                quo = np.array(code.unpack(code.divides(code.var(b), mon)))
+                at = target.positions(quo, 2)
+                partial[b, :, col] = e * E2[:, at].astype(np.int64) % p
     # widened, like u and w: w @ D @ u would wrap on narrow residues
     dL = [matmul_mod(multiplication_matrix(v, 6, 9), partial[b],
                      p).astype(np.int64)
