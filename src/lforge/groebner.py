@@ -261,11 +261,15 @@ class _Pairs:
     lms[i] and sugars[i] are the leading monomial and sugar of element i,
     pairs maps (i, j) to (sugar, lcm), and redundant holds the indices of
     elements whose leading monomial a later one divides.  Each leading
-    monomial is unpacked once, when it is added, and the lcms and both
-    criteria are taken on exponent rows, all pairs of the newcomer at
-    once; a packed lcm is K0 + sum_k e_k (var(k) - K0), affine in its
-    exponents e.  The keys of the pairs are also kept as an array, with
-    those popped since it was last rebuilt, for the pruning step."""
+    monomial is unpacked once, into row i of exps (which doubles when
+    full), and the lcms L[i] = lcm(lm_i, lmh) and both criteria are taken
+    on exponent rows in a few 2-D passes: an L[b] dividing L[a] has lower
+    degree unless the two are equal, so the chain criterion's mask "b
+    drops a" starts as (deg L[b], b) < (deg L[a], a) and ANDs in one
+    comparison per variable, and the prune tells lcms apart by degree.  A
+    packed lcm is K0 + sum_k e_k (var(k) - K0), affine in its exponents e.
+    The keys of the pairs are also kept as an array, with those popped
+    since it was last rebuilt, for the pruning step."""
 
     def __init__(self, code):
         self.code = code
@@ -273,31 +277,35 @@ class _Pairs:
         self.sugars: list[int] = []
         self.redundant: set[int] = set()
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self.exps = np.zeros((0, code.nvars), dtype=np.int32)
+        self.exps = np.zeros((16, code.nvars), dtype=np.int32)
+        self._live = np.ones(16, dtype=bool)  # not in redundant
         self._keys = np.zeros((0, 2), dtype=np.intp)
         self._steps = [code.var(k) - code.K0 for k in range(code.nvars)]
 
     def add(self, lmh: int, sugar: int):
         """Update the pairs for a new element with leading monomial lmh and
         the given sugar, which gets index len(lms)."""
-        pairs, E = self.pairs, self.exps
-        t = len(self.lms)
+        pairs, t = self.pairs, len(self.lms)
+        if t == len(self.exps):
+            self.exps = np.concatenate([self.exps, np.zeros_like(self.exps)])
+            self._live = np.concatenate([self._live, np.ones_like(self._live)])
+        E = self.exps[:t]
         eh = np.array(self.code.unpack(lmh), dtype=np.int32)
         L = np.maximum(E, eh)  # lcm(lm_i, lmh), one row per i
-        live = np.ones(t, dtype=bool)
-        live[list(self.redundant)] = False
-        cand = np.flatnonzero(live)
+        degs = L.sum(axis=1)
+        cand = np.flatnonzero(self._live[:t])
         # the product criterion, then the chain criterion among all
         # candidates: a strict divisor, or the same lcm at a lower index,
-        # drops a pair
+        # drops a pair; (deg L[b], b) < (deg L[a], a) as one integer
         rest = cand[((E[cand] > 0) & (eh > 0)).any(axis=1)]
+        rank = degs * t + np.arange(t)
         A, C = L[rest], L[cand]
-        div = (A[:, None, :] >= C[None, :, :]).all(axis=2)  # C[b] | A[a]
-        same = div & (A[:, None, :] == C[None, :, :]).all(axis=2)
-        dominated = ((div & ~same).any(axis=1)
-                     | (same & (cand < rest[:, None])).any(axis=1))
-        kept = rest[~dominated]
-        # prune old pairs strictly dominated by the newcomer
+        drops = rank[cand] < rank[rest, None]
+        for k in range(E.shape[1]):
+            drops &= C[:, k] <= A[:, k, None]
+        kept = rest[~drops.any(axis=1)]
+        # prune old pairs strictly dominated by the newcomer: lcm(lm_i, lmh)
+        # divides Lij, so it differs from Lij when its degree is lower
         if pairs:
             if len(self._keys) > 2 * len(pairs):
                 self._keys = np.fromiter(chain.from_iterable(pairs),
@@ -305,11 +313,11 @@ class _Pairs:
                                          count=2 * len(pairs)).reshape(-1, 2)
             i, j = self._keys.T
             Lij = np.maximum(E[i], E[j])
-            drop = ((Lij >= eh).all(axis=1) & (L[i] != Lij).any(axis=1)
-                    & (L[j] != Lij).any(axis=1))
+            dij = Lij.sum(axis=1)
+            drop = (Lij >= eh).all(axis=1) & (degs[i] < dij) & (degs[j] < dij)
             for key in self._keys[drop].tolist():
                 pairs.pop(tuple(key), None)
-        degs, dh = L.sum(axis=1).tolist(), int(eh.sum())
+        degs, dh = degs.tolist(), int(eh.sum())
         lead_degs = E.sum(axis=1).tolist()
         K0, steps = self.code.K0, self._steps
         for i in kept.tolist():
@@ -318,11 +326,12 @@ class _Pairs:
             pairs[(i, t)] = (s, K0 + sum(map(mul, L[i].tolist(), steps)))
         self._keys = np.vstack([self._keys, np.column_stack(
             [kept, np.full(len(kept), t)])])
-        self.redundant.update(
-            cand[(E[cand] >= eh).all(axis=1)].tolist())
+        gone = cand[(E[cand] >= eh).all(axis=1)]
+        self._live[gone] = False
+        self.redundant.update(gone.tolist())
+        self.exps[t] = eh
         self.lms.append(lmh)
         self.sugars.append(sugar)
-        self.exps = np.vstack([E, eh])
 
 
 def buchberger(gens) -> GroebnerBasis:

@@ -427,23 +427,21 @@ def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
     return form_matrix([[f]], [a], [b])
 
 
-def multiply_forms(f: MPoly, a: int, V) -> np.ndarray:
+def multiply_forms(ring: PolynomialRing, T, cs, a: int, V) -> np.ndarray:
     """The columns of V (forms of degree a on monomials_of_degree(a)) times
-    a nonzero form f, in zeros_over's dtype.  For each term c*t of f the
-    nonzero entries of V go, times c, to the rows of their monomials times
-    t; over F_p the residues are widened to int64 first and the sums
-    reduced mod p after each term, so they stay below p + (p-1)^2 < 2^63
-    for every p < 2^31."""
-    ring = f.ring
+    the nonzero form of ring with terms cs[i] * (the monomial of exponent
+    row T[i]), in zeros_over's dtype.  For each term c*t the nonzero
+    entries of V go, times c, to the rows of their monomials times t; over
+    F_p the residues are widened to int64 first and the sums reduced mod p
+    after each term, so they stay below p + (p-1)^2 < 2^63 for every
+    p < 2^31."""
     p = _modulus(ring.field)
-    ts, cs = zip(*f.terms)
-    b = a + ring.code.deg(ts[0])
+    b = a + int(T[0].sum())
     out = zeros_over(ring.field, (len(ring.exponents(b)),
                                   V.shape[1]))
     r, k = np.nonzero(V)
     vals = V[r, k] if p is None else V[r, k].astype(np.int64)
-    for shifted, c in zip(_product_positions(
-            ring, ring.code.unpack_rows(ts), a, b), cs):
+    for shifted, c in zip(_product_positions(ring, T, a, b), cs):
         dest = shifted[r]
         acc = out[dest, k] + c * vals
         out[dest, k] = acc if p is None else acc % p
@@ -636,13 +634,16 @@ def ring_map(forms, target: PolynomialRing):
     d = max(f.degree() for f in forms)
     if any(f and f.degree() != d for f in forms):
         raise ValueError("forms of different degrees")
+    # each nonzero form's exponent rows and coefficients, unpacked once
+    terms = [f and (source.code.unpack_rows([m for m, _ in f.terms]),
+                    [c for _, c in f.terms]) for f in forms]
 
     def dim(t):
         return len(source.exponents(d * t))
 
     def mul(t, i, V):
         if forms[i]:
-            return multiply_forms(forms[i], d * t, V)
+            return multiply_forms(source, *terms[i], d * t, V)
         return zeros_over(field, (dim(t + 1), V.shape[1]))
 
     return cover_map(target, {0: zeros_over(field, (1, 1)) + field.one},

@@ -306,14 +306,15 @@ class MPoly:
         return max(code.deg(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
-        """The common degree, or False.  Zero counts as homogeneous (-1)."""
+        """The common degree, or False.  Zero counts as homogeneous (-1).
+        When the degree leads the order, the first and last terms decide."""
         if not self.terms:
             return -1
-        deg = self.ring.code.deg
-        d = deg(self.terms[0][0])
-        for m, _ in self.terms[1:]:
-            if deg(m) != d:
-                return False
+        code = self.ring.code
+        d = code.deg(self.terms[0][0])
+        rest = self.terms[-1:] if code.degree_leads else self.terms[1:]
+        if any(code.deg(m) != d for m, _ in rest):
+            return False
         return d
 
     def constant_coefficient(self):

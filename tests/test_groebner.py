@@ -196,6 +196,30 @@ ORDERS = {
 }
 
 
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_is_homogeneous_is_the_term_scan(order):
+    # the degree of every term is the oracle; under grevlex is_homogeneous
+    # reads only the first and last terms, in the other orders it scans
+    rng = Rng(11)
+    kinds = set()
+    for n in (2, 3, 4):
+        ring = PolynomialRing(F17, tuple(f"x{i}" for i in range(n)),
+                              ORDERS[order](n))
+        for _ in range(80):
+            degs = [rng.randrange(4) for _ in range(1 + 2 * rng.randrange(2))]
+            mons = []
+            for _ in range(1 + rng.randrange(6)):
+                ms = ring.monomials_of_degree(degs[rng.randrange(len(degs))])
+                mons.append(ms[rng.randrange(len(ms))])
+            f = ring.from_dict({m: 1 + rng.randrange(16) for m in mons})
+            scan = {ring.code.deg(m) for m, _ in f.terms}
+            want = scan.pop() if len(scan) == 1 else False
+            got = f.is_homogeneous()
+            assert got == want and (got is False) == (want is False)
+            kinds.add(want is False)
+    assert kinds == {False, True}
+
+
 @st.composite
 def homogeneous_ideals(draw):
     """A ring over F_p for p in {2, 17, 32003, 2^31 - 1} (the last one takes
@@ -323,4 +347,32 @@ def test_pair_set_is_the_packed_oracle(data):
         for key in data.draw(st.lists(st.sampled_from(sorted(Q.pairs)),
                                       max_size=3, unique=True)
                              if Q.pairs else st.just([])):
+            del P.pairs[key], Q.pairs[key]
+
+
+@pytest.mark.parametrize("n,order", [(6, "grevlex"), (7, "weighted")])
+def test_pair_set_is_the_packed_oracle_at_scale(n, order):
+    # bases of the size F4 meets (150 elements in 6-7 variables, exponents
+    # up to 6), where the chain criterion's masks are large: leading
+    # monomials come in ascending degree, as F4 finds them, so few become
+    # redundant; they repeat from a pool, so equal lcms tie; and pairs are
+    # popped between adds
+    code = PolynomialRing(F17, tuple(f"x{i}" for i in range(n)),
+                          ORDERS[order](n)).code
+    rng = Rng(n)
+    pool = [code.pack(tuple(rng.randrange(7) for _ in range(n)))
+            for _ in range(40)]
+    lms = sorted((pool[rng.randrange(len(pool))] if rng.randrange(3) else
+                  code.pack(tuple(rng.randrange(7) for _ in range(n)))
+                  for _ in range(150)), key=code.deg)
+    P, Q = groebner._Pairs(code), PackedPairs(code)
+    for m in lms:
+        sugar = code.deg(m) + rng.randrange(3)
+        P.add(m, sugar)
+        Q.add(m, sugar)
+        assert P.pairs == Q.pairs
+        assert P.redundant == Q.redundant
+        keys = sorted(Q.pairs)
+        for _ in range(min(len(keys), rng.randrange(4))):
+            key = keys.pop(rng.randrange(len(keys)))
             del P.pairs[key], Q.pairs[key]

@@ -25,7 +25,7 @@ def pins():
 
 @pytest.mark.parametrize(
     "name,seed", [(name, None) for name in SUITE]
-    + [("d9-special", 1), ("d9-special", 3)])
+    + [("d9-special", seed) for seed in range(8)])
 def test_report_matches_pin(pins, name, seed, no_fp_buchberger):
     label = name if seed is None else f"{name}/seed={seed}"
     report = run_experiment(name, seed=seed, field="gf17", allow_long=False)
