@@ -48,7 +48,6 @@ structurally identical bases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -255,6 +254,16 @@ def _common_ring(gens, order):
     return gens, ring
 
 
+def _reserve(a, n: int):
+    """a with at least n rows: a itself, or a zero-filled copy that
+    doubles its length (or grows to n) with a's rows on top."""
+    if n <= len(a):
+        return a
+    out = np.zeros((max(n, 2 * len(a)),) + a.shape[1:], a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 class _Pairs:
     """The Gebauer-Moller pair set of a growing basis.
 
@@ -268,8 +277,10 @@ class _Pairs:
     drops a" starts as (deg L[b], b) < (deg L[a], a) and ANDs in one
     comparison per variable, and the prune tells lcms apart by degree.  A
     packed lcm is K0 + sum_k e_k (var(k) - K0), affine in its exponents e.
-    The keys of the pairs are also kept as an array, with those popped
-    since it was last rebuilt, for the pruning step."""
+    For the pruning step, the keys of the pairs are also kept as rows of
+    an array, beside each pair's lcm row and degree (arrays that double
+    when full); keys popped since the last compaction stay there until
+    they outnumber the live ones."""
 
     def __init__(self, code):
         self.code = code
@@ -278,17 +289,19 @@ class _Pairs:
         self.redundant: set[int] = set()
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self.exps = np.zeros((16, code.nvars), dtype=np.int32)
-        self._live = np.ones(16, dtype=bool)  # not in redundant
-        self._keys = np.zeros((0, 2), dtype=np.intp)
+        self._live = np.zeros(16, dtype=bool)  # not in redundant
+        self._nkeys = 0  # rows of _keys, _lcms and _ldegs in use
+        self._keys = np.zeros((16, 2), dtype=np.intp)
+        self._lcms = np.zeros((16, code.nvars), dtype=np.int32)
+        self._ldegs = np.zeros(16, dtype=np.int32)
         self._steps = [code.var(k) - code.K0 for k in range(code.nvars)]
 
     def add(self, lmh: int, sugar: int):
         """Update the pairs for a new element with leading monomial lmh and
         the given sugar, which gets index len(lms)."""
         pairs, t = self.pairs, len(self.lms)
-        if t == len(self.exps):
-            self.exps = np.concatenate([self.exps, np.zeros_like(self.exps)])
-            self._live = np.concatenate([self._live, np.ones_like(self._live)])
+        self.exps, self._live = _reserve(self.exps, t + 1), _reserve(
+            self._live, t + 1)
         E = self.exps[:t]
         eh = np.array(self.code.unpack(lmh), dtype=np.int32)
         L = np.maximum(E, eh)  # lcm(lm_i, lmh), one row per i
@@ -306,17 +319,26 @@ class _Pairs:
         kept = rest[~drops.any(axis=1)]
         # prune old pairs strictly dominated by the newcomer: lcm(lm_i, lmh)
         # divides Lij, so it differs from Lij when its degree is lower
-        if pairs:
-            if len(self._keys) > 2 * len(pairs):
-                self._keys = np.fromiter(chain.from_iterable(pairs),
-                                         dtype=np.intp,
-                                         count=2 * len(pairs)).reshape(-1, 2)
-            i, j = self._keys.T
-            Lij = np.maximum(E[i], E[j])
-            dij = Lij.sum(axis=1)
-            drop = (Lij >= eh).all(axis=1) & (degs[i] < dij) & (degs[j] < dij)
-            for key in self._keys[drop].tolist():
+        n = self._nkeys if pairs else 0  # no pairs: every key was popped
+        if n > 2 * len(pairs):  # compact: drop the keys popped since
+            keep = np.fromiter((key in pairs for key in map(
+                tuple, self._keys[:n].tolist())), dtype=bool, count=n)
+            n = int(keep.sum())
+            for a in (self._keys, self._lcms, self._ldegs):
+                a[:n] = a[:len(keep)][keep]
+        if n:
+            i, j = self._keys[:n].T
+            dij = self._ldegs[:n]
+            drop = ((self._lcms[:n] >= eh).all(axis=1) & (degs[i] < dij)
+                    & (degs[j] < dij))
+            for key in self._keys[:n][drop].tolist():
                 pairs.pop(tuple(key), None)
+        m = n + len(kept)
+        self._keys, self._lcms, self._ldegs = (
+            _reserve(a, m) for a in (self._keys, self._lcms, self._ldegs))
+        self._keys[n:m, 0], self._keys[n:m, 1] = kept, t
+        self._lcms[n:m], self._ldegs[n:m] = L[kept], degs[kept]
+        self._nkeys = m
         degs, dh = degs.tolist(), int(eh.sum())
         lead_degs = E.sum(axis=1).tolist()
         K0, steps = self.code.K0, self._steps
@@ -324,12 +346,10 @@ class _Pairs:
             s = max(self.sugars[i] + degs[i] - lead_degs[i],
                     sugar + degs[i] - dh)
             pairs[(i, t)] = (s, K0 + sum(map(mul, L[i].tolist(), steps)))
-        self._keys = np.vstack([self._keys, np.column_stack(
-            [kept, np.full(len(kept), t)])])
         gone = cand[(E[cand] >= eh).all(axis=1)]
         self._live[gone] = False
         self.redundant.update(gone.tolist())
-        self.exps[t] = eh
+        self.exps[t], self._live[t] = eh, True
         self.lms.append(lmh)
         self.sugars.append(sugar)
 

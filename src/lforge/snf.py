@@ -150,9 +150,24 @@ def _coeff_height(coeffs) -> int:
 # over F_p, ints reduced mod p between steps; over QQ, Fractions.
 
 
+_TABLES: dict[int, np.ndarray] = {}
+
+
 def _red(X, field):
-    """X reduced mod p in place (nothing to do over QQ)."""
-    return np.remainder(X, field.p, out=X) if field.char else X
+    """X reduced mod p in place (nothing to do over QQ).  An int16 array
+    (p <= 181) is looked up in a table of the residue of every int16,
+    indexed by its bit pattern, built once per p; `take` reads the
+    indices from an intp copy, so writing into X is safe."""
+    if not field.char:
+        return X
+    if X.dtype != np.int16:
+        return np.remainder(X, field.p, out=X)
+    table = _TABLES.get(field.p)
+    if table is None:
+        table = _TABLES[field.p] = np.arange(1 << 16, dtype=np.uint16).view(
+            np.int16) % np.int16(field.p)
+        table.flags.writeable = False  # shared by every call
+    return table.take(X.view(np.uint16), out=X, mode="clip")
 
 
 def _degrees(X):
@@ -189,22 +204,39 @@ def _divmod(X, d, field):
     return q, (rem[:, :nd - 1] != 0).any(axis=-1)
 
 
-def _sub_mul(Y, Q, B, field):
-    """Y - Q*B over the last axis, leading axes broadcast: in place when Y
-    is wide enough, else a widened copy.  Over F_p, `room` products (each
-    below p**2) are subtracted between reductions."""
+def _sub_mul(Y, Q, B, field, room: int):
+    """Y - Q*B over the last axis, leading axes broadcast, B taken as wide
+    as it is (trim it to its width first): in place when Y is wide enough,
+    else a widened copy.  Over F_p, `room` products (each below p**2) are
+    subtracted between reductions."""
     shifts = np.flatnonzero((Q != 0).reshape(-1, Q.shape[-1]).any(axis=0))
-    wb = _width(B)
+    wb = B.shape[-1]
     if not (shifts.size and wb):
         return Y
     Y = _pad(Y, int(shifts[-1]) + wb)
-    room = 1 if Y.dtype == object else (
-        (int(np.iinfo(Y.dtype).max) - field.p) // (field.p - 1) ** 2)
     for n, s in enumerate(shifts, 1):
-        Y[..., s:s + wb] -= Q[..., s:s + 1] * B[..., :wb]
+        Y[..., s:s + wb] -= Q[..., s:s + 1] * B
         if n % room == 0:
             _red(Y, field)
     return _red(Y, field)
+
+
+def _sweep(S, k: int, q, wq: int, field, room: int):
+    """S[k + 1 + i] -= q[i] * S[k] for every row i of the quotients q (of
+    width wq): the rows with a nonzero quotient are gathered into one
+    zero-padded block, updated by one _sub_mul and copied back out."""
+    rows = np.flatnonzero(q.any(axis=1))
+    if not rows.size:
+        return
+    Sk = S[k][:, :_width(S[k])]
+    idx = (k + 1 + rows).tolist()
+    block = np.zeros((len(idx), len(Sk), max(
+        [wq + Sk.shape[-1] - 1] + [S[i].shape[-1] for i in idx])), Sk.dtype)
+    for j, i in enumerate(idx):
+        block[j, :, :S[i].shape[-1]] = S[i]
+    _sub_mul(block, q[rows, None], Sk, field, room)
+    for j, i in enumerate(idx):
+        S[i] = block[j].copy()  # a view would keep the whole block alive
 
 
 def _to_matrix(rows, field, var) -> PolyMatrix:
@@ -221,9 +253,13 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
     explicit multiplication unless verify=False.
 
     A is one coefficient array; S1 is a list of rows and S2 of columns,
-    each as wide as its own largest degree.  Row k does not change while
-    it clears column k, so a sweep is one batched division and a few
-    shifted multiply-subtracts, and gives the entry-by-entry result.
+    each a coefficient array of its own.  Row k does not change while it
+    clears column k, so a sweep is one batched division and a few shifted
+    multiply-subtracts on A, and one gathered update of the transform rows
+    it touches: those with a nonzero quotient, in one zero-padded block,
+    against S[k] trimmed to its width.  It gives the entry-by-entry
+    result.  Over F_p for p <= 181 the coefficients are int16, and every
+    reduction mod p is one lookup in a table of all int16 residues.
     """
     field, var = M.field, M.var
     r, c = M.nrows, M.ncols
@@ -235,6 +271,9 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
         A[i, j, :len(M[i, j].coeffs)] = M[i, j].coeffs
     S1 = list(np.eye(r, dtype=dtype)[..., None])
     S2 = list(np.eye(c, dtype=dtype)[..., None])
+    # products subtracted between reductions, each below p**2
+    room = 1 if dtype is object else (
+        (int(np.iinfo(dtype).max) - field.p) // (field.p - 1) ** 2)
 
     k, n = 0, min(r, c)
     while k < n:
@@ -257,10 +296,10 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
             # transpose, which clears row k by column operations
             q, left = _divmod(A[k + 1:, k], piv, field)
             dirty = dirty or left.any()
-            A = _pad(A, _width(q) + _width(A[k]) - 1)
-            _sub_mul(A[k + 1:, k:], q[:, None], A[k, k:], field)
-            for i, qi in enumerate(q, k + 1):
-                S[i] = _sub_mul(S[i], qi[None], S[k], field)
+            wq, wk = _width(q), _width(A[k])
+            A = _pad(A, wq + wk - 1)
+            _sub_mul(A[k + 1:, k:], q[:, None], A[k, k:, :wk], field, room)
+            _sweep(S, k, q, wq, field, room)
             A = A.transpose(1, 0, 2)
         if dirty:
             continue
@@ -272,7 +311,7 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
             # row k += the offending row (-= -1 times it), then re-run
             off = k + 1 + int(np.argmax(bad.any(axis=1)))
             A[k] = _red(A[k] + A[off], field)
-            S1[k] = _sub_mul(S1[k], np.array([[-1]]), S1[off], field)
+            S1[k] = _sub_mul(S1[k], np.array([[-1]]), S1[off], field, room)
             continue
         k += 1
 

@@ -9,6 +9,9 @@ computes the kernel of a ring map the same way, from the graph ideal, and
 saturate iterates ideals.quotient, with no coordinate change and no
 Bayer division."""
 
+import numpy as np
+
+from lforge import snf
 from lforge.ideals import Ideal, eliminate, quotient
 from lforge.mpoly import PolynomialRing
 from lforge.orders import TermOrder
@@ -146,3 +149,101 @@ def minimalize_by_tuples(gens):
         if not any(all(x >= y for x, y in zip(g, m)) for m in out):
             out.append(g)
     return out
+
+
+# -- the Smith form's transform sweep, one row at a time ------------------
+#
+# The elimination loop of snf.smith_normal_form as it ran before each
+# sweep step became one gathered update: every row of S1 and S2 gets its
+# own shifted multiply-subtract, and every reduction is np.remainder.
+
+
+def _remainder(X, field):
+    return np.remainder(X, field.p, out=X) if field.char else X
+
+
+def _divmod_by_rows(X, d, field):
+    nd = len(d)
+    w = max(snf._width(X), nd)
+    rem = X[:, :w].copy()
+    q = np.zeros((len(X), w - nd + 1), X.dtype)
+    for t in range(w - nd, -1, -1):
+        q[:, t] = _remainder(rem[:, t + nd - 1] * field.inv(d[-1]), field)
+        rem[:, t:t + nd] = _remainder(rem[:, t:t + nd] - q[:, t, None] * d,
+                                      field)
+    return q, (rem[:, :nd - 1] != 0).any(axis=-1)
+
+
+def _sub_mul_by_rows(Y, Q, B, field):
+    shifts = np.flatnonzero((Q != 0).reshape(-1, Q.shape[-1]).any(axis=0))
+    wb = snf._width(B)
+    if not (shifts.size and wb):
+        return Y
+    Y = snf._pad(Y, int(shifts[-1]) + wb)
+    room = 1 if Y.dtype == object else (
+        (int(np.iinfo(Y.dtype).max) - field.p) // (field.p - 1) ** 2)
+    for n, s in enumerate(shifts, 1):
+        Y[..., s:s + wb] -= Q[..., s:s + 1] * B[..., :wb]
+        if n % room == 0:
+            _remainder(Y, field)
+    return _remainder(Y, field)
+
+
+def smith_normal_form_by_rows(M):
+    """(D, S1, S2) of snf.smith_normal_form(M), unverified, with the same
+    pivot rule, fold and monic steps, and each transform row updated on
+    its own."""
+    field, var = M.field, M.var
+    r, c = M.nrows, M.ncols
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if field.p ** 2 <= np.iinfo(t).max) if field.char else object
+    A = np.zeros((r, c, max([1] + [len(e.coeffs) for row in M.entries
+                                   for e in row])), dtype)
+    for i, j in np.ndindex(r, c):
+        A[i, j, :len(M[i, j].coeffs)] = M[i, j].coeffs
+    S1 = list(np.eye(r, dtype=dtype)[..., None])
+    S2 = list(np.eye(c, dtype=dtype)[..., None])
+    k, n = 0, min(r, c)
+    while k < n:
+        deg = snf._degrees(A[k:, k:])
+        if deg.max() < 0:
+            break
+        cands = np.argwhere(deg == deg[deg >= 0].min())
+        if dtype is object:
+            cands = [min(cands, key=lambda ij: snf._coeff_height(
+                A[k + ij[0], k + ij[1]]))]
+        pi, pj = k + cands[0]
+        A[[k, pi]] = A[[pi, k]]
+        S1[k], S1[pi] = S1[pi], S1[k]
+        A[:, [k, pj]] = A[:, [pj, k]]
+        S2[k], S2[pj] = S2[pj], S2[k]
+        piv = A[k, k, :snf._width(A[k, k])].copy()
+        dirty = False
+        for S in (S1, S2):
+            q, left = _divmod_by_rows(A[k + 1:, k], piv, field)
+            dirty = dirty or left.any()
+            A = snf._pad(A, snf._width(q) + snf._width(A[k]) - 1)
+            _sub_mul_by_rows(A[k + 1:, k:], q[:, None], A[k, k:], field)
+            for i, qi in enumerate(q, k + 1):
+                S[i] = _sub_mul_by_rows(S[i], qi[None], S[k], field)
+            A = A.transpose(1, 0, 2)
+        if dirty:
+            continue
+        block = A[k + 1:, k + 1:]
+        bad = len(piv) > 1 and _divmod_by_rows(
+            block.reshape(-1, A.shape[-1]), piv, field)[1].reshape(
+                block.shape[:2])
+        if np.any(bad):
+            off = k + 1 + int(np.argmax(bad.any(axis=1)))
+            A[k] = _remainder(A[k] + A[off], field)
+            S1[k] = _sub_mul_by_rows(S1[k], np.array([[-1]]), S1[off], field)
+            continue
+        k += 1
+    for i in range(n):
+        w = snf._width(A[i, i])
+        if w and A[i, i, w - 1] != 1:
+            u = field.inv(A[i, i, w - 1])
+            A[i] = _remainder(A[i] * u, field)
+            S1[i] = _remainder(S1[i] * u, field)
+    return (snf._to_matrix(A, field, var), snf._to_matrix(S1, field, var),
+            snf._to_matrix(zip(*S2), field, var))

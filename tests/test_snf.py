@@ -1,9 +1,10 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lforge import fixtures
+from lforge import fixtures, snf
 from lforge.fields import GF, QQ
 from lforge.ideals import matrix_det
 from lforge.linalg import rank_mod
@@ -18,6 +19,7 @@ from lforge.snf import (
 )
 from lforge.unipoly import UniPoly, gcd
 from lforge.veronese import build_LN
+from oracles import smith_normal_form_by_rows
 
 F17 = GF(17)
 LAM = UniPoly.x(F17)
@@ -102,9 +104,10 @@ def test_snf_transforms_unimodular():
         assert det.degree == 0 and not det.is_zero()
 
 
-def _ln_block(k):
-    """Leading k x (k+1) block of L_N(lambda) for the nlambda pencil."""
-    LN = build_LN(fixtures.nlambda_matrix(F17), F17)
+def _ln_block(k, N=None):
+    """Leading k x (k+1) block of L_N(lambda), for the nlambda pencil
+    unless the pencil N is given."""
+    LN = build_LN(fixtures.nlambda_matrix(F17) if N is None else N, F17)
     return PolyMatrix([row[:k + 1] for row in LN.entries[:k]], F17)
 
 
@@ -166,6 +169,77 @@ def test_snf_over_rationals_pinned_output():
         "S1": "ccd31acd8881f9fb3461cb75a2a77d682a3c709f408299df32f967f7f58a04dc",
         "S2": "bbb91339948be7c0105698ed666b6a52f2264ba1be9cc5a90eeb2ac99bb7b918",
     }
+
+
+def _field_matrix(rng, field, n, m, deg):
+    """n x m over field[lambda], a quarter of the entries zero, the others
+    of degree up to deg; over QQ, small fractions."""
+    def coeff():
+        if field.char:
+            return rng.randrange(field.p)
+        return Fraction(rng.randrange(-3, 4), 1 + rng.randrange(2))
+
+    return PolyMatrix([[UniPoly(field, [coeff() for _ in range(
+        rng.randrange(deg + 1) + 1)] if rng.randrange(4) else [])
+        for _ in range(m)] for _ in range(n)], field)
+
+
+@pytest.mark.parametrize("p", [2, 17, 181, 191, 65537, 0])
+def test_snf_gathered_sweep_is_the_row_by_row_oracle(p):
+    # int16 residues (2, 17, 181), int32 (191), int64 (65537), Fractions (QQ)
+    field = GF(p) if p else QQ
+    rng = Rng(p + 4)
+    for _ in range(12 if p else 6):
+        n, m = (2 + rng.randrange(7), 2 + rng.randrange(7)) if p else (
+            2 + rng.randrange(3), 2 + rng.randrange(3))
+        M = _field_matrix(rng, field, n, m, 3 if p else 2)
+        res = smith_normal_form(M, verify=False)
+        assert (res.D, res.S1, res.S2) == smith_normal_form_by_rows(M)
+
+
+def _seeded_pencil(instance):
+    """N0 + lambda N1, N0 and N1 drawn uniformly from 10 x 6 over F17: the
+    seeded pencils of the snf-pencil benchmark workload."""
+    rng = Rng(instance)
+    return [[UniPoly(F17, [rng.randrange(17), rng.randrange(17)])
+             for _ in range(6)] for _ in range(10)]
+
+
+def test_snf_k28_blocks_pinned_output():
+    # the k = 28 blocks of the nlambda pencil and of seeded pencil 1, as
+    # the row-by-row sweep gave them
+    digests = [_digests(smith_normal_form(_ln_block(28, N)))
+               for N in (None, _seeded_pencil(1))]
+    assert digests == [{
+        "D": "da95587e0e1a577017d738577aeddc0a524c3d761bd13649616f97305e85efa3",
+        "S1": "eb8cb51ccdc3ca57c27955ac689a7debf73b83d7d8be8e891f6da863ff74558f",
+        "S2": "f5c9bf935e55ba380223b3b02f41dbcc7500560a77c8b565d516fb4e950c6b45",
+    }, {
+        "D": "d4d5dd6f176dd5080d7ee693211f8d2b840dfc165dcfe8a61714472f33ad3c7a",
+        "S1": "fc4c73a4cd6645f23649ac0cf5ff794d71629b3c73b7fcd51c35e7d5f2e87b14",
+        "S2": "e31739176a27b55c31f3e33815eee4901ad30c4fde5e444ec91204c8fe062ef1",
+    }]
+
+
+@pytest.mark.parametrize("p", [2, 17, 181])
+def test_red_int16_table_is_remainder(p):
+    # every int16 value reduced in place, whole and through non-contiguous
+    # views (transposed, sliced, reversed, strided, as the sweeps reduce
+    # A), which must leave the elements outside the view alone
+    F = GF(p)
+    every = np.arange(-(1 << 15), 1 << 15, dtype=np.int16)
+    X = every.copy()
+    assert snf._red(X, F) is X
+    assert np.array_equal(X, np.remainder(every, p))
+    grid = every.reshape(64, 32, 32)
+    for cut in (np.s_[3:, 5:, ::3], np.s_[::-1, 1:, ::-2]):
+        Y = grid.copy()
+        view = Y.transpose(1, 0, 2)[cut]
+        assert snf._red(view, F) is view
+        inside = np.zeros(Y.shape, dtype=bool)
+        inside.transpose(1, 0, 2)[cut] = True
+        assert np.array_equal(Y[inside], np.remainder(grid, p)[inside])
+        assert np.array_equal(Y[~inside], grid[~inside])
 
 
 def test_snf_check_rejects_corrupted_transform():
