@@ -507,8 +507,9 @@ def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
     return out
 
 
-# the largest matrix (in cells) a cover_map degree or a kernel_generators
-# step may build; past it the scan stops and reports itself incomplete
+# the largest matrix (in cells) a cover_map degree, a kernel_generators step
+# or a Koszul map of rao may build; past it the scan stops and reports
+# itself incomplete
 CELL_BUDGET = 250_000_000
 
 

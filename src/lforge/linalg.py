@@ -279,9 +279,9 @@ def _kernel_mod(A, p):
     is None, one vector per column, and the free (non-pivot) columns of A
     in increasing order, with K[free] = I.  A kernel vector x satisfies
     x[pivots] = -R x[free], so it is determined by its free coordinates:
-    x = K x[free].  The one kernel builder, behind nullspace_mod, the
-    syzygy resolver, the graded quotients of rao and zero_dim_reduced_check
-    (on a span^T) and ideals.linear_section_reduce."""
+    x = K x[free].  The one kernel builder, behind nullspace_mod,
+    ideals.kernel_generators, the graded quotients of rao and
+    zero_dim_reduced_check (on a span^T) and ideals.linear_section_reduce."""
     M, pivots = rref_mod(A, p)
     cols = M.shape[1]
     is_free = np.ones(cols, dtype=bool)

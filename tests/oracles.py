@@ -12,8 +12,17 @@ Bayer division."""
 import numpy as np
 
 from lforge import snf
-from lforge.ideals import Ideal, eliminate, quotient
+from lforge.ideals import (
+    CellBudgetError,
+    Ideal,
+    cover_map,
+    eliminate,
+    kernel_generators,
+    quotient,
+)
+from lforge.linalg import _kernel_mod, matmul_mod, zeros_over
 from lforge.mpoly import PolynomialRing
+from lforge.rao import BettiTable
 from lforge.orders import TermOrder
 
 
@@ -247,3 +256,60 @@ def smith_normal_form_by_rows(M):
             S1[i] = _remainder(S1[i] * u, field)
     return (snf._to_matrix(A, field, var), snf._to_matrix(S1, field, var),
             snf._to_matrix(zip(*S2), field, var))
+
+
+# -- graded Betti numbers by iterated minimal covers ----------------------
+#
+# The resolver that rao.graded_betti ran before it read the table off
+# Koszul homology: it builds the free modules of a minimal resolution and
+# shares only linalg with the Koszul ranks.
+
+
+def betti_by_covers(mod, hom_bound=2, deg_bound=8):
+    """rao.graded_betti(mod, hom_bound, deg_bound) by a minimal free
+    resolution: at every step, cover the current module by a free module
+    (ideals.cover_map) and take the minimal generators of the kernel of
+    the cover (ideals.kernel_generators).  The module's own generators are
+    one unit vector per new dimension of grade k modulo R_1 times the piece
+    below.
+
+    For a finite-length module, beta_{i,j} != 0 forces
+    j <= i + (top nonzero grade), so each homological step only needs
+    kernels through that bound (scanned one degree further as a
+    consistency check).  A CellBudgetError ends a step: the degrees read
+    before it stay in the table, which is marked incomplete."""
+    hom_bound = min(hom_bound, mod.nvars)
+    ring = PolynomialRing(mod.field,
+                          tuple(f"t{j}" for j in range(mod.nvars)))
+    reg = max(mod.grades)
+    gens = {}
+    for k in mod.grades:
+        span = np.hstack([mod._action(k - 1, j) for j in range(mod.nvars)])
+        new = _kernel_mod(span.T, mod.p)[1]
+        if new.size:
+            gens[k] = zeros_over(mod.field, (mod.dim(k), new.size))
+            gens[k][new, np.arange(new.size)] = 1
+    entries = {(0, k): G.shape[1] for k, G in gens.items()}
+    complete = True
+    free, images = cover_map(
+        ring, gens, mod.dim,
+        lambda t, j, V: matmul_mod(mod._action(t, j), V, mod.p))
+    for hom in range(1, hom_bound + 1):
+        gens = {}
+        try:
+            for t, G, _ in kernel_generators(
+                    free, images, min(reg + hom + 1, deg_bound)):
+                if not G.shape[1]:
+                    continue
+                assert t <= reg + hom, "syzygies past the regularity bound"
+                gens[t] = G
+                entries[(hom, t)] = G.shape[1]
+        except CellBudgetError:
+            complete = False
+        if deg_bound < reg + hom:
+            complete = False
+        if not gens or hom == hom_bound:
+            break
+        free, images = cover_map(ring, gens, free.dim, free.mul_vectors)
+    return BettiTable({(i, j - mod.shift): b for (i, j), b in entries.items()},
+                      complete=complete)

@@ -241,7 +241,6 @@ def test_deficiency_module_betti_comparison_report(rao_betti_report):
     assert "all_match" in cmp and "mismatches" in cmp
 
 
-@pytest.mark.slow
 def test_deficiency_module_full_betti_table():
     # stretch goal: the full resolution, within an hour
     t0 = time.time()

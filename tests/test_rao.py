@@ -1,5 +1,5 @@
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from lforge.rao import (
 )
 from lforge.rng import Rng
 from lforge.veronese import ProjectionSpec
+import oracles
 
 F17 = GF(17)
 
@@ -37,14 +38,24 @@ EXPECTED_GENERAL_BETTI = {
 }
 
 
-def _random_center(seed, cols=6):
+def _random_center(seed, cols=6, field=F17):
     rng = Rng(seed)
     while True:
-        N = [[rng.randrange(17) for _ in range(cols)] for _ in range(10)]
+        N = [[rng.randrange(field.p) for _ in range(cols)]
+             for _ in range(10)]
         try:
-            return ProjectionSpec(N, "p2cubics", F17)
+            return ProjectionSpec(N, "p2cubics", field)
         except ValueError:
             continue
+
+
+def _truncated_abc(field):
+    """k[a, b, c] truncated above degree 2."""
+    R = PolynomialRing(field, ("a", "b", "c"))
+    return RaoModule(field, 3, {k: len(R.monomials_of_degree(k))
+                                for k in range(3)},
+                     {k: [multiplication_matrix(v, k, k + 1)
+                          for v in R.gens()] for k in range(2)})
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +209,6 @@ def test_graded_betti_general_center(general_module):
     assert (1, 2) in report["mismatches"]
 
 
-@pytest.mark.slow
 def test_graded_betti_n0_differs_from_generic(n0_module):
     tab = graded_betti(n0_module, hom_bound=2, deg_bound=8)
     assert tab.column(0) == {-1: 4}
@@ -206,7 +216,6 @@ def test_graded_betti_n0_differs_from_generic(n0_module):
     assert tab.column(2) != {1: 18, 2: 29}
 
 
-@pytest.mark.slow
 def test_graded_betti_general_full_resolution(general_module):
     tab = graded_betti(general_module, hom_bound=6, deg_bound=12)
     assert tab.complete
@@ -250,7 +259,7 @@ def test_cover_generators_match_span_k_rule(center, hom, n0_module,
                                             monkeypatch):
     mod = n0_module if center == "n0" else RaoModule.from_projection(
         _random_center(center), kmax=4, certify=False)
-    cover = rao.kernel_generators
+    cover = oracles.kernel_generators
     steps = []
 
     def compared(free, images, scan_hi):
@@ -274,9 +283,10 @@ def test_cover_generators_match_span_k_rule(center, hom, n0_module,
             assert G.tobytes() == np.ascontiguousarray(ref[t]).tobytes()
         steps.append(sum(G.shape[1] for G in gens.values()))
 
-    monkeypatch.setattr(rao, "kernel_generators", compared)
+    monkeypatch.setattr(oracles, "kernel_generators", compared)
     # the smallest bound that certifies homological degree hom
-    tab = graded_betti(mod, hom_bound=hom, deg_bound=max(mod.grades) + hom)
+    tab = oracles.betti_by_covers(mod, hom_bound=hom,
+                                  deg_bound=max(mod.grades) + hom)
     assert tab.complete
     assert len(steps) == hom and steps[0] == 17
 
@@ -317,21 +327,17 @@ def test_cover_budget_counts_the_kernel_span(monkeypatch):
     # coordinates, so a budget below 12 cells stops the step there
     mod = RaoModule(F17, 2, {0: 1}, {})
     monkeypatch.setattr(ideals, "CELL_BUDGET", 11)
-    tab = graded_betti(mod, hom_bound=1, deg_bound=5)
+    tab = oracles.betti_by_covers(mod, hom_bound=1, deg_bound=5)
     assert not tab.complete
     assert tab.column(1) == {1: 2}
     monkeypatch.setattr(ideals, "CELL_BUDGET", 12)
-    assert graded_betti(mod, hom_bound=1, deg_bound=5).complete
+    assert oracles.betti_by_covers(mod, hom_bound=1, deg_bound=5).complete
 
 
 def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
     # k[a, b, c] truncated above degree 2: the degree-2 matrix of its cover
     # by k[a, b, c] is 6 x 6, the largest matrix of the first step
-    R = PolynomialRing(F17, ("a", "b", "c"))
-    mod = RaoModule(F17, 3, {k: len(R.monomials_of_degree(k))
-                             for k in range(3)},
-                    {k: [multiplication_matrix(v, k, k + 1)
-                         for v in R.gens()] for k in range(2)})
+    mod = _truncated_abc(F17)
     built = []
     zeros_over = ideals.zeros_over
 
@@ -341,14 +347,91 @@ def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
 
     monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
     monkeypatch.setattr(ideals, "CELL_BUDGET", 35)
-    tab = graded_betti(mod, hom_bound=2, deg_bound=5)
+    tab = oracles.betti_by_covers(mod, hom_bound=2, deg_bound=5)
     assert max(built) <= 35
     assert tab.to_text().endswith("(partial: budget reached)")
     assert tab.entries == {(0, 0): 1}
     built.clear()
     monkeypatch.setattr(ideals, "CELL_BUDGET", 36)
-    graded_betti(mod, hom_bound=2, deg_bound=5)
+    oracles.betti_by_covers(mod, hom_bound=2, deg_bound=5)
     assert 36 in built
+
+
+# (p, module, hom_bound, deg_bound): the Koszul table against the cover
+# oracle; "center-s" is the first projection drawn from Rng(s) over F_p
+KOSZUL_CASES = [
+    (17, "n0", 2, 8), (17, "n0", 2, 3),
+    (17, "center-3", 3, 5), (17, "center-14", 3, 5), (17, "center-27", 3, 5),
+    (17, "abc", 3, 6), (17, "abc", 3, 3), (17, "abc", 3, 1),
+    (17, "point-2", 2, 5), (17, "point-6", 6, 8),
+    (2, "center-5", 3, 5), (2, "abc", 3, 6), (2, "point-6", 6, 8),
+    (251, "center-5", 3, 5), (251, "abc", 3, 3),
+    (65537, "abc", 3, 6), (65537, "point-6", 6, 8),
+]
+
+
+def _case_module(p, name, request):
+    kind, _, arg = name.partition("-")
+    if kind == "n0":
+        return request.getfixturevalue("n0_module")
+    if kind == "center":
+        return RaoModule.from_projection(
+            _random_center(int(arg), field=GF(p)), kmax=4, certify=False)
+    if kind == "point":
+        return RaoModule(GF(p), int(arg), {0: 1}, {})
+    return _truncated_abc(GF(p))
+
+
+@pytest.mark.parametrize("p, name, hom, deg", KOSZUL_CASES)
+def test_koszul_table_matches_cover_oracle(p, name, hom, deg, request,
+                                           monkeypatch):
+    mod = _case_module(p, name, request)
+    built = {}
+    koszul_map = rao._koszul_map
+
+    def recorded(mod, i, k):
+        built[i, k] = koszul_map(mod, i, k)
+        return built[i, k]
+
+    monkeypatch.setattr(rao, "_koszul_map", recorded)
+    tab = graded_betti(mod, hom_bound=hom, deg_bound=deg)
+    ref = oracles.betti_by_covers(mod, hom_bound=hom, deg_bound=deg)
+    assert tab.entries == ref.entries
+    assert tab.complete == ref.complete
+    # d_(i-1) d_i = 0 on both sides of every map the table was read from;
+    # a wrong sign leaves 2 x_a x_b terms
+
+    def d(i, k):
+        return built[i, k] if (i, k) in built else koszul_map(mod, i, k)
+
+    for i, k in list(built):
+        if i > 1:
+            assert not matmul_mod(d(i - 1, k + 1), d(i, k), mod.p).any()
+        if i < mod.nvars:
+            assert not matmul_mod(d(i, k), d(i + 1, k - 1), mod.p).any()
+
+
+def test_koszul_budget_ends_the_table_at_a_refused_map(monkeypatch):
+    mod = _truncated_abc(F17)
+    full = graded_betti(mod, hom_bound=3, deg_bound=6)
+    built = []
+    zeros_over = rao.zeros_over
+
+    def recording_zeros(field, shape):
+        built.append(prod(shape))
+        return zeros_over(field, shape)
+
+    monkeypatch.setattr(rao, "zeros_over", recording_zeros)
+    assert graded_betti(mod, hom_bound=3, deg_bound=6).complete
+    largest = max(built)
+    built.clear()
+    monkeypatch.setattr(ideals, "CELL_BUDGET", largest - 1)
+    tab = graded_betti(mod, hom_bound=3, deg_bound=6)
+    # refused before it was built; what was read before it stands
+    assert max(built) < largest
+    assert not tab.complete
+    assert tab.to_text().endswith("(partial: budget reached)")
+    assert tab.entries and tab.entries.items() < full.entries.items()
 
 
 def test_betti_table_text():
