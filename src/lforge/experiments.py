@@ -20,6 +20,7 @@ from .fields import GF, QQ
 from .ideals import (
     Ideal,
     saturate_irrelevant,
+    saturated_hilbert,
     singular_locus,
     zero_dim_reduced_check,
 )
@@ -281,11 +282,11 @@ def _d9_special(report: Report, ctx: Context):
     # refinement: the stated count matches the singular points lying on
     # the projected surface; one further singular point sits off it
     I_D9 = res.ideal
-    on_surface = saturate_irrelevant(S + I_D9)
-    report.result("singY_on_surface", list(on_surface.dim_degree()))
+    H = saturated_hilbert(S + I_D9)
+    on_surface = (H.dim, H.degree)
+    report.result("singY_on_surface", list(on_surface))
     report.check("60 of the singular points lie on the surface",
-                 on_surface.dim_degree() == (0, 60),
-                 detail=on_surface.dim_degree())
+                 on_surface == (0, 60), detail=on_surface)
 
 
 @experiment("d9-secant-cases",
@@ -562,8 +563,8 @@ def _lemma23(report: Report, ctx: Context):
     for i in range(R.nvars):
         ell = ell + R.var(i).scale(F.of(rng.randrange(17)))
     B = extend_with_sections(P, s1, s2, ell)
-    Y = saturate_irrelevant(sub_pfaffians(B, B.n - 1))
-    dy = Y.dim_degree()
+    H = saturated_hilbert(sub_pfaffians(B, B.n - 1))
+    dy = (H.dim, H.degree)
     report.result("extended_dim_degree", list(dy))
     report.check("degree ascends by the complete intersection (5 + 9)",
                  dy == (1, 14), detail=dy)

@@ -260,9 +260,20 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
 
     I must be homogeneous: the Bayer step is only valid for a homogeneous
     basis, so an inhomogeneous I raises ValueError."""
+    return _saturation(I, True)
+
+
+def saturated_hilbert(I: Ideal) -> HilbertData:
+    """saturate_irrelevant(I).hilbert(), read off the moved basis's
+    leading monomials without dividing the basis or changing it back."""
+    return _saturation(I, False)
+
+
+def _saturation(I: Ideal, back: bool):
+    # I : m^∞ when back is set, else only its Hilbert data
     ring = I.ring
     if I.is_zero_ideal():
-        return I
+        return I if back else I.hilbert()
     if not I.is_homogeneous():
         raise ValueError("saturation needs a homogeneous ideal")
     field = ring.field
@@ -270,36 +281,40 @@ def saturate_irrelevant(I: Ideal) -> Ideal:
     rng = as_rng(0)
     var = ring.code.var
 
-    def colon(coeffs, an):
-        """(I : l^∞, whether HP agrees with HP(I)) for
-        l = sum coeffs[k] x_k + an x_n."""
+    def colon(coeffs, an, back):
+        # (I : l^∞ or None, its Hilbert data, whether HP agrees with HP(I))
+        # for l = sum coeffs[k] x_k + an x_n
         inv_an = field.inv(an)
         fwd = ring.gens()[:-1] + [ring.from_dict({var(n - 1): inv_an, **{
             var(k): field.mul(-c, inv_an) for k, c in enumerate(coeffs)}})]
-        bwd = ring.gens()[:-1] + [ring.from_dict(
-            {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})]
         G = groebner_basis(change_coordinates(I.gens, fwd),
                            TermOrder.grevlex())
         if I._hilbert is None:
             I._hilbert = _basis_hilbert(G.lead)
-        J = Ideal(ring, change_coordinates(_divide_out_last_variable(G), bwd))
         lead = G.lead.copy()
         lead[:, -1] = 0
-        J._hilbert = _basis_hilbert(lead)
-        return J, _hp_signature(J._hilbert) == _hp_signature(I._hilbert)
+        H = _basis_hilbert(lead)
+        J = None
+        if back:
+            bwd = ring.gens()[:-1] + [ring.from_dict(
+                {var(n - 1): an, **{var(k): c for k, c in enumerate(coeffs)}})]
+            J = Ideal(ring, change_coordinates(_divide_out_last_variable(G),
+                                               bwd))
+            J._hilbert = H
+        return J, H, _hp_signature(H) == _hp_signature(I._hilbert)
 
     for attempt in range(5):
         coeffs = [field.random(rng.fork(attempt * 17 + k)) for k in range(n - 1)]
         an = field.random_nonzero(rng.fork(attempt * 17 + n))
-        J, certified = colon(coeffs, an)
+        J, H, certified = colon(coeffs, an, back)
         if certified:
-            return J
+            return J if back else H
     zero, one = field.zero, field.one
-    result = colon([zero] * (n - 1), one)[0]
+    result = colon([zero] * (n - 1), one, True)[0]
     for i in range(n - 1):
         coeffs = [one if k == i else zero for k in range(n - 1)]
-        result = intersect(result, colon(coeffs, one)[0])
-    return result
+        result = intersect(result, colon(coeffs, one, True)[0])
+    return result if back else result.hilbert()
 
 
 # -- determinantal machinery ------------------------------------------

@@ -24,13 +24,15 @@ arrays of rows, with no dict and no radix.  The suffix sums s_k add under
 multiplication, so the positions of the products of two blocks of
 monomials need only their suffix sums (``suffix_sums``,
 ``suffix_positions``).  Packed ints stay the representation of an MPoly.
+Ring changes (convert) and derivatives read exponents with one unpack_rows
+call and write packed ints directly, as sums of per-variable steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -226,17 +228,22 @@ class PolynomialRing:
             return f
         if src.field != self.field:
             raise RingMismatch(f"cannot convert from {src} to {self}")
-        index, unpack, pack = self._index, src.code.unpack, self.code.pack
-        d = {}
-        for m, c in f.terms:
-            e = [0] * self.nvars
-            for name, a in zip(src.names, unpack(m)):
-                if a:
-                    if name not in index:
-                        raise RingMismatch(f"{self} has no variable {name!r}")
-                    e[index[name]] = a
-            d[pack(e)] = c
-        return self.from_dict(d)
+        if not f.terms:
+            return self.zero
+        cols = [self._index.get(name) for name in src.names]
+        kept = [j for j, k in enumerate(cols) if k is not None]
+        mons, coeffs = zip(*f.terms)
+        E = src.code.unpack_rows(mons)
+        for j, k in enumerate(cols):
+            if k is None and E[:, j].any():
+                raise RingMismatch(f"{self} has no variable {src.names[j]!r}")
+        # a packed monomial is affine in its exponents: K0 + sum_k e_k (x_k
+        # - K0), and the packed ints compare as the order, so they are sorted
+        K0, var = self.code.K0, self.code.var
+        steps = [var(cols[j]) - K0 for j in kept]
+        mons = [K0 + sum(map(mul, e, steps)) for e in E[:, kept].tolist()]
+        return MPoly(self, tuple(sorted(zip(mons, coeffs), key=itemgetter(0),
+                                        reverse=True)))
 
 
 def suffix_sums(E) -> np.ndarray:
@@ -443,17 +450,25 @@ class MPoly:
     # -- calculus and substitution ------------------------------------
 
     def partial(self, i: int) -> "MPoly":
-        code = self.ring.code
-        xi = code.var(i)
-        d: dict[int, object] = {}
-        for m, c in self.terms:
-            e = code.unpack(m)[i]
-            if e:
-                d[code.divides(xi, m)] = c * e
-        return self.ring.from_dict(d)
+        return self._partial(i, self._exponent_rows()[:, i].tolist())
 
     def partials(self) -> list["MPoly"]:
-        return [self.partial(i) for i in range(self.ring.nvars)]
+        E = self._exponent_rows()
+        return [self._partial(i, E[:, i].tolist())
+                for i in range(self.ring.nvars)]
+
+    def _exponent_rows(self) -> np.ndarray:
+        return self.ring.code.unpack_rows([m for m, _ in self.terms])
+
+    def _partial(self, i: int, col) -> "MPoly":
+        # col holds the x_i-exponent of every term; dividing by x_i is one
+        # shift of the packed int, which keeps the terms in order
+        ring = self.ring
+        p = ring.field.char
+        off = ring.code.K0 - ring.code.var(i)
+        terms = ((m + off, c * e % p if p else c * e)
+                 for (m, c), e in zip(self.terms, col) if e)
+        return MPoly(ring, tuple(t for t in terms if t[1]))
 
     def substitute(self, images: dict) -> "MPoly":
         """Ring map sending variable name -> MPoly (all in one target ring).

@@ -114,6 +114,8 @@ class MonomialCode:
         # grevlex: the leading monomial has the largest total degree
         self.degree_leads = slots[0][0] == "deg" and len(self._deg_slots) == 1
         self.one = self.pack((0,) * nvars)
+        self._vars = tuple(self.pack(tuple(int(i == j) for j in range(nvars)))
+                           for i in range(nvars))
 
     @staticmethod
     def _grevlex_block(vars_range) -> list[tuple]:
@@ -250,6 +252,4 @@ class MonomialCode:
         return all(x == 0 or y == 0 for x, y in zip(ea, eb))
 
     def var(self, i: int) -> int:
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return self.pack(tuple(exps))
+        return self._vars[i]

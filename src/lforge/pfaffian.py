@@ -18,6 +18,7 @@ from .ideals import (
     form_matrix,
     forms_from_vector,
     saturate_irrelevant,
+    saturated_hilbert,
 )
 from .linalg import matmul_mod, nullspace_mod, solve_mod, zeros_over
 from .mpoly import MPoly, PolynomialRing, coefficient_vector
@@ -546,7 +547,7 @@ def deform_family(A: SkewMatrix, Bp, Dp, lambdas) -> FamilyReport:
         Alv = family_matrix(A, Bp, Dp, x6.scale(field.of(lv)))
         I = sub_pfaffians(Alv, 8)
         # the saturation reads I's Hilbert data from its own basis
-        H = saturate_irrelevant(I).hilbert()
+        H = saturated_hilbert(I)
         Hraw = I.hilbert()
         samples[lv] = {
             "dim": H.dim,

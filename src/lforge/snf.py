@@ -191,17 +191,23 @@ def _pad(X, width: int):
     return out
 
 
-def _divmod(X, d, field):
+def _divmod(X, d, field, room: int):
     """Quotients of the entries of X (n, w) by the trimmed polynomial d and
     whether each remainder is nonzero: UniPoly.divmod on all at once."""
+    # each step reduces only the column it reads; as in _sub_mul, `room`
+    # products are subtracted from the remainders between reductions
     nd = len(d)
     w = max(_width(X), nd)
     rem = X[:, :w].copy()
     q = np.zeros((len(X), w - nd + 1), X.dtype)
-    for t in range(w - nd, -1, -1):
-        q[:, t] = _red(rem[:, t + nd - 1] * field.inv(d[-1]), field)
-        rem[:, t:t + nd] = _red(rem[:, t:t + nd] - q[:, t, None] * d, field)
-    return q, (rem[:, :nd - 1] != 0).any(axis=-1)
+    inv, tail = field.inv(d[-1]), d[:-1]
+    for n, t in enumerate(range(w - nd, -1, -1), 1):
+        lead = _red(rem[:, t + nd - 1].copy(), field)
+        q[:, t] = _red(lead * inv, field)
+        rem[:, t:t + nd - 1] -= q[:, t, None] * tail
+        if n % room == 0:
+            _red(rem, field)
+    return q, (_red(rem[:, :nd - 1].copy(), field) != 0).any(axis=-1)
 
 
 def _sub_mul(Y, Q, B, field, room: int):
@@ -294,7 +300,7 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
         for S in (S1, S2):
             # rows i > k: row i -= q_i * row k; then the same on the
             # transpose, which clears row k by column operations
-            q, left = _divmod(A[k + 1:, k], piv, field)
+            q, left = _divmod(A[k + 1:, k], piv, field, room)
             dirty = dirty or left.any()
             wq, wk = _width(q), _width(A[k])
             A = _pad(A, wq + wk - 1)
@@ -306,7 +312,7 @@ def smith_normal_form(M: PolyMatrix, verify: bool = True) -> SNFResult:
         # pivot must divide the remaining block for the chain to work
         block = A[k + 1:, k + 1:]
         bad = len(piv) > 1 and _divmod(block.reshape(-1, A.shape[-1]), piv,
-                                       field)[1].reshape(block.shape[:2])
+                                       field, room)[1].reshape(block.shape[:2])
         if np.any(bad):
             # row k += the offending row (-= -1 times it), then re-run
             off = k + 1 + int(np.argmax(bad.any(axis=1)))

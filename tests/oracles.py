@@ -7,7 +7,10 @@ no code with the graded kernels of ideals.intersect and ideals.quotient
 beyond the Groebner bases that compare ideals.  image_by_elimination
 computes the kernel of a ring map the same way, from the graph ideal, and
 saturate iterates ideals.quotient, with no coordinate change and no
-Bayer division."""
+Bayer division.
+
+convert_by_terms and partial_by_terms are PolynomialRing.convert and
+MPoly.partial as they ran term by term, on the scalar pack and unpack."""
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from lforge.ideals import (
     quotient,
 )
 from lforge.linalg import _kernel_mod, matmul_mod, zeros_over
-from lforge.mpoly import PolynomialRing
+from lforge.mpoly import PolynomialRing, RingMismatch
 from lforge.rao import BettiTable
 from lforge.orders import TermOrder
 
@@ -83,6 +86,39 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
 # These are the loops that groebner and hilbert ran before they moved onto
 # exponent rows and the ring's monomial index; the tests check that the
 # array versions give the same answers.
+
+
+def convert_by_terms(ring: PolynomialRing, f):
+    """f in ring, variables matched by name: each term unpacked, its
+    exponents moved and packed again, then sorted by from_dict."""
+    src = f.ring
+    if src is ring:
+        return f
+    if src.field != ring.field:
+        raise RingMismatch(f"cannot convert from {src} to {ring}")
+    d = {}
+    for m, c in f.terms:
+        e = [0] * ring.nvars
+        for name, a in zip(src.names, src.code.unpack(m)):
+            if a:
+                if name not in ring.names:
+                    raise RingMismatch(f"{ring} has no variable {name!r}")
+                e[ring.names.index(name)] = a
+        d[ring.code.pack(e)] = c
+    return ring.from_dict(d)
+
+
+def partial_by_terms(f, i: int):
+    """The x_i-partial of f: each term's exponent unpacked, the term divided
+    by x_i and its coefficient multiplied by the exponent."""
+    code = f.ring.code
+    xi = code.pack(tuple(int(j == i) for j in range(code.nvars)))
+    d = {}
+    for m, c in f.terms:
+        e = code.unpack(m)[i]
+        if e:
+            d[code.divides(xi, m)] = c * e
+    return f.ring.from_dict(d)
 
 
 def symbolic_preprocessing_by_loop(rows, G):

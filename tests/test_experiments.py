@@ -174,19 +174,21 @@ def test_d6_unprojection_saturates_x_once(monkeypatch):
     # saturation is read from the family's sample: every ideal of the
     # seven-variable ring (X and the members at lambda = 1, 2, 5) is
     # saturated once.  The exceptional locus is compared with D6 as an
-    # ideal, so no generator tuple is saturated twice either
+    # ideal, so no generator tuple is saturated twice either.  The count
+    # is taken at the colon step that saturate_irrelevant and
+    # saturated_hilbert share
     from collections import Counter
 
-    from lforge import experiments, ideals, pfaffian
+    from lforge import ideals
 
     calls = Counter()
+    shared = ideals._saturation
 
-    def counted(I):
+    def counted(I, back):
         calls[I.gens] += 1
-        return ideals.saturate_irrelevant(I)
+        return shared(I, back)
 
-    for module in (experiments, pfaffian):
-        monkeypatch.setattr(module, "saturate_irrelevant", counted)
+    monkeypatch.setattr(ideals, "_saturation", counted)
     run_experiment("d6-unprojection-15")
     assert [n for gens, n in calls.items() if gens[0].ring.nvars == 7] == [
         1, 1, 1, 1]

@@ -33,6 +33,7 @@ from lforge.ideals import (
     quotient,
     ring_map,
     saturate_irrelevant,
+    saturated_hilbert,
     singular_locus,
     zero_dim_reduced_check,
 )
@@ -330,6 +331,42 @@ def test_saturate_irrelevant_fallback_keeps_the_input_hilbert_data(p):
     kept = I.hilbert()
     fresh = Ideal(R, I.gens).hilbert()
     assert (kept.numerator, kept.n) == (fresh.numerator, fresh.n)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_saturated_hilbert_is_the_saturations_hilbert_data(monkeypatch, case):
+    # the same Hilbert data as saturate_irrelevant(I).hilbert(), without
+    # dividing the basis or changing its coordinates back
+    I, dim_degree = _saturation_cases()[case]
+    want = saturate_irrelevant(Ideal(I.ring, I.gens)).hilbert()
+
+    def unread(*args):
+        raise AssertionError("the back-map is not needed")
+
+    monkeypatch.setattr(ideals, "_divide_out_last_variable", unread)
+    got = saturated_hilbert(I)
+    assert got.numerator == want.numerator
+    assert (got.dim, got.degree) == (want.dim, want.degree) == dim_degree
+    assert [got.hf(e) for e in range(9)] == [want.hf(e) for e in range(9)]
+    assert I._hilbert is not None  # I keeps its own data as there
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturated_hilbert_after_failed_draws(p):
+    # every draw fails here (see the fallback test below): the data come
+    # from the intersection of the colons
+    R = PolynomialRing(GF(p), ("x", "y", "z"))
+    X, Y, Z = R.gens()
+    pts = [X**p * Y - X * Y**p, X**p * Z - X * Z**p, Y**p * Z - Y * Z**p]
+    I = Ideal(R, [v * g for v in R.gens() for g in pts])
+    got = saturated_hilbert(I)
+    want = saturate_irrelevant(Ideal(R, I.gens)).hilbert()
+    assert (got.numerator, got.n) == (want.numerator, want.n)
+
+
+def test_saturated_hilbert_refuses_inhomogeneous():
+    with pytest.raises(ValueError):
+        saturated_hilbert(Ideal(R3, [x * y + z, x * z]))
 
 
 def test_saturate_irrelevant_refuses_inhomogeneous():

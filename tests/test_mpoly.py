@@ -16,6 +16,7 @@ from lforge.mpoly import (
 from lforge.orders import TermOrder
 from lforge.textio import parse_poly
 from lforge.rng import Rng
+from oracles import convert_by_terms, partial_by_terms
 
 F17 = GF(17)
 R = PolynomialRing(F17, ("x", "y", "z"))
@@ -357,6 +358,96 @@ def test_with_order_convert():
         D.convert(f)
     with pytest.raises(RingMismatch):
         PolynomialRing(GF(19), R.names).convert(f)
+
+
+_NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def _orders(draw, n):
+    kind = draw(st.sampled_from(["grevlex", "lex", "block", "weighted"]))
+    if kind == "block" and n > 1:
+        return TermOrder.block(draw(st.integers(1, n - 1)))
+    if kind == "weighted":
+        return TermOrder.weighted(draw(st.lists(st.integers(1, 3),
+                                                min_size=n, max_size=n)))
+    return TermOrder.lex() if kind == "lex" else TermOrder.grevlex()
+
+
+@st.composite
+def _rings(draw, field, names):
+    return PolynomialRing(field, names, draw(_orders(len(names))))
+
+
+@st.composite
+def _polys(draw, ring):
+    """A polynomial of ring whose exponents reach p + 1 over F_p (so some
+    are 0 mod p) and whose coefficients over Q are small fractions."""
+    p = ring.field.char
+    exps = st.tuples(*[st.integers(0, (p or 3) + 1)] * ring.nvars)
+    coeff = (st.integers(0, p - 1) if p else
+             st.fractions(-3, 3, max_denominator=4))
+    d = draw(st.dictionaries(exps, coeff, max_size=12))
+    return ring.from_dict({ring.code.pack(e): ring.field.of(c)
+                           for e, c in d.items()})
+
+
+_FIELDS = st.sampled_from([GF(2), GF(3), GF(17), QQ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_convert_is_the_term_loop(data):
+    # any orders, the source variables permuted, extra target variables,
+    # dropped ones (RingMismatch when f uses one), another field
+    field = data.draw(_FIELDS)
+    names = data.draw(st.permutations(_NAMES))
+    src = data.draw(_rings(field, tuple(names[:data.draw(st.integers(1, 4))])))
+    f = data.draw(_polys(src))
+    tgt_names = data.draw(st.lists(st.sampled_from(_NAMES), min_size=1,
+                                   max_size=6, unique=True))
+    tgt_field = data.draw(st.sampled_from([field, field, field, GF(19)]))
+    tgt = data.draw(_rings(tgt_field, tuple(tgt_names)))
+    try:
+        want = convert_by_terms(tgt, f)
+    except RingMismatch:
+        with pytest.raises(RingMismatch):
+            tgt.convert(f)
+        return
+    got = tgt.convert(f)
+    assert got.ring is tgt
+    assert repr(got.terms) == repr(want.terms)
+
+
+def test_convert_rejects_a_used_missing_variable_and_another_field():
+    D = PolynomialRing(F17, ("y", "z"))
+    assert D.convert(y - z) == parse_poly("y - z", D)
+    assert D.convert(R.zero) == D.zero
+    with pytest.raises(RingMismatch, match="'x'"):
+        D.convert(y + x * z)
+    with pytest.raises(RingMismatch):
+        PolynomialRing(QQ, R.names).convert(x)
+    with pytest.raises(RingMismatch):
+        PolynomialRing(GF(19), R.names).convert(R.zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partials_are_the_term_loop(data):
+    field = data.draw(_FIELDS)
+    ring = data.draw(_rings(field, _NAMES[:data.draw(st.integers(1, 5))]))
+    f = data.draw(_polys(ring))
+    got = f.partials()
+    want = [partial_by_terms(f, i) for i in range(ring.nvars)]
+    assert repr([g.terms for g in got]) == repr([g.terms for g in want])
+    assert [f.partial(i) for i in range(ring.nvars)] == got
+
+
+def test_partial_drops_exponents_divisible_by_p():
+    R3 = PolynomialRing(GF(3), ("x", "y"))
+    X, Y = R3.gens()
+    assert (X**3 * Y + X**4 + 2 * X).partial(0) == X**3 + 2
+    assert (X**3 + Y**6).partials() == [R3.zero, R3.zero]
 
 
 def test_extend_and_drop():

@@ -149,6 +149,15 @@ def test_var():
     assert code.unpack(code.var(1)) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("order", [TermOrder.grevlex(), TermOrder.lex(),
+                                   TermOrder.block(2),
+                                   TermOrder.weighted((2, 1, 3, 1))])
+def test_var_is_the_packed_unit_vector(order):
+    code = MonomialCode(4, order)
+    for i in range(4):
+        assert code.var(i) == code.pack(tuple(int(j == i) for j in range(4)))
+
+
 def test_order_validation():
     with pytest.raises(ValueError):
         TermOrder.block(0)

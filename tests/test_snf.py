@@ -19,7 +19,7 @@ from lforge.snf import (
 )
 from lforge.unipoly import UniPoly, gcd
 from lforge.veronese import build_LN
-from oracles import smith_normal_form_by_rows
+from oracles import _divmod_by_rows, smith_normal_form_by_rows
 
 F17 = GF(17)
 LAM = UniPoly.x(F17)
@@ -195,6 +195,31 @@ def test_snf_gathered_sweep_is_the_row_by_row_oracle(p):
         M = _field_matrix(rng, field, n, m, 3 if p else 2)
         res = smith_normal_form(M, verify=False)
         assert (res.D, res.S1, res.S2) == smith_normal_form_by_rows(M)
+
+
+@pytest.mark.parametrize("p", [2, 17, 181, 191, 65537, 0])
+def test_divmod_subtracts_room_products_between_reductions(p):
+    # the lazy division against the oracle that reduces every step, with
+    # `room` from 1 up to the dtype's own, on entries wide enough that
+    # every room is exhausted many times over
+    field = GF(p) if p else QQ
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if p ** 2 <= np.iinfo(t).max) if p else object
+    full = 1 if not p else (int(np.iinfo(dtype).max) - p) // (p - 1) ** 2
+    rng = Rng(p + 9)
+    for width, nd in [(40, 1), (40, 2), (40, 5), (9, 9), (300, 3)]:
+        X = np.array([[rng.randrange(p) if p else Fraction(
+            rng.randrange(-3, 4), 1 + rng.randrange(2))
+            for _ in range(width)] for _ in range(6)], dtype)
+        X[0] = 0
+        d = np.array([rng.randrange(p) if p else Fraction(rng.randrange(
+            -2, 3), 1 + rng.randrange(2)) for _ in range(nd - 1)] + [
+            1 + rng.randrange(p - 1) if p else Fraction(3, 2)], dtype)
+        want = _divmod_by_rows(X, d, field)
+        for room in sorted({min(r, full) for r in (1, 2, 3, full)}):
+            q, left = snf._divmod(X, d, field, room)
+            assert q.dtype == want[0].dtype
+            assert np.array_equal(q, want[0]) and np.array_equal(left, want[1])
 
 
 def _seeded_pencil(instance):
