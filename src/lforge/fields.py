@@ -74,9 +74,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -122,12 +119,7 @@ class RationalField:
         return Fraction(n)
 
     def add(self, a, b):
-        """Test oracle: MPoly.evaluate and the tests add through it over Q,
-        where lforge's own rational code adds Fractions directly."""
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a

@@ -7,7 +7,6 @@ digests are pinned here; everything else is small enough to live inline.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 from .fields import GF
@@ -28,6 +27,10 @@ class FixtureError(RuntimeError):
 
 
 def _read_fixture(name: str) -> str:
+    # imported here: loading hashlib (OpenSSL) costs about 3 MB of RSS,
+    # which a process that reads no fixture need not pay
+    import hashlib
+
     path = os.path.join(FIXTURE_DIR, name)
     with open(path, "rb") as fh:
         blob = fh.read()

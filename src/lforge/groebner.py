@@ -406,22 +406,12 @@ def _by_degree(gens):
     return by_degree
 
 
-def macaulay_basis(gens) -> GroebnerBasis:
+def macaulay_basis(by_degree: dict) -> GroebnerBasis:
     """Reduced Groebner basis of homogeneous generators over a prime field,
-    in the order of their ring, one Macaulay matrix per degree (see the
-    module docstring).
-
-    gens may also be a dict from degree to the generators of that degree,
-    as groebner_basis passes them after grouping them once."""
-    if isinstance(gens, dict):
-        by_degree = gens
-        ring = next(iter(by_degree.values()))[0].ring
-    else:
-        gens, ring = _common_ring(gens, None)
-        by_degree = _by_degree(gens)
-        if by_degree is None or not isinstance(ring.field, PrimeField):
-            raise ValueError(
-                "macaulay_basis needs homogeneous generators over F_p")
+    given as a dict from degree to the generators of that degree (as
+    groebner_basis groups them), in the order of their ring, one Macaulay
+    matrix per degree (see the module docstring)."""
+    ring = next(iter(by_degree.values()))[0].ring
     B = TermTable(ring)
     # pairs maps (i, j) to (degree, lcm); P.redundant stays empty (see the
     # module docstring)
@@ -542,18 +532,6 @@ def reduce_rows(rows, basis: TermTable, pivots, rest, d: int):
         for r, at, c in _products(sets, d):
             M[-1][r, column[at]] = c
     return reduce_mod(M[0], M[1], _modulus(ring.field))
-
-
-def spair_audit(G: GroebnerBasis) -> bool:
-    """Post-hoc check: every S-polynomial of the basis reduces to zero.
-    Test oracle for the Groebner bases of test_groebner.py."""
-    basis = list(G.basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            sp = s_polynomial(basis[i], basis[j])
-            if not normal_form(sp, basis).is_zero():
-                return False
-    return True
 
 
 def groebner_basis(gens, order=None) -> GroebnerBasis:

@@ -130,10 +130,6 @@ class HilbertData:
         return cls(_numerator(_minimalize([tuple(g) for g in gens])), n)
 
     @property
-    def codim(self) -> int:
-        return self._codim
-
-    @property
     def dim(self) -> int:
         """Projective dimension of V(I); -1 for empty."""
         return self.n - self._codim - 1

@@ -2,9 +2,9 @@
 kernels certified by their Hilbert series), saturation, Hilbert data,
 minors, singular loci, image ideals, matrices of forms (form_matrix, the
 one builder of graded coefficient matrices: spans of graded pieces,
-multiplication maps and coefficient columns), graded maps out of free
-modules (cover_map, its rank-1 case ring_map, and kernel_generators) and
-reducedness of zero-dimensional schemes.
+multiplication maps and coefficient columns), the graded maps of ring
+homomorphisms (ring_map) and the generators of their kernels
+(kernel_generators), and reducedness of zero-dimensional schemes.
 
 Ideals are value-semantic: operations build new Ideal objects and caches hang
 off each instance.
@@ -30,7 +30,8 @@ from .linalg import (
     solve_over,
     zeros_over,
 )
-from .mpoly import MPoly, PolynomialRing, coefficient_vector, from_coefficient_vector
+from .mpoly import MPoly, PolynomialRing, coefficient_vector, suffix_sums
+from .mpoly import from_coefficient_vector
 from .orders import TermOrder
 from .rng import as_rng
 from .unipoly import UniPoly, gcd as poly_gcd
@@ -197,7 +198,7 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
             yield e, np.vstack(coords)
 
     gens = []
-    for e, G, _ in kernel_generators(FreeModule(ring, [0]), stacked(), None):
+    for e, G, _ in kernel_generators(ring, stacked(), None):
         if G.shape[1]:
             mons = ring.monomials_of_degree(e)
             gens.extend(from_coefficient_vector(ring, mons, v) for v in G.T)
@@ -320,19 +321,6 @@ def _saturation(I: Ideal, back: bool):
 # -- determinantal machinery ------------------------------------------
 
 
-def matrix_det(M, rows=None, cols=None, memo=None) -> MPoly:
-    """Determinant of a square submatrix of MPoly or UniPoly entries, by
-    cofactor expansion with shared memoized subdeterminants.  Test oracle:
-    the Pfaffian and Smith-form tests compare against it."""
-    if rows is None:
-        rows = tuple(range(len(M)))
-    if cols is None:
-        cols = tuple(range(len(M[0])))
-    if memo is None:
-        memo = {}
-    return _det(M, tuple(rows), tuple(cols), memo)
-
-
 def _det(M, rows, cols, memo):
     if len(rows) == 1:
         return M[rows[0]][cols[0]]
@@ -417,7 +405,8 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     if False in degs or len(degs) != 1:
         raise ValueError("forms must be homogeneous of one common degree")
     gens, h0 = [], {}
-    for e, G, n in kernel_generators(*ring_map(forms, target), bound):
+    for e, G, n in kernel_generators(target, ring_map(forms, target),
+                                     bound):
         if e:
             h0[e] = n
         mons = target.monomials_of_degree(e)
@@ -429,11 +418,13 @@ def _product_positions(ring: PolynomialRing, T, a: int, b: int):
     """Index of m*t in ring.monomials_of_degree(b), one row per exponent
     row t of T and one column per m in ring.monomials_of_degree(a), one
     gather over the ring's index; ValueError unless every t has degree
-    b - a (or there is no m)."""
+    b - a (or there is no m).  The suffix sums of m*t are those of t plus
+    those of m, so the exponent rows of the products are never built."""
     E = ring.exponents(a)
     if len(E) and (T.sum(axis=1) != b - a).any():
         raise ValueError(f"a term of degree other than {b - a}")
-    return ring.positions(T[:, None, :] + E, b)
+    return ring.suffix_positions(
+        suffix_sums(T)[:, :, None] + suffix_sums(E)[:, None, :], b)
 
 
 def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
@@ -522,7 +513,7 @@ def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
     return out
 
 
-# the largest matrix (in cells) a cover_map degree, a kernel_generators step
+# the largest matrix (in cells) a ring_map degree, a kernel_generators step
 # or a Koszul map of rao may build; past it the scan stops and reports
 # itself incomplete
 CELL_BUDGET = 250_000_000
@@ -532,119 +523,19 @@ class CellBudgetError(ValueError):
     """A matrix would have more than CELL_BUDGET cells; it was not built."""
 
 
-class FreeModule:
-    """Graded free module over a polynomial ring with generators of the given
-    degrees.  Its degree-t basis is the pairs (i, m), m a monomial of degree
-    t - deg(generator i), generator by generator and then in the order of
-    monomials_of_degree, so generator i's block starts at offsets(t)[i];
-    multiplication by a variable maps basis elements to basis elements, and
-    ``var_map`` finds their positions with the ring's index."""
-
-    def __init__(self, ring: PolynomialRing, gen_degrees):
-        self.ring = ring
-        self.gen_degrees = list(gen_degrees)
-        self._var_maps = {}
-
-    def offsets(self, t: int) -> np.ndarray:
-        """Where each generator's block starts in degree t, then the
-        dimension."""
-        return np.cumsum([0] + [len(self.ring.exponents(t - a))
-                                for a in self.gen_degrees])
-
-    def dim(self, t: int) -> int:
-        return int(self.offsets(t)[-1])
-
-    def var_map(self, t: int, j: int) -> np.ndarray:
-        """Index array: position of x_j * (basis element of degree t)
-        inside the degree-(t+1) basis."""
-        if (t, j) not in self._var_maps:
-            ring, up = self.ring, self.offsets(t + 1)
-            unit = np.eye(ring.nvars, dtype=np.int32)[j]
-            shifted = {a: ring.positions(ring.exponents(t - a) + unit,
-                                         t + 1 - a)
-                       for a in set(self.gen_degrees)}
-            self._var_maps[t, j] = np.concatenate(
-                [up[i] + shifted[a] for i, a in enumerate(self.gen_degrees)]
-                ).astype(np.intp)
-        return self._var_maps[t, j]
-
-    def mul_vectors(self, t: int, j: int, V: np.ndarray) -> np.ndarray:
-        """Multiply the columns of V (vectors in degree t) by x_j."""
-        out = zeros_over(self.ring.field, (self.dim(t + 1), V.shape[1]))
-        if V.shape[0]:
-            out[self.var_map(t, j)] = V
-        return out
-
-
-def cover_map(ring: PolynomialRing, gens: dict, target_dim, mul):
-    """(free, images): the free module over ring with one generator of
-    degree t per column of gens[t], and a generator of the matrices of the
-    map sending each generator to its column.  ``images`` yields (t, A_t),
-    A_t the target_dim(t) x free.dim(t) matrix in degree t, for t = the
-    lowest generator degree, then t + 1, and so on without end; the caller
-    stops reading at the degree it needs.  ``mul(t, j, V)`` multiplies the
-    columns of V (target vectors of degree t) by x_j.  The image of m times
-    a generator is x_j times that of m / x_j, x_j the first variable of m,
-    so each degree takes one mul per first variable on the degree before
+def ring_map(forms, target: PolynomialRing):
+    """The matrices of the ring map target -> source sending x_i to
+    forms[i] (homogeneous of one degree d; a zero form acts as zero): yields
+    (e, A_e) for e = 0, 1, 2, ... without end, where column m of A_e holds
+    the coefficients of the image of the m-th monomial of degree e on
+    source.monomials_of_degree(d*e), in zeros_over's dtype.  The image of m
+    is forms[j] times that of m / x_j, x_j the first variable of m, so each
+    degree takes one multiply_forms per first variable on the degree before
     it, and the generator lets go of that degree before it yields the new
     one; the first variables and the positions of the m / x_j are gathers
-    over the ring's index (PolynomialRing.quotient_positions).  It raises
+    over the target's index (PolynomialRing.quotient_positions).  It raises
     CellBudgetError instead of building a matrix of more than CELL_BUDGET
     cells."""
-    degrees = sorted(gens)
-    free = FreeModule(ring, [t for t in degrees
-                             for _ in range(gens[t].shape[1])])
-
-    def first_parents(k):
-        """The first variable j of each monomial m of degree k >= 1 and the
-        position of m / x_j in degree k - 1."""
-        first = (ring.exponents(k) > 0).argmax(axis=1)
-        return first, ring.quotient_positions(k)[np.arange(len(first)),
-                                                  first]
-
-    def images():
-        A = None
-        for t in count(degrees[0]):
-            if target_dim(t) * free.dim(t) > CELL_BUDGET:
-                raise CellBudgetError(f"degree {t} of a graded map "
-                                      f"passes the budget {CELL_BUDGET}")
-            below = A
-            A = zeros_over(ring.field, (target_dim(t), free.dim(t)))
-            at, down = free.offsets(t), free.offsets(t - 1)
-            if t in gens:  # the generators of degree t, in order
-                A[:, at[free.gen_degrees.index(t)] + np.arange(
-                    gens[t].shape[1])] = gens[t]
-            split = {a: first_parents(t - a)
-                     for a in set(free.gen_degrees) if a < t}
-            firsts, cols, parents = [], [], []
-            for i, a in enumerate(free.gen_degrees):
-                if a < t:
-                    first, parent = split[a]
-                    firsts.append(first)
-                    cols.append(at[i] + np.arange(len(first)))
-                    parents.append(down[i] + parent)
-            if firsts:
-                firsts, cols, parents = map(np.concatenate,
-                                            (firsts, cols, parents))
-                for j in range(ring.nvars):
-                    mine = firsts == j
-                    if mine.any():
-                        A[:, cols[mine]] = mul(t - 1, j,
-                                               below[:, parents[mine]])
-            # not held while suspended: the caller may drop degree t - 1
-            below = None
-            yield t, A
-
-    return free, images()
-
-
-def ring_map(forms, target: PolynomialRing):
-    """The ring map target -> source sending x_i to forms[i] (homogeneous
-    of one degree d; a zero form acts as zero), as the cover_map of the
-    rank-1 free module whose generator goes to 1: its images start at
-    degree 0, and column m of the degree-e matrix holds the coefficients of
-    the image of the m-th monomial of degree e on
-    source.monomials_of_degree(d*e), in zeros_over's dtype."""
     source = forms[0].ring
     field = source.field
     d = max(f.degree() for f in forms)
@@ -653,34 +544,43 @@ def ring_map(forms, target: PolynomialRing):
     # each nonzero form's exponent rows and coefficients, unpacked once
     terms = [f and (source.code.unpack_rows([m for m, _ in f.terms]),
                     [c for _, c in f.terms]) for f in forms]
+    A = zeros_over(field, (1, 1)) + field.one
+    yield 0, A
+    for e in count(1):
+        shape = (len(source.exponents(d * e)), len(target.exponents(e)))
+        if shape[0] * shape[1] > CELL_BUDGET:
+            raise CellBudgetError(f"degree {e} of a graded map passes the "
+                                  f"budget {CELL_BUDGET}")
+        below, A = A, zeros_over(field, shape)
+        first = (target.exponents(e) > 0).argmax(axis=1)
+        parents = target.quotient_positions(e)[np.arange(len(first)), first]
+        for j, form in enumerate(terms):
+            mine = first == j
+            if form and mine.any():
+                A[:, mine] = multiply_forms(source, *form, d * (e - 1),
+                                            below[:, parents[mine]])
+        # not held while suspended: the caller may drop degree e - 1
+        below = None
+        yield e, A
 
-    def dim(t):
-        return len(source.exponents(d * t))
 
-    def mul(t, i, V):
-        if forms[i]:
-            return multiply_forms(source, *terms[i], d * t, V)
-        return zeros_over(field, (dim(t + 1), V.shape[1]))
-
-    return cover_map(target, {0: zeros_over(field, (1, 1)) + field.one},
-                     dim, mul)
-
-
-def kernel_generators(free: FreeModule, images, hi: int | None):
-    """Minimal generators of the kernel of a graded map from free, where
-    ``images`` yields its matrices (t, A_t) in increasing degree from the
-    lowest generator degree (a cover_map stream).  Yields (t, G_t,
+def kernel_generators(ring: PolynomialRing, images, hi: int | None):
+    """Minimal generators of the kernel of a graded map from ring itself
+    (the free module of rank 1 generated in degree 0), where ``images``
+    yields its matrices (t, A_t) for t = 0, 1, 2, ... (a ring_map stream),
+    whose columns are the monomials of degree t.  Yields (t, G_t,
     dim ker A_t) for each degree t through hi, G_t the generators of
     degree t as columns (possibly none), and reads no degree past hi; with
     hi None it reads on until the caller stops.
-    Raises CellBudgetError when A_t or the span below would have more than
+    Raises CellBudgetError when the span below would have more than
     CELL_BUDGET cells; the degrees yielded before it stand.
 
     The generators of degree t are the columns of K_t = ker A_t that
     greedy elimination of [span | K_t] keeps beyond the span block,
-    span = [x_j K_{t-1}]_j.  That choice depends only on the column space
-    of the span, which is the degree-t piece of the submodule generated in
-    lower degrees.  One elimination finds them, in kernel coordinates
+    span = [x_j K_{t-1}]_j, whose row m is row m / x_j of K_{t-1}, or zero
+    where x_j does not divide m.  That choice depends only on the column
+    space of the span, which is the degree-t piece of the ideal generated
+    in lower degrees.  One elimination finds them, in kernel coordinates
     (``_kernel_mod``: K_t[coords] = I):
 
     - span lies in ker A_t, as A is a module map, and v -> v[coords] is
@@ -694,26 +594,25 @@ def kernel_generators(free: FreeModule, images, hi: int | None):
       last nonzero coordinates are the first nonzero columns of the
       row space of S^T[:, ::-1]: the pivots of its RREF.
     """
-    p = _modulus(free.ring.field)
-    nvars = free.ring.nvars
+    p = _modulus(ring.field)
     K = None
-    lo = min(free.gen_degrees)
     # the range comes first, so zip stops before reading a degree past hi
-    for t, (_, A) in zip(count(lo) if hi is None else range(lo, hi + 1),
-                         images):
+    for t, (_, A) in zip(count() if hi is None else range(hi + 1), images):
         prev, (K, coords) = K, _kernel_mod(A, p)
         n = coords.size
         fresh = np.ones(n, dtype=bool)
         if prev is not None and prev.shape[1] and n:
-            if nvars * prev.shape[1] * n > CELL_BUDGET:
+            if ring.nvars * prev.shape[1] * n > CELL_BUDGET:
                 raise CellBudgetError(f"the span of degree {t} passes the "
                                       f"budget {CELL_BUDGET}")
-            rows = coords[::-1]
-            _, pivots = rref_mod(np.vstack(
-                [free.mul_vectors(t - 1, j, prev)[rows].T
-                 for j in range(nvars)]), p)
+            # S^T[:, ::-1], one block of k rows per variable
+            k = prev.shape[1]
+            S = zeros_over(ring.field, (ring.nvars * k, n))
+            for j, q in enumerate(ring.quotient_positions(t)[coords[::-1]].T):
+                S[j * k:(j + 1) * k, q >= 0] = prev[q[q >= 0]].T
+            _, pivots = rref_mod(S, p)
             fresh[n - 1 - np.asarray(pivots, dtype=np.intp)] = False
-        prev = None  # not held while suspended, as in cover_map
+        prev = None  # not held while suspended, as in ring_map
         yield t, K[:, fresh], n
 
 
@@ -738,7 +637,7 @@ def change_coordinates(polys, forms):
         if f:  # zero polynomials stay zero
             by_degree.setdefault(ring.code.deg(f.lm), []).append(k)
     images = [source.zero] * len(polys)
-    _, maps = ring_map(forms, ring)
+    maps = ring_map(forms, ring)
     for e, ks in sorted(by_degree.items()):
         C = form_matrix([[polys[k] for k in ks]], [0] * len(ks), [e])
         smons = source.monomials_of_degree(d * e)

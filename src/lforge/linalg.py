@@ -8,8 +8,8 @@ return has that dtype, and an operand that already has it is taken to hold
 residues.  Arithmetic on such arrays elsewhere must widen first: an
 unsigned -x, c*x or x + y wraps.  Rational matrices are object arrays of
 Fractions.  The functions named ``*_mod`` take the modulus p, and p = None
-means Q, except ``matmul_mod`` and ``det_mod``, which are mod p only; the
-``*_over`` functions take a field.
+means Q, except ``matmul_mod``, which is mod p only; the ``*_over``
+functions take a field.
 
 ``_eliminate`` is the one Gauss-Jordan loop.  Over Q ``rref_mod`` runs it on
 the whole matrix; ``rank_mod``, ``_kernel_mod`` and ``solve_mod`` read the
@@ -322,35 +322,6 @@ def solve_mod(A, b, p):
     X = _zeros((ncols, B.shape[1]), p)
     X[np.asarray(pivots, dtype=np.intp)] = R[:len(pivots), ncols:]
     return X[:, 0] if vec else X
-
-
-def det_mod(A, p: int) -> int:
-    """Determinant mod p, a test oracle: the Pfaffian and acceptance tests
-    use it as a witness that shares no code with the other routines, and
-    the benchmark's tracer wraps it by name.  It has its own elimination
-    loop, which reduces every entry after each step: _eliminate reduces
-    lazily, which is exact only for at most w steps (a panel), so over a
-    whole n x n matrix at p near 2^31 its int64 entries would overflow.
-    It reads A itself, as int64, not through the narrowing _as_array."""
-    M = np.asarray(A, dtype=np.int64) % p
-    n = len(M)
-    if M.shape != (n, n):
-        raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(M[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            M[[c, i]] = M[[i, c]]
-            det = -det
-        piv = int(M[c, c])
-        det = det * piv % p
-        if c + 1 < n:
-            factor = M[c + 1 :, c] * pow(piv, p - 2, p) % p
-            M[c + 1 :] = (M[c + 1 :] - np.outer(factor, M[c])) % p
-    return det % p
 
 
 # -- field dispatch ---------------------------------------------------

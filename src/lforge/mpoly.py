@@ -36,7 +36,6 @@ from operator import itemgetter, mul
 
 import numpy as np
 
-from .fields import FieldError
 from .orders import MonomialCode, TermOrder
 from .rng import as_rng
 
@@ -324,13 +323,6 @@ class MPoly:
             return False
         return d
 
-    def constant_coefficient(self):
-        """Test oracle: the Pfaffian tests read constant Pfaffians with it."""
-        one = self.ring.code.one
-        if self.terms and self.terms[-1][0] == one:
-            return self.terms[-1][1]
-        return self.ring.field.zero
-
     def _check(self, other: "MPoly"):
         if self.ring is not other.ring:
             raise RingMismatch(f"cannot combine {self.ring} and {other.ring}")
@@ -418,35 +410,6 @@ class MPoly:
             out.append((mm, F.mul(coeff, c)))
         return MPoly(ring, tuple(out))
 
-    def exact_div(self, other: "MPoly") -> "MPoly":
-        """Exact division; raises if the division leaves a remainder."""
-        other = self._coerce(other)
-        ring = self.ring
-        F = ring.field
-        if other.is_zero():
-            raise FieldError("division by zero polynomial")
-        code = ring.code
-        rem = dict(self.terms)
-        quo: dict[int, object] = {}
-        lm_o, lc_o = other.terms[0]
-        inv_lc = F.inv(lc_o)
-        while rem:
-            m = max(rem)
-            c = rem.pop(m)
-            q = code.divides(lm_o, m)
-            if q is None:
-                raise FieldError("inexact polynomial division")
-            qc = F.mul(c, inv_lc)
-            quo[q] = qc
-            for mo, co in other.terms[1:]:
-                mm = code.mul(q, mo)
-                v = F.sub(rem.get(mm, F.zero), F.mul(qc, co))
-                if F.is_zero(v):
-                    rem.pop(mm, None)
-                else:
-                    rem[mm] = v
-        return ring.from_dict(quo)
-
     # -- calculus and substitution ------------------------------------
 
     def partial(self, i: int) -> "MPoly":
@@ -533,20 +496,6 @@ class MPoly:
                 mm = mt + off
                 acc[mm] = acc.get(mm, 0) + coef * ct
         return target.from_dict(acc)
-
-    def evaluate(self, point):
-        """Evaluate at a point given as a list of field elements.  Test
-        oracle: the acceptance and Pfaffian tests check points with it."""
-        F = self.ring.field
-        unpack = self.ring.code.unpack
-        total = F.zero
-        for m, c in self.terms:
-            v = c
-            for i, e in enumerate(unpack(m)):
-                if e:
-                    v = F.mul(v, pow_field(F, point[i], e))
-            total = F.add(total, v)
-        return total
 
     # -- comparisons / hash -------------------------------------------
 

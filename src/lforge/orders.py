@@ -148,25 +148,15 @@ class MonomialCode:
         return m
 
     def unpack(self, m: int) -> tuple:
+        """The exponent vector of m: every layout gives each variable an
+        exp or cexp slot."""
         exps = [0] * self.nvars
-        seen = [False] * self.nvars
-        deg_info = []
-        for sl, sh in zip(self.slots, self.shifts):
-            v = (m >> sh) & ((1 << VALUE_BITS) - 1)
-            kind = sl[0]
+        for (kind, *arg), sh in zip(self.slots, self.shifts):
+            v = (m >> sh) & SLOT_MAX
             if kind == "exp":
-                exps[sl[1]] = v
-                seen[sl[1]] = True
+                exps[arg[0]] = v
             elif kind == "cexp":
-                exps[sl[1]] = SLOT_MAX - v
-                seen[sl[1]] = True
-            elif kind == "deg":
-                deg_info.append((sl[1], v))
-        for vs, total in deg_info:
-            missing = [i for i in vs if not seen[i]]
-            if missing:
-                (i,) = missing
-                exps[i] = total - sum(exps[j] for j in vs if j != i)
+                exps[arg[0]] = SLOT_MAX - v
         return tuple(exps)
 
     def unpack_rows(self, ms) -> np.ndarray:
@@ -223,12 +213,6 @@ class MonomialCode:
 
     # -- fast operations ----------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        m = a + b - self.K0
-        if m & self.GUARD:
-            raise ExponentOverflow("monomial degree overflow in multiplication")
-        return m
-
     def divides(self, b: int, a: int):
         """Quotient a/b as a packed monomial, or None if b does not divide a."""
         q = a - b + self.K0
@@ -244,12 +228,6 @@ class MonomialCode:
     def lcm(self, a: int, b: int) -> int:
         ea, eb = self.unpack(a), self.unpack(b)
         return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
-
-    def coprime(self, a: int, b: int) -> bool:
-        """Test oracle for the product criterion of groebner._Pairs
-        (test_pair_lcms_are_packed_lcms)."""
-        ea, eb = self.unpack(a), self.unpack(b)
-        return all(x == 0 or y == 0 for x, y in zip(ea, eb))
 
     def var(self, i: int) -> int:
         return self._vars[i]

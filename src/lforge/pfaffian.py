@@ -23,13 +23,7 @@ from .ideals import (
 from .linalg import matmul_mod, nullspace_mod, solve_mod, zeros_over
 from .mpoly import MPoly, PolynomialRing, coefficient_vector
 from .rng import as_rng
-from .textio import (
-    data_lines,
-    parse_poly,
-    parse_ring_header,
-    poly_to_string,
-    ring_header,
-)
+from .textio import data_lines, parse_poly, parse_ring_header
 
 
 class PfaffianError(ValueError):
@@ -133,15 +127,6 @@ class SkewMatrix:
                 Psi[k][j] = -val
         return Psi
 
-    def to_text(self) -> str:
-        """Test oracle (test_pfaffian.py::test_text_roundtrip): the text that
-        from_text reads, written back for a round trip."""
-        lines = [str(self.n), ring_header(self.ring)]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                lines.append(poly_to_string(self.entries[i][j]))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
         lines = list(data_lines(text))
@@ -155,32 +140,6 @@ def _annihilates(v, A: SkewMatrix) -> bool:
     """Whether the row vector v satisfies v . A = 0."""
     return all(not A.ring.dot(v, [A[j, k] for j in range(A.n)])
                for k in range(A.n))
-
-
-def pfaffian_matching_sum(A: SkewMatrix) -> MPoly:
-    """Test oracle for SkewMatrix.pfaffian (test_pfaffian.py): the signed
-    perfect-matching sum.  Exponential, intended for n <= 8."""
-    n = A.n
-    if n % 2:
-        raise PfaffianError("odd size")
-    total = A.ring.zero
-
-    def matchings(idx):
-        if not idx:
-            yield (), 1
-            return
-        i0 = idx[0]
-        for t, j in enumerate(idx[1:]):
-            rest = tuple(x for x in idx[1:] if x != j)
-            for m, s in matchings(rest):
-                yield ((i0, j),) + m, s * (-1) ** t
-
-    for m, s in matchings(tuple(range(n))):
-        term = A.ring.one
-        for i, j in m:
-            term = term * A[i, j]
-        total = total + term if s > 0 else total - term
-    return total
 
 
 def sub_pfaffians(A: SkewMatrix, size: int) -> Ideal:
@@ -333,21 +292,6 @@ def _solve_forms(P, rhs, src, tgt):
          for c in coefficient_vector(f, ring.monomials_of_degree(d))]
     x = solve_mod(M, b, p)
     return None if x is None else forms_from_vector(ring, x, src)
-
-
-def section_to_hypersurface(P: SkewPresentation, s):
-    """Inverse direction of hypersurface_to_section.  Test oracle: the
-    unprojection tests of test_pfaffian.py map sections back with it."""
-    A = P.skew
-    ring = A.ring
-    if A.n % 2:
-        return ring.dot(s, divided_power_section(P))
-    Psi = A.adjugate()
-    v = P.euler_row
-    for i in range(A.n):
-        if not v[i].is_zero():
-            return ring.dot(s, [row[i] for row in Psi]).exact_div(v[i])
-    raise PfaffianError("zero Euler row")
 
 
 def extend_with_sections(P: SkewPresentation, s1, s2, l: MPoly) -> SkewMatrix:

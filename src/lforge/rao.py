@@ -123,11 +123,10 @@ class RaoModule:
                     "pushforward description does not apply")
         composed = spec.composed_forms()
         d = composed[0].degree()
-        _, images = ring_map(composed, spec.target_ring)
         # grade k is (K, free) of A_k^T: the standard monomials and the
         # coordinates K^T on them
-        grades = [_kernel_mod(A.T, field.p)
-                  for _, A in islice(images, kmax + 1)]
+        grades = [_kernel_mod(A.T, field.p) for _, A in islice(
+            ring_map(composed, spec.target_ring), kmax + 1)]
         dims = {k: len(free) for k, (_, free) in enumerate(grades)}
         actions = {
             k: [matmul_mod(grades[k + 1][0].T, multiplication_matrix(
@@ -138,10 +137,6 @@ class RaoModule:
 
 
 # -- graded Betti numbers by Koszul homology --------------------------
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 class BettiTable:
@@ -161,18 +156,6 @@ class BettiTable:
     @property
     def hom_degrees(self):
         return sorted({i for i, _ in self.entries})
-
-    def alternating_rank_sum(self) -> int:
-        """Test oracle: zero for a complete table of a finite-length module
-        (test_rao.py, test_acceptance.py)."""
-        return sum((-1) ** i * b for (i, _), b in self.entries.items())
-
-    def hilbert_value(self, t: int, nvars: int) -> int:
-        """Alternating binomial count at degree t (equals the module's
-        Hilbert function when the table is complete).  Test oracle: the
-        Betti tests of test_rao.py compare it with the module's dimensions."""
-        return sum((-1) ** i * b * _binom(t - j + nvars - 1, nvars - 1)
-                   for (i, j), b in self.entries.items())
 
     def compare(self, expected: dict) -> dict:
         """Cell-by-cell comparison with an expected {(i, j): beta} table."""

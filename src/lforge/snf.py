@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import PrimeField, is_prime
+from .fields import PrimeField
 from .rng import as_rng
 from .textio import data_lines
 from .unipoly import UniPoly, gcd, parse_unipoly, squarefree_decomposition
@@ -70,17 +70,6 @@ class PolyMatrix:
         return PolyMatrix([[_unpack(sum(a * b for a, b in zip(row, col)),
                                     bits, weights, F, var) for col in cols]
                            for row in rows], F, var)
-
-    def to_text(self) -> str:
-        """Test oracle (test_snf.py): the text that from_text reads, written
-        back for the round trip of test_polymatrix_validation_and_text and
-        hashed by test_snf_ln_block_pinned_output and
-        test_snf_over_rationals_pinned_output."""
-        lines = [f"{self.nrows} {self.ncols} {self.var}"]
-        for row in self.entries:
-            for e in row:
-                lines.append(e.to_string())
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, field) -> "PolyMatrix":
@@ -415,26 +404,6 @@ def unipoly_factor_ff(f: UniPoly):
                 out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
-
-
-def is_irreducible_ff(f: UniPoly) -> bool:
-    """gcd(x^(p^k) - x, f) pattern test for monic f over a prime field.
-    Test oracle for the factors of unipoly_factor_ff in test_snf.py."""
-    if f.degree < 1:
-        return False
-    f = f.monic()
-    p = f.field.p
-    x = UniPoly.x(f.field, f.var)
-    h = _powmod(x, p ** f.degree, f)
-    if h != x % f:
-        return False
-    # no factor of degree properly dividing deg f
-    n = f.degree
-    for q in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
-        h = _powmod(x, p ** (n // q), f)
-        if gcd(h - x, f).degree > 0:
-            return False
-    return True
 
 
 def root_scan_ff(f: UniPoly):

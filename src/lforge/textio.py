@@ -213,13 +213,6 @@ def poly_to_string(f) -> str:
     return " ".join(parts)
 
 
-def ring_header(ring) -> str:
-    return (
-        f"ring R vars {' '.join(ring.names)} field {ring.field!r} "
-        f"order {ring.order}"
-    )
-
-
 def parse_ring_header(line: str):
     from .mpoly import PolynomialRing
 

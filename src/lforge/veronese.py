@@ -175,7 +175,7 @@ def build_LN(N, field=None) -> PolyMatrix:
                for row in coeffs]
     composed = [big.dot(forms, [row[j] for row in entries]) for j in range(6)]
     target = PolynomialRing(field, tuple(f"y{j}" for j in range(6)))
-    [(_, L)] = islice(ring_map(composed, target)[1], 3, 4)
+    [(_, L)] = islice(ring_map(composed, target), 3, 4)
     # the rows of L on x^a y^b z^c l^k m^(D-k) with a + b + c = 9 hold the
     # coefficient of l^k in row x^a y^b z^c of the plane's degree 9
     E = big.exponents(3 * (3 + D))
@@ -243,7 +243,7 @@ def gamma_tangent_space(spec: ProjectionSpec):
         raise ValueError("expected a 10x6 projection of the plane cubics")
     p = field.p
     target = spec.target_ring
-    (_, E2), (_, L) = islice(ring_map(spec.composed_forms(), target)[1], 2, 4)
+    (_, E2), (_, L) = islice(ring_map(spec.composed_forms(), target), 2, 4)
     U = nullspace_mod(L, p)
     if U.shape[1] < 2:
         raise ValueError("projection matrix is not on the degeneracy locus")

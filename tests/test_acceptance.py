@@ -50,6 +50,12 @@ from lforge.rng import Rng
 from lforge.snf import PolyMatrix, smith_normal_form, unipoly_factor_ff
 from lforge.unipoly import UniPoly
 from lforge.veronese import ProjectionSpec, project, surface_cubics
+from oracles import (
+    alternating_rank_sum,
+    constant_coefficient,
+    det_mod,
+    evaluate,
+)
 
 F17 = GF(17)
 
@@ -149,8 +155,8 @@ def test_pencil_singular_locus(d9_special_report):
     spec = ProjectionSpec(fixtures.n0_matrix(F17), "p2cubics", F17)
     cubics = surface_cubics(project(spec, 3))
     q = [F17.of(c) for c in Q_OFF_SURFACE]
-    assert [int(c.evaluate(q)) for c in cubics] == [0, 0]
-    jac = [[int(d.evaluate(q)) for d in c.partials()] for c in cubics]
+    assert [int(evaluate(c, q)) for c in cubics] == [0, 0]
+    jac = [[int(evaluate(d, q)) for d in c.partials()] for c in cubics]
     assert any(jac[0]) or any(jac[1])
     assert all((jac[0][i] * jac[1][j] - jac[0][j] * jac[1][i]) % 17 == 0
                for i, j in itertools.combinations(range(6), 2))
@@ -255,7 +261,7 @@ def test_deficiency_module_full_betti_table():
     mod = RaoModule.from_projection(spec, kmax=4, certify=False)
     tab = graded_betti(mod, hom_bound=6, deg_bound=12)
     assert tab.complete
-    assert tab.alternating_rank_sum() == 0
+    assert alternating_rank_sum(tab) == 0
     assert time.time() - t0 <= 3600
 
 
@@ -426,8 +432,8 @@ def test_property_pfaffian_squares_to_determinant():
                     vals[j][i] = (-c) % 17
             A = SkewMatrix(R1, [[R1.const(F17.of(v)) for v in row]
                                 for row in vals])
-            pf = A.pfaffian().constant_coefficient()
-            det = linalg.det_mod(np.asarray(vals), 17)
+            pf = constant_coefficient(A.pfaffian())
+            det = det_mod(np.asarray(vals), 17)
             assert pf * pf % 17 == det
 
 

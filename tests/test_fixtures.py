@@ -91,3 +91,21 @@ def test_digest_mismatch_detected(tmp_path, monkeypatch):
     monkeypatch.setattr(fixtures, "FIXTURE_DIR", str(tmp_path))
     with pytest.raises(fixtures.FixtureError):
         fixtures.n0_matrix(F17)
+
+
+def test_importing_the_graded_modules_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, about 3 MB of RSS; veronese imports fixtures,
+    # so fixtures takes hashlib only when it reads a fixture
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(fixtures.__file__))
+    script = ("import sys\n"
+              "import lforge.rao, lforge.veronese\n"
+              "print('_hashlib' in sys.modules)\n"
+              "lforge.fixtures.n0_matrix()\n"
+              "print('_hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True"]

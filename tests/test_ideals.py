@@ -15,10 +15,8 @@ from lforge.groebner import (
     symbolic_preprocessing,
 )
 from lforge.ideals import (
-    FreeModule,
     Ideal,
     change_coordinates,
-    cover_map,
     eliminate,
     form_matrix,
     forms_from_vector,
@@ -26,7 +24,6 @@ from lforge.ideals import (
     intersect,
     jacobian,
     linear_section_reduce,
-    matrix_det,
     minors_ideal,
     multiplication_matrix,
     multiply_forms,
@@ -57,8 +54,11 @@ from lforge.rng import Rng
 from lforge.textio import parse_poly
 from lforge.unipoly import UniPoly, gcd as poly_gcd
 from oracles import (
+    FreeModule,
+    cover_map,
     image_by_elimination,
     intersect_by_elimination,
+    matrix_det,
     quotient_by_elimination,
     saturate,
     symbolic_preprocessing_by_loop,
@@ -609,7 +609,7 @@ def greedy_image_generators(field, forms, target, bound):
     the evaluation map when it raises the rank of the span of the
     generators kept so far and of the vectors kept before it, one rank
     computation per vector."""
-    _, images = ring_map(forms, target)
+    images = ring_map(forms, target)
     gens, h0 = [], {}
     for e, A in islice(images, 1, bound + 1):
         ker = nullspace_over(field, A)
@@ -846,7 +846,7 @@ def test_evaluation_rows_match_substitute(field, d):
             forms.append(f if not f.is_zero() else source.var(0) ** d)
         if zero:
             forms[0] = source.zero
-        _, images = ring_map(forms, target)
+        images = ring_map(forms, target)
         for e, A in islice(images, 5 - d):
             assert A.T.tolist() == substitute_rows(forms, target, e, d)
 
@@ -871,7 +871,7 @@ def test_evaluation_rows_exact_at_largest_residues(field, d):
     source = PolynomialRing(field, ("s", "t", "u"))
     target = PolynomialRing(field, ("a", "b", "c"))
     forms = [top_coefficient_form(source, d, j) for j in range(3)]
-    _, images = ring_map(forms, target)
+    images = ring_map(forms, target)
     for e, A in islice(images, 4):
         assert A.T.tolist() == substitute_rows(forms, target, e, d)
 

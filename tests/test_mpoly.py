@@ -16,7 +16,13 @@ from lforge.mpoly import (
 from lforge.orders import TermOrder
 from lforge.textio import parse_poly
 from lforge.rng import Rng
-from oracles import convert_by_terms, partial_by_terms
+from oracles import (
+    convert_by_terms,
+    evaluate,
+    exact_div,
+    monomial_mul,
+    partial_by_terms,
+)
 
 F17 = GF(17)
 R = PolynomialRing(F17, ("x", "y", "z"))
@@ -100,8 +106,8 @@ def test_dot_matches_evaluation_at_points(field):
             pt = [field.random(rng) for _ in range(3)]
             want = field.zero
             for u, w in zip(us, ws):
-                want = field.add(want, field.mul(u.evaluate(pt), w.evaluate(pt)))
-            assert f.evaluate(pt) == want
+                want = field.add(want, field.mul(evaluate(u, pt), evaluate(w, pt)))
+            assert evaluate(f, pt) == want
 
 
 @pytest.mark.parametrize("field", [GF(17), QQ], ids=str)
@@ -157,10 +163,10 @@ def test_leading_term_grevlex():
 def test_exact_div():
     f = (x + y) ** 3
     g = (x + y) ** 2
-    assert f.exact_div(x + y) == g
-    assert (f * z).exact_div(z) == f
+    assert exact_div(f, x + y) == g
+    assert exact_div(f * z, z) == f
     with pytest.raises(FieldError):
-        (f + 1).exact_div(x + y)
+        exact_div(f + 1, x + y)
 
 
 def test_partials():
@@ -289,7 +295,7 @@ def test_substitute_matches_naive_expansion(case):
 
 def test_evaluate():
     f = x**2 + 2 * y - z
-    assert f.evaluate([3, 1, 4]) == (9 + 2 - 4) % 17
+    assert evaluate(f, [3, 1, 4]) == (9 + 2 - 4) % 17
 
 
 def test_pow():
@@ -550,7 +556,7 @@ def test_product_and_quotient_positions_are_packed_lookups(data):
     U, T = code.unpack_rows(us), code.unpack_rows(ts)
     assert U.tolist() == [list(code.unpack(u)) for u in us]
     assert ring.positions(U[:, None, :] + T[None], a + c).tolist() == [
-        [at[code.mul(u, t)] for t in ts] for u in us]
+        [at[monomial_mul(code, u, t)] for t in ts] for u in us]
     # the quotients m / x_j of every monomial of degree a + c
     below = {m: i for i, m in enumerate(ring.monomials_of_degree(a + c - 1))}
     Q = ring.quotient_positions(a + c)
@@ -592,7 +598,7 @@ def test_graded_layer_leaves_numpy_ma_unimported():
         "x, y, z = R.gens()\n"
         "groebner_basis([x**2 - y*z, y**3 - x*z**2, x*y*z])\n"
         "S = PolynomialRing(GF(17), ('a', 'b', 'c', 'd'))\n"
-        "list(kernel_generators(*ring_map([x**2, x*y, y*z, z**2], S), 3))\n"
+        "list(kernel_generators(S, ring_map([x**2, x*y, y*z, z**2], S), 3))\n"
         "Ideal(R, [x**2 - y*z, y**3 - x*z**2]).hilbert()\n"
         "print('numpy.ma' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lforge.orders import EXP_CAP, ExponentOverflow, MonomialCode, TermOrder
+from oracles import coprime, monomial_mul
 
 
 # -- reference comparators on raw exponent tuples ---------------------
@@ -97,7 +98,7 @@ def test_pack_unpack_roundtrip(order):
 def test_mul_divides_agree_with_tuples(ea, eb):
     code = MonomialCode(3, TermOrder.grevlex())
     a, b = code.pack(tuple(ea)), code.pack(tuple(eb))
-    assert code.unpack(code.mul(a, b)) == tuple(x + y for x, y in zip(ea, eb))
+    assert code.unpack(monomial_mul(code, a, b)) == tuple(x + y for x, y in zip(ea, eb))
     q = code.divides(b, a)
     if all(x >= y for x, y in zip(ea, eb)):
         assert q is not None
@@ -124,8 +125,8 @@ def test_lcm_gcd_coprime():
     a = code.pack((2, 0, 1))
     b = code.pack((1, 3, 0))
     assert code.unpack(code.lcm(a, b)) == (2, 3, 1)
-    assert not code.coprime(a, b)
-    assert code.coprime(code.pack((2, 0, 0)), code.pack((0, 1, 1)))
+    assert not coprime(code, a, b)
+    assert coprime(code, code.pack((2, 0, 0)), code.pack((0, 1, 1)))
 
 
 def test_deg():

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 from lforge import fixtures, ideals, rao
 from lforge.fields import GF
-from lforge.ideals import Ideal, multiplication_matrix
-from lforge.linalg import matmul_mod, nullspace_mod, rank_mod, rref_mod
+from lforge.ideals import (
+    Ideal,
+    image_ideal,
+    kernel_generators,
+    multiplication_matrix,
+    quotient,
+    ring_map,
+)
+from lforge.linalg import matmul_mod, rank_mod, rref_mod
 from lforge.linkage import link, random_slice_element
 from lforge.mpoly import PolynomialRing, coefficient_vector
 from lforge.rao import (
@@ -192,7 +199,7 @@ def test_koszul_betti_two_variables():
     tab = graded_betti(mod, hom_bound=2, deg_bound=5)
     assert tab.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert tab.complete
-    assert tab.alternating_rank_sum() == 0
+    assert oracles.alternating_rank_sum(tab) == 0
 
 
 def test_graded_betti_general_center(general_module):
@@ -220,75 +227,65 @@ def test_graded_betti_general_full_resolution(general_module):
     tab = graded_betti(general_module, hom_bound=6, deg_bound=12)
     assert tab.complete
     assert max(tab.hom_degrees) <= 6
-    assert tab.alternating_rank_sum() == 0
+    assert oracles.alternating_rank_sum(tab) == 0
     # Euler characteristic audit: alternating binomial counts give back
     # the Hilbert function (in the module's reported grading)
     for k in range(-2, 4):
-        assert tab.hilbert_value(k, 6) == general_module.dim(k + 2)
+        assert oracles.hilbert_value(tab, k, 6) == general_module.dim(k + 2)
 
 
-def _span_k_generators(free, maps):
-    """Reference for ideals.kernel_generators: the rule it replaced.  In
-    each degree t of maps (t -> A_t), the kernel columns that rref of
-    [span | K_t] keeps beyond the span block, span = [x_j K_{t-1}]_j in
-    free-module coordinates; the count must equal dim K_t - rank(span),
-    the transposed rank taken separately."""
-    p = free.ring.field.p
-    kernels, gens = {}, {}
-    for t, A in maps.items():
-        K = nullspace_mod(A, p)
-        kernels[t] = K
-        prev = kernels.get(t - 1)
-        if prev is not None and prev.shape[1]:
-            span = np.hstack([free.mul_vectors(t - 1, j, prev)
-                              for j in range(free.ring.nvars)])
-        else:
-            span = np.zeros((free.dim(t), 0), dtype=np.int64)
-        _, pivots = rref_mod(np.hstack([span, K]), p)
-        chosen = [c - span.shape[1] for c in pivots if c >= span.shape[1]]
-        assert len(chosen) == K.shape[1] - rank_mod(span.T, p)
-        if chosen:
-            gens[t] = K[:, chosen]
-    return gens
-
-
-# the special center's longer module costs about 6 s through homological
-# degree 3, so it stops at 2
-@pytest.mark.parametrize("center, hom", [("n0", 2), (3, 3), (14, 3), (27, 3)])
-def test_cover_generators_match_span_k_rule(center, hom, n0_module,
+# (center, k): the image of the center's projection through degree 4 is
+# read as image_ideal reads its ring_map stream, and its colon by x0^k
+# through _graded_kernel's stacked stream; in every degree either scan
+# reads, src's kernel_generators must pick the columns the span-K rule of
+# the oracle picks
+@pytest.mark.parametrize("center, k", [("n0", 2), (3, 3), (14, 3), (27, 3)])
+def test_cover_generators_match_span_k_rule(center, k, n0_spec,
                                             monkeypatch):
-    mod = n0_module if center == "n0" else RaoModule.from_projection(
-        _random_center(center), kmax=4, certify=False)
-    cover = oracles.kernel_generators
-    steps = []
+    spec = n0_spec if center == "n0" else _random_center(center)
+    scan = ideals.kernel_generators
+    read = []
 
-    def compared(free, images, scan_hi):
-        maps, gens = {}, {}
+    def compared(ring, images, hi):
+        maps = []
 
         def tapped():
             for t, A in images:
-                maps[t] = A
+                maps.append((t, A))
                 yield t, A
 
-        for t, G, n in cover(free, tapped(), scan_hi):
-            if G.shape[1]:
-                gens[t] = G
-            yield t, G, n
-        # every degree from the lowest through scan_hi, and none past it
-        assert list(maps) == list(range(min(free.gen_degrees), scan_hi + 1))
-        ref = _span_k_generators(free, maps)
-        assert gens.keys() == ref.keys()
-        for t, G in gens.items():
-            assert G.dtype == ref[t].dtype and G.shape == ref[t].shape
-            assert G.tobytes() == np.ascontiguousarray(ref[t]).tobytes()
-        steps.append(sum(G.shape[1] for G in gens.values()))
+        def replayed():
+            while maps:
+                yield maps.pop(0)
 
-    monkeypatch.setattr(oracles, "kernel_generators", compared)
-    # the smallest bound that certifies homological degree hom
-    tab = oracles.betti_by_covers(mod, hom_bound=hom,
-                                  deg_bound=max(mod.grades) + hom)
-    assert tab.complete
-    assert len(steps) == hom and steps[0] == 17
+        ref = oracles.kernel_generators(oracles.FreeModule(ring, [0]),
+                                        replayed(), hi)
+        for t, G, n in scan(ring, tapped(), hi):
+            rt, R, rn = next(ref)
+            assert (t, n) == (rt, rn)
+            assert G.dtype == R.dtype and G.shape == R.shape
+            assert G.tobytes() == np.ascontiguousarray(R).tobytes()
+            read.append(t)
+            yield t, G, n
+        # every degree through hi, and none past it
+        assert not maps and read == list(range(hi + 1))
+
+    monkeypatch.setattr(ideals, "kernel_generators", compared)
+    target = spec.target_ring
+    image = image_ideal(spec.composed_forms(), target, 4)
+    assert read == [0, 1, 2, 3, 4]
+    assert len(image.ideal.gens) == (25 if center == "n0" else 30)
+    read.clear()
+    colon = quotient(image.ideal, Ideal(target, [target.var(0) ** k]))
+    assert colon == image.ideal
+    assert read == list(range(len(read))) and len(read) > 4
+    # a monomial colon, whose spans are sparse in kernel coordinates
+    read.clear()
+    x = target.gens()
+    mono = Ideal(target, [x[0] * x[1] ** k, x[0] * x[2] ** 2, x[1] ** 3])
+    assert quotient(mono, Ideal(target, [x[0]])) == Ideal(
+        target, [x[1] ** k, x[2] ** 2, x[1] ** 3])
+    assert read == list(range(len(read))) and len(read) > 2
 
 
 def _greedy_identity_complement(S, p):
@@ -322,39 +319,64 @@ def test_reversed_transpose_pivots_give_greedy_complement(
 
 
 def test_cover_budget_counts_the_kernel_span(monkeypatch):
-    # the relations of k over k[t0, t1]: every A_t past degree 0 is empty,
-    # while R_1 times the degree-1 kernel is a 4 x 3 matrix in kernel
-    # coordinates, so a budget below 12 cells stops the step there
-    mod = RaoModule(F17, 2, {0: 1}, {})
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 11)
-    tab = oracles.betti_by_covers(mod, hom_bound=1, deg_bound=5)
-    assert not tab.complete
-    assert tab.column(1) == {1: 2}
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 12)
-    assert oracles.betti_by_covers(mod, hom_bound=1, deg_bound=5).complete
+    # the kernel of (a, b, c) -> (s, 0, 0): b and c in degree 1, and in
+    # degree 2 five quadrics, all in the span x_j K_1, a 6 x 5 matrix
+    # of 30 cells against 6 for A_2, so a budget below 30 stops the scan
+    # there before the span is built
+    S = PolynomialRing(F17, ("s",))
+    T = PolynomialRing(F17, ("a", "b", "c"))
+    forms = [S.var(0), S.zero, S.zero]
+    built, done = [], []
+    zeros_over = ideals.zeros_over
+
+    def recording_zeros(field, shape):
+        built.append(prod(shape))
+        return zeros_over(field, shape)
+
+    monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 29)
+    with pytest.raises(ideals.CellBudgetError, match="span of degree 2"):
+        for t, G, n in kernel_generators(T, ring_map(forms, T), 2):
+            done.append((t, G.shape[1], n))
+    assert done == [(0, 0, 0), (1, 2, 2)]
+    assert max(built) < 30
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 30)
+    assert [(G.shape[1], n) for _, G, n in kernel_generators(
+        T, ring_map(forms, T), 2)] == [(0, 0), (2, 2), (0, 5)]
+    assert 30 in built
 
 
 def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
-    # k[a, b, c] truncated above degree 2: the degree-2 matrix of its cover
-    # by k[a, b, c] is 6 x 6, the largest matrix of the first step
-    mod = _truncated_abc(F17)
+    # the twisted cubic's map: A_3 (10 x 20, the degree-9 forms in s, t by
+    # the cubics of the target) is the largest matrix of the scan through
+    # degree 3, larger than the span of degree 3 (4 x 3 x 10)
+    S = PolynomialRing(F17, ("s", "t"))
+    T = PolynomialRing(F17, ("a", "b", "c", "d"))
+    s, t = S.gens()
+    forms = [s**3, s**2 * t, s * t**2, t**3]
     built = []
     zeros_over = ideals.zeros_over
 
     def recording_zeros(field, shape):
-        built.append(shape[0] * shape[1])
+        built.append(prod(shape))
         return zeros_over(field, shape)
 
+    def scan():
+        return [G.shape[1] for _, G, _ in kernel_generators(
+            T, ring_map(forms, T), 3)]
+
     monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 35)
-    tab = oracles.betti_by_covers(mod, hom_bound=2, deg_bound=5)
-    assert max(built) <= 35
-    assert tab.to_text().endswith("(partial: budget reached)")
-    assert tab.entries == {(0, 0): 1}
+    assert scan() == [0, 0, 3, 0]
+    assert max(built) == 200
     built.clear()
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 36)
-    oracles.betti_by_covers(mod, hom_bound=2, deg_bound=5)
-    assert 36 in built
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 199)
+    with pytest.raises(ideals.CellBudgetError, match="degree 3"):
+        scan()
+    assert max(built) < 200
+    built.clear()
+    monkeypatch.setattr(ideals, "CELL_BUDGET", 200)
+    assert scan() == [0, 0, 3, 0]
+    assert 200 in built
 
 
 # (p, module, hom_bound, deg_bound): the Koszul table against the cover

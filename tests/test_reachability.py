@@ -6,8 +6,8 @@ imported name or a whole string constant, in src/lforge, demos or perfbench
 def directly in a class body) counts as used only through an attribute or a
 string constant, so a module function of the same name does not hide it.
 Dunder methods are exempt, as are experiments registered with
-``@experiment`` (the registry calls them) and functions whose docstring
-says they are a test oracle.
+``@experiment`` (the registry calls them).  Code that only the tests use
+belongs in tests/oracles.py, not in src/lforge.
 
 That check goes by name only, so a test-only method that shares its name
 with a used one would pass it.  So every name that several definitions in
@@ -31,15 +31,15 @@ CALLERS = SOURCES + sorted((ROOT / "demos").rglob("*.py")) + sorted(
 # or "file:function.nested") that a caller outside the tests reaches
 REACHED: dict[str, tuple[str, ...]] = {
     "_check": ("mpoly.py:MPoly._check", "unipoly.py:UniPoly._check"),
-    "add": ("fields.py:PrimeField.add", "groebner.py:_Pairs.add"),
+    # UniPoly.__call__ adds through the field, over Q too
+    "add": ("fields.py:PrimeField.add", "fields.py:RationalField.add",
+            "groebner.py:_Pairs.add"),
     "as_dict": ("linkage.py:LinkStep.as_dict",
                 "linkage.py:BilinkReport.as_dict"),
     "check": ("experiments.py:Report.check", "snf.py:SNFResult.check"),
     "degree": ("hilbert.py:HilbertData.degree", "mpoly.py:MPoly.degree",
                "unipoly.py:UniPoly.degree"),
-    "dim": ("hilbert.py:HilbertData.dim", "ideals.py:FreeModule.dim",
-            "ideals.py:ring_map.dim", "rao.py:RaoModule.dim"),
-    "exact_div": ("mpoly.py:MPoly.exact_div", "unipoly.py:UniPoly.exact_div"),
+    "dim": ("hilbert.py:HilbertData.dim", "rao.py:RaoModule.dim"),
     "from_text": ("pfaffian.py:SkewMatrix.from_text",
                   "snf.py:PolyMatrix.from_text"),
     "inv": ("fields.py:PrimeField.inv", "fields.py:RationalField.inv"),
@@ -51,7 +51,6 @@ REACHED: dict[str, tuple[str, ...]] = {
     "lc": ("mpoly.py:MPoly.lc", "unipoly.py:UniPoly.lc"),
     "monic": ("mpoly.py:MPoly.monic", "unipoly.py:UniPoly.monic"),
     "mul": ("fields.py:PrimeField.mul", "fields.py:RationalField.mul",
-            "ideals.py:ring_map.mul", "orders.py:MonomialCode.mul",
             "snf.py:PolyMatrix.mul"),
     "neg": ("fields.py:PrimeField.neg", "fields.py:RationalField.neg"),
     "of": ("fields.py:PrimeField.of", "fields.py:RationalField.of"),
@@ -61,7 +60,6 @@ REACHED: dict[str, tuple[str, ...]] = {
     "random_nonzero": ("fields.py:PrimeField.random_nonzero",
                        "fields.py:RationalField.random_nonzero"),
     "scale": ("mpoly.py:MPoly.scale", "unipoly.py:UniPoly.scale"),
-    "sub": ("fields.py:PrimeField.sub", "fields.py:RationalField.sub"),
     "to_text": ("experiments.py:Report.to_text", "rao.py:BettiTable.to_text"),
     "var": ("mpoly.py:PolynomialRing.var", "orders.py:MonomialCode.var"),
     "zero": ("mpoly.py:PolynomialRing.zero", "unipoly.py:UniPoly.zero"),
@@ -89,11 +87,8 @@ def _exempt(fn) -> bool:
     name = fn.name
     if name.startswith("__") and name.endswith("__"):
         return True
-    if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) ==
-           "experiment" for d in fn.decorator_list):
-        return True
-    doc = " ".join((ast.get_docstring(fn) or "").split())
-    return "test oracle" in doc.lower()
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) ==
+               "experiment" for d in fn.decorator_list)
 
 
 def _unreached(sources, callers) -> list[str]:
@@ -164,8 +159,8 @@ def test_every_function_has_a_caller_outside_the_tests():
     assert sources
     unreached = _unreached(sources, [tree for _, tree in callers])
     assert not unreached, (
-        "only tests reach these; delete them, or say 'test oracle' in the "
-        "docstring of one a test needs: " + ", ".join(unreached))
+        "only tests reach these; delete them, or move one a test needs to "
+        "tests/oracles.py: " + ", ".join(unreached))
 
 
 def test_a_method_is_not_hidden_by_a_function_of_its_name():
@@ -186,20 +181,22 @@ def test_every_shared_name_lists_its_reached_definitions():
     assert not unlisted, (
         "these definitions share a name with another one, so the name check "
         "cannot tell whether a caller outside the tests reaches them; list "
-        "the reached ones in REACHED, and delete or mark as test oracle the "
-        "rest: " + ", ".join(unlisted))
+        "the reached ones in REACHED, and delete the rest or move them to "
+        "tests/oracles.py: " + ", ".join(unlisted))
 
 
 def test_a_test_only_method_of_a_shared_name_is_seen():
-    # MPoly.degree is used, so the name check passes a test-only method
-    # named degree; the table check does not
+    # MPoly.degree and Report.to_text are used, so the name check passes
+    # test-only methods named degree and to_text; the table check does not,
+    # whatever their docstrings say
     planted = ast.parse("class Planted:\n    def degree(self):\n        pass\n"
                         "    def to_text(self):\n"
                         "        \"\"\"Test oracle.\"\"\"\n")
     sources = _parsed(SOURCES) + [("planted.py", planted)]
     callers = [tree for _, tree in sources]
     assert _unreached([("planted.py", planted)], callers) == []
-    assert _unlisted(sources, REACHED) == ["planted.py:Planted.degree"]
+    assert sorted(_unlisted(sources, REACHED)) == [
+        "planted.py:Planted.degree", "planted.py:Planted.to_text"]
     # an entry whose definition is gone is stale
     stale = dict(REACHED, degree=REACHED["degree"] + ("gone.py:Gone.degree",))
     assert _unlisted(_parsed(SOURCES), stale) == ["gone.py:Gone.degree"]

@@ -12,8 +12,8 @@ from lforge.textio import (
     parse_ring_header,
     poly_to_string,
     read_ideal,
-    ring_header,
 )
+from oracles import ring_header
 
 F17 = GF(17)
 R = PolynomialRing(F17, ("x0", "x1", "x2"))

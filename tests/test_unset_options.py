@@ -7,8 +7,7 @@ every positional parameter and one with ``**kwargs`` every keyword.  Calls
 are matched by the name they call (``f(...)``, ``obj.f(...)``, and a class
 name for its ``__init__``) in src/lforge, demos, perfbench and tests.
 Public means that neither the function nor its class has a leading
-underscore; functions nested in other functions are not public, and
-functions whose docstring says they are a test oracle are exempt.  A
+underscore; functions nested in other functions are not public.  A
 parameter that stays without a setting caller needs an entry in ALLOWED
 with its reason.
 
@@ -113,9 +112,6 @@ def _unset(sources, callers) -> list[str]:
     out = []
     for file, tree in sources:
         for qual, name, fn, is_method in _public_functions(tree):
-            doc = " ".join((ast.get_docstring(fn) or "").split()).lower()
-            if "test oracle" in doc:
-                continue
             positional, optional = _optional(fn, is_method)
             unset = set(optional)
             for npos, kws, star, dstar in calls.get(name, ()):
@@ -154,8 +150,7 @@ def _one_value(sources, callers) -> list[str]:
     out = []
     for file, tree in sources:
         for qual, name, fn, is_method in _public_functions(tree):
-            doc = " ".join((ast.get_docstring(fn) or "").split()).lower()
-            if "test oracle" in doc or not calls.get(name):
+            if not calls.get(name):
                 continue
             positional, optional = _optional(fn, is_method)
             args = fn.args
