@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except BudgetRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ExperimentError, OSError, ValueError) as exc:
+    except (ExperimentError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

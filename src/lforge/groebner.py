@@ -231,12 +231,12 @@ def normal_form(f: MPoly, G) -> MPoly:
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    code = f.ring.code
-    F = f.ring.field
+    ring = f.ring
+    code, F = ring.code, ring.field
     l = code.lcm(f.lm, g.lm)
-    uf = code.divides(f.lm, l)
-    ug = code.divides(g.lm, l)
-    return f.mul_term(uf, F.inv(f.lc)) - g.mul_term(ug, F.inv(g.lc))
+    cofactors = (MPoly(ring, ((code.divides(f.lm, l), F.inv(f.lc)),)),
+                 MPoly(ring, ((code.divides(g.lm, l), F.neg(F.inv(g.lc))),)))
+    return ring.dot((f, g), cofactors)
 
 
 def _common_ring(gens, order):

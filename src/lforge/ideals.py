@@ -1,10 +1,11 @@
 """Geometric ideal operations: elimination, intersection and quotient (graded
 kernels certified by their Hilbert series), saturation, Hilbert data,
-minors, singular loci, image ideals, matrices of forms (form_matrix, the
-one builder of graded coefficient matrices: spans of graded pieces,
-multiplication maps and coefficient columns), the graded maps of ring
-homomorphisms (ring_map) and the generators of their kernels
-(kernel_generators), and reducedness of zero-dimensional schemes.
+minors (Pfaffians of a bordered skew matrix), singular loci, image ideals,
+matrices of forms (form_matrix, the one builder of graded coefficient
+matrices: spans of graded pieces, multiplication maps and coefficient
+columns), the graded maps of ring homomorphisms (ring_map) and the
+generators of their kernels (kernel_generators), and reducedness of
+zero-dimensional schemes.
 
 Ideals are value-semantic: operations build new Ideal objects and caches hang
 off each instance.
@@ -321,42 +322,24 @@ def _saturation(I: Ideal, back: bool):
 # -- determinantal machinery ------------------------------------------
 
 
-def _det(M, rows, cols, memo):
-    if len(rows) == 1:
-        return M[rows[0]][cols[0]]
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    r0 = rows[0]
-    rest = rows[1:]
-    total = None
-    for j, c in enumerate(cols):
-        entry = M[r0][c]
-        if entry.is_zero():
-            continue
-        sub = _det(M, rest, cols[:j] + cols[j + 1 :], memo)
-        term = entry * sub
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:  # the whole row is zero
-        total = M[r0][cols[0]]
-    memo[key] = total
-    return total
-
-
 def minors_ideal(M, k: int, ring: PolynomialRing | None = None) -> Ideal:
-    """Ideal of all k x k minors of a matrix of polynomials."""
+    """Ideal of all k x k minors of a matrix of polynomials: the minor on
+    rows rs and columns cs is (-1)^(k(k-1)/2) times the principal Pfaffian
+    of B = [[0, M], [-M^T, 0]] on rs and cs shifted past the rows."""
+    from .pfaffian import SkewMatrix
+
     rows, cols = len(M), len(M[0])
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols}")
     if ring is None:
         ring = next(e.ring for row in M for e in row if not e.is_zero())
-    memo: dict = {}
+    B = SkewMatrix(ring, [[ring.zero] * rows + list(M[i]) for i in range(rows)]
+                   + [[-M[i][j] for i in range(rows)] + [ring.zero] * cols
+                      for j in range(cols)])
     gens = []
     for rs in combinations(range(rows), k):
-        for cs in combinations(range(cols), k):
-            d = _det(M, rs, cs, memo)
+        for cs in combinations(range(rows, rows + cols), k):
+            d = B.principal_pfaffian(rs + cs)
             if not d.is_zero():
                 gens.append(d)
     return Ideal(ring, gens)

@@ -5,9 +5,10 @@ strictly descending monomial order.  Packed monomials compare as plain ints
 (see orders.py), so the invariant is just "keys strictly decreasing".
 Polynomials from different rings never combine.
 
-PolynomialRing.dot is the one sum-of-products kernel, and a product is its
-one-term case: products are added into one dict of unreduced sums (ints over
-F_p, Fractions over Q), which from_dict maps into the field and sorts once.
+PolynomialRing.dot is the one sum-of-products kernel; a product, an
+S-polynomial and a substitution are each one call: products are added into
+one dict of unreduced sums (ints over F_p, Fractions over Q), which
+from_dict maps into the field and sorts once.
 
 Monomials by position.  For each degree d the ring keeps, once asked, one
 index of monomials_of_degree(d): its exponent rows (``exponents``), taken
@@ -393,23 +394,6 @@ class MPoly:
             return self
         return self.scale(self.ring.field.inv(self.lc))
 
-    def mul_term(self, mon: int, coeff) -> "MPoly":
-        """Multiply by a single term given as packed monomial and coefficient."""
-        ring = self.ring
-        F = ring.field
-        coeff = F.of(coeff)
-        if F.is_zero(coeff) or not self.terms:
-            return ring.zero
-        off = mon - ring.code.K0
-        GUARD = ring.code.GUARD
-        out = []
-        for m, c in self.terms:
-            mm = m + off
-            if mm & GUARD:
-                raise OverflowError("monomial exponent overflow")
-            out.append((mm, F.mul(coeff, c)))
-        return MPoly(ring, tuple(out))
-
     # -- calculus and substitution ------------------------------------
 
     def partial(self, i: int) -> "MPoly":
@@ -437,15 +421,9 @@ class MPoly:
         """Ring map sending variable name -> MPoly (all in one target ring).
         Every variable occurring in self must be covered.
 
-        A single-term image c m contributes c^e and a monomial shift by
-        e (m - K0) to each term; only multi-term images are multiplied out,
-        from cached powers."""
-        if not self.terms:
-            target = None
-            for v in images.values():
-                target = v.ring
-                break
-            return target.zero if target is not None else self
+        Each term is its coefficient times cached powers of the images; the
+        last power of every term is left as a factor, so that all terms are
+        summed by one PolynomialRing.dot."""
         imgs: list[MPoly | None] = [None] * self.ring.nvars
         target = None
         for name, g in images.items():
@@ -455,47 +433,33 @@ class MPoly:
             elif g.ring is not target:
                 raise RingMismatch("substitution images live in different rings")
         if target is None:
-            raise ValueError("empty substitution map")
-        powers: list[dict[int, MPoly]] = [dict() for _ in range(self.ring.nvars)]
+            if self.terms:
+                raise ValueError("empty substitution map")
+            return self
+        powers: dict[tuple[int, int], MPoly] = {}
 
         def img_pow(i: int, e: int) -> MPoly:
-            if e == 0:
-                return target.one
-            cache = powers[i]
-            if e not in cache:
+            if (i, e) not in powers:
                 if imgs[i] is None:
                     raise ValueError(
                         f"substitution map misses variable {self.ring.names[i]!r}"
                     )
-                cache[e] = img_pow(i, e - 1) * imgs[i] if e > 1 else imgs[i]
-            return cache[e]
+                powers[i, e] = img_pow(i, e - 1) * imgs[i] if e > 1 else imgs[i]
+            return powers[i, e]
 
         unpack = self.ring.code.unpack
-        F = target.field
-        K0, GUARD = target.code.K0, target.code.GUARD
-        one = target.one.terms
-        # unreduced sums of products, mapped into F once at the end
-        acc: dict[int, object] = {}
+        one = target.one
+        us, ws = [], []
         for m, c in self.terms:
-            off, coef = 0, F.of(c)
-            t = None  # product of the multi-term images' powers
+            u, w = target.const(c), None
             for i, e in enumerate(unpack(m)):
-                if not e:
-                    continue
-                g = imgs[i]
-                if g is not None and len(g.terms) == 1:
-                    (mi, ci), = g.terms
-                    off += e * (mi - K0)
-                    if ci != F.one:
-                        coef = F.mul(coef, pow_field(F, ci, e))
-                else:
-                    t = img_pow(i, e) if t is None else t * img_pow(i, e)
-            if K0 + off < 0 or (K0 + off) & GUARD:
-                raise OverflowError("monomial exponent overflow")
-            for mt, ct in one if t is None else t.terms:
-                mm = mt + off
-                acc[mm] = acc.get(mm, 0) + coef * ct
-        return target.from_dict(acc)
+                if e:
+                    if w is not None:
+                        u = u * w
+                    w = img_pow(i, e)
+            us.append(u)
+            ws.append(one if w is None else w)
+        return target.dot(us, ws)
 
     # -- comparisons / hash -------------------------------------------
 
@@ -515,17 +479,6 @@ class MPoly:
         from .textio import poly_to_string
 
         return poly_to_string(self)
-
-
-def pow_field(F, a, e: int):
-    r = F.one
-    b = a
-    while e:
-        if e & 1:
-            r = F.mul(r, b)
-        b = F.mul(b, b)
-        e >>= 1
-    return r
 
 
 def coefficient_vector(f: MPoly, basis: list[int]):

@@ -130,6 +130,8 @@ class SkewMatrix:
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
         lines = list(data_lines(text))
+        if len(lines) < 2:
+            raise PfaffianError("file needs a size line and a ring header")
         n = int(lines[0])
         ring = parse_ring_header(lines[1])
         upper = [parse_poly(s, ring) for s in lines[2:]]

@@ -78,8 +78,9 @@ class PolyMatrix:
         if len(header) != 3 or not all(h.isdigit() for h in header[:2]):
             raise SnfError("header must read: rows columns variable")
         r, c, var = int(header[0]), int(header[1]), header[2]
-        if len(lines) - 1 < r * c:
-            raise SnfError(f"{r}x{c} matrix needs {r * c} entries")
+        if len(lines) - 1 != r * c:
+            raise SnfError(f"{r}x{c} matrix needs exactly {r * c} entries, "
+                           f"not {len(lines) - 1}")
         entries = []
         it = iter(lines[1:])
         for i in range(r):

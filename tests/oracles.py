@@ -23,7 +23,7 @@ from itertools import count
 
 import numpy as np
 
-from lforge import ideals, snf
+from lforge import snf
 from lforge.fields import FieldError, is_prime
 from lforge.groebner import GroebnerBasis, normal_form, s_polynomial
 from lforge.ideals import Ideal, eliminate, quotient
@@ -34,7 +34,7 @@ from lforge.linalg import (
     rref_mod,
     zeros_over,
 )
-from lforge.mpoly import MPoly, PolynomialRing, RingMismatch, pow_field
+from lforge.mpoly import MPoly, PolynomialRing, RingMismatch
 from lforge.orders import ExponentOverflow, TermOrder
 from lforge.pfaffian import (
     PfaffianError,
@@ -500,15 +500,28 @@ def det_mod(A, p: int) -> int:
 
 def matrix_det(M, rows=None, cols=None, memo=None) -> MPoly:
     """Determinant of a square submatrix of MPoly or UniPoly entries, by
-    cofactor expansion with shared memoized subdeterminants (ideals._det,
-    the expansion minors_ideal runs)."""
-    if rows is None:
-        rows = tuple(range(len(M)))
-    if cols is None:
-        cols = tuple(range(len(M[0])))
+    cofactor expansion along the first row with shared memoized
+    subdeterminants.  minors_ideal reads minors as Pfaffians instead, so
+    the two share no code beyond polynomial arithmetic."""
+    rows = tuple(range(len(M))) if rows is None else tuple(rows)
+    cols = tuple(range(len(M[0]))) if cols is None else tuple(cols)
     if memo is None:
         memo = {}
-    return ideals._det(M, tuple(rows), tuple(cols), memo)
+    if len(rows) == 1:
+        return M[rows[0]][cols[0]]
+    if (rows, cols) not in memo:
+        total = None
+        for j, c in enumerate(cols):
+            entry = M[rows[0]][c]
+            if entry.is_zero():
+                continue
+            term = entry * matrix_det(M, rows[1:], cols[:j] + cols[j + 1:],
+                                      memo)
+            term = -term if j % 2 else term
+            total = term if total is None else total + term
+        # a zero first row: its first entry is the zero of the right kind
+        memo[rows, cols] = M[rows[0]][cols[0]] if total is None else total
+    return memo[rows, cols]
 
 
 def spair_audit(G: GroebnerBasis) -> bool:
@@ -586,8 +599,8 @@ def evaluate(f: MPoly, point):
     for m, c in f.terms:
         v = c
         for i, e in enumerate(unpack(m)):
-            if e:
-                v = F.mul(v, pow_field(F, point[i], e))
+            for _ in range(e):
+                v = F.mul(v, point[i])
         total = F.add(total, v)
     return total
 

@@ -458,7 +458,8 @@ def test_property_groebner_membership_oracle():
                 if dg is False or dg > d:
                     continue
                 for m in R3.monomials_of_degree(d - dg):
-                    rows.append(coefficient_vector(g.mul_term(m, 1), basis))
+                    rows.append(coefficient_vector(R3.from_dict({m: 1}) * g,
+                                                   basis))
             in_span = False
             if rows:
                 A = np.array(rows, dtype=np.int64).T

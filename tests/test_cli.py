@@ -136,6 +136,15 @@ def test_gb_bad_fraction_is_a_parse_error(tmp_path, capsys, field, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_gb_exponent_overflow_is_an_error(tmp_path, capsys):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring R vars x y field GF(17) order grevlex\n"
+                 "x^40000000 - y\n")
+    assert main(["gb", str(f)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_gb_missing_file(capsys):
     assert main(["gb", "/no/such/file.txt"]) == EXIT_ERROR
 
@@ -180,6 +189,15 @@ def test_pfaffian_subcommand(tmp_path, capsys):
     assert out == "-x*y - y^2 + x*z + x*w + z*w"
 
 
+@pytest.mark.parametrize("text", ["", "4\n"],
+                         ids=["empty", "no-ring-header"])
+def test_pfaffian_subcommand_malformed_file(tmp_path, capsys, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert main(["pfaffian", str(f)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_snf_subcommand(tmp_path, capsys):
     f = tmp_path / "mat.txt"
     f.write_text(MAT22)
@@ -193,7 +211,9 @@ def test_snf_subcommand(tmp_path, capsys):
     "2 0 lambda\n",
     "2 2 lambda\n1\nlambda\n",
     "# no header\n",
-], ids=["zero-columns", "fewer-entries-than-declared", "no-header"])
+    "2 2 lambda\n1\nlambda\n2\n3\n4\n",
+], ids=["zero-columns", "fewer-entries-than-declared", "no-header",
+        "more-entries-than-declared"])
 def test_snf_subcommand_malformed_file(tmp_path, capsys, text):
     f = tmp_path / "bad.txt"
     f.write_text(text)

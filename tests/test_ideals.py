@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -533,6 +533,23 @@ def test_matrix_det_and_minors():
         X * (Z * X - W * W) - Y * (Y * X - W * Z) + Z * (Y * W - Z * Z)
     )
     assert d == expect
+    # every generator of minors_ideal is, in order, +- the Laplace expansion
+    # of its nonzero minor, on random matrices of forms with zero entries
+    rng = Rng(38)
+    for field in (F17, GF(2), QQ):
+        R = PolynomialRing(field, ("s", "t", "u"))
+        for r, c in ((1, 5), (2, 3), (2, 6), (3, 3), (3, 6)):
+            M = [[R.random_form(rng.randrange(3), rng) if rng.randrange(4)
+                  else R.zero for _ in range(c)] for _ in range(r)]
+            for k in range(1, r + 1):
+                want = [matrix_det(M, rs, cs)
+                        for rs in combinations(range(r), k)
+                        for cs in combinations(range(c), k)]
+                want = [w for w in want if not w.is_zero()]
+                gens = minors_ideal(M, k, ring=R).gens
+                assert len(gens) == len(want), (field, r, c, k)
+                for g, w in zip(gens, want):
+                    assert g == w or g == -w, (field, r, c, k)
 
 
 def test_jacobian():
@@ -1012,7 +1029,7 @@ def test_multiplication_matrix_matches_mul_term(field):
             assert M.dtype == zeros_over(field, (0, 0)).dtype
             basis = ring.monomials_of_degree(a + d)
             assert M.T.tolist() == [
-                coefficient_vector(f.mul_term(m, field.one), basis)
+                coefficient_vector(ring.from_dict({m: field.one}) * f, basis)
                 for m in ring.monomials_of_degree(a)]
     assert multiplication_matrix(ring.zero, 1, 3).tolist() == \
         zeros_over(field, (10, 3)).tolist()
@@ -1042,7 +1059,8 @@ def test_form_matrix_blocks_are_multiplication_matrices(field):
         for j, a in enumerate(src):
             block = M[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
             basis = ring.monomials_of_degree(b)
-            want = [coefficient_vector(P[i][j].mul_term(m, field.one), basis)
+            want = [coefficient_vector(ring.from_dict({m: field.one}) * P[i][j],
+                                       basis)
                     for m in ring.monomials_of_degree(a)]
             assert block.T.tolist() == want
             assert block.tolist() == \
@@ -1121,7 +1139,7 @@ def test_quotient_coordinates_are_normal_forms(case):
         coords = reduce_rows(rows, basis, pivots, rest, e + 1)
         columns = [ring.monomials_of_degree(e + 1)[c] for c in rest]
         for m, row in zip(mons, coords.tolist()):
-            nf = normal_form(ell.mul_term(m, field.one), list(G))
+            nf = normal_form(ring.from_dict({m: field.one}) * ell, list(G))
             # raises unless the normal form lives on the remaining columns
             assert row == coefficient_vector(nf, columns)
 

@@ -125,7 +125,7 @@ def slice_by_sums(I, d, rng):
         for m in ring.monomials_of_degree(d - g.degree()):
             c = rng.randrange(field.p)
             if c:
-                out = out + g.mul_term(m, field.of(c))
+                out = out + ring.from_dict({m: c}) * g
     return out
 
 

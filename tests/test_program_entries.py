@@ -9,7 +9,8 @@ when a frame of its code starts, matched by file and first line (a
 decorated function's code starts at its first decorator).  Unlike
 tests/test_reachability.py, which goes by name, a test-only method that
 shares its name with a used one cannot pass.  Dunder methods are exempt;
-ALLOWED names each definition that only inputs outside this run reach.
+ALLOWED names each definition that only inputs outside this run reach, and
+an entry that the run does enter fails as a stale one does.
 
 ``python tests/test_program_entries.py OUT`` writes the entered (file,
 line) pairs to OUT as JSON."""
@@ -39,9 +40,6 @@ ALLOWED: dict[str, str] = {
         "a link whose first colon ci : (f) fails the residual check, so "
         "that linkage.residual_quotient intersects it with a second draw's, "
         "or the saturation fallback after five uncertified draws",
-    "mpoly.py:pow_field":
-        "MPoly.substitute of a variable by one term with a coefficient "
-        "other than 1, as a linear section by a form such as x - 2y gives",
     "unipoly.py:_pth_root":
         "the squarefree decomposition of a polynomial with a zero "
         "derivative, as snf.unipoly_factor_ff((lambda + 1)^17) over GF(17) "
@@ -165,6 +163,10 @@ def test_every_definition_is_entered_by_the_program(tmp_path):
                        "tests/oracles.py or delete them: " + ", ".join(never))
     stale = sorted(set(ALLOWED) - set(defs.values()))
     assert not stale, "ALLOWED names no such definition: " + ", ".join(stale)
+    reached = sorted(qual for key, qual in defs.items()
+                     if key in entered and qual in ALLOWED)
+    assert not reached, ("the program enters these; drop them from "
+                         "ALLOWED: " + ", ".join(reached))
 
 
 if __name__ == "__main__":
