@@ -17,14 +17,14 @@ so far are the elements of the reduced basis of degree below d, and nothing
 later changes them, since no leading monomial of degree d or more divides a
 monomial of lower degree.  The rows of degree d are both halves
 (l/lm_i) g_i and (l/lm_j) g_j of every pair of degree d = deg l and the
-generators of degree d.  ``symbolic_preprocessing`` gives them one reducer
-(m/lm) g for every column m that an earlier leading monomial lm divides, and
-``reduce_rows`` takes their coordinates on the other columns modulo the
-reducers (the split of Faugere & Lachartre, PASCO 2010); one ``rref_mod`` of
-that remainder ends the degree.  No earlier leading monomial divides its
-columns, so each pivot is a new leading monomial, and its row is already the
-monic, fully reduced basis element.  The graded colon of ``ideals`` reduces
-its rows against a complete basis with the same two routines.
+generators of degree d.  ``reduce_rows`` gives them one reducer (m/lm) g
+for every column m that an earlier leading monomial lm divides and takes
+their coordinates on the other columns modulo the reducers (the split of
+Faugere & Lachartre, PASCO 2010); one ``rref_mod`` of that remainder ends
+the degree.  No earlier leading monomial divides its columns, so each pivot
+is a new leading monomial, and its row is already the monic, fully reduced
+basis element.  The graded colon of ``ideals`` reduces its rows against a
+complete basis with the same call.
 
 Monomials by position.  The engine holds its polynomials in a TermTable:
 the exponent rows and coefficients of their terms, and the leading rows.
@@ -53,7 +53,7 @@ from operator import mul
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import _modulus, reduce_mod, rref_mod, zeros_over
+from .linalg import _modulus, check_budget, reduce_mod, rref_mod, zeros_over
 from .mpoly import MPoly, RingMismatch, suffix_sums
 
 
@@ -433,9 +433,9 @@ def macaulay_basis(by_degree: dict) -> GroebnerBasis:
             X = TermTable.from_polys(ring, by_degree.pop(d))
             rows.append((np.zeros((len(X), ring.nvars), dtype=np.int32),
                          np.arange(len(X)), X))
-        pivots, rest = symbolic_preprocessing(rows, B, d)
-        R, piv = rref_mod(reduce_rows(rows, B, pivots, rest, d),
-                          ring.field.p)
+        rest, C = reduce_rows(rows, B, d)
+        R, piv = rref_mod(C, ring.field.p)
+        del C  # not held into the next degree
         # the pivot rows' terms, row by row; each column is packed once
         r, c = np.nonzero(R[:len(piv)])
         coefs = R[r, c]
@@ -512,26 +512,28 @@ def symbolic_preprocessing(rows, basis: TermTable, d: int):
     return np.flatnonzero(seen & covered), np.flatnonzero(seen & ~covered)
 
 
-def reduce_rows(rows, basis: TermTable, pivots, rest, d: int):
-    """The coordinates of the row sets rows modulo their reducers (see
-    symbolic_preprocessing, whose pivots and rest these are) on the columns
-    rest: ``reduce_mod`` of the two coefficient matrices, as the monic
-    reducers are unit upper triangular on the pivots.  Each block of
-    _products is one fancy assignment."""
+def reduce_rows(rows, basis: TermTable, d: int):
+    """The row sets rows (see _products), of degree d, modulo their reducers
+    (symbolic_preprocessing): (rest, C), C the coordinates on the columns
+    rest, which no leading monomial divides.  C is ``reduce_mod`` of the
+    two coefficient matrices, as the monic reducers are unit upper
+    triangular on the pivots, and the two are checked against the cell
+    budget together.  Each block of _products is one fancy assignment."""
     ring = basis.ring
+    pivots, rest = symbolic_preprocessing(rows, basis, d)
     g = basis.cover(d)[pivots]
     reducers = [(ring.exponents(d)[pivots] - basis.lead[g], g, basis)]
     column = np.empty(len(ring.exponents(d)), dtype=np.intp)
     column[pivots] = np.arange(len(pivots))
     column[rest] = np.arange(len(pivots), len(pivots) + len(rest))
     ncols = len(pivots) + len(rest)
-    M = []
-    for sets in (reducers, rows):
-        M.append(zeros_over(ring.field, (sum(len(x[1]) for x in sets),
-                                         ncols)))
+    heights = [sum(len(x[1]) for x in sets) for sets in (reducers, rows)]
+    check_budget((sum(heights), ncols))
+    R, T = [zeros_over(ring.field, (h, ncols)) for h in heights]
+    for M, sets in ((R, reducers), (T, rows)):
         for r, at, c in _products(sets, d):
-            M[-1][r, column[at]] = c
-    return reduce_mod(M[0], M[1], _modulus(ring.field))
+            M[r, column[at]] = c
+    return rest, reduce_mod(R, T, _modulus(ring.field))
 
 
 def groebner_basis(gens, order=None) -> GroebnerBasis:

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .groebner import GroebnerBasis, TermTable, groebner_basis, normal_form
-from .groebner import reduce_rows, symbolic_preprocessing
+from .groebner import reduce_rows
 from .hilbert import HilbertData, _poly_add, _poly_trim
 from .linalg import (
     _kernel_mod,
@@ -167,13 +167,11 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
     kernel_generators scan of the rank-1 free module, whose map in degree e
     stacks the coordinates in (S/A_i)_{e + deg f_i} of f_i times the
     monomials of degree e: their normal forms modulo A_i's reduced basis, on
-    the standard monomials they reach (groebner.symbolic_preprocessing and
-    reduce_rows on a TermTable of the basis, the reduction macaulay_basis
-    makes; no span of A_i's generators is built).  The ideal J of the
-    generators through degree e lies in K, so J = K once S/J has the series
-    of S/K, checked after each degree that adds generators; J keeps its
-    Hilbert data.  Matrices past CELL_BUDGET raise CellBudgetError before
-    they are built."""
+    the standard monomials they reach (groebner.reduce_rows on a TermTable
+    of the basis, the reduction macaulay_basis makes; no span of A_i's
+    generators is built).  The ideal J of the generators through degree e
+    lies in K, so J = K once S/J has the series of S/K, checked after each
+    degree that adds generators; J keeps its Hilbert data."""
     ring = B.ring
     num = [-c for c in B.hilbert().numerator]
     for A, _ in blocks:
@@ -186,17 +184,9 @@ def _graded_kernel(blocks, B: Ideal, d: int) -> Ideal:
                   for A, f in blocks]
         for e in count():
             U = ring.exponents(e)
-            coords = []
-            for basis, X, k in tables:
-                rows = [(U, np.zeros(len(U), dtype=np.intp), X)]
-                pivots, rest = symbolic_preprocessing(rows, basis, e + k)
-                if (len(U) + len(pivots)) * (len(pivots) + len(rest)
-                                             ) > CELL_BUDGET:
-                    raise CellBudgetError(
-                        f"the colon in degree {e + k} passes the "
-                        f"budget {CELL_BUDGET}")
-                coords.append(reduce_rows(rows, basis, pivots, rest, e + k).T)
-            yield e, np.vstack(coords)
+            ids = np.zeros(len(U), dtype=np.intp)
+            yield e, np.vstack([reduce_rows([(U, ids, X)], basis, e + k)[1].T
+                                for basis, X, k in tables])
 
     gens = []
     for e, G, _ in kernel_generators(ring, stacked(), None):
@@ -380,8 +370,7 @@ def image_ideal(forms, target: PolynomialRing, bound: int) -> ImageComputation:
     """Kernel of the ring map target -> source sending the i-th variable to
     forms[i], generated in degrees up to bound: kernel_generators of
     ring_map, over F_p and Q.  The h0 table maps each degree 1..bound to the
-    dimension of the kernel there.  Raises CellBudgetError, a ValueError,
-    when a step would pass CELL_BUDGET."""
+    dimension of the kernel there."""
     if len(forms) != target.nvars:
         raise ValueError("need one form per target variable")
     degs = {f.is_homogeneous() for f in forms}
@@ -401,13 +390,13 @@ def _product_positions(ring: PolynomialRing, T, a: int, b: int):
     """Index of m*t in ring.monomials_of_degree(b), one row per exponent
     row t of T and one column per m in ring.monomials_of_degree(a), one
     gather over the ring's index; ValueError unless every t has degree
-    b - a (or there is no m).  The suffix sums of m*t are those of t plus
-    those of m, so the exponent rows of the products are never built."""
-    E = ring.exponents(a)
-    if len(E) and (T.sum(axis=1) != b - a).any():
+    b - a.  The suffix sums of m*t are those of t plus those of m, so
+    neither the exponent rows nor the suffix sums of the products are
+    built."""
+    if (T.sum(axis=1) != b - a).any():
         raise ValueError(f"a term of degree other than {b - a}")
-    return ring.suffix_positions(
-        suffix_sums(T)[:, :, None] + suffix_sums(E)[:, None, :], b)
+    return ring.suffix_positions(suffix_sums(T)[:, :, None], b,
+                                 suffix_sums(ring.exponents(a))[:, None, :])
 
 
 def multiplication_matrix(f: MPoly, a: int, b: int) -> np.ndarray:
@@ -445,22 +434,18 @@ def form_matrix(P, src, tgt) -> np.ndarray:
     and its column m holds the coefficients of P[i][j] * m.  Every entry of
     P is a polynomial (possibly zero) of one ring; a negative degree has no
     monomials.  A term of a nonzero entry of any degree other than
-    tgt[i] - src[j] raises ValueError (unless block (i, j) has no columns),
-    and a matrix of more than CELL_BUDGET cells raises CellBudgetError
-    before it is allocated."""
+    tgt[i] - src[j] raises ValueError (unless block (i, j) has no
+    columns)."""
     ring = P[0][0].ring
     rows = np.cumsum([0] + [len(ring.exponents(b)) for b in tgt])
     cols = np.cumsum([0] + [len(ring.exponents(a)) for a in src])
-    if rows[-1] * cols[-1] > CELL_BUDGET:
-        raise CellBudgetError(f"a matrix of forms of degree {max(tgt)} "
-                              f"passes the budget {CELL_BUDGET}")
     M = zeros_over(ring.field, (rows[-1], cols[-1]))
-    # the entries by (source, target) degree, placed in batches of about
-    # _BATCH cells: one unpack, one gather and one write per batch
+    # the entries of blocks with columns by (source, target) degree, in
+    # batches of about _BATCH cells: one unpack, gather and write per batch
     groups: dict[tuple, list] = {}
     for i, b in enumerate(tgt):
         for j, a in enumerate(src):
-            if P[i][j]:
+            if P[i][j] and cols[j + 1] > cols[j]:
                 groups.setdefault((a, b), []).append((rows[i], cols[j],
                                                       P[i][j]))
     for (a, b), entries in groups.items():
@@ -496,16 +481,6 @@ def forms_from_vector(ring: PolynomialRing, x, degs) -> list[MPoly]:
     return out
 
 
-# the largest matrix (in cells) a ring_map degree, a kernel_generators step
-# or a Koszul map of rao may build; past it the scan stops and reports
-# itself incomplete
-CELL_BUDGET = 250_000_000
-
-
-class CellBudgetError(ValueError):
-    """A matrix would have more than CELL_BUDGET cells; it was not built."""
-
-
 def ring_map(forms, target: PolynomialRing):
     """The matrices of the ring map target -> source sending x_i to
     forms[i] (homogeneous of one degree d; a zero form acts as zero): yields
@@ -516,9 +491,7 @@ def ring_map(forms, target: PolynomialRing):
     degree takes one multiply_forms per first variable on the degree before
     it, and the generator lets go of that degree before it yields the new
     one; the first variables and the positions of the m / x_j are gathers
-    over the target's index (PolynomialRing.quotient_positions).  It raises
-    CellBudgetError instead of building a matrix of more than CELL_BUDGET
-    cells."""
+    over the target's index (PolynomialRing.quotient_positions)."""
     source = forms[0].ring
     field = source.field
     d = max(f.degree() for f in forms)
@@ -531,9 +504,6 @@ def ring_map(forms, target: PolynomialRing):
     yield 0, A
     for e in count(1):
         shape = (len(source.exponents(d * e)), len(target.exponents(e)))
-        if shape[0] * shape[1] > CELL_BUDGET:
-            raise CellBudgetError(f"degree {e} of a graded map passes the "
-                                  f"budget {CELL_BUDGET}")
         below, A = A, zeros_over(field, shape)
         first = (target.exponents(e) > 0).argmax(axis=1)
         parents = target.quotient_positions(e)[np.arange(len(first)), first]
@@ -555,8 +525,6 @@ def kernel_generators(ring: PolynomialRing, images, hi: int | None):
     dim ker A_t) for each degree t through hi, G_t the generators of
     degree t as columns (possibly none), and reads no degree past hi; with
     hi None it reads on until the caller stops.
-    Raises CellBudgetError when the span below would have more than
-    CELL_BUDGET cells; the degrees yielded before it stand.
 
     The generators of degree t are the columns of K_t = ker A_t that
     greedy elimination of [span | K_t] keeps beyond the span block,
@@ -585,9 +553,6 @@ def kernel_generators(ring: PolynomialRing, images, hi: int | None):
         n = coords.size
         fresh = np.ones(n, dtype=bool)
         if prev is not None and prev.shape[1] and n:
-            if ring.nvars * prev.shape[1] * n > CELL_BUDGET:
-                raise CellBudgetError(f"the span of degree {t} passes the "
-                                      f"budget {CELL_BUDGET}")
             # S^T[:, ::-1], one block of k rows per variable
             k = prev.shape[1]
             S = zeros_over(ring.field, (ring.nvars * k, n))

@@ -37,10 +37,18 @@ to the unblocked pass.  At the end the pivot rows move to the top in place.
 on their leading columns, and eliminates no reducer (the split of Faugere &
 Lachartre, PASCO 2010): ``groebner.reduce_rows`` gives it the Macaulay
 matrices of ``macaulay_basis`` and of the colon.
+
+The cell budget.  ``check_budget`` refuses a matrix past CELL_BUDGET cells
+(CellBudgetError, a ValueError) before it is built: ``_zeros``, behind
+``zeros_over``, checks every tuple shape (an int one is a dtype probe), and
+``groebner.reduce_rows`` its reducers and targets together.  The copies of
+``_as_array`` (``rref_mod``'s working matrix), ``_eliminate``'s signed copy
+and the outputs of ``matmul_mod`` are not checked.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -89,7 +97,23 @@ def _as_array(A, p) -> np.ndarray:
                         casting="unsafe")
 
 
+CELL_BUDGET = 250_000_000
+
+
+class CellBudgetError(ValueError):
+    """A matrix would have more than CELL_BUDGET cells; it was not built."""
+
+
+def check_budget(shape) -> None:
+    """Raise CellBudgetError if a matrix of this shape passes the budget."""
+    if math.prod(shape) > CELL_BUDGET:
+        raise CellBudgetError(f"a {' x '.join(map(str, shape))} matrix "
+                              f"passes the budget of {CELL_BUDGET} cells")
+
+
 def _zeros(shape, p) -> np.ndarray:
+    if isinstance(shape, tuple):
+        check_budget(shape)
     if p is None:
         return np.full(shape, Fraction(0), dtype=object)
     return np.zeros(shape, dtype=_storage(p))

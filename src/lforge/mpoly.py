@@ -173,14 +173,16 @@ class PolynomialRing:
         must have degree d and no negative entry; nothing checks that."""
         return self.suffix_positions(suffix_sums(E), d)
 
-    def suffix_positions(self, S, d: int) -> np.ndarray:
+    def suffix_positions(self, S, d: int, *more) -> np.ndarray:
         """positions of the monomials of degree d whose suffix sums are S,
-        as suffix_sums gives them: perm_d of the sum of one rank table
-        lookup per variable."""
+        as suffix_sums gives them, plus the arrays more, broadcast against
+        it: perm_d of the sum of one rank table lookup per variable, each
+        on that variable's row of the sum alone."""
         _, perm, rank = self._degree(d)
-        acc = np.zeros(S.shape[1:], dtype=np.int32)
+        acc = np.zeros(np.broadcast_shapes(S.shape[1:], *(
+            s.shape[1:] for s in more)), dtype=np.int32)
         for k in range(self.nvars - 1):
-            acc += rank[k].take(S[k])
+            acc += rank[k].take(sum((s[k] for s in more), S[k]))
         return perm.take(acc)
 
     def quotient_positions(self, d: int) -> np.ndarray:

@@ -26,6 +26,8 @@ SLOT_BITS = 25  # 24 value bits + 1 guard bit
 VALUE_BITS = SLOT_BITS - 1
 SLOT_MAX = (1 << VALUE_BITS) - 1
 EXP_CAP = 1 << 16  # per-variable exponent bound; beyond this is a hard error
+# monomials unpack_rows turns into bytes objects (about 60 bytes each) at once
+_UNPACK_ROWS = 1 << 12
 
 
 class ExponentOverflow(OverflowError):
@@ -144,6 +146,8 @@ class MonomialCode:
                 v = exps[sl[1]]
             else:  # cexp
                 v = SLOT_MAX - exps[sl[1]]
+            if v > SLOT_MAX:
+                raise ExponentOverflow(f"slot value {v} past {SLOT_MAX}")
             m |= v << sh
         return m
 
@@ -160,31 +164,33 @@ class MonomialCode:
         return tuple(exps)
 
     def unpack_rows(self, ms) -> np.ndarray:
-        """unpack of every packed monomial of ms at once: one int32 exponent
-        row per monomial.  Each slot is read from the four little-endian
-        bytes of the monomial that hold it (a slot is 25 bits wide)."""
+        """unpack of every packed monomial of the sequence ms: one int32
+        exponent row per monomial, each slot read from the four bytes of the
+        monomial that hold it, _UNPACK_ROWS monomials at a time."""
         width = self.shifts[0] // 8 + 4
-        raw = np.frombuffer(b"".join(map(int.to_bytes, ms, repeat(width),
-                                         repeat("little"))),
-                            dtype=np.uint8).reshape(-1, width)
-        out = np.empty((len(raw), self.nvars), dtype=np.int32)
-        for (kind, *arg), sh in zip(self.slots, self.shifts):
-            if kind in ("exp", "cexp"):
-                word = raw[:, sh // 8:sh // 8 + 4].copy().view("<u4")[:, 0]
-                v = (word >> (sh % 8)) & SLOT_MAX
-                out[:, arg[0]] = v if kind == "exp" else SLOT_MAX - v
+        out = np.empty((len(ms), self.nvars), dtype=np.int32)
+        for r in range(0, len(ms), _UNPACK_ROWS):
+            raw = np.frombuffer(b"".join(map(
+                int.to_bytes, ms[r:r + _UNPACK_ROWS], repeat(width),
+                repeat("little"))), dtype=np.uint8).reshape(-1, width)
+            rows = out[r:r + len(raw)]
+            for (kind, *arg), sh in zip(self.slots, self.shifts):
+                if kind in ("exp", "cexp"):
+                    word = raw[:, sh // 8:sh // 8 + 4].copy().view("<u4")[:, 0]
+                    v = (word >> (sh % 8)) & SLOT_MAX
+                    rows[:, arg[0]] = v if kind == "exp" else SLOT_MAX - v
         return out
 
     def _slot_values(self, E) -> list:
         """The slot values of the exponent rows E, most significant first,
-        one array each (a slot value is below 2^24)."""
+        one array each (a weighted degree in numpy's default integer)."""
         E = np.asarray(E, dtype=np.int32).reshape(-1, self.nvars)
         out = []
         for kind, arg in self.slots:
             if kind == "deg":
                 out.append(E[:, list(arg)].sum(axis=1))
             elif kind == "wdeg":
-                out.append((E * np.array(arg, dtype=np.int32)).sum(axis=1))
+                out.append((E * np.array(arg)).sum(axis=1))
             else:
                 out.append(E[:, arg] if kind == "exp" else SLOT_MAX - E[:, arg])
         return out
@@ -205,6 +211,8 @@ class MonomialCode:
         width = self.shifts[0] // 8 + 4
         raw = np.zeros((len(E), width), dtype=np.uint8)
         for v, sh in zip(self._slot_values(E), self.shifts):
+            if len(v) and v.max() > SLOT_MAX:
+                raise ExponentOverflow(f"slot value past {SLOT_MAX}")
             word = (v.astype("<u4") << (sh % 8)).view(np.uint8)
             raw[:, sh // 8:sh // 8 + 4] |= word.reshape(-1, 4)
         b = raw.tobytes()

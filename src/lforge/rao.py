@@ -17,14 +17,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from . import ideals
 from .fields import PrimeField
 from .hilbert import HilbertData
-from .ideals import CellBudgetError, Ideal, multiplication_matrix, ring_map
+from .ideals import Ideal, multiplication_matrix, ring_map
 # rref_mod is unused here but stays bound: the benchmark's own tests assert
 # that its tracer rebinds rao.rref_mod
 from .linalg import _kernel_mod, matmul_mod, rank_mod, rref_mod  # noqa: F401
-from .linalg import _as_array, zeros_over
+from .linalg import CellBudgetError, _as_array, zeros_over
 from .veronese import ProjectionSpec, secant_avoidance
 
 
@@ -195,21 +194,17 @@ def _koszul_map(mod: RaoModule, i: int, k: int) -> np.ndarray:
     (x) M_(k+1), one block per pair of subsets of the variables, each side
     in the order of itertools.combinations: the block from e_A to
     e_(A minus a_s) is (-1)^s times the action of x_(a_s), s the position
-    of a_s in A, and every other block is zero.  Raises CellBudgetError
-    instead of building a matrix of more than ideals.CELL_BUDGET cells."""
+    of a_s in A, and every other block is zero."""
     n, p = mod.nvars, mod.p
     above = list(combinations(range(n), i))
     below = {B: r for r, B in enumerate(combinations(range(n), i - 1))}
     shape = (len(below), mod.dim(k + 1), len(above), mod.dim(k))
-    if math.prod(shape) > ideals.CELL_BUDGET:
-        raise CellBudgetError(f"the Koszul map of wedge^{i} at grade {k} "
-                              f"passes the budget {ideals.CELL_BUDGET}")
+    D = zeros_over(mod.field, shape)
     rows, cols, var, odd = zip(*(
         (below[A[:s] + A[s + 1:]], c, a, s % 2)
         for c, A in enumerate(above) for s, a in enumerate(A)))
     X = np.stack([mod._action(k, j) for j in range(n)])
     signed = np.stack([X, (p - X) % p], axis=1)
-    D = zeros_over(mod.field, shape)
     D[rows, :, cols, :] = signed[var, odd]
     return D.reshape(shape[0] * shape[1], shape[2] * shape[3])
 
@@ -229,8 +224,8 @@ def graded_betti(mod: RaoModule, hom_bound: int = 2,
     i), so column i scans that range, cut at the internal degree deg_bound
     for i >= 1, and the scan stops after the first empty column.
     ``complete`` is False when a cut fell below reg + i, or when a Koszul
-    map past the cell budget ended the table there (the entries read
-    before it stand)."""
+    map that linalg refused (CellBudgetError) ended the table there (the
+    entries read before it stand)."""
     if not mod.dims:
         raise RaoError("zero module has no resolution")
     n, lo, reg = mod.nvars, min(mod.grades), max(mod.grades)

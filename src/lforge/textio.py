@@ -228,7 +228,10 @@ def parse_ring_header(line: str):
     names = tuple(toks[vi + 1 : fi])
     if not names:
         raise ParseError("ring header lists no variables", vi, line)
-    field = field_from_name(toks[fi + 1])
+    try:
+        field = field_from_name(toks[fi + 1])
+    except (IndexError, FieldError) as e:
+        raise ParseError(f"bad field in ring header ({e})", fi, line) from None
     order = _parse_order(" ".join(toks[oi + 1 :]), line)
     return PolynomialRing(field, names, order)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lforge import linalg
 from lforge.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -143,6 +144,29 @@ def test_gb_exponent_overflow_is_an_error(tmp_path, capsys):
     assert main(["gb", str(f)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", [
+    "ring R vars x y order grevlex field",
+    "ring R vars x y field GF(4) order grevlex",
+    "ring R vars x y field GF(1) order grevlex",
+], ids=["no-field-value", "non-prime-field", "field-below-two"])
+def test_gb_malformed_ring_header(tmp_path, capsys, header):
+    f = tmp_path / "ideal.txt"
+    f.write_text(f"{header}\nx - y\n")
+    assert main(["gb", str(f)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_gb_past_the_cell_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    # degree 3 of the twisted cubic: 4 reducers and 4 rows on 6 columns
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 47)
+    f = tmp_path / "ideal.txt"
+    f.write_text(TWISTED_CUBIC)
+    assert main(["gb", str(f)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: a 8 x 6 matrix passes the budget of 47 cells\n")
 
 
 def test_gb_missing_file(capsys):

@@ -84,6 +84,33 @@ def test_twisted_cubic_minors():
     assert spair_audit(G)
 
 
+def test_macaulay_budget_counts_reducers_and_targets(monkeypatch):
+    # the twisted cubic: degree 2 has its 3 generators on 6 columns, and
+    # degree 3 its 4 reducers and 4 pair halves on 6 columns, 48 cells
+    # together, 24 each
+    R4 = PolynomialRing(F17, ("x", "y", "z", "w"))
+    X, Y, Z, W = R4.gens()
+    minors = [X * Z - Y * Y, X * W - Y * Z, Y * W - Z * Z]
+    built = []
+    zeros_over = groebner.zeros_over
+
+    def recording_zeros(field, shape):
+        out = zeros_over(field, shape)
+        built.append(shape)
+        return out
+
+    monkeypatch.setattr(groebner, "zeros_over", recording_zeros)
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 47)
+    with pytest.raises(linalg.CellBudgetError, match="a 8 x 6 matrix"):
+        groebner_basis(minors)
+    # refused before either half of degree 3 was allocated
+    assert [s for s in built if s] == [(0, 6), (3, 6)]
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 48)
+    built.clear()
+    assert len(groebner_basis(minors)) == 3
+    assert [s for s in built if s] == [(0, 6), (3, 6), (4, 6), (4, 6)]
+
+
 def test_buchberger_katsura_like():
     # a non-monomial benchmark with a known finite solution count
     f1 = x + 2 * y + 2 * z - 1

@@ -447,6 +447,21 @@ def test_dispatch():
         linalg.rank_over(object(), A)
 
 
+@pytest.mark.parametrize("field", [GF(17), QQ], ids=str)
+def test_zeros_over_refuses_past_the_cell_budget(monkeypatch, field):
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 15)
+    assert linalg.zeros_over(field, (3, 5)).shape == (3, 5)
+    assert linalg.zeros_over(field, (3, 1, 5)).shape == (3, 1, 5)
+    for shape, name in (((4, 4), "4 x 4"), ((2, 2, 4), "2 x 2 x 4")):
+        with pytest.raises(linalg.CellBudgetError,
+                           match=f"a {name} matrix passes the budget of 15"):
+            linalg.zeros_over(field, shape)
+    # a dtype probe is never refused
+    monkeypatch.setattr(linalg, "CELL_BUDGET", -1)
+    assert linalg.zeros_over(field, 0).shape == (0,)
+    assert issubclass(linalg.CellBudgetError, ValueError)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31))
 def test_rank_mod_matches_frac_on_lifted(seed):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lforge import orders
 from lforge.fields import GF, QQ, FieldError
 from lforge.mpoly import (
     MPoly,
@@ -577,6 +578,13 @@ def test_pack_rows_is_pack():
                 list(e) for e in rows]
             with pytest.raises(OverflowError):
                 code.pack_rows([(2**16 + 1,) + (0,) * (n - 1)])
+    # past the _UNPACK_ROWS monomials unpack_rows converts at a time
+    code = PolynomialRing(F17, ("a", "b", "c"),
+                          TermOrder.weighted((2, 5, 1))).code
+    rows = [(i % 7, i // 7 % 11, i // 77)
+            for i in range(2 * orders._UNPACK_ROWS + 5)]
+    assert code.unpack_rows(code.pack_rows(rows)).tolist() == [
+        list(e) for e in rows]
 
 
 def test_graded_layer_leaves_numpy_ma_unimported():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lforge.fields import GF
+from lforge.mpoly import PolynomialRing
 from lforge.orders import EXP_CAP, ExponentOverflow, MonomialCode, TermOrder
 from oracles import coprime, monomial_mul
 
@@ -143,6 +145,21 @@ def test_exponent_cap():
         code.pack((EXP_CAP + 1, 0))
     with pytest.raises(ExponentOverflow):
         code.pack((-1, 0))
+
+
+def test_weighted_slot_cap():
+    # each exponent is below EXP_CAP, but the weighted degree 20 * 10^6
+    # passes the 24 value bits of its slot
+    order = TermOrder.weighted((10**6, 1))
+    code = MonomialCode(2, order)
+    for pack in (code.pack, lambda e: code.pack_rows([e])[0]):
+        assert code.unpack(pack((16, 0))) == (16, 0)
+        with pytest.raises(ExponentOverflow):
+            pack((20, 0))
+    with pytest.raises(ExponentOverflow):
+        PolynomialRing(GF(17), ("x", "y"), order).monomials_of_degree(20)
+    assert len(PolynomialRing(GF(17), ("x", "y"),
+                              order).monomials_of_degree(16)) == 17
 
 
 def test_var():

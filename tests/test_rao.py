@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lforge import fixtures, ideals, rao
+from lforge import fixtures, ideals, linalg, rao
 from lforge.fields import GF
 from lforge.ideals import (
     Ideal,
@@ -322,7 +322,8 @@ def test_cover_budget_counts_the_kernel_span(monkeypatch):
     # the kernel of (a, b, c) -> (s, 0, 0): b and c in degree 1, and in
     # degree 2 five quadrics, all in the span x_j K_1, a 6 x 5 matrix
     # of 30 cells against 6 for A_2, so a budget below 30 stops the scan
-    # there before the span is built
+    # there before the span is built (K_2, 6 x 5 as well, is refused
+    # first)
     S = PolynomialRing(F17, ("s",))
     T = PolynomialRing(F17, ("a", "b", "c"))
     forms = [S.var(0), S.zero, S.zero]
@@ -330,17 +331,18 @@ def test_cover_budget_counts_the_kernel_span(monkeypatch):
     zeros_over = ideals.zeros_over
 
     def recording_zeros(field, shape):
+        out = zeros_over(field, shape)
         built.append(prod(shape))
-        return zeros_over(field, shape)
+        return out
 
     monkeypatch.setattr(ideals, "zeros_over", recording_zeros)
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 29)
-    with pytest.raises(ideals.CellBudgetError, match="span of degree 2"):
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 29)
+    with pytest.raises(linalg.CellBudgetError, match="a 6 x 5 matrix"):
         for t, G, n in kernel_generators(T, ring_map(forms, T), 2):
             done.append((t, G.shape[1], n))
     assert done == [(0, 0, 0), (1, 2, 2)]
     assert max(built) < 30
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 30)
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 30)
     assert [(G.shape[1], n) for _, G, n in kernel_generators(
         T, ring_map(forms, T), 2)] == [(0, 0), (2, 2), (0, 5)]
     assert 30 in built
@@ -358,8 +360,9 @@ def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
     zeros_over = ideals.zeros_over
 
     def recording_zeros(field, shape):
+        out = zeros_over(field, shape)
         built.append(prod(shape))
-        return zeros_over(field, shape)
+        return out
 
     def scan():
         return [G.shape[1] for _, G, _ in kernel_generators(
@@ -369,12 +372,12 @@ def test_cover_budget_refuses_a_degree_before_building_it(monkeypatch):
     assert scan() == [0, 0, 3, 0]
     assert max(built) == 200
     built.clear()
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 199)
-    with pytest.raises(ideals.CellBudgetError, match="degree 3"):
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 199)
+    with pytest.raises(linalg.CellBudgetError, match="a 10 x 20 matrix"):
         scan()
     assert max(built) < 200
     built.clear()
-    monkeypatch.setattr(ideals, "CELL_BUDGET", 200)
+    monkeypatch.setattr(linalg, "CELL_BUDGET", 200)
     assert scan() == [0, 0, 3, 0]
     assert 200 in built
 
@@ -440,14 +443,15 @@ def test_koszul_budget_ends_the_table_at_a_refused_map(monkeypatch):
     zeros_over = rao.zeros_over
 
     def recording_zeros(field, shape):
+        out = zeros_over(field, shape)
         built.append(prod(shape))
-        return zeros_over(field, shape)
+        return out
 
     monkeypatch.setattr(rao, "zeros_over", recording_zeros)
     assert graded_betti(mod, hom_bound=3, deg_bound=6).complete
     largest = max(built)
     built.clear()
-    monkeypatch.setattr(ideals, "CELL_BUDGET", largest - 1)
+    monkeypatch.setattr(linalg, "CELL_BUDGET", largest - 1)
     tab = graded_betti(mod, hom_bound=3, deg_bound=6)
     # refused before it was built; what was read before it stands
     assert max(built) < largest
